@@ -99,10 +99,17 @@ def forward_pilot(n_t: int, tau: int, d) -> ComplexMatrix:
 
 
 def _cn(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
-    """Batched iid CN(0, var) draws (same recipe as numerics.random_gaussian)."""
-    parts = gen.standard_normal(shape + (2,))
-    z = parts[..., 0] + 1j * parts[..., 1]
-    return z * np.sqrt(var / 2.0)
+    """Batched iid CN(0, var) draws (same recipe as numerics.random_gaussian).
+
+    The normals are drawn straight into the interleaved real/imaginary parts
+    of the result and scaled in place: the same values, bit for bit, as
+    ``(p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)`` for
+    ``p = gen.standard_normal(shape + (2,))``, without the temporaries.
+    """
+    z = np.empty(shape, dtype=np.complex128)
+    gen.standard_normal(out=z.reshape(-1).view(np.float64))
+    z *= np.sqrt(var / 2.0)
+    return z
 
 
 def _null_complement(mat: np.ndarray) -> np.ndarray:
@@ -111,11 +118,11 @@ def _null_complement(mat: np.ndarray) -> np.ndarray:
     Unlike the public :func:`dcekit.numerics.null_space_basis` this never
     raises on degenerate input: a rank-deficient (even zero) estimate still
     gets a valid orthonormal complement, which is exactly what the protocol
-    needs on edges like an unpowered reverse stage.
+    needs on edges like an unpowered reverse stage.  The complete QR factor
+    ``Q`` is unitary and its first ``m`` columns span every column of
+    ``mat``, so its last ``n - m`` columns are such a complement at any rank.
     """
-    u, _, _ = np.linalg.svd(mat, full_matrices=True)
-    m = mat.shape[-1]
-    return u[..., m:]
+    return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
 
 
 def _herm(x: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ which releases the GIL).
 The data phase uses a rate-3/4 orthogonal space-time block code over four
 transmit antennas carrying three unit-energy 64-QAM symbols per block.  For
 orthogonal designs, coherent ML detection with an (imperfect) channel
-estimate reduces to linear combining plus per-symbol nearest-neighbor
-slicing, which is what :func:`ostbc_detect` implements; feeding it the true
-channel gives the perfect-CSI baseline.
+estimate reduces to linear combining into six real coordinates; for a
+product constellation such as square QAM each coordinate is then sliced
+against its own axis levels, which is what :func:`ostbc_detect` implements
+(other constellations are rejected).  Feeding it the true channel gives the
+perfect-CSI baseline.
 """
 
 from __future__ import annotations
@@ -192,13 +194,35 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-# Real-linear expansion basis: codewords of the 6 unit real coordinates
-# (Re s1, Im s1, Re s2, Im s2, Re s3, Im s3).
-_OSTBC_BASIS = np.stack([
+# Real-linear expansion basis: the codewords B_k of the 6 unit real
+# coordinates (Re s1, Im s1, Re s2, Im s2, Re s3, Im s3), column k holding the
+# 16 interleaved (real, imaginary) parts of B_k.  Since Re <B_k, M> =
+# Re(B_k) . Re(M) + Im(B_k) . Im(M), the six correlations of a 4x4 complex M
+# are one real (.., 32) @ (32, 6) product.
+_OSTBC_CORR = np.stack([
     ostbc_encode(1, 0, 0), ostbc_encode(1j, 0, 0),
     ostbc_encode(0, 1, 0), ostbc_encode(0, 1j, 0),
     ostbc_encode(0, 0, 1), ostbc_encode(0, 0, 1j),
-])
+]).reshape(6, 16).view(np.float64).T
+
+
+def _axis_slicer(constellation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis decision thresholds and the level grid of a product constellation.
+
+    Returns the midpoints between adjacent sorted real levels, the same for
+    the imaginary levels, and ``grid[i, j]``, the constellation point with
+    real level ``i`` and imaginary level ``j``.
+    """
+    pts = np.asarray(constellation, dtype=complex)
+    re, im = np.unique(pts.real), np.unique(pts.imag)
+    grid = np.full((re.size, im.size), np.nan, dtype=complex)
+    grid[np.searchsorted(re, pts.real), np.searchsorted(im, pts.imag)] = pts
+    if pts.size == 0 or pts.size != grid.size or np.isnan(grid).any():
+        raise ValueError(
+            "per-axis slicing needs a product constellation: every pairing of "
+            "a real level with an imaginary level must be a point, exactly once"
+        )
+    return (re[1:] + re[:-1]) / 2.0, (im[1:] + im[:-1]) / 2.0, grid
 
 
 def ostbc_detect(
@@ -214,24 +238,24 @@ def ostbc_detect(
     channel estimate used for detection (pass the true channel for the
     perfect-CSI baseline).  Returns the detected symbols ``(..., 3)`` as
     constellation values (default 64-QAM).  Orthogonality of the design makes
-    exact ML decouple into per-real-coordinate correlations followed by
-    nearest-neighbor slicing, so this stays cheap at any constellation size.
+    exact ML decouple into six real correlations ``Re tr(B_k^H y h_hat^H)``;
+    for a constellation that is the Cartesian product of its real and
+    imaginary levels (every square QAM, including :data:`QAM4` and
+    :data:`QAM64`) each correlation is then sliced on its own axis, so the
+    cost does not grow with the constellation size.  Any other constellation
+    raises ``ValueError``.
     """
-    if constellation is None:
-        constellation = QAM64
+    mids_re, mids_im, grid = _axis_slicer(QAM64 if constellation is None else constellation)
     h_energy = np.sum(h_hat.real**2 + h_hat.imag**2, axis=(-2, -1))
     denom = scale * np.maximum(h_energy, 1e-300)
-    coords = []
-    for b_k in _OSTBC_BASIS:
-        phi = b_k @ h_hat
-        corr = np.sum((phi.conj() * y).real, axis=(-2, -1))
-        coords.append(corr / denom)
-    s_soft = np.stack(
-        [coords[0] + 1j * coords[1], coords[2] + 1j * coords[3], coords[4] + 1j * coords[5]],
-        axis=-1,
-    )
-    idx = np.argmin(np.abs(s_soft[..., None] - constellation) ** 2, axis=-1)
-    return constellation[idx]
+    m = (y @ np.swapaxes(h_hat.conj(), -1, -2)).astype(np.complex128, copy=False)
+    m_parts = m.reshape(m.shape[:-2] + (16,)).view(np.float64)
+    coords = (m_parts @ _OSTBC_CORR) / denom[..., None]
+    # A coordinate exactly on a threshold (say, from a zero estimate) takes
+    # the lower level.
+    i_re = np.searchsorted(mids_re, coords[..., 0::2])
+    i_im = np.searchsorted(mids_im, coords[..., 1::2])
+    return grid[i_re, i_im]
 
 
 def _wilson_halfwidth(errors: int, n: int) -> float:

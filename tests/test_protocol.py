@@ -25,7 +25,9 @@ from dcekit.model import (
 )
 from dcekit.numerics import RngStream
 from dcekit.protocol import (
+    _cn,
     _guard_null_residual,
+    _null_complement,
     dft_semiunitary,
     forward_pilot,
     run_nonreciprocal,
@@ -79,6 +81,46 @@ class TestGuard:
         estimate = np.array([[5.0], [0.0]], dtype=complex)
         with pytest.raises(RuntimeError, match="leaked"):
             _guard_null_residual(basis, estimate)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("shape", [(1, 4, 2), (1, 4, 4), (7, 3, 2), (4096, 4, 2), (2, 5)])
+    @pytest.mark.parametrize("var", [0.0, 0.3, 2.0])
+    def test_cn_bits_match_reference_recipe(self, shape, var):
+        gen_a = RngStream(31, 4).generator
+        gen_b = RngStream(31, 4).generator
+        z = _cn(gen_a, shape, var)
+        parts = gen_b.standard_normal(shape + (2,))
+        ref = (parts[..., 0] + 1j * parts[..., 1]) * np.sqrt(var / 2.0)
+        assert z.shape == shape and z.dtype == np.complex128
+        np.testing.assert_array_equal(z.view(np.uint64), ref.view(np.uint64))
+        # The result owns its buffer: no other live array aliases it.
+        assert z.flags.owndata and z.base is None
+        # Both generators consumed the same number of draws.
+        assert gen_a.standard_normal() == gen_b.standard_normal()
+
+    @staticmethod
+    def _degenerate_batch(kind: str) -> np.ndarray:
+        gen = RngStream(32).generator
+        if kind == "full_rank":
+            return _cn(gen, (64, 4, 2), 1.0)
+        if kind == "rank_one":
+            return _cn(gen, (64, 4, 1), 1.0) @ _cn(gen, (64, 1, 2), 1.0)
+        if kind == "large_rank_one":
+            return 1e6 * _cn(gen, (64, 4, 1), 1.0) @ _cn(gen, (64, 1, 2), 1.0)
+        return np.zeros((64, 4, 2), dtype=complex)
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "large_rank_one", "zero"])
+    def test_null_complement_degenerate_inputs(self, kind):
+        mat = self._degenerate_batch(kind)
+        k = _null_complement(mat)
+        k_h = np.swapaxes(k.conj(), -1, -2)
+        assert k.shape == (64, 4, 2)
+        ortho = np.linalg.norm(k_h @ k - np.eye(2), axis=(-2, -1))
+        assert np.max(ortho) < 1e-12
+        leak = np.linalg.norm(k_h @ mat, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
+        assert np.all(leak < 1e-10 * scale)
 
 
 class TestReciprocalRound:

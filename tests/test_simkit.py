@@ -23,6 +23,7 @@ from dcekit.model import (
     reciprocal_plan,
 )
 from dcekit.numerics import RngStream, random_gaussian
+from dcekit.protocol import _cn
 from dcekit.simkit import (
     QAM4,
     QAM64,
@@ -71,7 +72,71 @@ class TestOstbcEncode:
         assert np.max(np.abs(gram - target)) < 1e-12
 
 
+def _reference_detect(y, h_hat, scale, constellation):
+    """Reference detector: six basis products, then an argmin over every point."""
+    basis = np.stack([
+        ostbc_encode(1, 0, 0), ostbc_encode(1j, 0, 0),
+        ostbc_encode(0, 1, 0), ostbc_encode(0, 1j, 0),
+        ostbc_encode(0, 0, 1), ostbc_encode(0, 0, 1j),
+    ])
+    h_energy = np.sum(h_hat.real**2 + h_hat.imag**2, axis=(-2, -1))
+    denom = scale * np.maximum(h_energy, 1e-300)
+    coords = []
+    for b_k in basis:
+        phi = b_k @ h_hat
+        corr = np.sum((phi.conj() * y).real, axis=(-2, -1))
+        coords.append(corr / denom)
+    s_soft = np.stack(
+        [coords[0] + 1j * coords[1], coords[2] + 1j * coords[3], coords[4] + 1j * coords[5]],
+        axis=-1,
+    )
+    idx = np.argmin(np.abs(s_soft[..., None] - constellation) ** 2, axis=-1)
+    return constellation[idx]
+
+
 class TestOstbcDetect:
+    @pytest.mark.parametrize("constellation", [QAM64, QAM4], ids=["qam64", "qam4"])
+    @pytest.mark.parametrize("est_var", [0.0, 0.1], ids=["true", "mismatched"])
+    @pytest.mark.parametrize("data_power", [3.0, 30.0, 300.0])
+    def test_matches_reference_detector_on_chunks(self, constellation, est_var, data_power):
+        gen = RngStream(74, int(data_power)).generator
+        m, amp = 4096, np.sqrt(data_power / 3.0)
+        sent = constellation[gen.integers(0, constellation.size, size=(m, 3))]
+        h = _cn(gen, (m, 4, 2), 1.0)
+        h_hat = h + _cn(gen, (m, 4, 2), est_var)
+        y = amp * ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h + _cn(gen, (m, 4, 2), 1.0)
+        fast = ostbc_detect(y, h_hat, amp, constellation)
+        np.testing.assert_array_equal(fast, _reference_detect(y, h_hat, amp, constellation))
+
+    @pytest.mark.parametrize("constellation", [QAM64, QAM4], ids=["qam64", "qam4"])
+    def test_far_outside_and_zero_energy_match_reference(self, constellation):
+        gen = RngStream(75).generator
+        h = _cn(gen, (200, 4, 2), 1.0)
+        # Soft values up to ~1e6 away from every point clip to the outer levels.
+        y = 1e6 * _cn(gen, (200, 4, 2), 1.0)
+        far = ostbc_detect(y, h, 1.0, constellation)
+        np.testing.assert_array_equal(far, _reference_detect(y, h, 1.0, constellation))
+        corners = constellation[np.abs(constellation) == np.abs(constellation).max()]
+        assert np.all(np.isin(far, corners))
+        zero = np.zeros_like(h)
+        flat = ostbc_detect(y, zero, 1.0, constellation)
+        np.testing.assert_array_equal(flat, _reference_detect(y, zero, 1.0, constellation))
+
+    @pytest.mark.parametrize(
+        "constellation",
+        [
+            np.exp(2j * np.pi * np.arange(8) / 8),
+            QAM4[:3],
+            np.concatenate([QAM4, QAM4[:1]]),
+            np.array([], dtype=complex),
+        ],
+        ids=["psk8", "missing_point", "duplicate_point", "empty"],
+    )
+    def test_non_product_constellation_rejected(self, constellation):
+        y = random_gaussian(4, 2, 1.0, RngStream(76))
+        with pytest.raises(ValueError, match="product constellation"):
+            ostbc_detect(y, y, 1.0, constellation)
+
     def test_noiseless_perfect_csi(self):
         stream = RngStream(71)
         gen = stream.generator
