@@ -10,11 +10,11 @@ Monte-Carlo validation down to coded-data symbol error rates.
 
 Modules
 -------
-numerics   seeded complex-Gaussian draws, null-space bases, semi-unitaries
+numerics   RNG streams; batched Gaussian draws, Haar semi-unitaries, null spaces
 model      system/plan/budget/allocation types, validation, config files
-estimator  LMMSE blocks and the scheme-specific channel estimators
-analytics  closed-form NMSE expressions, thresholds, and bounds
-protocol   full training rounds (signal-level, batched cores + transcripts)
+estimator  batched LMMSE combiner, LMMSE blocks, echo-based downlink estimator
+analytics  every scalar error formula, closed-form NMSE, thresholds, bounds
+protocol   batched round engine (run_rounds) and its batch-of-one transcripts
 allocator  energy-allocation solvers (closed forms, line search, GP)
 simkit     Monte-Carlo NMSE / symbol-error-rate harness
 cli        ``dcekit`` command-line tool

@@ -12,6 +12,10 @@ Notation used throughout (all per-entry variances):
                         (``n_t`` entries summing to ``n_t``)
 ======================  =====================================================
 
+Every scalar error formula of the package is written here once, from the
+per-direction posterior :func:`posterior_var` up; the estimators and the
+round transcripts take their error statistics from these functions.
+
 The reciprocal formulas are exact for the LMMSE estimators in
 :mod:`dcekit.estimator`.  The non-reciprocal LR formula is an approximation:
 the random per-realization effective noise is replaced by its mean, with the
@@ -39,7 +43,10 @@ __all__ = [
     "FeasibleGammaRange",
     "alpha_gain",
     "beta",
+    "downlink_direction_error",
     "downlink_error_floor",
+    "echo_power",
+    "forward_direction_errors",
     "gamma_range",
     "gamma_tilde",
     "mu",
@@ -48,7 +55,11 @@ __all__ = [
     "nmse_lower_bound",
     "nmse_u",
     "nonreciprocal_effective_noise",
+    "posterior_var",
+    "reciprocal_effective_noise",
+    "reverse_error_var",
     "sigma_sq",
+    "ur_disturbance",
 ]
 
 
@@ -84,7 +95,7 @@ def gamma_range(
     unguarded forward pilot, ``(1/var_g + e_t_max/(n_t var_v))^{-1}``; the
     upper edge is the prior ``var_g`` (reached by sending nothing).
     """
-    lo = 1.0 / (1.0 / config.var_g + e_t_max / (config.n_t * config.var_v))
+    lo = posterior_var(config.var_g, e_t_max / (config.n_t * config.var_v))
     hi = config.var_g
     if gamma is None:
         return FeasibleGammaRange(lo=lo, hi=hi)
@@ -92,11 +103,33 @@ def gamma_range(
     return FeasibleGammaRange(lo=lo, hi=hi, gamma_tilde=gt, feasible=lo <= gamma <= hi)
 
 
-def _per_direction_nmse(prior: float, gains: np.ndarray, n_t: int) -> float:
-    """Mean of ``(1/prior + gain_i)^{-1}`` over all ``n_t`` directions."""
+def posterior_var(prior: float, gain):
+    """Per-direction LMMSE posterior ``(1/prior + gain)^{-1}`` (zero for a zero prior)."""
     if prior == 0.0:
-        return 0.0
-    return float(np.mean(1.0 / (1.0 / prior + gains)))
+        return gain * 0.0
+    return 1.0 / (1.0 / prior + gain)
+
+
+def reverse_error_var(config: SystemConfig, prior: float, energy: float) -> float:
+    """Per-entry error ``delta^2`` of the transmitter's estimate from an ``n_l``-row pilot."""
+    return posterior_var(prior, energy / (config.n_l * config.var_wt))
+
+
+def reciprocal_effective_noise(config: SystemConfig, e_r: float, var_a: float) -> float:
+    """Per-entry forward noise at LR (reciprocal): AN leaking through ``delta^2``, plus thermal."""
+    delta2 = reverse_error_var(config, config.var_h, e_r)
+    return (config.n_t - config.n_l) * delta2 * var_a + config.var_w
+
+
+def ur_disturbance(config: SystemConfig, var_a: float) -> float:
+    """Per-entry forward disturbance at UR (both schemes): the full AN plus thermal noise."""
+    return (config.n_t - config.n_l) * var_a * config.var_g + config.var_v
+
+
+def forward_direction_errors(config: SystemConfig, prior: float, e_fwd: float, noise: float, d):
+    """Per-direction errors of a forward LMMSE estimate: pilot energy ``e_fwd``
+    with Gram profile ``d`` against per-entry noise ``noise``."""
+    return posterior_var(prior, (e_fwd / config.n_t) * np.asarray(d, dtype=float) / noise)
 
 
 def nmse_l_reciprocal(
@@ -120,11 +153,8 @@ def nmse_l_reciprocal(
     artificial-noise leakage (shrinking as the reverse energy ``e_r`` grows)
     plus LR thermal noise.
     """
-    d = np.asarray(d, dtype=float)
-    delta2 = 1.0 / (1.0 / config.var_h + e_r / (config.n_l * config.var_wt))
-    r_bar = (config.n_t - config.n_l) * delta2 * var_a + config.var_w
-    gains = (e_f / config.n_t) * d / r_bar
-    return _per_direction_nmse(config.var_h, gains, config.n_t)
+    r_bar = reciprocal_effective_noise(config, e_r, var_a)
+    return float(np.mean(forward_direction_errors(config, config.var_h, e_f, r_bar, d)))
 
 
 def nmse_u(
@@ -136,12 +166,10 @@ def nmse_u(
     """UR's forward-stage NMSE (exact; same form for both schemes).
 
     UR faces the full artificial noise: per-entry disturbance
-    ``(n_t - n_l) * var_a * var_g + var_v``.
+    :func:`ur_disturbance`.
     """
-    d = np.asarray(d, dtype=float)
-    r_u = (config.n_t - config.n_l) * var_a * config.var_g + config.var_v
-    gains = (e_f / config.n_t) * d / r_u
-    return _per_direction_nmse(config.var_g, gains, config.n_t)
+    r_u = ur_disturbance(config, var_a)
+    return float(np.mean(forward_direction_errors(config, config.var_g, e_f, r_u, d)))
 
 
 def mu(config: SystemConfig) -> float:
@@ -186,9 +214,14 @@ def beta(config: SystemConfig, e_t0: float, e_l2: float, alpha: float) -> float:
     """
     if alpha == 0.0:
         return math.inf
-    delta_u2 = 1.0 / (1.0 / config.var_hu + e_l2 / (config.n_l * config.var_wt))
-    q = config.var_hd * e_t0 + config.n_t * config.var_w
+    delta_u2 = reverse_error_var(config, config.var_hu, e_l2)
+    q = echo_power(config, e_t0)
     return config.n_l * delta_u2 + config.n_t * config.var_wt / (alpha**2 * q)
+
+
+def echo_power(config: SystemConfig, e_t0: float) -> float:
+    """``q = var_hd e_t0 + n_t var_w``: the initial downlink stage's power, as echoed."""
+    return config.var_hd * e_t0 + config.n_t * config.var_w
 
 
 def sigma_sq(config: SystemConfig, e_l2: float) -> float:
@@ -197,6 +230,14 @@ def sigma_sq(config: SystemConfig, e_l2: float) -> float:
     return (
         config.var_hu**2 * e_l2 / (config.var_hu * e_l2 + config.n_l * config.var_wt)
     )
+
+
+def downlink_direction_error(config: SystemConfig, e_t0: float, b: float, lam):
+    """Conditional per-entry error of the echo-based downlink estimate along an
+    uplink-estimate Gram eigenvalue ``lam``: the bracket of
+    :func:`downlink_error_floor` at ``lam``; ``b = inf`` (no echo) gives ``var_hd``."""
+    rho0 = config.var_hd * e_t0 / echo_power(config, e_t0)
+    return config.var_hd - config.var_hd * rho0 * (lam / (b + lam))
 
 
 def downlink_error_floor(
@@ -209,19 +250,13 @@ def downlink_error_floor(
             \frac{N_t \sigma^2}{\beta + N_t \sigma^2},
         \qquad \rho_0 = \frac{\sigma_{h_d}^2 E_{t0}}{q},
 
-    i.e. the conditional error with the uplink-estimate Gram eigenvalues
-    collapsed to their mean ``n_t * sigma^2`` (a Jensen step).  Degrades to
-    the full prior ``var_hd`` when the echo or the initial pilot is unpowered.
+    i.e. :func:`downlink_direction_error` with the uplink-estimate Gram
+    eigenvalues collapsed to their mean ``n_t * sigma^2`` (a Jensen step).
+    Degrades to the full prior ``var_hd`` when the echo or the initial pilot
+    is unpowered.
     """
-    a = alpha_gain(config, e_t0, e_l1, tau_t0)
-    if a == 0.0 or e_t0 == 0.0:
-        return config.var_hd  # no usable echo: downlink error is the full prior
-    b = beta(config, e_t0, e_l2, a)
-    s2 = sigma_sq(config, e_l2)
-    q = config.var_hd * e_t0 + config.n_t * config.var_w
-    rho0 = config.var_hd * e_t0 / q
-    shrink = config.n_t * s2 / (b + config.n_t * s2) if math.isfinite(b) else 0.0
-    return config.var_hd - config.var_hd * rho0 * shrink
+    b = beta(config, e_t0, e_l2, alpha_gain(config, e_t0, e_l1, tau_t0))
+    return downlink_direction_error(config, e_t0, b, config.n_t * sigma_sq(config, e_l2))
 
 
 def nonreciprocal_effective_noise(
@@ -255,10 +290,9 @@ def nmse_l_nonreciprocal_approx(
     """
     if alloc.scheme != NONRECIPROCAL:
         raise ValueError(f"allocation scheme must be {NONRECIPROCAL!r}, got {alloc.scheme!r}")
-    d = np.asarray(plan.pilot_eigs, dtype=float)
     d_bar = nonreciprocal_effective_noise(config, alloc, plan)
-    gains = (alloc.e_t3 / config.n_t) * d / d_bar
-    return _per_direction_nmse(config.var_hd, gains, config.n_t)
+    d = plan.pilot_eigs
+    return float(np.mean(forward_direction_errors(config, config.var_hd, alloc.e_t3, d_bar, d)))
 
 
 def nmse_lower_bound(
@@ -275,4 +309,4 @@ def nmse_lower_bound(
     """
     prior = config.var_h if scheme == RECIPROCAL else config.var_hd
     budget = min(e_t_max, e_ave_max)
-    return 1.0 / (1.0 / prior + budget / (config.n_t * config.var_w))
+    return posterior_var(prior, budget / (config.n_t * config.var_w))

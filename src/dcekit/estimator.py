@@ -1,22 +1,29 @@
-r"""Linear MMSE channel estimators and their exact error statistics.
+r"""Linear MMSE channel estimators, batched over any leading axes.
 
-All estimators here share one observation template
+Every estimator in the package rests on one observation template
 
 .. math:: Y = X U + W
 
-with a white matrix prior on the unknown ``U`` and white noise ``W``.  The
-LMMSE estimate and its error covariance then depend on the pilot only through
-the Gram ``X^H X``, which is what makes the closed-form NMSE expressions in
-:mod:`dcekit.analytics` exact rather than approximate: every formula below is
-the trace of the corresponding posterior covariance, not a bound.
+with a white matrix prior on the unknown ``U`` and white noise ``W``.  Its
+LMMSE combiner :func:`lmmse_combiner` is the one the training engine in
+:mod:`dcekit.protocol` applies at every stage (reverse pilot, uplink pilot,
+and both forward-stage receivers), and :func:`lmmse_block` is its
+single-observation view with the exact error statistics attached.  The
+estimate's error covariance depends on the pilot only through the Gram
+``X^H X``, which is what makes the closed-form NMSE expressions in
+:mod:`dcekit.analytics` exact rather than approximate.
 
 The artificial-noise-protected forward stage is handled by whitening: the AN
 seen by a receiver that cannot cancel it acts as extra white noise whose
 variance is known in closed form, so the same template applies with an
-"effective" noise level.
+"effective" noise level (:func:`effective_forward_noise_var` for LR,
+:func:`dcekit.analytics.ur_disturbance` for UR).
 
-Matrix inverses are never formed; everything goes through Hermitian
-positive-definite solves.
+The non-reciprocal transmitter's downlink estimate from the amplified echo is
+:func:`echo_downlink_estimate`; its conditional error statistics are
+:func:`dcekit.analytics.downlink_direction_error`.
+
+Matrix inverses are never formed; everything goes through linear solves.
 """
 
 from __future__ import annotations
@@ -24,18 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import analytics
 from .model import SystemConfig
-from .numerics import ComplexMatrix
+from .numerics import ComplexMatrix, herm
 
 __all__ = [
     "EstimateWithError",
+    "echo_downlink_estimate",
     "effective_forward_noise_var",
     "lmmse_block",
-    "lr_forward_estimate",
-    "tx_downlink_estimate",
-    "ur_forward_estimate",
+    "lmmse_combiner",
 ]
 
 
@@ -44,8 +50,8 @@ class EstimateWithError:
     """An estimate bundled with its exact per-direction error statistics.
 
     ``per_direction_error_var`` holds the per-entry error variance along each
-    eigendirection of the pilot Gram (ascending); ``nmse`` is their mean, i.e.
-    the per-entry mean-square error, which always lies in ``[0, prior_var]``.
+    eigendirection of the pilot Gram; ``nmse`` is their mean, i.e. the
+    per-entry mean-square error, which always lies in ``[0, prior_var]``.
     """
 
     estimate: ComplexMatrix
@@ -53,21 +59,15 @@ class EstimateWithError:
     nmse: float
 
 
-def _posterior(gram_eigs: np.ndarray, prior_var: float, noise_var: float) -> tuple[np.ndarray, float]:
-    """Per-direction posterior variances and their mean for the shared template."""
-    if prior_var == 0.0:
-        per_dir = np.zeros_like(np.asarray(gram_eigs, dtype=float))
-        return per_dir, 0.0
-    per_dir = 1.0 / (1.0 / prior_var + np.asarray(gram_eigs, dtype=float) / noise_var)
-    return per_dir, float(per_dir.mean())
+def lmmse_combiner(pilot: ComplexMatrix, prior_var: float, noise_var: float) -> ComplexMatrix:
+    """LMMSE combiner ``prior * P^H (prior * P P^H + noise * I)^{-1}``.
 
-
-def _lmmse_apply(y: ComplexMatrix, x: ComplexMatrix, prior_var: float, noise_var: float) -> ComplexMatrix:
-    """prior * X^H (prior * X X^H + noise * I)^{-1} Y via a Cholesky solve."""
-    tau = x.shape[0]
-    cov = prior_var * (x @ x.conj().T) + noise_var * np.eye(tau)
-    c, low = scipy.linalg.cho_factor(cov)
-    return prior_var * (x.conj().T @ scipy.linalg.cho_solve((c, low), y))
+    Left-multiplying an observation ``Y = P U + W`` (or a batch of them) by
+    the ``n x tau`` result gives the LMMSE estimate of ``U``.
+    """
+    tau = pilot.shape[0]
+    cov = prior_var * (pilot @ pilot.conj().T) + noise_var * np.eye(tau)
+    return prior_var * np.linalg.solve(cov, pilot).conj().T
 
 
 def lmmse_block(
@@ -78,7 +78,8 @@ def lmmse_block(
     ``x`` is ``tau x n``; columns of ``U`` are iid CN(0, ``prior_var`` I_n)
     vectors and ``W`` has iid CN(0, ``noise_var``) entries.  The reported
     error statistics come from the posterior covariance
-    ``(I/prior + X^H X / noise)^{-1}``, identical for every column.
+    ``(I/prior + X^H X / noise)^{-1}``, identical for every column, with the
+    Gram eigenvalues in ascending order.
     """
     y = np.asarray(y)
     x = np.asarray(x)
@@ -88,10 +89,13 @@ def lmmse_block(
         raise ValueError(f"noise variance must be > 0, got {noise_var}")
     if prior_var < 0:
         raise ValueError(f"prior variance must be >= 0, got {prior_var}")
-    estimate = _lmmse_apply(y, x, prior_var, noise_var)
     gram_eigs = np.linalg.eigvalsh(x.conj().T @ x)
-    per_dir, nmse = _posterior(gram_eigs, prior_var, noise_var)
-    return EstimateWithError(estimate=estimate, per_direction_error_var=per_dir, nmse=nmse)
+    per_dir = analytics.posterior_var(prior_var, gram_eigs / noise_var)
+    return EstimateWithError(
+        estimate=lmmse_combiner(x, prior_var, noise_var) @ y,
+        per_direction_error_var=per_dir,
+        nmse=float(per_dir.mean()),
+    )
 
 
 def effective_forward_noise_var(config: SystemConfig, e_r: float, var_a: float) -> float:
@@ -107,59 +111,23 @@ def effective_forward_noise_var(config: SystemConfig, e_r: float, var_a: float) 
         \sigma_a^2 + \sigma_w^2 \Big]
 
     (the factor ``N_L`` is the row convention: dividing by ``N_L`` gives the
-    per-entry effective noise variance used in the NMSE formulas).
+    per-entry level :func:`dcekit.analytics.reciprocal_effective_noise`).
     """
-    delta2 = 1.0 / (1.0 / config.var_h + e_r / (config.n_l * config.var_wt))
-    return config.n_l * ((config.n_t - config.n_l) * delta2 * var_a + config.var_w)
+    return config.n_l * analytics.reciprocal_effective_noise(config, e_r, var_a)
 
 
-def lr_forward_estimate(
-    y_l: ComplexMatrix,
-    pilot: ComplexMatrix,
-    config: SystemConfig,
-    e_r: float,
-    var_a: float,
-) -> EstimateWithError:
-    """LR's forward-stage LMMSE estimate of its own channel.
-
-    ``pilot`` is the energy-scaled forward pilot :math:`\\bar{C}` (``tau_f x
-    n_t``); LR knows the reverse energy ``e_r``, hence the effective noise
-    level, so its estimator is the exact LMMSE for the lumped disturbance.
-    """
-    noise = effective_forward_noise_var(config, e_r, var_a) / config.n_l
-    est = lmmse_block(y_l, pilot, config.var_h, noise)
-    return est
-
-
-def ur_forward_estimate(
-    y_u: ComplexMatrix,
-    pilot: ComplexMatrix,
-    config: SystemConfig,
-    var_a: float,
-) -> EstimateWithError:
-    """UR's best-case forward-stage LMMSE estimate of its channel.
-
-    The unauthorized receiver sees the artificial noise at full strength
-    (nothing to cancel it with): white disturbance of per-entry level
-    ``(n_t - n_l) * var_a * var_g + var_v``.  Crediting UR with the exact
-    LMMSE makes the resulting NMSE a conservative (worst-case) guarantee.
-    """
-    noise = (config.n_t - config.n_l) * var_a * config.var_g + config.var_v
-    return lmmse_block(y_u, pilot, config.var_g, noise)
-
-
-def tx_downlink_estimate(
-    y_t1: ComplexMatrix,
-    h_u_hat: ComplexMatrix,
+def echo_downlink_estimate(
+    y_t1: np.ndarray,
+    x_t0: np.ndarray,
+    hu_hat: np.ndarray,
     alpha: float,
     config: SystemConfig,
     e_t0: float,
     e_l2: float,
-    c_t0: ComplexMatrix | None = None,
-) -> EstimateWithError:
-    r"""Transmitter's downlink estimate from the amplified echo (non-reciprocal).
+) -> np.ndarray:
+    r"""Transmitter's downlink estimates from the amplified echo (non-reciprocal).
 
-    The echo observation is :math:`Y_{t1} = \alpha (X_{t0} H_d) H_u +
+    The echo observation is :math:`Y_{t1} = \alpha (X_{t0} H_d + W_0) H_u +
     \tilde{W}_1`; substituting the uplink estimate
     :math:`\hat{H}_u = H_u - \Delta H_u` and whitening the residual terms
     yields the linear estimator
@@ -167,51 +135,21 @@ def tx_downlink_estimate(
     .. math::
         \hat{H}_{d,t} = \frac{\sigma_{h_d}^2 N_t}{\alpha q}\, X_{t0}^H\, Y_{t1}\,
         \hat{H}_u^H \big(\hat{H}_u \hat{H}_u^H + \beta I_{N_L}\big)^{-1},
-        \qquad q = \sigma_{h_d}^2 E_{t0} + N_t \sigma_w^2,
 
-    where :math:`\beta` collects the uplink estimation error and the echo
-    noise (see :func:`dcekit.analytics.beta`).  The reported error statistics
-    are the exact conditional (on :math:`\hat{H}_u`) per-entry error variances
-    along the eigendirections of :math:`\hat{H}_u \hat{H}_u^H`:
-
-    .. math::
-        \sigma_{h_d}^2 - \sigma_{h_d}^2 \rho_0 \frac{\lambda_i}{\lambda_i + \beta},
-        \qquad \rho_0 = \frac{\sigma_{h_d}^2 E_{t0}}{q}.
-
-    ``c_t0`` is the square unitary pilot used in the initial downlink stage;
-    pass ``None`` when ``y_t1`` has already been derotated by it.  With
-    ``alpha == 0`` the echo carries no signal and the estimate degenerates to
-    the prior mean (zero matrix, per-entry error variance ``var_hd``).
+    with ``q`` from :func:`dcekit.analytics.echo_power` and :math:`\beta`
+    from :func:`dcekit.analytics.beta`.  ``x_t0`` is the energy-scaled square
+    unitary initial pilot; all arrays may carry the same leading batch axes.
+    Its exact conditional (on :math:`\hat{H}_u`) error along each eigenvalue
+    of :math:`\hat{H}_u \hat{H}_u^H` is
+    :func:`dcekit.analytics.downlink_direction_error`.  With ``alpha == 0``
+    the echo carries no signal and the estimate is the prior mean (zero).
     """
-    n_t, n_l = config.n_t, config.n_l
-    h_u_hat = np.asarray(h_u_hat)
     if alpha == 0.0:
-        per_dir = np.full(n_l, config.var_hd)
-        return EstimateWithError(
-            estimate=np.zeros((n_t, n_l), dtype=complex),
-            per_direction_error_var=per_dir,
-            nmse=float(config.var_hd),
-        )
-
-    q = config.var_hd * e_t0 + n_t * config.var_w
-    rho0 = config.var_hd * e_t0 / q
-    delta_u2 = 1.0 / (1.0 / config.var_hu + e_l2 / (n_l * config.var_wt))
-    beta = n_l * delta_u2 + n_t * config.var_wt / (alpha**2 * q)
-
-    x_t0 = np.sqrt(e_t0 / n_t) * (np.eye(n_t) if c_t0 is None else np.asarray(c_t0))
-    z = x_t0.conj().T @ np.asarray(y_t1)  # matched filter over the initial pilot
-
-    s = h_u_hat @ h_u_hat.conj().T + beta * np.eye(n_l)
-    c, low = scipy.linalg.cho_factor(s)
-    # Z Hu^H (Hu Hu^H + beta I)^{-1}  ==  Z (Hu^H Hu + beta I)^{-1} Hu^H
-    right = scipy.linalg.cho_solve((c, low), h_u_hat).conj().T  # n_t x n_l
-    prefactor = config.var_hd * n_t / (alpha * q)
-    estimate = prefactor * (z @ right)
-
-    lam = np.linalg.eigvalsh(h_u_hat @ h_u_hat.conj().T)
-    per_dir = config.var_hd - config.var_hd * rho0 * lam / (lam + beta)
-    return EstimateWithError(
-        estimate=estimate,
-        per_direction_error_var=per_dir,
-        nmse=float(per_dir.mean()),
-    )
+        return np.zeros(y_t1.shape[:-2] + (config.n_t, config.n_l), dtype=complex)
+    b = analytics.beta(config, e_t0, e_l2, alpha)
+    pref = config.var_hd * config.n_t / (alpha * analytics.echo_power(config, e_t0))
+    z = herm(x_t0) @ y_t1  # matched filter over the initial pilot
+    s_mat = hu_hat @ herm(hu_hat) + b * np.eye(config.n_l)
+    # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
+    right = herm(np.linalg.solve(s_mat, hu_hat))
+    return pref * (z @ right)

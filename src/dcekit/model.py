@@ -214,12 +214,15 @@ def _config_violations(config: SystemConfig) -> list[str]:
         out.append(f"n_t: must exceed n_l, got n_t={config.n_t}, n_l={config.n_l}")
     if config.n_u < 1:
         out.append(f"n_u: must be >= 1, got {config.n_u}")
-    for name in ("var_h", "var_hu", "var_hd", "var_g"):
-        if getattr(config, name) < 0:
-            out.append(f"{name}: channel variance must be >= 0, got {getattr(config, name)}")
-    for name in ("var_wt", "var_w", "var_v"):
-        if getattr(config, name) <= 0:
-            out.append(f"{name}: noise variance must be > 0, got {getattr(config, name)}")
+    noises = ("var_wt", "var_w", "var_v")
+    for name in ("var_h", "var_hu", "var_hd", "var_g") + noises:
+        val = getattr(config, name)
+        if not math.isfinite(val):
+            out.append(f"{name}: variance must be finite, got {val}")
+        elif name in noises and val <= 0:
+            out.append(f"{name}: noise variance must be > 0, got {val}")
+        elif val < 0:
+            out.append(f"{name}: channel variance must be >= 0, got {val}")
     return out
 
 
@@ -310,14 +313,14 @@ def allocation_violations(
         out.append(f"scheme: allocation is {alloc.scheme!r} but plan is {plan.scheme!r}")
         return out
     names = ("e_r", "e_f") if alloc.scheme == RECIPROCAL else ("e_t0", "e_l1", "e_l2", "e_t3")
-    for name in names:
+    for name in names + ("var_a",):
         val = getattr(alloc, name)
         if val is None:
             out.append(f"{name}: required for scheme {alloc.scheme!r}")
+        elif not math.isfinite(val):
+            out.append(f"{name}: must be finite, got {val}")
         elif val < 0:
             out.append(f"{name}: must be >= 0, got {val}")
-    if alloc.var_a < 0:
-        out.append(f"var_a: must be >= 0, got {alloc.var_a}")
     if out or budget is None:
         return out
 

@@ -1,7 +1,10 @@
 """Complex-matrix substrate: seeded draws, null-space bases, random semi-unitaries.
 
-Everything operates on plain ``numpy`` ``complex128`` arrays.  The only state
-in this module is :class:`RngStream`, a thin splittable wrapper over numpy's
+Everything operates on plain ``numpy`` ``complex128`` arrays.  The batched
+primitives (:func:`complex_normal`, :func:`haar_semiunitary`,
+:func:`null_complement`, :func:`herm`) work on any leading batch axes; the
+training engine in :mod:`dcekit.protocol` draws on them.  The only state in
+this module is :class:`RngStream`, a thin splittable wrapper over numpy's
 counter-based Philox bit generator so that Monte Carlo code can hand
 independent, reproducible substreams to workers without coordination.
 """
@@ -16,9 +19,12 @@ __all__ = [
     "ComplexMatrix",
     "DegenerateMatrixError",
     "RngStream",
+    "complex_normal",
+    "haar_semiunitary",
+    "herm",
+    "null_complement",
     "null_space_basis",
     "random_gaussian",
-    "random_semiunitary",
 ]
 
 # Readability alias for signatures; entries are complex128.
@@ -57,6 +63,17 @@ class RngStream:
         return self._gen
 
 
+def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
+    """Array of iid CN(0, ``var``) draws: the normals go straight into the
+    interleaved real/imaginary parts, bit for bit the values of
+    ``(p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)``, ``p = gen.standard_normal(shape + (2,))``.
+    """
+    z = np.empty(shape, dtype=np.complex128)
+    gen.standard_normal(out=z.reshape(-1).view(np.float64))
+    z *= np.sqrt(var / 2.0)
+    return z
+
+
 def random_gaussian(
     rows: int, cols: int, variance: float, rng: RngStream
 ) -> ComplexMatrix:
@@ -70,9 +87,37 @@ def random_gaussian(
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    parts = rng.generator.standard_normal((rows, cols, 2))
-    z = parts[..., 0] + 1j * parts[..., 1]
-    return z * np.sqrt(variance / 2.0)
+    return complex_normal(rng.generator, (rows, cols), variance)
+
+
+def herm(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Independent Haar-distributed ``tau x n`` semi-unitaries, shape ``(..., tau, n)``.
+
+    Each is the Q factor of a complex Gaussian matrix with the R diagonal
+    phase-normalized, so its law is invariant under any fixed right unitary.
+    """
+    tau, n = shape[-2:]
+    if not 1 <= n <= tau:
+        raise ValueError(f"need tau >= n >= 1 for orthonormal columns, got {tau}x{n}")
+    q, r = np.linalg.qr(complex_normal(gen, shape, 1.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
+    return q * phase.conj()[..., None, :]
+
+
+def null_complement(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal left-null-space completion of ``(..., n, m)`` matrices.
+
+    Never raises: the last ``n - m`` columns of the unitary complete-QR factor
+    complement the span of ``mat`` at any rank, zero included, which the
+    protocol needs on edges like an unpowered reverse stage.
+    """
+    return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
 
 
 def null_space_basis(mat: ComplexMatrix) -> ComplexMatrix:
@@ -80,8 +125,8 @@ def null_space_basis(mat: ComplexMatrix) -> ComplexMatrix:
 
     For ``mat`` of shape ``(n, m)`` with ``n > m`` and full column rank,
     returns ``K`` of shape ``(n, n - m)`` with ``K^H mat = 0`` and
-    ``K^H K = I``.  Columns are the trailing left singular vectors, so the
-    basis is deterministic for a given input.
+    ``K^H K = I``: the :func:`null_complement` of ``mat``, so the basis is
+    deterministic for a given input.
 
     Raises :class:`DegenerateMatrixError` when the smallest singular value
     falls below ``1e-8`` times the largest (rank-deficient input), and
@@ -95,29 +140,9 @@ def null_space_basis(mat: ComplexMatrix) -> ComplexMatrix:
         raise ValueError(
             f"matrix must be tall (rows > cols) to have a left null space, got {n}x{m}"
         )
-    u, s, _ = np.linalg.svd(mat, full_matrices=True)
+    s = np.linalg.svd(mat, compute_uv=False)
     if s[0] == 0.0 or s[-1] < RANK_RTOL * s[0]:
         raise DegenerateMatrixError(
             f"matrix is rank deficient (singular values {s.min():.3e} .. {s.max():.3e})"
         )
-    return np.ascontiguousarray(u[:, m:])
-
-
-def random_semiunitary(tau: int, n: int, rng: RngStream) -> ComplexMatrix:
-    """Haar-distributed ``tau x n`` semi-unitary matrix (``C^H C = I_n``).
-
-    Computed as the Q factor of a complex Gaussian matrix with the R diagonal
-    phase-normalized, which makes the distribution invariant under right
-    multiplication by any fixed ``n x n`` unitary.
-    """
-    if n <= 0:
-        raise ValueError(f"column count must be positive, got {n}")
-    if tau < n:
-        raise ValueError(
-            f"need at least as many rows as columns for orthonormal columns, got {tau}x{n}"
-        )
-    z = random_gaussian(tau, n, 1.0, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    phase = np.where(d == 0, 1.0 + 0j, d / np.abs(d))
-    return q * phase.conj()
+    return np.ascontiguousarray(null_complement(mat))

@@ -20,11 +20,11 @@ Deterministic DFT-based pilots are used for every stage except the initial
 downlink pilot ``C_t0``, which must stay unpredictable to both receivers and
 is therefore Haar-random per round.
 
-The public entry points :func:`run_reciprocal` / :func:`run_nonreciprocal`
-execute one round for a given channel draw and return a full
-:class:`TrainingTranscript`.  The private ``*_core`` functions are the
-batched engines behind :mod:`dcekit.simkit`; they draw noise in the exact
-same order as the public runs so the two paths are bit-comparable.
+:func:`run_rounds` is the one estimation engine, a batch of independent
+rounds of either scheme; :mod:`dcekit.simkit` drives it after one
+:func:`check_inputs`.  :func:`run_reciprocal` / :func:`run_nonreciprocal` are
+its batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
+on the same stream) that add the error statistics of :mod:`dcekit.analytics`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .estimator import EstimateWithError, effective_forward_noise_var
+from .estimator import (
+    EstimateWithError,
+    echo_downlink_estimate,
+    effective_forward_noise_var,
+    lmmse_combiner,
+)
 from .model import (
     NONRECIPROCAL,
     RECIPROCAL,
@@ -46,14 +51,23 @@ from .model import (
     allocation_violations,
     validate,
 )
-from .numerics import ComplexMatrix, RngStream
+from .numerics import (
+    ComplexMatrix,
+    RngStream,
+    complex_normal,
+    haar_semiunitary,
+    herm,
+    null_complement,
+)
 
 __all__ = [
     "TrainingTranscript",
+    "check_inputs",
     "dft_semiunitary",
     "forward_pilot",
     "run_nonreciprocal",
     "run_reciprocal",
+    "run_rounds",
 ]
 
 # Transcript sanity: AN must sit in the estimated null space to this residual.
@@ -98,197 +112,17 @@ def forward_pilot(n_t: int, tau: int, d) -> ComplexMatrix:
     return base * np.sqrt(np.asarray(d, dtype=float))[None, :]
 
 
-def _cn(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
-    """Batched iid CN(0, var) draws (same recipe as numerics.random_gaussian).
-
-    The normals are drawn straight into the interleaved real/imaginary parts
-    of the result and scaled in place: the same values, bit for bit, as
-    ``(p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)`` for
-    ``p = gen.standard_normal(shape + (2,))``, without the temporaries.
-    """
-    z = np.empty(shape, dtype=np.complex128)
-    gen.standard_normal(out=z.reshape(-1).view(np.float64))
-    z *= np.sqrt(var / 2.0)
-    return z
-
-
-def _null_complement(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal left-null-space completion of ``(..., n, m)`` matrices.
-
-    Unlike the public :func:`dcekit.numerics.null_space_basis` this never
-    raises on degenerate input: a rank-deficient (even zero) estimate still
-    gets a valid orthonormal complement, which is exactly what the protocol
-    needs on edges like an unpowered reverse stage.  The complete QR factor
-    ``Q`` is unitary and its first ``m`` columns span every column of
-    ``mat``, so its last ``n - m`` columns are such a complement at any rank.
-    """
-    return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
-
-
-def _herm(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x.conj(), -1, -2)
-
-
-def _combiner(pilot: ComplexMatrix, prior_var: float, noise_var: float) -> ComplexMatrix:
-    """LMMSE combiner ``prior * P^H (prior * P P^H + noise * I)^{-1}``."""
-    tau = pilot.shape[0]
-    cov = prior_var * (pilot @ pilot.conj().T) + noise_var * np.eye(tau)
-    return prior_var * np.linalg.solve(cov, pilot).conj().T
-
-
 def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     diff = truth - est
     return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
 
 
-# ---------------------------------------------------------------------------
-# Batched engines.  Draw order is part of the contract (reproducibility and
-# public/core bit-compatibility): channels first (when not supplied), then
-# stage noises in protocol order, then the AN matrix, then receiver noises.
-# ---------------------------------------------------------------------------
-
-
-def _reciprocal_core(
-    config: SystemConfig,
-    plan: TrainingPlan,
-    alloc: PowerAllocation,
-    gen: np.random.Generator,
-    batch: int,
-    channels: tuple[np.ndarray, np.ndarray] | None = None,
-    keep_signals: bool = False,
-) -> dict:
-    n_t, n_l, n_u = config.n_t, config.n_l, config.n_u
-    tau_r, tau_f = plan.tau_r, plan.tau_f
-    e_r, e_f, var_a = alloc.e_r, alloc.e_f, alloc.var_a
-
-    if channels is None:
-        h = _cn(gen, (batch, n_t, n_l), config.var_h)
-        g = _cn(gen, (batch, n_t, n_u), config.var_g)
-    else:
-        h, g = channels
-    w_t = _cn(gen, (batch, tau_r, n_t), config.var_wt)
-
-    x_l = np.sqrt(e_r / n_l) * dft_semiunitary(tau_r, n_l)
-    y_t = x_l @ np.swapaxes(h, -1, -2) + w_t
-    k_rev = _combiner(x_l, config.var_h, config.var_wt)
-    h_hat = np.swapaxes(k_rev @ y_t, -1, -2)  # plain transpose: unknown was H^T
-
-    k_null = _null_complement(h_hat)
-    a = _cn(gen, (batch, tau_f, n_t - n_l), var_a)
-    x_bar = np.sqrt(e_f / n_t) * forward_pilot(n_t, tau_f, plan.pilot_eigs)
-    x_t = x_bar + a @ _herm(k_null)
-
-    w = _cn(gen, (batch, tau_f, n_l), config.var_w)
-    v = _cn(gen, (batch, tau_f, n_u), config.var_v)
-    y_l = x_t @ h + w
-    y_u = x_t @ g + v
-
-    r_bar = effective_forward_noise_var(config, e_r, var_a) / n_l
-    h_lr = _combiner(x_bar, config.var_h, r_bar) @ y_l
-    r_u = (n_t - n_l) * var_a * config.var_g + config.var_v
-    g_ur = _combiner(x_bar, config.var_g, r_u) @ y_u
-
-    out = {
-        "h": h, "g": g, "h_hat": h_hat, "h_lr": h_lr, "g_ur": g_ur,
-        "k_null": k_null, "an": a,
-        "sq_tx": _sq_err(h, h_hat), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
-    }
-    if keep_signals:
-        out.update({"x_l": x_l, "y_t": y_t, "x_t": x_t, "y_l": y_l, "y_u": y_u,
-                    "x_bar": x_bar})
-    return out
-
-
-def _nonreciprocal_core(
-    config: SystemConfig,
-    plan: TrainingPlan,
-    alloc: PowerAllocation,
-    gen: np.random.Generator,
-    batch: int,
-    channels: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    keep_signals: bool = False,
-) -> dict:
-    n_t, n_l, n_u = config.n_t, config.n_l, config.n_u
-    tau_t0, tau_l2, tau_t3 = plan.tau_t0, plan.tau_l2, plan.tau_t3
-    e_t0, e_l1, e_l2, e_t3 = alloc.e_t0, alloc.e_l1, alloc.e_l2, alloc.e_t3
-    var_a = alloc.var_a
-
-    # Haar-random square unitary pilot, redrawn every round.
-    z0 = _cn(gen, (batch, n_t, n_t), 1.0)
-    q_fac, r_fac = np.linalg.qr(z0)
-    diag = np.diagonal(r_fac, axis1=-2, axis2=-1)
-    phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
-    c_t0 = q_fac * phase.conj()[..., None, :]
-
-    if channels is None:
-        h_d = _cn(gen, (batch, n_t, n_l), config.var_hd)
-        h_u = _cn(gen, (batch, n_l, n_t), config.var_hu)
-        g = _cn(gen, (batch, n_t, n_u), config.var_g)
-    else:
-        h_d, h_u, g = channels
-
-    w0 = _cn(gen, (batch, tau_t0, n_l), config.var_w)
-    x_t0 = np.sqrt(e_t0 / n_t) * c_t0
-    y_l0 = x_t0 @ h_d + w0
-
-    alpha = analytics.alpha_gain(config, e_t0, e_l1, tau_t0)
-    wt1 = _cn(gen, (batch, tau_t0, n_t), config.var_wt)
-    y_t1 = alpha * (y_l0 @ h_u) + wt1
-
-    wt2 = _cn(gen, (batch, tau_l2, n_t), config.var_wt)
-    x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(tau_l2, n_l)
-    y_t2 = x_l2 @ h_u + wt2
-    hu_hat = _combiner(x_l2, config.var_hu, config.var_wt) @ y_t2
-
-    if alpha == 0.0:
-        hd_hat = np.zeros((batch, n_t, n_l), dtype=complex)
-    else:
-        q_const = config.var_hd * e_t0 + n_t * config.var_w
-        b = analytics.beta(config, e_t0, e_l2, alpha)
-        pref = config.var_hd * n_t / (alpha * q_const)
-        z = _herm(x_t0) @ y_t1
-        s_mat = hu_hat @ _herm(hu_hat) + b * np.eye(n_l)
-        right = _herm(np.linalg.solve(s_mat, hu_hat))
-        hd_hat = pref * (z @ right)
-
-    k_null = _null_complement(hd_hat)
-    a = _cn(gen, (batch, tau_t3, n_t - n_l), var_a)
-    x_bar = np.sqrt(e_t3 / n_t) * forward_pilot(n_t, tau_t3, plan.pilot_eigs)
-    x_t3 = x_bar + a @ _herm(k_null)
-
-    w3 = _cn(gen, (batch, tau_t3, n_l), config.var_w)
-    v3 = _cn(gen, (batch, tau_t3, n_u), config.var_v)
-    y_l3 = x_t3 @ h_d + w3
-    y_u3 = x_t3 @ g + v3
-
-    d_bar = analytics.nonreciprocal_effective_noise(config, alloc, plan)
-    h_lr = _combiner(x_bar, config.var_hd, d_bar) @ y_l3
-    r_u = (n_t - n_l) * var_a * config.var_g + config.var_v
-    g_ur = _combiner(x_bar, config.var_g, r_u) @ y_u3
-
-    out = {
-        "h": h_d, "g": g, "h_hat": hd_hat, "h_lr": h_lr, "g_ur": g_ur,
-        "k_null": k_null, "an": a, "hu_hat": hu_hat, "alpha": alpha,
-        "sq_tx": _sq_err(h_d, hd_hat), "sq_lr": _sq_err(h_d, h_lr), "sq_ur": _sq_err(g, g_ur),
-    }
-    if keep_signals:
-        out.update({"x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": x_l2,
-                    "y_t2": y_t2, "x_t3": x_t3, "y_l3": y_l3, "y_u3": y_u3,
-                    "x_bar": x_bar})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Public single-round runs.
-# ---------------------------------------------------------------------------
-
-
-def _check_inputs(
-    config: SystemConfig,
-    plan: TrainingPlan,
-    alloc: PowerAllocation,
-    scheme: str,
+def check_inputs(
+    config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation, scheme: str
 ) -> None:
+    """Raise unless ``config``, ``plan`` and ``alloc`` admit a ``scheme`` round:
+    ``ValueError`` for a mismatched plan or an invalid configuration,
+    :class:`AllocationError` for a malformed allocation."""
     if plan.scheme != scheme:
         raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
     problems = validate(config, plan)
@@ -299,14 +133,162 @@ def _check_inputs(
         raise AllocationError(f"infeasible allocation: {problems[0]}")
 
 
+# ---------------------------------------------------------------------------
+# Batched engine.  Draw order is part of the contract (reproducibility and
+# the batch-of-one runs below): channels first (when not supplied), then
+# stage noises in protocol order, then the AN matrix, then receiver noises.
+# ---------------------------------------------------------------------------
+
+
+def run_rounds(
+    config: SystemConfig,
+    plan: TrainingPlan,
+    alloc: PowerAllocation,
+    gen: np.random.Generator,
+    batch: int,
+    channels: tuple[np.ndarray, ...] | None = None,
+    keep_signals: bool = False,
+) -> dict:
+    """Run ``batch`` independent rounds of ``plan.scheme`` (inputs as passed by
+    :func:`check_inputs`).  ``channels`` holds batched ``(h, g)`` or ``(h_d,
+    h_u, g)``; without it they are the first draws from ``gen``.
+
+    Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
+    estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
+    ``"k_null"``, AN ``"an"`` and squared errors ``"sq_tx"``, ``"sq_lr"``,
+    ``"sq_ur"``; non-reciprocal adds ``"hu_hat"`` and the echo gain
+    ``"alpha"``, and ``keep_signals`` every stage signal under ``"signals"``.
+    """
+    if plan.scheme == RECIPROCAL:
+        return _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
+    return _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
+
+
+def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
+    n_t, n_l = config.n_t, config.n_l
+    if channels is None:
+        h = complex_normal(gen, (batch, n_t, n_l), config.var_h)
+        g = complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
+    else:
+        h, g = channels
+    w_t = complex_normal(gen, (batch, plan.tau_r, n_t), config.var_wt)
+
+    x_l = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
+    y_t = x_l @ np.swapaxes(h, -1, -2) + w_t
+    k_rev = lmmse_combiner(x_l, config.var_h, config.var_wt)
+    h_hat = np.swapaxes(k_rev @ y_t, -1, -2)  # plain transpose: unknown was H^T
+
+    out = {"h": h, "g": g, "h_hat": h_hat}
+    if keep_signals:
+        out["signals"] = {"x_l": x_l, "y_t": y_t}
+    r_bar = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / n_l
+    return _forward_stage(config, plan, alloc, gen, out, alloc.e_f, config.var_h, r_bar, "")
+
+
+def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
+    n_t, n_l = config.n_t, config.n_l
+    e_t0, e_l2 = alloc.e_t0, alloc.e_l2
+
+    # Haar-random square unitary pilot, redrawn every round.
+    c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
+    if channels is None:
+        h_d = complex_normal(gen, (batch, n_t, n_l), config.var_hd)
+        h_u = complex_normal(gen, (batch, n_l, n_t), config.var_hu)
+        g = complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
+    else:
+        h_d, h_u, g = channels
+
+    w0 = complex_normal(gen, (batch, plan.tau_t0, n_l), config.var_w)
+    x_t0 = np.sqrt(e_t0 / n_t) * c_t0
+    y_l0 = x_t0 @ h_d + w0
+
+    alpha = analytics.alpha_gain(config, e_t0, alloc.e_l1, plan.tau_t0)
+    wt1 = complex_normal(gen, (batch, plan.tau_t0, n_t), config.var_wt)
+    y_t1 = alpha * (y_l0 @ h_u) + wt1
+
+    wt2 = complex_normal(gen, (batch, plan.tau_l2, n_t), config.var_wt)
+    x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
+    y_t2 = x_l2 @ h_u + wt2
+    hu_hat = lmmse_combiner(x_l2, config.var_hu, config.var_wt) @ y_t2
+    hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
+
+    out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
+    if keep_signals:
+        out["signals"] = {"x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": x_l2, "y_t2": y_t2}
+    d_bar = analytics.nonreciprocal_effective_noise(config, alloc, plan)
+    return _forward_stage(config, plan, alloc, gen, out, alloc.e_t3, config.var_hd, d_bar, "3")
+
+
+def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage) -> dict:
+    """The guarded forward stage both schemes end with, added to ``out``: the
+    ``e_fwd`` pilot plus AN in the null complement of ``out["h_hat"]``; LR
+    estimates against prior ``prior_l`` and noise ``noise_l``, UR against the
+    full AN.  ``stage`` suffixes the signal names (``"3"`` gives ``x_t3``)."""
+    n_t, n_l = config.n_t, config.n_l
+    h, g = out["h"], out["g"]
+    batch = h.shape[0]
+    tau = plan.tau_f if plan.scheme == RECIPROCAL else plan.tau_t3
+
+    k_null = null_complement(out["h_hat"])
+    a = complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
+    x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, plan.pilot_eigs)
+    x_t = x_bar + a @ herm(k_null)
+
+    w = complex_normal(gen, (batch, tau, n_l), config.var_w)
+    v = complex_normal(gen, (batch, tau, config.n_u), config.var_v)
+    y_l = x_t @ h + w
+    y_u = x_t @ g + v
+
+    h_lr = lmmse_combiner(x_bar, prior_l, noise_l) @ y_l
+    r_u = analytics.ur_disturbance(config, alloc.var_a)
+    g_ur = lmmse_combiner(x_bar, config.var_g, r_u) @ y_u
+
+    out.update({
+        "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,
+        "sq_tx": _sq_err(h, out["h_hat"]), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
+    })
+    if "signals" in out:
+        out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Single rounds: batch-of-one views of the engine.
+# ---------------------------------------------------------------------------
+
+
 def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
-    residual = np.max(np.abs(_herm(null_basis) @ estimate)) if estimate.size else 0.0
+    residual = np.max(np.abs(herm(null_basis) @ estimate)) if estimate.size else 0.0
     scale = max(1.0, float(np.max(np.abs(estimate))) if estimate.size else 1.0)
     if residual > _NULL_RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"artificial-noise basis leaked into the estimated channel "
             f"(residual {residual:.3e})"
         )
+
+
+def _transcript(config, plan, alloc, out, e_fwd, prior_l, noise_l, tx_dirs) -> TrainingTranscript:
+    """Unbatch one engine round and attach the per-direction error statistics:
+    ``tx_dirs`` for the transmitter, the forward stage's for LR and UR."""
+    null_basis = out["k_null"][0]
+    _guard_null_residual(null_basis, out["h_hat"][0])
+    d = np.asarray(plan.pilot_eigs, dtype=float)
+    r_u = analytics.ur_disturbance(config, alloc.var_a)
+    dirs = {
+        "tx": tx_dirs,
+        "lr": analytics.forward_direction_errors(config, prior_l, e_fwd, noise_l, d),
+        "ur": analytics.forward_direction_errors(config, config.var_g, e_fwd, r_u, d),
+    }
+    keys = {"tx": "h_hat", "lr": "h_lr", "ur": "g_ur"}
+    return TrainingTranscript(
+        scheme=plan.scheme,
+        signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
+        an_matrix=out["an"][0],
+        null_basis=null_basis,
+        estimates={k: EstimateWithError(out[keys[k]][0], dirs[k], float(dirs[k].mean()))
+                   for k in keys},
+        squared_errors={k: float(out[f"sq_{k}"][0]) for k in keys},
+    )
 
 
 def run_reciprocal(
@@ -317,39 +299,17 @@ def run_reciprocal(
     rng: RngStream,
 ) -> TrainingTranscript:
     """Execute one reciprocal training round for a given channel draw."""
-    _check_inputs(config, plan, alloc, RECIPROCAL)
+    check_inputs(config, plan, alloc, RECIPROCAL)
     if channels.h is None:
         raise ValueError("reciprocal run needs channels.h")
-    core = _reciprocal_core(
+    out = run_rounds(
         config, plan, alloc, rng.generator, batch=1,
         channels=(channels.h[None], channels.g[None]), keep_signals=True,
     )
-    n_l = config.n_l
-    d = np.asarray(plan.pilot_eigs, dtype=float)
-
-    delta2 = 1.0 / (1.0 / config.var_h + alloc.e_r / (n_l * config.var_wt))
-    r_bar = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / n_l
-    lr_dirs = 1.0 / (1.0 / config.var_h + (alloc.e_f / config.n_t) * d / r_bar)
-    r_u = (config.n_t - n_l) * alloc.var_a * config.var_g + config.var_v
-    ur_dirs = 1.0 / (1.0 / config.var_g + (alloc.e_f / config.n_t) * d / r_u)
-
-    estimates = {
-        "tx": EstimateWithError(core["h_hat"][0], np.full(n_l, delta2), float(delta2)),
-        "lr": EstimateWithError(core["h_lr"][0], lr_dirs, float(lr_dirs.mean())),
-        "ur": EstimateWithError(core["g_ur"][0], ur_dirs, float(ur_dirs.mean())),
-    }
-    null_basis = core["k_null"][0]
-    _guard_null_residual(null_basis, core["h_hat"][0])
-    signals = {key: core[key][0] if core[key].ndim == 3 else core[key]
-               for key in ("x_l", "y_t", "x_t", "y_l", "y_u")}
-    return TrainingTranscript(
-        scheme=RECIPROCAL,
-        signals=signals,
-        an_matrix=core["an"][0],
-        null_basis=null_basis,
-        estimates=estimates,
-        squared_errors={k: float(core[f"sq_{k}"][0]) for k in ("tx", "lr", "ur")},
-    )
+    r_bar = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / config.n_l
+    delta2 = analytics.reverse_error_var(config, config.var_h, alloc.e_r)
+    tx_dirs = np.full(config.n_l, delta2)
+    return _transcript(config, plan, alloc, out, alloc.e_f, config.var_h, r_bar, tx_dirs)
 
 
 def run_nonreciprocal(
@@ -360,46 +320,17 @@ def run_nonreciprocal(
     rng: RngStream,
 ) -> TrainingTranscript:
     """Execute one non-reciprocal training round for a given channel draw."""
-    _check_inputs(config, plan, alloc, NONRECIPROCAL)
+    check_inputs(config, plan, alloc, NONRECIPROCAL)
     if channels.h_d is None or channels.h_u is None:
         raise ValueError("non-reciprocal run needs channels.h_d and channels.h_u")
-    core = _nonreciprocal_core(
+    out = run_rounds(
         config, plan, alloc, rng.generator, batch=1,
         channels=(channels.h_d[None], channels.h_u[None], channels.g[None]),
         keep_signals=True,
     )
-    n_t, n_l = config.n_t, config.n_l
-    d = np.asarray(plan.pilot_eigs, dtype=float)
-
-    alpha = core["alpha"]
-    if alpha == 0.0:
-        tx_dirs = np.full(n_l, config.var_hd)
-    else:
-        b = analytics.beta(config, alloc.e_t0, alloc.e_l2, alpha)
-        q_const = config.var_hd * alloc.e_t0 + n_t * config.var_w
-        rho0 = config.var_hd * alloc.e_t0 / q_const
-        lam = np.linalg.eigvalsh(core["hu_hat"][0] @ core["hu_hat"][0].conj().T)
-        tx_dirs = config.var_hd - config.var_hd * rho0 * lam / (lam + b)
-
+    hu_hat = out["hu_hat"][0]
+    lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
+    b = analytics.beta(config, alloc.e_t0, alloc.e_l2, out["alpha"])
+    tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, b, lam)
     d_bar = analytics.nonreciprocal_effective_noise(config, alloc, plan)
-    lr_dirs = 1.0 / (1.0 / config.var_hd + (alloc.e_t3 / n_t) * d / d_bar)
-    r_u = (n_t - n_l) * alloc.var_a * config.var_g + config.var_v
-    ur_dirs = 1.0 / (1.0 / config.var_g + (alloc.e_t3 / n_t) * d / r_u)
-
-    estimates = {
-        "tx": EstimateWithError(core["h_hat"][0], tx_dirs, float(np.mean(tx_dirs))),
-        "lr": EstimateWithError(core["h_lr"][0], lr_dirs, float(lr_dirs.mean())),
-        "ur": EstimateWithError(core["g_ur"][0], ur_dirs, float(ur_dirs.mean())),
-    }
-    null_basis = core["k_null"][0]
-    _guard_null_residual(null_basis, core["h_hat"][0])
-    signals = {key: core[key][0] if core[key].ndim == 3 else core[key]
-               for key in ("x_t0", "y_l0", "y_t1", "x_l2", "y_t2", "x_t3", "y_l3", "y_u3")}
-    return TrainingTranscript(
-        scheme=NONRECIPROCAL,
-        signals=signals,
-        an_matrix=core["an"][0],
-        null_basis=null_basis,
-        estimates=estimates,
-        squared_errors={k: float(core[f"sq_{k}"][0]) for k in ("tx", "lr", "ur")},
-    )
+    return _transcript(config, plan, alloc, out, alloc.e_t3, config.var_hd, d_bar, tx_dirs)

@@ -26,14 +26,13 @@ import numpy as np
 
 from . import analytics
 from .model import (
-    NONRECIPROCAL,
     RECIPROCAL,
     PowerAllocation,
     SystemConfig,
     TrainingPlan,
 )
-from .numerics import RngStream
-from .protocol import _check_inputs, _cn, _nonreciprocal_core, _reciprocal_core
+from .numerics import RngStream, complex_normal
+from .protocol import check_inputs, run_rounds
 
 __all__ = [
     "CHUNK",
@@ -112,10 +111,6 @@ def _run_chunks(worker, n_chunks: int, workers: int) -> list:
         return list(pool.map(worker, range(n_chunks)))
 
 
-def _core_for(scheme: str):
-    return _reciprocal_core if scheme == RECIPROCAL else _nonreciprocal_core
-
-
 def mc_nmse(
     config: SystemConfig,
     plan: TrainingPlan,
@@ -127,14 +122,13 @@ def mc_nmse(
     """Estimate LR/UR training NMSE empirically and pair it with closed forms."""
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful run, got {trials}")
-    _check_inputs(config, plan, alloc, plan.scheme)
-    core = _core_for(plan.scheme)
+    check_inputs(config, plan, alloc, plan.scheme)
     sizes = _chunk_sizes(trials)
     norm_l = config.n_t * config.n_l
     norm_u = config.n_t * config.n_u
 
     def one_chunk(i: int):
-        out = core(config, plan, alloc, RngStream(seed, i).generator, batch=sizes[i])
+        out = run_rounds(config, plan, alloc, RngStream(seed, i).generator, batch=sizes[i])
         xl = out["sq_lr"] / norm_l
         xu = out["sq_ur"] / norm_u
         return (
@@ -288,8 +282,7 @@ def mc_ser(
         raise ValueError(f"the data phase uses a 4-antenna block code, got n_t={config.n_t}")
     if data_power <= 0.0:
         raise ValueError(f"data_power must be positive, got {data_power}")
-    _check_inputs(config, plan, alloc, plan.scheme)
-    core = _core_for(plan.scheme)
+    check_inputs(config, plan, alloc, plan.scheme)
     sizes = _chunk_sizes(trials)
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)
@@ -300,12 +293,12 @@ def mc_ser(
     def one_chunk(i: int):
         gen = RngStream(seed, i).generator
         m = sizes[i]
-        out = core(config, plan, alloc, gen, batch=m)
+        out = run_rounds(config, plan, alloc, gen, batch=m)
         sym_idx = gen.integers(0, QAM64.size, size=(m, 3))
         s = QAM64[sym_idx]
         x = amp * ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
-        y_l = x @ out["h"] + _cn(gen, (m, 4, config.n_l), config.var_w)
-        y_u = x @ out["g"] + _cn(gen, (m, 4, config.n_u), config.var_v)
+        y_l = x @ out["h"] + complex_normal(gen, (m, 4, config.n_l), config.var_w)
+        y_u = x @ out["g"] + complex_normal(gen, (m, 4, config.n_u), config.var_v)
         return (
             count_errors(ostbc_detect(y_l, out["h_lr"], amp), s),
             count_errors(ostbc_detect(y_l, out["h"], amp), s),

@@ -5,6 +5,8 @@ orthogonality principle, and an independently assembled dense LMMSE matrix
 (the "two routes to the same estimator" check for the echo-based downlink
 estimator, built from vectorized covariances with explicit Kronecker
 products rather than the push-through shortcut the implementation uses).
+Each test runs the batched estimator the training engine runs, with the
+error statistics of :mod:`dcekit.analytics`.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import pytest
 
 from dcekit import analytics
 from dcekit.estimator import (
+    echo_downlink_estimate,
     effective_forward_noise_var,
     lmmse_block,
-    lr_forward_estimate,
-    tx_downlink_estimate,
-    ur_forward_estimate,
 )
-from dcekit.model import SystemConfig
-from dcekit.numerics import RngStream, random_gaussian, random_semiunitary
+from dcekit.model import RECIPROCAL, PowerAllocation, SystemConfig, draw_channels, reciprocal_plan
+from dcekit.numerics import RngStream, haar_semiunitary, random_gaussian
+from dcekit.protocol import forward_pilot, run_reciprocal
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
 
@@ -103,7 +104,7 @@ class TestEffectiveForwardNoise:
 
 def _forward_pilot(e_f: float, d: np.ndarray, seed: int = 7) -> np.ndarray:
     """tau_f x n_t pilot whose Gram has eigenvalues (e_f / n_t) * d."""
-    c = random_semiunitary(4, 4, RngStream(seed))
+    c = haar_semiunitary(RngStream(seed).generator, (4, 4))
     return np.sqrt(e_f / 4.0) * (c * np.sqrt(d))
 
 
@@ -113,7 +114,8 @@ class TestForwardEstimates:
         e_r, e_f, var_a = 3.0, 10.0, 0.8
         pilot = _forward_pilot(e_f, d)
         y = np.zeros((4, CFG.n_l), dtype=complex)
-        out = lr_forward_estimate(y, pilot, CFG, e_r, var_a)
+        noise = analytics.reciprocal_effective_noise(CFG, e_r, var_a)
+        out = lmmse_block(y, pilot, CFG.var_h, noise)
         expected = analytics.nmse_l_reciprocal(CFG, e_r, e_f, var_a, d)
         assert out.nmse == pytest.approx(expected, rel=1e-12)
 
@@ -122,30 +124,57 @@ class TestForwardEstimates:
         e_f, var_a = 10.0, 0.8
         pilot = _forward_pilot(e_f, d)
         y = np.zeros((4, CFG.n_u), dtype=complex)
-        out = ur_forward_estimate(y, pilot, CFG, var_a)
+        out = lmmse_block(y, pilot, CFG.var_g, analytics.ur_disturbance(CFG, var_a))
         expected = analytics.nmse_u(CFG, e_f, var_a, d)
         assert out.nmse == pytest.approx(expected, rel=1e-12)
 
     def test_lr_applies_lumped_noise_level(self):
         """The LR combiner must use the effective noise, not the thermal noise."""
         e_r, e_f, var_a = 3.0, 10.0, 0.8
-        pilot = _forward_pilot(e_f, np.ones(4))
-        y = random_gaussian(4, CFG.n_l, 1.0, RngStream(8))
-        out = lr_forward_estimate(y, pilot, CFG, e_r, var_a)
-        noise = effective_forward_noise_var(CFG, e_r, var_a) / CFG.n_l
-        ref = lmmse_block(y, pilot, CFG.var_h, noise)
-        np.testing.assert_allclose(out.estimate, ref.estimate, rtol=1e-12)
+        alloc = PowerAllocation(scheme=RECIPROCAL, e_r=e_r, e_f=e_f, var_a=var_a)
+        plan = reciprocal_plan(CFG)
+        channels = draw_channels(CFG, RECIPROCAL, RngStream(8))
+        t = run_reciprocal(CFG, plan, alloc, channels, RngStream(9))
+        pilot = np.sqrt(e_f / CFG.n_t) * forward_pilot(CFG.n_t, plan.tau_f, plan.pilot_eigs)
+        noise = analytics.reciprocal_effective_noise(CFG, e_r, var_a)
+        assert effective_forward_noise_var(CFG, e_r, var_a) / CFG.n_l == pytest.approx(
+            noise, rel=1e-15
+        )
+        ref = lmmse_block(t.signals["y_l"], pilot, CFG.var_h, noise)
+        lr = t.estimates["lr"]
+        np.testing.assert_allclose(lr.estimate, ref.estimate, rtol=1e-12)
+        np.testing.assert_allclose(
+            lr.per_direction_error_var, ref.per_direction_error_var, rtol=1e-12
+        )
+        thermal = lmmse_block(t.signals["y_l"], pilot, CFG.var_h, CFG.var_w)
+        assert np.max(np.abs(lr.estimate - thermal.estimate)) > 1e-3
+
+
+def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):
+    """Echo estimate and its conditional per-direction errors for one round.
+
+    ``c_t0`` is the square unitary initial pilot; ``None`` means ``y_t1`` has
+    already been derotated by it.
+    """
+    n_t = CFG.n_t
+    x_t0 = np.sqrt(e_t0 / n_t) * (np.eye(n_t) if c_t0 is None else c_t0)
+    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat, alpha, CFG, e_t0, e_l2)
+    lam = np.linalg.eigvalsh(h_u_hat @ h_u_hat.conj().T)
+    b = analytics.beta(CFG, e_t0, e_l2, alpha)
+    per_dir = analytics.downlink_direction_error(CFG, e_t0, b, lam)
+    return estimate, per_dir
 
 
 class TestTxDownlinkEstimate:
     E_T0, E_L2, ALPHA = 4.0, 2.0, 0.5
 
     def test_alpha_zero_degenerates_to_prior(self):
-        out = tx_downlink_estimate(
-            np.ones((4, 4), dtype=complex), np.ones((2, 4), dtype=complex), 0.0, CFG, 4.0, 2.0
+        est, per_dir = _echo_estimate(
+            np.ones((4, 4), dtype=complex), np.ones((2, 4), dtype=complex), 0.0, 4.0, 2.0
         )
-        np.testing.assert_array_equal(out.estimate, 0.0)
-        assert out.nmse == pytest.approx(CFG.var_hd)
+        np.testing.assert_array_equal(est, 0.0)
+        assert est.shape == (CFG.n_t, CFG.n_l)
+        assert per_dir.mean() == pytest.approx(CFG.var_hd)
 
     def test_per_direction_with_orthonormal_uplink_rows(self):
         # q = 8, rho0 = 1/2, delta^2 = 1/2, beta = 2*0.5 + 4/(0.25*8) = 3.
@@ -153,11 +182,11 @@ class TestTxDownlinkEstimate:
         h_u_hat = np.zeros((2, 4), dtype=complex)
         h_u_hat[0, 0] = 1.0
         h_u_hat[1, 1] = 1.0
-        out = tx_downlink_estimate(
-            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2
+        _, per_dir = _echo_estimate(
+            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, self.E_T0, self.E_L2
         )
-        np.testing.assert_allclose(out.per_direction_error_var, [0.875, 0.875], rtol=1e-12)
-        assert out.nmse == pytest.approx(0.875)
+        np.testing.assert_allclose(per_dir, [0.875, 0.875], rtol=1e-12)
+        assert per_dir.mean() == pytest.approx(0.875)
         assert analytics.beta(CFG, self.E_T0, self.E_L2, self.ALPHA) == pytest.approx(3.0)
 
     def _kron_lmmse(self, h_u_hat: np.ndarray):
@@ -194,15 +223,15 @@ class TestTxDownlinkEstimate:
             z = np.zeros(n_t * n_t, dtype=complex)
             z[k] = 1.0
             y = np.linalg.inv(x_t0.conj().T) @ z.reshape((n_t, n_t), order="F")
-            out = tx_downlink_estimate(y, h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2)
-            w_mine[:, k] = out.estimate.reshape(-1, order="F")
+            est, _ = _echo_estimate(y, h_u_hat, self.ALPHA, self.E_T0, self.E_L2)
+            w_mine[:, k] = est.reshape(-1, order="F")
         assert np.linalg.norm(w_mine - w_oracle) <= 1e-9 * np.linalg.norm(w_oracle)
         # Error covariance trace agrees with the reported per-direction mean.
         e_err = CFG.var_hd * np.eye(8) - w_oracle @ c_zh
-        out = tx_downlink_estimate(
-            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2
+        _, per_dir = _echo_estimate(
+            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, self.E_T0, self.E_L2
         )
-        assert np.real(np.trace(e_err)) / 8 == pytest.approx(out.nmse, rel=1e-10)
+        assert np.real(np.trace(e_err)) / 8 == pytest.approx(per_dir.mean(), rel=1e-10)
 
     def test_conditional_mse_monte_carlo(self):
         """Empirical conditional MSE matches the reported per-entry error variance."""
@@ -211,8 +240,8 @@ class TestTxDownlinkEstimate:
         n_t, n_l = CFG.n_t, CFG.n_l
         delta2 = 1.0 / (1.0 / CFG.var_hu + self.E_L2 / (n_l * CFG.var_wt))
         x_t0 = np.sqrt(self.E_T0 / n_t) * np.eye(n_t)
-        ref = tx_downlink_estimate(
-            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2
+        _, ref = _echo_estimate(
+            np.zeros((4, 4), dtype=complex), h_u_hat, self.ALPHA, self.E_T0, self.E_L2
         )
         total, trials = 0.0, 2000
         for _ in range(trials):
@@ -221,21 +250,36 @@ class TestTxDownlinkEstimate:
             w0 = random_gaussian(n_t, n_l, CFG.var_w, stream)
             w1 = random_gaussian(n_t, n_t, CFG.var_wt, stream)
             y_t1 = self.ALPHA * (x_t0 @ h_d + w0) @ h_u + w1
-            out = tx_downlink_estimate(y_t1, h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2)
-            total += float(np.sum(np.abs(h_d - out.estimate) ** 2))
+            est, _ = _echo_estimate(y_t1, h_u_hat, self.ALPHA, self.E_T0, self.E_L2)
+            total += float(np.sum(np.abs(h_d - est) ** 2))
         emp = total / (trials * n_t * n_l)
-        assert emp == pytest.approx(ref.nmse, rel=0.05)
+        assert emp == pytest.approx(ref.mean(), rel=0.05)
 
     def test_custom_initial_pilot_derotation(self):
         """A non-identity unitary initial pilot gives the same estimate as derotating."""
         h_u_hat = random_gaussian(2, 4, 1.0, RngStream(31))
-        c_t0 = random_semiunitary(4, 4, RngStream(32))
+        c_t0 = haar_semiunitary(RngStream(32).generator, (4, 4))
         y = random_gaussian(4, 4, 1.0, RngStream(33))
-        with_pilot = tx_downlink_estimate(
-            y, h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2, c_t0=c_t0
+        with_pilot, dirs_a = _echo_estimate(
+            y, h_u_hat, self.ALPHA, self.E_T0, self.E_L2, c_t0=c_t0
         )
-        derotated = tx_downlink_estimate(
-            c_t0.conj().T @ y, h_u_hat, self.ALPHA, CFG, self.E_T0, self.E_L2
+        derotated, dirs_b = _echo_estimate(
+            c_t0.conj().T @ y, h_u_hat, self.ALPHA, self.E_T0, self.E_L2
         )
-        np.testing.assert_allclose(with_pilot.estimate, derotated.estimate, rtol=1e-10)
-        assert with_pilot.nmse == pytest.approx(derotated.nmse)
+        np.testing.assert_allclose(with_pilot, derotated, rtol=1e-10)
+        assert dirs_a.mean() == pytest.approx(dirs_b.mean())
+
+    def test_batch_matches_single_rounds(self):
+        """A batch of echoes gives the per-round estimates, stacked."""
+        gen = RngStream(41).generator
+        y = random_gaussian(4, 4, 1.0, RngStream(42))
+        ys = np.stack([y, 2.0 * y, y.conj()])
+        hus = np.stack([random_gaussian(2, 4, 1.0, RngStream(43 + i)) for i in range(3)])
+        x_t0 = np.sqrt(self.E_T0 / CFG.n_t) * haar_semiunitary(gen, (3, 4, 4))
+        batched = echo_downlink_estimate(ys, x_t0, hus, self.ALPHA, CFG, self.E_T0, self.E_L2)
+        assert batched.shape == (3, CFG.n_t, CFG.n_l)
+        for i in range(3):
+            single = echo_downlink_estimate(
+                ys[i], x_t0[i], hus[i], self.ALPHA, CFG, self.E_T0, self.E_L2
+            )
+            np.testing.assert_allclose(batched[i], single, rtol=1e-13, atol=1e-15)

@@ -1,5 +1,6 @@
 """Unit tests for system/plan/budget types, validation, and config parsing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -90,6 +91,15 @@ class TestValidate:
         bad = SystemConfig(n_t=0, n_l=0, n_u=0, var_w=-1.0)
         assert isinstance(validate(bad, reciprocal_plan(CFG)), list)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("var_w", math.nan), ("var_h", math.inf), ("var_g", -math.inf), ("var_wt", math.inf)],
+    )
+    def test_non_finite_variance(self, field, value):
+        bad = SystemConfig(n_t=4, n_l=2, n_u=2, **{field: value})
+        msgs = validate(bad, reciprocal_plan(CFG))
+        assert len(msgs) == 1 and msgs[0].startswith(f"{field}:") and "finite" in msgs[0]
+
 
 class TestAllocationViolations:
     def test_well_formed(self):
@@ -105,6 +115,29 @@ class TestAllocationViolations:
         alloc = PowerAllocation(scheme=RECIPROCAL, e_r=-1.0, e_f=2.0)
         msgs = allocation_violations(alloc, CFG, reciprocal_plan(CFG))
         assert any("e_r" in m for m in msgs)
+
+    @pytest.mark.parametrize(
+        "scheme,field,value",
+        [
+            (RECIPROCAL, "e_f", math.nan),
+            (RECIPROCAL, "var_a", math.inf),
+            (RECIPROCAL, "e_r", -math.inf),
+            (NONRECIPROCAL, "e_l1", math.nan),
+            (NONRECIPROCAL, "var_a", math.nan),
+        ],
+    )
+    def test_non_finite_value(self, scheme, field, value):
+        if scheme == RECIPROCAL:
+            alloc = PowerAllocation(scheme=RECIPROCAL, e_r=1.0, e_f=2.0, var_a=0.5)
+            plan = reciprocal_plan(CFG)
+        else:
+            alloc = PowerAllocation(
+                scheme=NONRECIPROCAL, e_t0=1.0, e_l1=1.0, e_l2=1.0, e_t3=1.0, var_a=0.5
+            )
+            plan = nonreciprocal_plan(CFG)
+        alloc = dataclasses.replace(alloc, **{field: value})
+        msgs = allocation_violations(alloc, CFG, plan)
+        assert len(msgs) == 1 and msgs[0].startswith(f"{field}:") and "finite" in msgs[0]
 
     def test_scheme_mismatch(self):
         alloc = PowerAllocation(scheme=NONRECIPROCAL, e_t0=1, e_l1=1, e_l2=1, e_t3=1)

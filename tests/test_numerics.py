@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dcekit.numerics import (
     DegenerateMatrixError,
     RngStream,
+    haar_semiunitary,
     null_space_basis,
     random_gaussian,
-    random_semiunitary,
 )
 
 
@@ -122,20 +122,30 @@ class TestNullSpaceBasis:
 
 
 class TestRandomSemiunitary:
+    """Haar semi-unitaries, single and batched."""
+
     def test_columns_orthonormal(self):
-        c = random_semiunitary(6, 4, RngStream(7))
+        c = haar_semiunitary(RngStream(7).generator, (6, 4))
         assert c.shape == (6, 4)
         np.testing.assert_allclose(c.conj().T @ c, np.eye(4), atol=1e-12)
 
     def test_square_is_unitary(self):
-        c = random_semiunitary(4, 4, RngStream(8))
+        c = haar_semiunitary(RngStream(8).generator, (4, 4))
         np.testing.assert_allclose(c @ c.conj().T, np.eye(4), atol=1e-12)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            random_semiunitary(2, 3, RngStream(0))
+            haar_semiunitary(RngStream(0).generator, (2, 3))
 
     def test_deterministic_per_stream(self):
-        a = random_semiunitary(5, 2, RngStream(9, 1))
-        b = random_semiunitary(5, 2, RngStream(9, 1))
+        a = haar_semiunitary(RngStream(9, 1).generator, (5, 2))
+        b = haar_semiunitary(RngStream(9, 1).generator, (5, 2))
         np.testing.assert_array_equal(a, b)
+
+    def test_batch_matches_single_draws(self):
+        """A batch is the stack of the matrices drawn one by one."""
+        batch = haar_semiunitary(RngStream(10).generator, (3, 4, 4))
+        gen = RngStream(10).generator
+        for c in batch:
+            np.testing.assert_allclose(c, haar_semiunitary(gen, (4, 4)), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(c.conj().T @ c, np.eye(4), atol=1e-12)

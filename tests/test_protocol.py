@@ -8,6 +8,8 @@ errors with the closed forms is covered by the Monte Carlo suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,15 +25,14 @@ from dcekit.model import (
     nonreciprocal_plan,
     reciprocal_plan,
 )
-from dcekit.numerics import RngStream
+from dcekit.numerics import RngStream, complex_normal, null_complement
 from dcekit.protocol import (
-    _cn,
     _guard_null_residual,
-    _null_complement,
     dft_semiunitary,
     forward_pilot,
     run_nonreciprocal,
     run_reciprocal,
+    run_rounds,
 )
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
@@ -89,7 +90,7 @@ class TestBatchedKernels:
     def test_cn_bits_match_reference_recipe(self, shape, var):
         gen_a = RngStream(31, 4).generator
         gen_b = RngStream(31, 4).generator
-        z = _cn(gen_a, shape, var)
+        z = complex_normal(gen_a, shape, var)
         parts = gen_b.standard_normal(shape + (2,))
         ref = (parts[..., 0] + 1j * parts[..., 1]) * np.sqrt(var / 2.0)
         assert z.shape == shape and z.dtype == np.complex128
@@ -103,17 +104,17 @@ class TestBatchedKernels:
     def _degenerate_batch(kind: str) -> np.ndarray:
         gen = RngStream(32).generator
         if kind == "full_rank":
-            return _cn(gen, (64, 4, 2), 1.0)
+            return complex_normal(gen, (64, 4, 2), 1.0)
         if kind == "rank_one":
-            return _cn(gen, (64, 4, 1), 1.0) @ _cn(gen, (64, 1, 2), 1.0)
+            return complex_normal(gen, (64, 4, 1), 1.0) @ complex_normal(gen, (64, 1, 2), 1.0)
         if kind == "large_rank_one":
-            return 1e6 * _cn(gen, (64, 4, 1), 1.0) @ _cn(gen, (64, 1, 2), 1.0)
+            return 1e6 * complex_normal(gen, (64, 4, 1), 1.0) @ complex_normal(gen, (64, 1, 2), 1.0)
         return np.zeros((64, 4, 2), dtype=complex)
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "large_rank_one", "zero"])
     def test_null_complement_degenerate_inputs(self, kind):
         mat = self._degenerate_batch(kind)
-        k = _null_complement(mat)
+        k = null_complement(mat)
         k_h = np.swapaxes(k.conj(), -1, -2)
         assert k.shape == (64, 4, 2)
         ortho = np.linalg.norm(k_h @ k - np.eye(2), axis=(-2, -1))
@@ -284,3 +285,79 @@ class TestNonreciprocalRound:
         channels = draw_channels(CFG, NONRECIPROCAL, RngStream(1))
         with pytest.raises(ValueError, match="scheme"):
             run_nonreciprocal(CFG, R_PLAN, N_ALLOC, channels, RngStream(3))
+
+
+class TestBatchOfOne:
+    """The single-round runs are ``run_rounds(batch=1)`` on the same stream."""
+
+    @staticmethod
+    def _assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    @pytest.mark.parametrize("seed", [2, 5, 11])
+    def test_run_matches_engine_bits(self, scheme, seed):
+        if scheme == RECIPROCAL:
+            channels, t = _recip_round(seed_noise=seed)
+            plan, alloc, batched = R_PLAN, R_ALLOC, (channels.h[None], channels.g[None])
+        else:
+            channels, t = _nonrec_round(seed_noise=seed)
+            plan, alloc = N_PLAN, N_ALLOC
+            batched = (channels.h_d[None], channels.h_u[None], channels.g[None])
+        for keep in (True, False):
+            out = run_rounds(
+                CFG, plan, alloc, RngStream(seed).generator, batch=1,
+                channels=batched, keep_signals=keep,
+            )
+            for key, name in (("tx", "h_hat"), ("lr", "h_lr"), ("ur", "g_ur")):
+                self._assert_same_bits(out[name][0], t.estimates[key].estimate)
+                assert out[f"sq_{key}"][0] == t.squared_errors[key]
+            self._assert_same_bits(out["an"][0], t.an_matrix)
+            self._assert_same_bits(out["k_null"][0], t.null_basis)
+            if keep:
+                assert out["signals"].keys() == t.signals.keys()
+                for name, sig in out["signals"].items():
+                    self._assert_same_bits(sig[0] if sig.ndim == 3 else sig, t.signals[name])
+            else:
+                assert "signals" not in out
+
+    def test_batch_rows_are_independent_rounds(self):
+        """Row i of a batch depends on the channels of row i only."""
+        gen = RngStream(6).generator
+        out = run_rounds(CFG, R_PLAN, R_ALLOC, gen, batch=3)
+        assert out["h_hat"].shape == (3, CFG.n_t, CFG.n_l)
+        assert out["sq_lr"].shape == (3,)
+        assert not np.array_equal(out["h_lr"][0], out["h_lr"][1])
+
+
+class TestNonFiniteInputs:
+    """The estimation layer's gate rejects NaN and infinite inputs."""
+
+    @pytest.mark.parametrize("field,value", [("var_w", math.nan), ("var_h", math.inf)])
+    def test_config_rejected(self, field, value):
+        cfg = SystemConfig(n_t=4, n_l=2, n_u=2, **{field: value})
+        channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
+        with pytest.raises(ValueError, match=field):
+            run_reciprocal(cfg, R_PLAN, R_ALLOC, channels, RngStream(3))
+
+    @pytest.mark.parametrize(
+        "alloc",
+        [
+            PowerAllocation(scheme=RECIPROCAL, e_r=2.0, e_f=math.nan, var_a=1.0),
+            PowerAllocation(scheme=RECIPROCAL, e_r=2.0, e_f=4.0, var_a=math.inf),
+        ],
+        ids=["e_f_nan", "var_a_inf"],
+    )
+    def test_allocation_rejected(self, alloc):
+        channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
+        with pytest.raises(AllocationError, match="finite"):
+            run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(3))
+
+    def test_nonreciprocal_allocation_rejected(self):
+        alloc = PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=4.0, e_l1=4.0, e_l2=math.nan, e_t3=8.0, var_a=1.0
+        )
+        channels = draw_channels(CFG, NONRECIPROCAL, RngStream(1))
+        with pytest.raises(AllocationError, match="e_l2"):
+            run_nonreciprocal(CFG, N_PLAN, alloc, channels, RngStream(3))

@@ -9,6 +9,7 @@ comparisons in the acceptance suite lean on that equivalence.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from dcekit.model import (
     nonreciprocal_plan,
     reciprocal_plan,
 )
-from dcekit.numerics import RngStream, random_gaussian
-from dcekit.protocol import _cn
+from dcekit.numerics import RngStream, complex_normal, random_gaussian
 from dcekit.simkit import (
     QAM4,
     QAM64,
@@ -102,18 +102,18 @@ class TestOstbcDetect:
         gen = RngStream(74, int(data_power)).generator
         m, amp = 4096, np.sqrt(data_power / 3.0)
         sent = constellation[gen.integers(0, constellation.size, size=(m, 3))]
-        h = _cn(gen, (m, 4, 2), 1.0)
-        h_hat = h + _cn(gen, (m, 4, 2), est_var)
-        y = amp * ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h + _cn(gen, (m, 4, 2), 1.0)
+        h = complex_normal(gen, (m, 4, 2), 1.0)
+        h_hat = h + complex_normal(gen, (m, 4, 2), est_var)
+        y = amp * ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h + complex_normal(gen, (m, 4, 2), 1.0)
         fast = ostbc_detect(y, h_hat, amp, constellation)
         np.testing.assert_array_equal(fast, _reference_detect(y, h_hat, amp, constellation))
 
     @pytest.mark.parametrize("constellation", [QAM64, QAM4], ids=["qam64", "qam4"])
     def test_far_outside_and_zero_energy_match_reference(self, constellation):
         gen = RngStream(75).generator
-        h = _cn(gen, (200, 4, 2), 1.0)
+        h = complex_normal(gen, (200, 4, 2), 1.0)
         # Soft values up to ~1e6 away from every point clip to the outer levels.
-        y = 1e6 * _cn(gen, (200, 4, 2), 1.0)
+        y = 1e6 * complex_normal(gen, (200, 4, 2), 1.0)
         far = ostbc_detect(y, h, 1.0, constellation)
         np.testing.assert_array_equal(far, _reference_detect(y, h, 1.0, constellation))
         corners = constellation[np.abs(constellation) == np.abs(constellation).max()]
@@ -210,6 +210,29 @@ class TestMcNmse:
     def test_scheme_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mc_nmse(CFG, R_PLAN, N_ALLOC, trials=500, seed=1)
+
+    @pytest.mark.parametrize("field", ["var_h", "var_hu"])
+    def test_zero_prior_channel(self, field):
+        """A zero-variance channel has nothing to estimate: zero error, no crash."""
+        cfg = dataclasses.replace(CFG, **{field: 0.0})
+        if field == "var_h":
+            rep = mc_nmse(cfg, reciprocal_plan(cfg), R_ALLOC, trials=500, seed=1)
+            assert rep.nmse_l == 0.0 and rep.nmse_l_closed == 0.0
+        else:
+            rep = mc_nmse(cfg, nonreciprocal_plan(cfg), N_ALLOC, trials=500, seed=1)
+            assert math.isfinite(rep.nmse_l_closed)
+        assert abs(rep.nmse_u - rep.nmse_u_closed) <= 3.5 * rep.nmse_u_se
+
+    def test_non_finite_inputs_rejected(self):
+        """A NaN variance or energy is an error, not an all-NaN report."""
+        nan_cfg = dataclasses.replace(CFG, var_w=math.nan)
+        with pytest.raises(ValueError, match="var_w"):
+            mc_nmse(nan_cfg, R_PLAN, R_ALLOC, trials=500, seed=1)
+        with pytest.raises(ValueError, match="e_f"):
+            mc_nmse(CFG, R_PLAN, dataclasses.replace(R_ALLOC, e_f=math.nan), trials=500, seed=1)
+        with pytest.raises(ValueError, match="var_a"):
+            mc_ser(CFG, N_PLAN, dataclasses.replace(N_ALLOC, var_a=math.inf),
+                   data_power=1.0, trials=500, seed=1)
 
 
 class TestMcSer:
