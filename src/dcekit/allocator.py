@@ -3,7 +3,11 @@ r"""Training-energy allocators: closed forms, 1-D line search, condensation GP.
 Three solvers, one contract: minimize LR's training NMSE subject to a floor
 ``gamma`` on UR's NMSE plus energy caps, returning a :class:`SolveReport`
 whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
-(``NMSE_U - gamma``) is never below ``-1e-9``.
+(``NMSE_U - gamma``) is never below ``-1e-9``.  Each first runs
+:func:`dcekit.model.validate` on its inputs and raises a plain ``ValueError``
+naming every violated field (a NaN ``gamma`` or cap, say);
+:class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
+cannot meet.
 
 * :func:`solve_reciprocal` -- per-node caps only.  The problem collapses to a
   two-branch closed form: below the threshold :func:`dcekit.analytics.mu` of
@@ -23,9 +27,13 @@ whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
   at each iterate the objective denominator and the leakage-cap posynomial
   are replaced by their weighted-AM-GM monomial minorants (tight at the
   iterate), and each resulting convex subproblem is solved in log variables
-  by a log-barrier path with damped projected-Newton steps.  Condensation
-  under-approximates the leakage cap, so every iterate stays truly feasible
-  and the true objective descends monotonically across accepted steps.
+  by a log-barrier path (t = 1, x10 per stage) with damped projected-Newton
+  steps.  Condensation under-approximates the leakage cap, so every iterate
+  stays truly feasible and the true objective descends monotonically across
+  accepted steps.  The posynomials of a subproblem are stacked into one
+  exponent matrix, so each Newton step and each line-search probe evaluates
+  the objective numerator and every constraint in one stacked log-sum-exp
+  (one matmul plus segment reductions), not one call per posynomial.
 
 Rank-deficient forward pilots are handled in closed form: with ``K`` active
 pilot directions the UR floor binds only inside the pilot subspace, which
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -50,6 +59,7 @@ from .model import (
     PowerAllocation,
     SystemConfig,
     TrainingPlan,
+    validate,
 )
 
 __all__ = [
@@ -175,6 +185,18 @@ def _prop1(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> So
     )
 
 
+def _check_inputs(
+    config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget, scheme: str
+) -> None:
+    """Raise ``ValueError`` for a ``scheme`` mismatch or for any input
+    :func:`dcekit.model.validate` rejects, naming every violated field."""
+    if plan.scheme != scheme:
+        raise ValueError(f"plan scheme must be {scheme!r}, got {plan.scheme!r}")
+    problems = validate(config, plan, budget)
+    if problems:
+        raise ValueError(f"invalid solver input: {'; '.join(problems)}")
+
+
 def solve_reciprocal(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
@@ -184,10 +206,9 @@ def solve_reciprocal(
     total cap in the budget routes through :func:`solve_general` so the
     caller never has to pick.
     """
-    if plan.scheme != RECIPROCAL:
-        raise ValueError(f"plan scheme must be {RECIPROCAL!r}, got {plan.scheme!r}")
+    _check_inputs(config, plan, budget, RECIPROCAL)
     if math.isfinite(budget.e_ave_max):
-        return solve_general(config, plan, budget)
+        return _general(config, plan, budget)
     return _prop1(config, plan, budget)
 
 
@@ -235,8 +256,11 @@ def solve_general(
     refinement.  Scenario 3 only differs in which per-node caps are redundant
     (the interval arithmetic absorbs that automatically).
     """
-    if plan.scheme != RECIPROCAL:
-        raise ValueError(f"plan scheme must be {RECIPROCAL!r}, got {plan.scheme!r}")
+    _check_inputs(config, plan, budget, RECIPROCAL)
+    return _general(config, plan, budget)
+
+
+def _general(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> SolveReport:
     e_t, e_l, e_ave = budget.e_t_max, budget.e_l_max, budget.e_ave_max
 
     if e_ave > e_l + e_t:
@@ -318,34 +342,51 @@ def _pscale(p: list, s: float) -> list:
     return [(c * s, e) for c, e in p]
 
 
-def _freeze(p: list) -> tuple[np.ndarray, np.ndarray]:
-    """Posynomial -> (log-coeffs b, exponent matrix E) for log-space eval."""
-    b = np.log(np.array([c for c, _ in p]))
-    e = np.stack([e for _, e in p])
-    return b, e
+class _Stack(NamedTuple):
+    """Posynomials frozen for log-space evaluation: all terms in one list,
+    one block of consecutive terms per posynomial."""
+
+    b: np.ndarray       # log-coefficient of every term
+    e: np.ndarray       # (terms, 5) exponent matrix
+    starts: np.ndarray  # first term of each block
+    seg: np.ndarray     # block of each term
 
 
-def _lse(b: np.ndarray, e_mat: np.ndarray, z: np.ndarray):
-    """log-sum-exp of a posynomial at log-point z, with gradient and Hessian."""
-    t = b + e_mat @ z
-    m = t.max()
-    w = np.exp(t - m)
-    s = w.sum()
-    p = w / s
-    val = m + math.log(s)
-    grad = e_mat.T @ p
-    hess = (e_mat.T * p) @ e_mat - np.outer(grad, grad)
-    return val, grad, hess, p
+def _stack(posys: list) -> _Stack:
+    sizes = [len(p) for p in posys]
+    terms = [term for p in posys for term in p]
+    return _Stack(
+        b=np.log(np.array([c for c, _ in terms])),
+        e=np.stack([e for _, e in terms]),
+        starts=np.cumsum([0] + sizes[:-1]),
+        seg=np.repeat(np.arange(len(sizes)), sizes),
+    )
 
 
-def _condense(b: np.ndarray, e_mat: np.ndarray, z0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Weighted-AM-GM monomial minorant of a posynomial, tight at ``z0``.
+def _lse(stack: _Stack, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log-sum-exp of every block at log-point z, and each term's weight
+    within its block (the block softmax)."""
+    t = stack.b + stack.e @ z
+    m = np.maximum.reduceat(t, stack.starts)
+    w = np.exp(t - m[stack.seg])
+    s = np.add.reduceat(w, stack.starts)
+    return m + np.log(s), w / s[stack.seg]
 
-    Returns ``(b0, a)`` such that ``b0 + a.z <= log posy(z)`` for all z with
-    equality at ``z0``.
+
+def _lse_grads(stack: _Stack, p: np.ndarray) -> np.ndarray:
+    """Gradient of every block's log-sum-exp, one row per block."""
+    return np.add.reduceat(stack.e * p[:, None], stack.starts, axis=0)
+
+
+def _condense(stack: _Stack, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted-AM-GM monomial minorant of each block, tight at ``z0``.
+
+    Returns ``(b0, a)`` such that ``b0[k] + a[k].z <= log posy_k(z)`` for all
+    z with equality at ``z0``.
     """
-    val, grad, _, _ = _lse(b, e_mat, z0)
-    return val - float(grad @ z0), grad
+    val, p = _lse(stack, z0)
+    grads = _lse_grads(stack, p)
+    return val - grads @ z0, grads
 
 
 def _nonreciprocal_posys(config: SystemConfig, plan: TrainingPlan):
@@ -406,56 +447,83 @@ def _gp_warm_start(
     return np.maximum(x, 1e-30)
 
 
-def _barrier_newton(
-    f0_terms, a_den, cons, lin_cons, z0, z_lo, z_hi
-) -> np.ndarray:
-    """Minimize LSE(num) - a_den.z subject to LSE/linear constraints <= 0.
+def _barrier_point(stack: _Stack, lin: tuple, z: np.ndarray) -> tuple:
+    """Every block's log-sum-exp, the term weights, and all constraint
+    residuals (posynomial blocks after the first, then the linear rows
+    ``a z + c``) at ``z``, from one stacked evaluation."""
+    vals, p = _lse(stack, z)
+    a_lin, c_lin = lin
+    return vals, p, np.concatenate((vals[1:], a_lin @ z + c_lin))
 
-    Log-barrier path with damped Newton steps, each projected onto the log
-    box [z_lo, z_hi].  ``z0`` must be strictly feasible.
+
+def _barrier_phi(point: tuple, a_den: np.ndarray, z: np.ndarray, t: float) -> float:
+    """Barrier objective ``t f0 - sum log(-r)``; ``inf`` outside the feasible set."""
+    vals, _, r = point
+    if r.max() >= 0.0:
+        return math.inf
+    return t * (vals[0] - float(a_den @ z)) - float(np.log(-r).sum())
+
+
+def _barrier_derivatives(
+    stack: _Stack, lin: tuple, a_den: np.ndarray, point: tuple, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the barrier objective at an evaluated point.
+
+    With block gradients ``g_k = E_kᵀ p_k``, each log-sum-exp contributes
+    ``E_kᵀ diag(p_k) E_k - g_k g_kᵀ`` to its Hessian, so the whole barrier
+    Hessian is ``Eᵀ diag(p * coef[seg]) E + Gᵀ diag(gcoef) G`` with the
+    linear constraint rows stacked under the block gradients in ``G``.
     """
-    b_num, e_num = f0_terms
+    _, p, r = point
+    a_lin = lin[0]
+    n_pos = len(stack.starts) - 1
+    r_pos, r_lin = r[:n_pos], r[n_pos:]
+    grads = np.concatenate((_lse_grads(stack, p), a_lin))
+    # A posynomial constraint's -log(-r) has Hessian H/(-r) + g gᵀ/r², with
+    # H = Eᵀ diag(p) E - g gᵀ: weight -1/r on its E-part and 1/r² + 1/r on
+    # g gᵀ.  The objective block's are t and -t, a linear row's g gᵀ 1/r².
+    coef = np.concatenate(([t], -1.0 / r_pos))
+    gcoef = np.concatenate(([-t], 1.0 / r_pos**2 + 1.0 / r_pos, 1.0 / r_lin**2))
+    grad = np.concatenate((coef, -1.0 / r_lin)) @ grads - t * a_den
+    hess = (stack.e.T * (p * coef[stack.seg])) @ stack.e + (grads.T * gcoef) @ grads
+    return grad, hess
 
-    def residuals(z):
-        vals = [_lse(b, e, z)[0] for b, e in cons]
-        vals += [float(a @ z + c) for a, c in lin_cons]
-        return np.array(vals)
 
-    def phi(z, t):
-        r = residuals(z)
-        if np.any(r >= 0.0):
-            return math.inf
-        f0 = _lse(b_num, e_num, z)[0] - float(a_den @ z)
-        return t * f0 - float(np.sum(np.log(-r)))
+def _barrier_newton(
+    stack: _Stack, a_den: np.ndarray, lin: tuple, z0: np.ndarray, z_lo, z_hi
+) -> np.ndarray:
+    """Minimize LSE(block 0) - a_den.z subject to every other block's LSE <= 0
+    and the linear rows ``lin = (A, c)``: ``A z + c <= 0``.
 
+    Log-barrier path (t = 1, x10 per stage, stop past 1e10) with damped
+    Newton steps, each projected onto the log box [z_lo, z_hi].  ``z0``
+    must be strictly feasible.  Each step and each line-search probe is one
+    stacked evaluation of all posynomials (:func:`_barrier_point`); the
+    accepted probe's evaluation and barrier value carry over to the next
+    step, so every visited point is evaluated once.
+    """
     z = z0.copy()
+    point = _barrier_point(stack, lin, z)
+    ridge = 1e-12 * np.eye(5)
     t = 1.0
     for _ in range(12):  # barrier path: t *= 10 each stage
+        base = _barrier_phi(point, a_den, z, t)
         for _ in range(60):
-            val, grad_num, hess_num, _ = _lse(b_num, e_num, z)
-            grad = t * (grad_num - a_den)
-            hess = t * hess_num
-            for b, e in cons:
-                gval, ggrad, ghess, _ = _lse(b, e, z)
-                grad += ggrad / (-gval)
-                hess += np.outer(ggrad, ggrad) / gval**2 + ghess / (-gval)
-            for a, c in lin_cons:
-                gval = float(a @ z + c)
-                grad += a / (-gval)
-                hess += np.outer(a, a) / gval**2
+            grad, hess = _barrier_derivatives(stack, lin, a_den, point, t)
             try:
-                step = np.linalg.solve(hess + 1e-12 * np.eye(5), -grad)
+                step = np.linalg.solve(hess + ridge, -grad)
             except np.linalg.LinAlgError:
                 step = -grad
             decrement = float(-grad @ step)
             if decrement < 1e-12:
                 break
-            base = phi(z, t)
             alpha = 1.0
             for _ in range(50):
-                cand = np.clip(z + alpha * step, z_lo, z_hi)
-                if phi(cand, t) < base - 1e-12 * alpha * decrement:
-                    z = cand
+                cand = np.minimum(np.maximum(z + alpha * step, z_lo), z_hi)
+                cand_point = _barrier_point(stack, lin, cand)
+                cand_phi = _barrier_phi(cand_point, a_den, cand, t)
+                if cand_phi < base - 1e-12 * alpha * decrement:
+                    z, point, base = cand, cand_point, cand_phi
                     break
                 alpha *= 0.5
             else:
@@ -483,8 +551,7 @@ def solve_nonreciprocal(
     ``max_iters`` (default 200) outer iterations, in which case the best
     feasible iterate is returned with ``converged=False``.
     """
-    if plan.scheme != NONRECIPROCAL:
-        raise ValueError(f"plan scheme must be {NONRECIPROCAL!r}, got {plan.scheme!r}")
+    _check_inputs(config, plan, budget, NONRECIPROCAL)
     opts = {"max_iters": 200, "tol": 1e-6}
     if options:
         opts.update(options)
@@ -533,19 +600,21 @@ def solve_nonreciprocal(
     corner_obj = analytics.nmse_l_nonreciprocal_approx(config, corner, plan)
 
     num, den = _nonreciprocal_posys(config, plan)
-    b_num, e_num = _freeze(num)
-    b_den, e_den = _freeze(den)
-    b_r, e_r_mat = _freeze(_mono(v) + _mono(an * g, ea=1))  # leakage-cap posy
+    # Condensed each outer iteration: the objective denominator and the
+    # leakage-cap posynomial.
+    condensed = _stack([den, _mono(v) + _mono(an * g, ea=1)])
 
+    # The barrier subproblem: numerator first, then the energy caps.
     tx_terms = _mono(1.0, e0=1) + _mono(1.0, e3=1) + _mono(nt * an, ea=1)
     lr_terms = _mono(1.0, e1=1) + _mono(1.0, e2=1)
-    cons = [
-        _freeze(_pscale(tx_terms, 1.0 / budget.e_t_max)),
-        _freeze(_pscale(lr_terms, 1.0 / budget.e_l_max)),
+    blocks = [
+        num,
+        _pscale(tx_terms, 1.0 / budget.e_t_max),
+        _pscale(lr_terms, 1.0 / budget.e_l_max),
     ]
     if math.isfinite(budget.e_ave_max):
-        ave_terms = tx_terms + lr_terms
-        cons.append(_freeze(_pscale(ave_terms, 1.0 / budget.e_ave_max)))
+        blocks.append(_pscale(tx_terms + lr_terms, 1.0 / budget.e_ave_max))
+    subproblem = _stack(blocks)
 
     caps = np.array([
         budget.e_t_max, budget.e_l_max, budget.e_l_max, budget.e_t_max,
@@ -570,10 +639,9 @@ def solve_nonreciprocal(
 
     for iterations in range(1, opts["max_iters"] + 1):
         z0 = np.log(x)
-        den_b0, a_den = _condense(b_den, e_den, z0)
-        r_b0, a_r = _condense(b_r, e_r_mat, z0)
-        lin_cons = [(e3_axis - a_r, math.log(v / gt) - r_b0)]
-        z_new = _barrier_newton((b_num, e_num), a_den, cons, lin_cons, z0, z_lo, z_hi)
+        (_, r_b0), (a_den, a_r) = _condense(condensed, z0)
+        lin = ((e3_axis - a_r)[None, :], np.array([math.log(v / gt) - r_b0]))
+        z_new = _barrier_newton(subproblem, a_den, lin, z0, z_lo, z_hi)
         x_new = np.exp(z_new)
         new = analytics.nmse_l_nonreciprocal_approx(config, alloc_of(x_new), plan)
         if not math.isfinite(new) or new > current:

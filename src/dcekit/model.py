@@ -268,11 +268,11 @@ def _plan_violations(config: SystemConfig, plan: TrainingPlan) -> list[str]:
 
 def _budget_violations(config: SystemConfig, budget: EnergyBudget) -> list[str]:
     out = []
-    if budget.e_t_max <= 0:
-        out.append(f"e_t_max: must be > 0, got {budget.e_t_max}")
-    if budget.e_l_max <= 0:
-        out.append(f"e_l_max: must be > 0, got {budget.e_l_max}")
-    if budget.e_ave_max <= 0:
+    for name in ("e_t_max", "e_l_max"):
+        val = getattr(budget, name)
+        if not (math.isfinite(val) and val > 0):
+            out.append(f"{name}: must be finite and > 0, got {val}")
+    if not budget.e_ave_max > 0:  # inf (no total cap) passes, NaN does not
         out.append(f"e_ave_max: must be > 0 (or omitted), got {budget.e_ave_max}")
     if not 0 < budget.gamma <= config.var_g:
         out.append(f"gamma: must lie in (0, var_g={config.var_g}], got {budget.gamma}")

@@ -156,7 +156,8 @@ def run_rounds(
     Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
     ``"k_null"``, AN ``"an"`` and squared errors ``"sq_tx"``, ``"sq_lr"``,
-    ``"sq_ur"``; non-reciprocal adds ``"hu_hat"`` and the echo gain
+    ``"sq_ur"``; also the float ``"noise_l"``, the noise level LR's estimate
+    assumed.  Non-reciprocal adds ``"hu_hat"`` and the echo gain
     ``"alpha"``, and ``keep_signals`` every stage signal under ``"signals"``.
     """
     if plan.scheme == RECIPROCAL:
@@ -246,6 +247,7 @@ def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,
         "sq_tx": _sq_err(h, out["h_hat"]), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
+        "noise_l": noise_l,
     })
     if "signals" in out:
         out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
@@ -267,16 +269,17 @@ def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
         )
 
 
-def _transcript(config, plan, alloc, out, e_fwd, prior_l, noise_l, tx_dirs) -> TrainingTranscript:
+def _transcript(config, plan, alloc, out, e_fwd, prior_l, tx_dirs) -> TrainingTranscript:
     """Unbatch one engine round and attach the per-direction error statistics:
-    ``tx_dirs`` for the transmitter, the forward stage's for LR and UR."""
+    ``tx_dirs`` for the transmitter, the forward stage's for LR (at the noise
+    level the engine used) and UR."""
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
     d = np.asarray(plan.pilot_eigs, dtype=float)
     r_u = analytics.ur_disturbance(config, alloc.var_a)
     dirs = {
         "tx": tx_dirs,
-        "lr": analytics.forward_direction_errors(config, prior_l, e_fwd, noise_l, d),
+        "lr": analytics.forward_direction_errors(config, prior_l, e_fwd, out["noise_l"], d),
         "ur": analytics.forward_direction_errors(config, config.var_g, e_fwd, r_u, d),
     }
     keys = {"tx": "h_hat", "lr": "h_lr", "ur": "g_ur"}
@@ -306,10 +309,9 @@ def run_reciprocal(
         config, plan, alloc, rng.generator, batch=1,
         channels=(channels.h[None], channels.g[None]), keep_signals=True,
     )
-    r_bar = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / config.n_l
     delta2 = analytics.reverse_error_var(config, config.var_h, alloc.e_r)
     tx_dirs = np.full(config.n_l, delta2)
-    return _transcript(config, plan, alloc, out, alloc.e_f, config.var_h, r_bar, tx_dirs)
+    return _transcript(config, plan, alloc, out, alloc.e_f, config.var_h, tx_dirs)
 
 
 def run_nonreciprocal(
@@ -332,5 +334,4 @@ def run_nonreciprocal(
     lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
     b = analytics.beta(config, alloc.e_t0, alloc.e_l2, out["alpha"])
     tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, b, lam)
-    d_bar = analytics.nonreciprocal_effective_noise(config, alloc, plan)
-    return _transcript(config, plan, alloc, out, alloc.e_t3, config.var_hd, d_bar, tx_dirs)
+    return _transcript(config, plan, alloc, out, alloc.e_t3, config.var_hd, tx_dirs)

@@ -4,19 +4,32 @@ The closed-form branches are checked against fully hand-derived allocations
 (documented inline); the iterative solver for the non-reciprocal scheme is
 checked for feasibility, budget exhaustion, monotone descent, and against an
 independent grid scan.  Scenario values below were derived by hand from the
-KKT structure before running the solver.
+KKT structure before running the solver.  The GP's stacked log-sum-exp
+evaluator is checked against a per-posynomial reference recipe, its outputs
+are pinned at recorded grid points, and its contract is property-tested over
+random budgets.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcekit import analytics
 from dcekit.allocator import (
     InfeasibleGamma,
+    _barrier_derivatives,
+    _barrier_phi,
+    _barrier_point,
+    _condense,
+    _lse,
+    _lse_grads,
+    _stack,
     optimal_pilot_gram,
     optimize_rank,
     solve_general,
@@ -336,3 +349,201 @@ class TestOptimizeRank:
         )
         again = solve_reciprocal(CFG, plan, budget)
         assert again.objective == pytest.approx(rep.objective, rel=1e-12)
+
+
+class TestSolverInputValidation:
+    """Every solver rejects what ``validate`` rejects with a plain ValueError."""
+
+    SOLVERS = [
+        (solve_reciprocal, R_PLAN),
+        (solve_general, R_PLAN),
+        (solve_nonreciprocal, N_PLAN),
+    ]
+
+    @pytest.mark.parametrize("solver,plan", SOLVERS, ids=["reciprocal", "general", "gp"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("gamma", math.nan), ("e_t_max", math.nan), ("e_t_max", math.inf),
+            ("e_l_max", math.nan), ("e_ave_max", math.nan), ("gamma", 2.0),
+        ],
+    )
+    def test_invalid_budget_raises_value_error(self, solver, plan, field, value):
+        budget = dataclasses.replace(EnergyBudget(800.0, 600.0, 0.1, 1000.0), **{field: value})
+        with pytest.raises(ValueError, match=field) as info:
+            solver(CFG, plan, budget)
+        assert not isinstance(info.value, InfeasibleGamma)
+
+    @pytest.mark.parametrize("solver,plan", SOLVERS, ids=["reciprocal", "general", "gp"])
+    def test_invalid_config_raises_value_error(self, solver, plan):
+        cfg = SystemConfig(n_t=4, n_l=2, n_u=2, var_w=math.nan)
+        with pytest.raises(ValueError, match="var_w"):
+            solver(cfg, plan, EnergyBudget(800.0, 600.0, 0.1, 1000.0))
+
+    def test_every_violation_is_named(self):
+        budget = EnergyBudget(math.nan, -1.0, math.nan)
+        with pytest.raises(ValueError, match="e_t_max.*e_l_max.*gamma"):
+            solve_nonreciprocal(CFG, N_PLAN, budget)
+
+
+# --- Stacked log-sum-exp evaluator ------------------------------------------
+# Reference: the per-posynomial recipe the GP used before its posynomials
+# were stacked, one log-sum-exp (value, gradient, Hessian) per block.
+
+
+def _ref_lse(b, e_mat, z):
+    t = b + e_mat @ z
+    m = t.max()
+    w = np.exp(t - m)
+    s = w.sum()
+    p = w / s
+    grad = e_mat.T @ p
+    return m + math.log(s), grad, (e_mat.T * p) @ e_mat - np.outer(grad, grad)
+
+
+def _ref_barrier(blocks, a_den, lin, z, t):
+    """Per-block barrier gradient and Hessian (block 0 is the objective)."""
+    val, grad_num, hess_num = _ref_lse(*blocks[0], z)
+    grad = t * (grad_num - a_den)
+    hess = t * hess_num
+    for b, e in blocks[1:]:
+        gval, ggrad, ghess = _ref_lse(b, e, z)
+        grad += ggrad / (-gval)
+        hess += np.outer(ggrad, ggrad) / gval**2 + ghess / (-gval)
+    for a, c in zip(*lin):
+        gval = float(a @ z + c)
+        grad += a / (-gval)
+        hess += np.outer(a, a) / gval**2
+    return grad, hess
+
+
+def _random_problem(rng, n_blocks):
+    """Random posynomial blocks (as ``_mono``-style term lists) and a
+    log-point at which every constraint block is strictly negative."""
+    z = rng.normal(size=5)
+    posys = []
+    for k in range(n_blocks):
+        terms = [
+            (float(np.exp(rng.normal())), rng.integers(-1, 3, size=5).astype(float))
+            for _ in range(rng.integers(1, 16))
+        ]
+        if k > 0:  # rescale so that log posy(z) lies in [-3, -0.1]
+            val = _ref_lse(np.log([c for c, _ in terms]), np.stack([e for _, e in terms]), z)[0]
+            shift = math.exp(-rng.uniform(0.1, 3.0) - val)
+            terms = [(c * shift, e) for c, e in terms]
+        posys.append(terms)
+    a_lin = rng.normal(size=(2, 5))
+    c_lin = -a_lin @ z - rng.uniform(0.1, 3.0, size=2)
+    return posys, (a_lin, c_lin), z
+
+
+def _frozen(terms):
+    return np.log([c for c, _ in terms]), np.stack([e for _, e in terms])
+
+
+class TestStackedEvaluator:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_values_and_gradients_match_per_block(self, seed):
+        rng = np.random.default_rng(seed)
+        posys, _, z = _random_problem(rng, n_blocks=int(rng.integers(1, 6)))
+        stack = _stack(posys)
+        vals, p = _lse(stack, z)
+        grads = _lse_grads(stack, p)
+        b0, a = _condense(stack, z)
+        for k, terms in enumerate(posys):
+            ref_val, ref_grad, _ = _ref_lse(*_frozen(terms), z)
+            np.testing.assert_allclose(vals[k], ref_val, rtol=1e-12)
+            np.testing.assert_allclose(grads[k], ref_grad, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(a[k], ref_grad, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(b0[k], ref_val - ref_grad @ z, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("t", [1.0, 1e5, 1e10])
+    def test_barrier_derivatives_match_per_block(self, seed, t):
+        rng = np.random.default_rng(100 + seed)
+        posys, lin, z = _random_problem(rng, n_blocks=4)
+        a_den = rng.normal(size=5)
+        stack = _stack(posys)
+        point = _barrier_point(stack, lin, z)
+        grad, hess = _barrier_derivatives(stack, lin, a_den, point, t)
+        ref_grad, ref_hess = _ref_barrier([_frozen(p) for p in posys], a_den, lin, z, t)
+        scale = np.abs(ref_hess).max()
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * scale)
+        # Barrier value: t f0 - sum log(-r) over the posynomial and linear rows.
+        residuals = [_ref_lse(*_frozen(p), z)[0] for p in posys[1:]] + list(lin[0] @ z + lin[1])
+        ref_phi = t * (_ref_lse(*_frozen(posys[0]), z)[0] - a_den @ z) - np.sum(np.log(-np.array(residuals)))
+        np.testing.assert_allclose(_barrier_phi(point, a_den, z, t), ref_phi, rtol=1e-12)
+
+    def test_infeasible_point_has_infinite_barrier(self):
+        rng = np.random.default_rng(7)
+        posys, (a_lin, c_lin), z = _random_problem(rng, n_blocks=3)
+        stack = _stack(posys)
+        lin = (a_lin, c_lin + 10.0)  # pushes the linear rows past zero
+        assert _barrier_phi(_barrier_point(stack, lin, z), np.zeros(5), z, 1.0) == math.inf
+
+
+# --- Pinned GP outputs -------------------------------------------------------
+# Outer iterations, convergence and objectives recorded from the per-block
+# solver, at the 13 feasible points of the non-reciprocal `sweep` grid
+# (SystemConfig(4, 2, 2), pt_db = 30, pl_db = pave_db - 10, total cap pave_db)
+# and at the EnergyBudget(8000, 600, 0.1) anchor.
+_L = {15.0: 18.973665961010276, 21.0: 75.53552470765004, 27.0: 300.71234017636334,
+      33.0: 1197.1573889813271, 39.0: 4765.969408345688}
+_A = {15.0: 442.7188724235731, 21.0: 1762.4955765118345, 27.0: 7016.621270781814,
+      33.0: 27933.672409564304, 39.0: 111205.95286139939}
+GP_PINS = [
+    # (gamma, pave_db, iterations, objective); every point converged
+    (0.002, 27.0, 5, 0.0006669184304717396),
+    (0.002, 33.0, 5, 0.0005465799140776039),
+    (0.002, 39.0, 5, 0.0005412643574315068),
+    (0.1, 15.0, 9, 0.04009462596762611),
+    (0.1, 21.0, 4, 0.012257472896809465),
+    (0.1, 27.0, 3, 0.0032426010506101093),
+    (0.1, 33.0, 3, 0.001492695896083202),
+    (0.1, 39.0, 3, 0.0010934191095130683),
+    (0.3, 15.0, 8, 0.11879290650643444),
+    (0.3, 21.0, 3, 0.037729280152500745),
+    (0.3, 27.0, 3, 0.010114982919198426),
+    (0.3, 33.0, 3, 0.0037665262946922303),
+    (0.3, 39.0, 3, 0.002224498539515048),
+]
+
+
+class TestPinnedGpOutputs:
+    @pytest.mark.parametrize("gamma,pave,iterations,objective", GP_PINS)
+    def test_sweep_grid(self, gamma, pave, iterations, objective):
+        budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
+        rep = solve_nonreciprocal(CFG, N_PLAN, budget)
+        assert (rep.iterations, rep.converged) == (iterations, True)
+        assert rep.objective == pytest.approx(objective, rel=1e-9)
+
+    def test_anchor(self):
+        rep = solve_nonreciprocal(CFG, N_PLAN, EnergyBudget(8000.0, 600.0, 0.1))
+        assert (rep.iterations, rep.converged) == (3, True)
+        assert rep.objective == pytest.approx(0.002020568509860915, rel=1e-9)
+
+
+_CAP_DB = st.floats(min_value=10.0, max_value=50.0)
+
+
+class TestNonreciprocalContract:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pt_db=_CAP_DB,
+        pl_db=_CAP_DB,
+        pave_db=st.one_of(st.none(), _CAP_DB),
+        gamma=st.floats(min_value=0.0, max_value=CFG.var_g, exclude_min=True, exclude_max=True),
+    )
+    def test_feasible_or_infeasible_gamma(self, pt_db, pl_db, pave_db, gamma):
+        budget = EnergyBudget(
+            10.0 ** (pt_db / 10.0), 10.0 ** (pl_db / 10.0), gamma,
+            e_ave_max=math.inf if pave_db is None else 10.0 ** (pave_db / 10.0),
+        )
+        try:
+            rep = solve_nonreciprocal(CFG, N_PLAN, budget)
+        except InfeasibleGamma:
+            return
+        assert allocation_violations(rep.allocation, CFG, N_PLAN, budget=budget) == []
+        assert rep.constraint_slack >= -1e-9
+        assert math.isfinite(rep.objective)

@@ -58,6 +58,14 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("scheme", ["reciprocal", "nonreciprocal"])
+    def test_nan_gamma_exits_3(self, config_path, command, scheme, capsys):
+        code = main([command, "--config", config_path, "--scheme", scheme, "--gamma", "nan"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gamma" in err and "infeasible" not in err
+
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(BASE_CONFIG + "bogus = 1\n")

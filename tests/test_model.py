@@ -100,6 +100,22 @@ class TestValidate:
         msgs = validate(bad, reciprocal_plan(CFG))
         assert len(msgs) == 1 and msgs[0].startswith(f"{field}:") and "finite" in msgs[0]
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("e_t_max", math.nan), ("e_t_max", math.inf), ("e_l_max", math.nan),
+            ("e_l_max", -math.inf), ("e_ave_max", math.nan), ("gamma", math.nan),
+        ],
+    )
+    def test_non_finite_budget(self, field, value):
+        budget = dataclasses.replace(EnergyBudget(100.0, 10.0, 0.1), **{field: value})
+        msgs = validate(CFG, reciprocal_plan(CFG), budget)
+        assert len(msgs) == 1 and msgs[0].startswith(f"{field}:")
+
+    def test_infinite_total_cap_means_none(self):
+        budget = EnergyBudget(100.0, 10.0, 0.1, e_ave_max=math.inf)
+        assert validate(CFG, reciprocal_plan(CFG), budget) == []
+
 
 class TestAllocationViolations:
     def test_well_formed(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dcekit import analytics
+from dcekit.estimator import effective_forward_noise_var
 from dcekit.model import (
     NONRECIPROCAL,
     RECIPROCAL,
@@ -321,6 +322,26 @@ class TestBatchOfOne:
                     self._assert_same_bits(sig[0] if sig.ndim == 3 else sig, t.signals[name])
             else:
                 assert "signals" not in out
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_transcript_reads_engine_noise_level(self, scheme):
+        """LR's statistics use the noise level the engine estimated with."""
+        if scheme == RECIPROCAL:
+            channels, t = _recip_round()
+            plan, e_fwd, prior = R_PLAN, R_ALLOC.e_f, CFG.var_h
+            noise = effective_forward_noise_var(CFG, R_ALLOC.e_r, R_ALLOC.var_a) / CFG.n_l
+            batched = (channels.h[None], channels.g[None])
+            alloc = R_ALLOC
+        else:
+            channels, t = _nonrec_round()
+            plan, e_fwd, prior = N_PLAN, N_ALLOC.e_t3, CFG.var_hd
+            noise = analytics.nonreciprocal_effective_noise(CFG, N_ALLOC, N_PLAN)
+            batched = (channels.h_d[None], channels.h_u[None], channels.g[None])
+            alloc = N_ALLOC
+        out = run_rounds(CFG, plan, alloc, RngStream(2).generator, batch=1, channels=batched)
+        assert out["noise_l"] == noise
+        expected = analytics.forward_direction_errors(CFG, prior, e_fwd, noise, plan.pilot_eigs)
+        self._assert_same_bits(t.estimates["lr"].per_direction_error_var, expected)
 
     def test_batch_rows_are_independent_rounds(self):
         """Row i of a batch depends on the channels of row i only."""
