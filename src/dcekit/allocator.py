@@ -20,7 +20,10 @@ cannot meet.
   how the total cap compares to the per-node caps (scenarios 1-3), the
   problem either delegates to the per-node solver or reduces to a 1-D search
   over the reverse energy; the search runs a 2001-point uniform scan followed
-  by golden-section refinement around the best point.
+  by golden-section refinement around the best point.  The refinement is the
+  in-house :func:`_golden`, a step-for-step port of scipy's three-point
+  bracket golden search (equal results and iteration counts), so the package
+  needs nothing beyond numpy at run time.
 
 * :func:`solve_nonreciprocal` -- five coupled variables and a non-convex
   posynomial-ratio objective.  Solved by iterative monomial condensation:
@@ -49,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from . import analytics
 from .model import (
@@ -244,6 +246,41 @@ def _scenario_f(
     return f, zeta, e_f
 
 
+# scipy's golden-ratio conjugate, with scipy's rounding of 2/(1+sqrt(5)).
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
+def _golden(func, xa: float, xb: float, xc: float) -> tuple[float, int]:
+    """Golden-section minimum of ``func`` on the bracket ``xa < xb < xc``.
+
+    Returns ``(x, nit)``.  The arithmetic is that of scipy's
+    ``minimize_scalar(func, bracket=(xa, xb, xc), method="golden",
+    options={"xtol": 1e-12})``: the same first interior point, the same
+    updates, the stop test ``|x3 - x0| <= 1e-12 * (|x1| + |x2|)``, scipy's
+    default cap of 5000 iterations and the same iteration count, so results
+    match it bit for bit.  Unlike scipy it does not insist on ``func(xb)``
+    lying strictly below both ends: a grid maximum that ties its neighbour
+    still gets searched, and any point of a tied bracket is as good as ``xb``.
+    """
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    nit = 0
+    while nit < 5000 and not abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
+            f2, f1 = f1, func(x1)
+        nit += 1
+    return (x1 if f1 < f2 else x2), nit
+
+
 def solve_general(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
@@ -306,16 +343,13 @@ def _general(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> 
         iterations = 2001
         e_r_star = float(grid[best])
         if 0 < best < 2000:
-            res = scipy.optimize.minimize_scalar(
-                lambda x: -f(x),
-                bracket=(float(grid[best - 1]), float(grid[best]), float(grid[best + 1])),
-                method="golden",
-                options={"xtol": 1e-12},
+            x, nit = _golden(
+                lambda x: -f(x), float(grid[best - 1]), e_r_star, float(grid[best + 1])
             )
-            cand = float(np.clip(res.x, lo, hi))
+            cand = float(np.clip(x, lo, hi))
             if f(cand) >= f(e_r_star):
                 e_r_star = cand
-            iterations += int(getattr(res, "nit", 0) or 0)
+            iterations += nit
 
     z = zeta(e_r_star)
     var_a = z / (config.n_t - config.n_l)

@@ -266,8 +266,19 @@ def _plan_violations(config: SystemConfig, plan: TrainingPlan) -> list[str]:
     return out
 
 
-def _budget_violations(config: SystemConfig, budget: EnergyBudget) -> list[str]:
+# The channel priors each scheme's solver estimates.  A zero prior is a valid
+# model for a round (nothing to learn, zero error), but no allocation problem:
+# the closed forms divide by it and the GP takes its log.
+_SOLVED_PRIORS = {RECIPROCAL: ("var_h",), NONRECIPROCAL: ("var_hd", "var_hu")}
+
+
+def _budget_violations(
+    config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
+) -> list[str]:
     out = []
+    for name in _SOLVED_PRIORS[plan.scheme]:
+        if getattr(config, name) == 0:
+            out.append(f"{name}: channel variance must be > 0 to solve for an allocation, got 0.0")
     for name in ("e_t_max", "e_l_max"):
         val = getattr(budget, name)
         if not (math.isfinite(val) and val > 0):
@@ -285,13 +296,15 @@ def validate(
     """Total validation: returns all violated invariants (empty list == ok).
 
     Never raises; each diagnostic starts with the offending field name, and
-    the first entry is the first violation found in declaration order.
+    the first entry is the first violation found in declaration order.  A
+    budget (the solvers pass one) adds what a solve needs on top: valid caps
+    and floor, and a nonzero prior for every channel the scheme estimates.
     """
     out = _config_violations(config)
     if not out:
         out += _plan_violations(config, plan)
     if budget is not None and not out:
-        out += _budget_violations(config, budget)
+        out += _budget_violations(config, plan, budget)
     return out
 
 

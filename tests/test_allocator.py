@@ -4,7 +4,9 @@ The closed-form branches are checked against fully hand-derived allocations
 (documented inline); the iterative solver for the non-reciprocal scheme is
 checked for feasibility, budget exhaustion, monotone descent, and against an
 independent grid scan.  Scenario values below were derived by hand from the
-KKT structure before running the solver.  The GP's stacked log-sum-exp
+KKT structure before running the solver.  The in-house golden-section search
+of the total-cap scenarios is checked against scipy's, bit for bit, and the
+total-cap solver's outputs are pinned.  The GP's stacked log-sum-exp
 evaluator is checked against a per-posynomial reference recipe, its outputs
 are pinned at recorded grid points, and its contract is property-tested over
 random budgets.
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from dcekit import analytics
 from dcekit.allocator import (
@@ -27,8 +30,10 @@ from dcekit.allocator import (
     _barrier_phi,
     _barrier_point,
     _condense,
+    _golden,
     _lse,
     _lse_grads,
+    _scenario_f,
     _stack,
     optimal_pilot_gram,
     optimize_rank,
@@ -232,6 +237,108 @@ class TestAverageCapScenarios:
         with pytest.raises(InfeasibleGamma):
             solve_general(CFG, R_PLAN, EnergyBudget(120.0, 200.0, 0.05, e_ave_max=70.0))
 
+    def test_grid_maximum_tied_with_neighbour(self):
+        """A reverse-energy interval 1e-5 wide around the optimum makes the
+        scan fine enough that its maximum ties its neighbour in floating
+        point; the refinement still runs (scipy's golden search raises
+        ValueError on such a bracket)."""
+        budget = EnergyBudget(
+            7128.332691059308, 4874.05831918185, 0.9351373513639805,
+            e_ave_max=12002.391000117168,
+        )
+        rep = solve_general(CFG, R_PLAN, budget)
+        assert rep.scenario == "scenario2" and rep.iterations > 2001
+        assert allocation_violations(rep.allocation, CFG, R_PLAN, budget=budget) == []
+        assert rep.constraint_slack >= -1e-9
+
+
+def _scipy_golden(func, bracket):
+    res = optimize.minimize_scalar(
+        func, bracket=bracket, method="golden", options={"xtol": 1e-12}
+    )
+    return float(res.x), int(res.nit)
+
+
+# Smooth unimodal functions of k (x - c), minimum at c.
+_UNIMODAL = [
+    lambda c, k: (lambda x: (k * (x - c)) ** 2 - 3.0),
+    lambda c, k: (lambda x: (k * (x - c)) ** 4 + (k * (x - c)) ** 2),
+    lambda c, k: (lambda x: math.cosh(k * (x - c))),
+    lambda c, k: (lambda x: -math.exp(-((k * (x - c)) ** 2))),
+]
+
+
+class TestGoldenSection:
+    """``_golden`` against ``scipy.optimize.minimize_scalar(method="golden")``
+    with a three-point bracket: equal ``x`` and ``nit``, not just close."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_strict_brackets(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 40:
+            c = rng.normal() * 10.0 ** rng.uniform(-3, 4)
+            width = abs(c) * 10.0 ** rng.uniform(-6, 0) + 10.0 ** rng.uniform(-3, 0)
+            k = 10.0 ** rng.uniform(-1, 1) / width
+            func = _UNIMODAL[checked % len(_UNIMODAL)](c, k)
+            xa, xc = c - width * rng.uniform(0.1, 1), c + width * rng.uniform(0.1, 1)
+            xb = xa + (xc - xa) * rng.uniform(0.05, 0.95)
+            if not func(xb) < min(func(xa), func(xc)):
+                continue
+            assert _golden(func, xa, xb, xc) == _scipy_golden(func, (xa, xb, xc))
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "e_t,e_l,gamma,e_ave",
+        [(120.0, 200.0, 0.1, 60.0), (8000.0, 600.0, 0.1, 3000.0),
+         (1000.0, 1000.0, 0.3, 1200.0), (1000.0, 1000.0, 0.7, 300.0)],
+    )
+    def test_scenario_objective(self, e_t, e_l, gamma, e_ave):
+        gt = analytics.gamma_tilde(CFG, gamma)
+        f, _, _ = _scenario_f(CFG, gt, e_ave, R_PLAN.tau_f)
+        grid = np.linspace(max(0.0, analytics.mu(CFG), e_ave - e_t), min(e_l, e_ave - gt), 2001)
+        best = int(np.argmax(f(grid)))
+        assert 0 < best < 2000
+        bracket = tuple(float(x) for x in grid[best - 1:best + 2])
+
+        def neg(x):
+            return -f(x)
+
+        x, nit = _golden(neg, *bracket)
+        assert (x, nit) == _scipy_golden(neg, bracket)
+        assert nit > 0
+
+
+# solve_general at total-cap budgets, recorded while the refinement still
+# called scipy: (e_t, e_l, gamma, e_ave, scenario, iterations, e_r, e_f,
+# var_a, objective).  Iterations above 2001 went through the refinement.
+GENERAL_PINS = [
+    (120.0, 200.0, 0.1, 60.0, "scenario3", 2045, 6.233056131777886,
+     51.99024948139991, 0.22208679835277642, 0.07854404342074436),
+    (120.0, 200.0, 0.1, 250.0, "scenario2", 2001, 130.0,
+     111.60000000000001, 1.05, 0.035663786331500386),
+    (8000.0, 600.0, 0.1, 1000.0, "scenario3", 2045, 178.9596961930609,
+     742.5362734262453, 9.81300379758674, 0.0065127315437326265),
+    (8000.0, 600.0, 0.1, 3000.0, "scenario3", 2043, 544.4765924339556,
+     2213.5710668094403, 30.244042594575557, 0.0022022064575481118),
+    (1000.0, 1000.0, 0.05, 300.0, "scenario3", 2048, 34.71173121707223,
+     255.8238553437814, 1.1830516798932986, 0.01734507321182071),
+    (1000.0, 1000.0, 0.3, 1200.0, "scenario2", 2045, 333.5380096602123,
+     609.3233932378515, 32.14232463774204, 0.008998356542712018),
+    (1000.0, 1000.0, 0.7, 1200.0, "scenario2", 2044, 445.84070047443004,
+     227.44778985767098, 65.83893870848736, 0.02716948935610297),
+]
+
+
+@pytest.mark.parametrize("pin", GENERAL_PINS, ids=lambda p: f"{p[2]}-{p[3]}")
+def test_pinned_general_outputs(pin):
+    e_t, e_l, gamma, e_ave, scenario, iterations, e_r, e_f, var_a, objective = pin
+    for solver in (solve_general, solve_reciprocal):
+        rep = solver(CFG, R_PLAN, EnergyBudget(e_t, e_l, gamma, e_ave_max=e_ave))
+        a = rep.allocation
+        assert (rep.scenario, rep.iterations) == (scenario, iterations)
+        assert (a.e_r, a.e_f, a.var_a, rep.objective) == (e_r, e_f, var_a, objective)
+
 
 class TestNonreciprocalSolver:
     # Operating point: tx cap 8000 (30 dB over 8 uses), LR cap 600 (20 dB over 6).
@@ -379,6 +486,25 @@ class TestSolverInputValidation:
         cfg = SystemConfig(n_t=4, n_l=2, n_u=2, var_w=math.nan)
         with pytest.raises(ValueError, match="var_w"):
             solver(cfg, plan, EnergyBudget(800.0, 600.0, 0.1, 1000.0))
+
+    @pytest.mark.parametrize(
+        "solver,plan,field",
+        [(solve_reciprocal, R_PLAN, "var_h"), (solve_general, R_PLAN, "var_h"),
+         (solve_nonreciprocal, N_PLAN, "var_hd"), (solve_nonreciprocal, N_PLAN, "var_hu")],
+        ids=["reciprocal", "general", "gp-down", "gp-up"],
+    )
+    @pytest.mark.parametrize("e_ave", [math.inf, 1000.0])
+    def test_zero_solved_prior_raises_value_error(self, solver, plan, field, e_ave):
+        cfg = dataclasses.replace(CFG, **{field: 0.0})
+        with pytest.raises(ValueError, match=field) as info:
+            solver(cfg, plan, EnergyBudget(8000.0, 600.0, 0.1, e_ave_max=e_ave))
+        assert not isinstance(info.value, InfeasibleGamma)
+
+    @pytest.mark.parametrize("field", ["var_hd", "var_hu"])
+    def test_zero_prior_of_other_scheme_is_ignored(self, field):
+        cfg = dataclasses.replace(CFG, **{field: 0.0})
+        budget = EnergyBudget(8000.0, 600.0, 0.1)
+        assert solve_reciprocal(cfg, R_PLAN, budget) == solve_reciprocal(CFG, R_PLAN, budget)
 
     def test_every_violation_is_named(self):
         budget = EnergyBudget(math.nan, -1.0, math.nan)

@@ -66,6 +66,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "gamma" in err and "infeasible" not in err
 
+    def test_zero_channel_prior_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "silent.cfg"
+        cfg.write_text(BASE_CONFIG + "var_h = 0\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "var_h" in err and "infeasible" not in err
+
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(BASE_CONFIG + "bogus = 1\n")
