@@ -1,4 +1,4 @@
-r"""Training-energy allocators: closed forms, 1-D line search, condensation GP.
+r"""Training-energy allocators: closed forms, 1-D searches, exact reduced spaces.
 
 Three solvers, one contract: minimize LR's training NMSE subject to a floor
 ``gamma`` on UR's NMSE plus energy caps, returning a :class:`SolveReport`
@@ -7,7 +7,7 @@ whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
 :func:`dcekit.model.validate` on its inputs and raises a plain ``ValueError``
 naming every violated field (a NaN ``gamma`` or cap, say);
 :class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
-cannot meet.
+cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`.
 
 * :func:`solve_reciprocal` -- per-node caps only.  The problem collapses to a
   two-branch closed form: below the threshold :func:`dcekit.analytics.mu` of
@@ -25,18 +25,28 @@ cannot meet.
   bracket golden search (equal results and iteration counts), so the package
   needs nothing beyond numpy at run time.
 
-* :func:`solve_nonreciprocal` -- five coupled variables and a non-convex
-  posynomial-ratio objective.  Solved by iterative monomial condensation:
-  at each iterate the objective denominator and the leakage-cap posynomial
-  are replaced by their weighted-AM-GM monomial minorants (tight at the
-  iterate), and each resulting convex subproblem is solved in log variables
-  by a log-barrier path (t = 1, x10 per stage) with damped projected-Newton
-  steps.  Condensation under-approximates the leakage cap, so every iterate
-  stays truly feasible and the true objective descends monotonically across
-  accepted steps.  The posynomials of a subproblem are stacked into one
-  exponent matrix, so each Newton step and each line-search probe evaluates
-  the objective numerator and every constraint in one stacked log-sum-exp
-  (one matmul plus segment reductions), not one call per posynomial.
+* :func:`solve_nonreciprocal` -- five energies ``(e_t0, e_l1, e_l2, e_t3,
+  var_a)``, solved exactly in a reduced space.  LR's NMSE decreases in
+  ``e_t3 / D_bar``, ``D_bar = (n_t-n_l) var_a err + var_w``, and the
+  downlink error ``err`` (:func:`dcekit.analytics.downlink_error_floor`)
+  strictly decreases in ``e_t0``, ``e_l1`` and ``e_l2``.  So at any optimum
+  with ``var_a > 0`` (lowering ``var_a`` would otherwise gain):
+
+  - the UR floor binds, ``e_t3 = gt_K (1 + (n_t-n_l) var_g var_a / var_v)``;
+  - every joule the caps leave goes to ``e_t0`` and to LR.
+
+  ``validate()`` pins ``tau_t0 = n_t``, so ``alpha^2 q = e_l1 / n_l`` and
+  ``err = var_hd (1 - rho0(e_t0) / Q)`` with ``rho0 = var_hd e_t0 / q`` and
+  ``Q = 1 + a/e_l2 + b/e_l1 + c/(e_l1 e_l2)``, ``a = n_l^2 var_wt / (n_t
+  var_hu)``, ``b = n_l var_wt / var_hu``, ``c = b^2``.  For a fixed
+  ``var_a`` what remains is concave (``log rho0`` is concave, ``log Q``
+  jointly convex): the LR split minimising ``Q`` at a given LR total is the
+  root of one quadratic, and when the total cap binds the TX/LR share is
+  the root of a decreasing first-order condition, found by bisection.  The
+  outer search over ``var_a`` evaluates whole grids of candidates at once (a
+  log grid, then uniform zoom rounds around the best point) and ends by
+  comparing with the AN-free corner ``var_a = 0``.  A pilot of rank ``K``
+  enters only through ``gt_K`` and the pilot profile.
 
 Rank-deficient forward pilots are handled in closed form: with ``K`` active
 pilot directions the UR floor binds only inside the pilot subspace, which
@@ -48,8 +58,7 @@ all.  :func:`optimize_rank` sweeps ``K`` and keeps the best.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +70,7 @@ from .model import (
     PowerAllocation,
     SystemConfig,
     TrainingPlan,
+    training_spend,
     validate,
 )
 
@@ -74,12 +84,6 @@ __all__ = [
     "solve_reciprocal",
 ]
 
-# Index order of the non-reciprocal GP variables.
-_T0, _L1, _L2, _T3, _SA = range(5)
-
-_SLACK_TOL = 1e-9
-
-
 class InfeasibleGamma(ValueError):
     """The leakage floor lies outside the range the budgets can realize."""
 
@@ -89,10 +93,10 @@ class SolveReport:
     """Solver output: the allocation plus bookkeeping for audits.
 
     ``constraint_slack`` is ``NMSE_U - gamma`` at the solution; ``scenario``
-    names the solution path taken; ``converged`` is false only when the GP
-    hit its iteration cap (the best feasible iterate is still returned, with
-    ``message`` explaining); ``objective_trace`` records the GP objective per
-    accepted outer iteration (empty for closed-form paths).
+    names the solution path taken; ``iterations`` counts search steps (0 for
+    closed forms).  ``converged`` is false only when the non-reciprocal
+    ``var_a`` bracket did not shrink to its tolerance within the round cap;
+    the best point found is still returned, with ``message`` explaining.
     """
 
     allocation: PowerAllocation
@@ -102,7 +106,6 @@ class SolveReport:
     iterations: int
     converged: bool = True
     message: str = ""
-    objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
 
 def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
@@ -360,258 +363,107 @@ def _general(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> 
 
 
 # ---------------------------------------------------------------------------
-# Non-reciprocal solver: condensation GP over (e_t0, e_l1, e_l2, e_t3, var_a).
+# Non-reciprocal solver: exact search over (var_a, TX/LR share).
 # ---------------------------------------------------------------------------
 
-
-def _mono(c: float, e0=0, e1=0, e2=0, e3=0, ea=0) -> list:
-    return [(c, np.array([e0, e1, e2, e3, ea], dtype=float))]
-
-
-def _pmul(p: list, q: list) -> list:
-    return [(cp * cq, ep + eq) for cp, ep in p for cq, eq in q]
+_GRID_POINTS = 64  # first var_a round: 0 and a log grid over var_a_max * [1e-9, 1]
+_ZOOM_POINTS = 24  # every later round: a uniform grid over the bracket
+_ZOOM_RTOL = 1e-9  # done once the bracket is this narrow relative to its best
+_ZOOM_ROUNDS = 60  # round cap; only a bracket that will not shrink reaches it
+_SHARE_STEPS = 52  # bisection steps on the TX/LR share condition
 
 
-def _pscale(p: list, s: float) -> list:
-    return [(c * s, e) for c, e in p]
+def _echo_quality(config: SystemConfig, l):
+    """The LR split of total energy ``l`` that minimises ``Q``, elementwise.
+
+    ``e_l1`` is the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 -
+    (b l^2 + c l)``, i.e. ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns
+    ``(e_l1, e_l2, Q, dQ/dl)``, with ``dQ/dl = dQ/de_l2`` at the split
+    (envelope theorem).
+    """
+    a = config.n_l**2 * config.var_wt / (config.n_t * config.var_hu)
+    b = config.n_l * config.var_wt / config.var_hu
+    c = b * b
+    e_l1 = l / (1.0 + np.sqrt((a * l + c) / (b * l + c)))
+    e_l2 = l - e_l1
+    q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
+    return e_l1, e_l2, q, -(a + c / e_l1) / e_l2**2
 
 
-class _Stack(NamedTuple):
-    """Posynomials frozen for log-space evaluation: all terms in one list,
-    one block of consecutive terms per posynomial."""
-
-    b: np.ndarray       # log-coefficient of every term
-    e: np.ndarray       # (terms, 5) exponent matrix
-    starts: np.ndarray  # first term of each block
-    seg: np.ndarray     # block of each term
-
-
-def _stack(posys: list) -> _Stack:
-    sizes = [len(p) for p in posys]
-    terms = [term for p in posys for term in p]
-    return _Stack(
-        b=np.log(np.array([c for c, _ in terms])),
-        e=np.stack([e for _, e in terms]),
-        starts=np.cumsum([0] + sizes[:-1]),
-        seg=np.repeat(np.arange(len(sizes)), sizes),
+def _floor_spend(config: SystemConfig, plan: TrainingPlan, gt: float, var_a):
+    """Guarded-pilot energy on the UR floor at AN variance ``var_a``,
+    ``gt (1 + (n_t-n_l) var_g var_a / var_v)``, and the transmitter energy
+    that pilot and its AN spend."""
+    e_t3 = gt * (1.0 + (config.n_t - config.n_l) * config.var_g * var_a / config.var_v)
+    zero = 0.0 * var_a
+    alloc = PowerAllocation(
+        scheme=NONRECIPROCAL, e_t0=zero, e_l1=zero, e_l2=zero, e_t3=e_t3, var_a=var_a
     )
+    return e_t3, training_spend(alloc, config, plan)[0]
 
 
-def _lse(stack: _Stack, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log-sum-exp of every block at log-point z, and each term's weight
-    within its block (the block softmax)."""
-    t = stack.b + stack.e @ z
-    m = np.maximum.reduceat(t, stack.starts)
-    w = np.exp(t - m[stack.seg])
-    s = np.add.reduceat(w, stack.starts)
-    return m + np.log(s), w / s[stack.seg]
-
-
-def _lse_grads(stack: _Stack, p: np.ndarray) -> np.ndarray:
-    """Gradient of every block's log-sum-exp, one row per block."""
-    return np.add.reduceat(stack.e * p[:, None], stack.starts, axis=0)
-
-
-def _condense(stack: _Stack, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted-AM-GM monomial minorant of each block, tight at ``z0``.
-
-    Returns ``(b0, a)`` such that ``b0[k] + a[k].z <= log posy_k(z)`` for all
-    z with equality at ``z0``.
-    """
-    val, p = _lse(stack, z0)
-    grads = _lse_grads(stack, p)
-    return val - grads @ z0, grads
-
-
-def _nonreciprocal_posys(config: SystemConfig, plan: TrainingPlan):
-    """Static posynomials of the non-reciprocal objective in the 5 variables.
-
-    Objective = effective-noise / pilot-energy = num / den with::
-
-        num = zeta * hd * (n_t * w * A + Q1 * B) + w * Q1 * (A + B)
-        den = Q1 * (A + B) * e_t3
-
-    where ``Q1 = hd*e_t0 + n_t*w`` (echo-path energy), ``A`` the echo-signal
-    monomial, ``B`` the echo-noise posynomial, and ``zeta = (n_t-n_l)*var_a``.
-    Minimizing num/den minimizes the LR NMSE for any pilot rank because the
-    per-direction NMSE is monotone in e_t3 / effective-noise.
-    """
-    nt, nl = config.n_t, config.n_l
-    hd, hu = config.var_hd, config.var_hu
-    w, wt = config.var_w, config.var_wt
-
-    q1 = _mono(hd, e0=1) + _mono(nt * w)
-    q2 = _mono(hu, e2=1) + _mono(nl * wt)
-    a_sig = _mono(nt * hu**2, e1=1, e2=1)
-    b_noise = _mono(nl**2 * hu * wt, e1=1) + _pscale(_pmul(_mono(nt * nl * wt), q2), 1.0)
-    zeta = _mono(nt - nl, ea=1)
-
-    a_plus_b = a_sig + b_noise
-    leak = _pmul(_mono(nt * w), a_sig) + _pmul(q1, b_noise)
-    num = _pmul(_pmul(zeta, _mono(hd)), leak) + _pmul(_mono(w), _pmul(q1, a_plus_b))
-    den = _pmul(_pmul(q1, a_plus_b), _mono(1.0, e3=1))
-    return num, den
-
-
-def _gp_warm_start(
-    config: SystemConfig, budget: EnergyBudget, gt: float
-) -> np.ndarray:
-    """Strictly feasible start: split caps, leakage floor just-active."""
-    nt, nl = config.n_t, config.n_l
-    an = nt - nl
-    g, v = config.var_g, config.var_v
-    margin = 0.98
-    e_l1 = e_l2 = margin * budget.e_l_max / 2.0
-
-    # Equal pilot split e_t0 = e_t3 = s with the floor active at e_t3 = s:
-    # 2 s + n_t * an * sa2(s) = margin * e_t_max,  sa2(s) from NMSE_U == gamma.
-    cap_t = margin * budget.e_t_max
-    s = (cap_t + nt * v / g) / (2.0 + nt * v / (gt * g))
-    sa2 = (s * v / gt - v) / (an * g)
-    if sa2 <= 0.0:
-        sa2 = 1e-9 * budget.e_t_max / (an * nt)
-        s = (cap_t - nt * an * sa2) / 2.0
-    sa2 *= 1.001  # strictly inside the leakage cap
-    x = np.array([s, e_l1, e_l2, s, sa2])
-
-    if math.isfinite(budget.e_ave_max):
-        total = 2.0 * s + nt * an * sa2 + e_l1 + e_l2
-        scale = min(1.0, margin * budget.e_ave_max / total)
-        x = x * scale  # uniform downscale preserves the leakage constraint
-    return np.maximum(x, 1e-30)
-
-
-def _barrier_point(stack: _Stack, lin: tuple, z: np.ndarray) -> tuple:
-    """Every block's log-sum-exp, the term weights, and all constraint
-    residuals (posynomial blocks after the first, then the linear rows
-    ``a z + c``) at ``z``, from one stacked evaluation."""
-    vals, p = _lse(stack, z)
-    a_lin, c_lin = lin
-    return vals, p, np.concatenate((vals[1:], a_lin @ z + c_lin))
-
-
-def _barrier_phi(point: tuple, a_den: np.ndarray, z: np.ndarray, t: float) -> float:
-    """Barrier objective ``t f0 - sum log(-r)``; ``inf`` outside the feasible set."""
-    vals, _, r = point
-    if r.max() >= 0.0:
-        return math.inf
-    return t * (vals[0] - float(a_den @ z)) - float(np.log(-r).sum())
-
-
-def _barrier_derivatives(
-    stack: _Stack, lin: tuple, a_den: np.ndarray, point: tuple, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the barrier objective at an evaluated point.
-
-    With block gradients ``g_k = E_kᵀ p_k``, each log-sum-exp contributes
-    ``E_kᵀ diag(p_k) E_k - g_k g_kᵀ`` to its Hessian, so the whole barrier
-    Hessian is ``Eᵀ diag(p * coef[seg]) E + Gᵀ diag(gcoef) G`` with the
-    linear constraint rows stacked under the block gradients in ``G``.
-    """
-    _, p, r = point
-    a_lin = lin[0]
-    n_pos = len(stack.starts) - 1
-    r_pos, r_lin = r[:n_pos], r[n_pos:]
-    grads = np.concatenate((_lse_grads(stack, p), a_lin))
-    # A posynomial constraint's -log(-r) has Hessian H/(-r) + g gᵀ/r², with
-    # H = Eᵀ diag(p) E - g gᵀ: weight -1/r on its E-part and 1/r² + 1/r on
-    # g gᵀ.  The objective block's are t and -t, a linear row's g gᵀ 1/r².
-    coef = np.concatenate(([t], -1.0 / r_pos))
-    gcoef = np.concatenate(([-t], 1.0 / r_pos**2 + 1.0 / r_pos, 1.0 / r_lin**2))
-    grad = np.concatenate((coef, -1.0 / r_lin)) @ grads - t * a_den
-    hess = (stack.e.T * (p * coef[stack.seg])) @ stack.e + (grads.T * gcoef) @ grads
-    return grad, hess
-
-
-def _barrier_newton(
-    stack: _Stack, a_den: np.ndarray, lin: tuple, z0: np.ndarray, z_lo, z_hi
-) -> np.ndarray:
-    """Minimize LSE(block 0) - a_den.z subject to every other block's LSE <= 0
-    and the linear rows ``lin = (A, c)``: ``A z + c <= 0``.
-
-    Log-barrier path (t = 1, x10 per stage, stop past 1e10) with damped
-    Newton steps, each projected onto the log box [z_lo, z_hi].  ``z0``
-    must be strictly feasible.  Each step and each line-search probe is one
-    stacked evaluation of all posynomials (:func:`_barrier_point`); the
-    accepted probe's evaluation and barrier value carry over to the next
-    step, so every visited point is evaluated once.
-    """
-    z = z0.copy()
-    point = _barrier_point(stack, lin, z)
-    ridge = 1e-12 * np.eye(5)
-    t = 1.0
-    for _ in range(12):  # barrier path: t *= 10 each stage
-        base = _barrier_phi(point, a_den, z, t)
-        for _ in range(60):
-            grad, hess = _barrier_derivatives(stack, lin, a_den, point, t)
-            try:
-                step = np.linalg.solve(hess + ridge, -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            decrement = float(-grad @ step)
-            if decrement < 1e-12:
-                break
-            alpha = 1.0
-            for _ in range(50):
-                cand = np.minimum(np.maximum(z + alpha * step, z_lo), z_hi)
-                cand_point = _barrier_point(stack, lin, cand)
-                cand_phi = _barrier_phi(cand_point, a_den, cand, t)
-                if cand_phi < base - 1e-12 * alpha * decrement:
-                    z, point, base = cand, cand_point, cand_phi
-                    break
-                alpha *= 0.5
-            else:
-                break
-        t *= 10.0
-        if t > 1e10:
-            break
-    return z
+def _reduced_points(
+    config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget, gt: float, var_a
+):
+    """Best allocation at each AN variance in the array ``var_a``: ``e_t3``
+    on the floor, the rest of the caps to ``e_t0`` and LR.  A binding total
+    cap is shared by bisection on the derivative of ``log rho0(e_t0) - log
+    Q(l)`` along ``e_t0 + l = room``, which decreases.  Returns ``e_t3 /
+    D_bar`` and the energies ``(e_t0, e_l1, e_l2, e_t3)``."""
+    e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
+    room = np.maximum(budget.e_ave_max - tx_spend, 0.0)  # inf without a total cap
+    hi = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
+    lo = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(lo < hi):
+            for _ in range(_SHARE_STEPS):
+                mid = 0.5 * (lo + hi)
+                _, _, q, dq = _echo_quality(config, room - mid)
+                dlog_rho0 = config.n_t * config.var_w / (mid * analytics.echo_power(config, mid))
+                grow = dlog_rho0 + dq / q > 0.0
+                lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
+        e_t0 = 0.5 * (lo + hi)
+        e_l1, e_l2, q, _ = _echo_quality(config, np.minimum(budget.e_l_max, room - e_t0))
+        rho0 = config.var_hd * e_t0 / analytics.echo_power(config, e_t0)
+        err = config.var_hd * (1.0 - rho0 / q)
+    d_bar = (config.n_t - config.n_l) * var_a * err + config.var_w
+    return e_t3 / d_bar, (e_t0, e_l1, e_l2, e_t3)
 
 
 def solve_nonreciprocal(
-    config: SystemConfig,
-    plan: TrainingPlan,
-    budget: EnergyBudget,
-    options: dict | None = None,
+    config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
-    """Optimal non-reciprocal allocation by iterative monomial condensation.
+    """Optimal non-reciprocal allocation by an exact reduced-space search.
 
-    Each outer iteration condenses the objective denominator and the
-    leakage-cap posynomial to monomials (tight at the iterate) and solves the
-    resulting convex log-space subproblem with a barrier/Newton method.  The
-    condensed leakage cap under-approximates the true one, so every iterate
-    is truly feasible and the objective descends monotonically.  Stops on
-    relative objective change below ``tol`` (default ``1e-6``) or after
-    ``max_iters`` (default 200) outer iterations, in which case the best
-    feasible iterate is returned with ``converged=False``.
+    For each AN variance the rest of the allocation is exact (see the module
+    docstring).  ``var_a`` itself is searched by a 64-point grid over its
+    feasible range (0 and a log grid), then by rounds of 24-point uniform
+    grids over the bracket around each round's best point, every round
+    evaluated at once.  The best
+    point (scenario ``"interior"``) is compared with the AN-free corner
+    (``"an-free"``).  ``iterations`` counts the rounds.
     """
     _check_inputs(config, plan, budget, NONRECIPROCAL)
-    opts = {"max_iters": 200, "tol": 1e-6}
-    if options:
-        opts.update(options)
-
-    nt, nl = config.n_t, config.n_l
-    an = nt - nl
-    g, v, w = config.var_g, config.var_v, config.var_w
     k = plan.pilot_rank
     d = plan.pilot_eigs
     e_cap = min(budget.e_t_max, budget.e_ave_max)
 
-    def report(alloc, scenario, iterations=0, converged=True, message="", trace=()):
+    def report(alloc, scenario, **search):
         objective = analytics.nmse_l_nonreciprocal_approx(config, alloc, plan)
         slack = analytics.nmse_u(config, alloc.e_t3, alloc.var_a, d) - budget.gamma
         return SolveReport(
             allocation=alloc, objective=objective, constraint_slack=slack,
-            scenario=scenario, iterations=iterations, converged=converged,
-            message=message, objective_trace=trace,
+            scenario=scenario, **search,
+        )
+
+    def an_free(e_t3):
+        return PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=0.0, e_l1=0.0, e_l2=0.0, e_t3=e_t3, var_a=0.0
         )
 
     gamma_k = _rank_reduced_gamma(config, budget.gamma, k)
     if gamma_k <= 0.0:
-        alloc = PowerAllocation(
-            scheme=NONRECIPROCAL, e_t0=0.0, e_l1=0.0, e_l2=0.0, e_t3=e_cap, var_a=0.0
-        )
-        return report(alloc, "rank-k-vacuous")
+        return report(an_free(e_cap), "rank-k-vacuous", iterations=0)
 
     gt = _gamma_tilde_k(config, gamma_k, k)
     if gt <= 0.0:
@@ -624,84 +476,32 @@ def solve_nonreciprocal(
             f"but only {e_cap:.6g} is available"
         )
 
-    # AN-free corner: all usable transmit energy on the guarded pilot, capped
-    # by the leakage floor.  Cheap, always feasible, and the honest fallback
-    # whenever artificial noise cannot pay for itself.
-    corner = PowerAllocation(
-        scheme=NONRECIPROCAL, e_t0=0.0, e_l1=0.0, e_l2=0.0,
-        e_t3=min(gt, e_cap), var_a=0.0,
-    )
-    corner_obj = analytics.nmse_l_nonreciprocal_approx(config, corner, plan)
-
-    num, den = _nonreciprocal_posys(config, plan)
-    # Condensed each outer iteration: the objective denominator and the
-    # leakage-cap posynomial.
-    condensed = _stack([den, _mono(v) + _mono(an * g, ea=1)])
-
-    # The barrier subproblem: numerator first, then the energy caps.
-    tx_terms = _mono(1.0, e0=1) + _mono(1.0, e3=1) + _mono(nt * an, ea=1)
-    lr_terms = _mono(1.0, e1=1) + _mono(1.0, e2=1)
-    blocks = [
-        num,
-        _pscale(tx_terms, 1.0 / budget.e_t_max),
-        _pscale(lr_terms, 1.0 / budget.e_l_max),
-    ]
-    if math.isfinite(budget.e_ave_max):
-        blocks.append(_pscale(tx_terms + lr_terms, 1.0 / budget.e_ave_max))
-    subproblem = _stack(blocks)
-
-    caps = np.array([
-        budget.e_t_max, budget.e_l_max, budget.e_l_max, budget.e_t_max,
-        budget.e_t_max / (an * nt),
-    ])
-    caps = np.minimum(caps, budget.e_ave_max)
-    z_lo = np.log(caps * 1e-14)
-    z_hi = np.log(caps)
-
-    def alloc_of(x: np.ndarray) -> PowerAllocation:
-        return PowerAllocation(
-            scheme=NONRECIPROCAL, e_t0=float(x[_T0]), e_l1=float(x[_L1]),
-            e_l2=float(x[_L2]), e_t3=float(x[_T3]), var_a=float(x[_SA]),
-        )
-
-    x = _gp_warm_start(config, budget, gt)
-    current = analytics.nmse_l_nonreciprocal_approx(config, alloc_of(x), plan)
-    trace = [current]
-    converged = False
-    iterations = 0
-    e3_axis = np.eye(5)[_T3]
-
-    for iterations in range(1, opts["max_iters"] + 1):
-        z0 = np.log(x)
-        (_, r_b0), (a_den, a_r) = _condense(condensed, z0)
-        lin = ((e3_axis - a_r)[None, :], np.array([math.log(v / gt) - r_b0]))
-        z_new = _barrier_newton(subproblem, a_den, lin, z0, z_lo, z_hi)
-        x_new = np.exp(z_new)
-        new = analytics.nmse_l_nonreciprocal_approx(config, alloc_of(x_new), plan)
-        if not math.isfinite(new) or new > current:
-            break  # condensation step failed to improve; current point stands
-        drop = (current - new) / max(current, 1e-300)
-        x, current = x_new, new
-        trace.append(current)
-        if drop < opts["tol"]:
-            converged = True
+    # The transmitter's spend along the floor is affine in var_a; at
+    # var_a_max nothing is left for e_t0.
+    _, (spend0, spend1) = _floor_spend(config, plan, gt, np.array([0.0, 1.0]))
+    var_a_max = (e_cap - spend0) / (spend1 - spend0)
+    grid = var_a_max * np.append(0.0, np.geomspace(1e-9, 1.0, _GRID_POINTS - 1))
+    for rounds in range(1, _ZOOM_ROUNDS + 1):
+        ratio, energies = _reduced_points(config, plan, budget, gt, grid)
+        i = int(np.argmax(ratio))
+        var_a = float(grid[i])
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        converged = hi - lo <= _ZOOM_RTOL * var_a or var_a == 0.0  # zero: the corner wins
+        if converged:
             break
+        grid = np.linspace(lo, hi, _ZOOM_POINTS)
+    message = "" if converged else f"var_a bracket still {hi - lo:.3g} wide after {rounds} rounds"
+    search = {"iterations": rounds, "converged": converged, "message": message}
 
-    best = alloc_of(x)
-    message = ""
-    if not converged:
-        message = (
-            f"stopped after {iterations} condensation iterations without meeting "
-            f"tol={opts['tol']}; returning best feasible iterate"
-        )
-    if corner_obj < current:
-        best, current = corner, corner_obj
-        converged = True
-        message = "AN-free corner beat the interior iterate"
-    return report(
-        best, "gp", iterations=iterations, converged=converged,
-        message=message, trace=tuple(trace),
+    e_t0, e_l1, e_l2, e_t3 = (float(x[i]) for x in energies)
+    interior = report(
+        PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
+        ),
+        "interior", **search,
     )
+    corner = report(an_free(gt), "an-free", **search)
+    return corner if corner.objective <= interior.objective else interior
 
 
 def optimize_rank(

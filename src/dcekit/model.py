@@ -42,6 +42,7 @@ __all__ = [
     "parse_config",
     "reciprocal_plan",
     "training_lengths",
+    "training_spend",
     "validate",
 ]
 
@@ -268,7 +269,7 @@ def _plan_violations(config: SystemConfig, plan: TrainingPlan) -> list[str]:
 
 # The channel priors each scheme's solver estimates.  A zero prior is a valid
 # model for a round (nothing to learn, zero error), but no allocation problem:
-# the closed forms divide by it and the GP takes its log.
+# the solvers' closed forms divide by it.
 _SOLVED_PRIORS = {RECIPROCAL: ("var_h",), NONRECIPROCAL: ("var_hd", "var_hu")}
 
 
@@ -308,6 +309,23 @@ def validate(
     return out
 
 
+def training_spend(
+    alloc: PowerAllocation, config: SystemConfig, plan: TrainingPlan
+) -> tuple:
+    """(transmitter, LR) training energy an allocation spends in one round.
+
+    The artificial noise is drawn on every use of the guarded forward pilot,
+    so it is billed as ``(n_t - n_l) * var_a`` per use over ``tau_f``
+    (reciprocal) or ``tau_t3`` (non-reciprocal) uses.  Plain arithmetic on
+    the fields, so array-valued fields give array-valued spends.
+    """
+    an_dims = config.n_t - config.n_l
+    if alloc.scheme == RECIPROCAL:
+        return alloc.e_f + an_dims * alloc.var_a * plan.tau_f, alloc.e_r
+    tx = alloc.e_t0 + alloc.e_t3 + an_dims * alloc.var_a * plan.tau_t3
+    return tx, alloc.e_l1 + alloc.e_l2
+
+
 def allocation_violations(
     alloc: PowerAllocation,
     config: SystemConfig,
@@ -317,9 +335,8 @@ def allocation_violations(
     """Feasibility diagnostics for an allocation (empty list == feasible).
 
     Without a budget only well-formedness is checked (matching scheme, no
-    missing fields, nonnegative energies).  With a budget the per-node caps —
-    artificial noise billed as ``(n_t - n_l) * var_a *`` (pilot length /
-    ``n_t``) — and the optional total cap are enforced too.
+    missing fields, nonnegative energies).  With a budget the per-node caps on
+    :func:`training_spend` and the optional total cap are enforced too.
     """
     out = []
     if alloc.scheme != plan.scheme:
@@ -337,13 +354,7 @@ def allocation_violations(
     if out or budget is None:
         return out
 
-    an_dims = config.n_t - config.n_l
-    if alloc.scheme == RECIPROCAL:
-        tx_spend = alloc.e_f + an_dims * alloc.var_a * plan.tau_f
-        lr_spend = alloc.e_r
-    else:
-        tx_spend = alloc.e_t0 + alloc.e_t3 + an_dims * alloc.var_a * config.n_t
-        lr_spend = alloc.e_l1 + alloc.e_l2
+    tx_spend, lr_spend = training_spend(alloc, config, plan)
     tol = 1e-9
     if tx_spend > budget.e_t_max * (1 + tol) + tol:
         out.append(f"e_t_max: transmitter spend {tx_spend} exceeds cap {budget.e_t_max}")

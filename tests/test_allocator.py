@@ -1,15 +1,15 @@
 """Power-allocation solver tests.
 
 The closed-form branches are checked against fully hand-derived allocations
-(documented inline); the iterative solver for the non-reciprocal scheme is
-checked for feasibility, budget exhaustion, monotone descent, and against an
-independent grid scan.  Scenario values below were derived by hand from the
-KKT structure before running the solver.  The in-house golden-section search
-of the total-cap scenarios is checked against scipy's, bit for bit, and the
-total-cap solver's outputs are pinned.  The GP's stacked log-sum-exp
-evaluator is checked against a per-posynomial reference recipe, its outputs
-are pinned at recorded grid points, and its contract is property-tested over
-random budgets.
+(documented inline); the non-reciprocal solver is checked for feasibility,
+budget exhaustion and against an independent grid scan.  Scenario values
+below were derived by hand from the KKT structure before running the solver.
+The in-house golden-section search of the total-cap scenarios is checked
+against scipy's, bit for bit, and the total-cap solver's outputs are pinned.
+The non-reciprocal solver must match or beat the objectives the condensation
+GP it replaced reached at recorded points, including budgets where that GP
+stopped short of the optimum; it is checked against a from-scratch
+numpy/scipy oracle over random budgets, and its contract is property-tested.
 """
 
 from __future__ import annotations
@@ -26,15 +26,8 @@ from scipy import optimize
 from dcekit import analytics
 from dcekit.allocator import (
     InfeasibleGamma,
-    _barrier_derivatives,
-    _barrier_phi,
-    _barrier_point,
-    _condense,
     _golden,
-    _lse,
-    _lse_grads,
     _scenario_f,
-    _stack,
     optimal_pilot_gram,
     optimize_rank,
     solve_general,
@@ -347,7 +340,7 @@ class TestNonreciprocalSolver:
     def test_anchor_point(self):
         rep = solve_nonreciprocal(CFG, N_PLAN, self.BUDGET)
         assert rep.converged
-        assert rep.scenario == "gp"
+        assert rep.scenario == "interior"
         # Independent 3-D grid scan puts the optimum at 0.0020206 +- 1%.
         assert 0.00200 <= rep.objective <= 0.00204
         assert rep.constraint_slack >= -1e-9
@@ -358,13 +351,6 @@ class TestNonreciprocalSolver:
         assert tx == pytest.approx(self.BUDGET.e_t_max, rel=1e-3)
         assert lr == pytest.approx(self.BUDGET.e_l_max, rel=1e-3)
         assert allocation_violations(a, CFG, N_PLAN, budget=self.BUDGET) == []
-
-    def test_descent_trace_monotone(self):
-        rep = solve_nonreciprocal(CFG, N_PLAN, self.BUDGET)
-        trace = np.asarray(rep.objective_trace)
-        assert trace.size >= 2
-        assert np.all(np.diff(trace) <= 1e-12)
-        assert trace[-1] == pytest.approx(rep.objective)
 
     def test_objective_consistent_with_analytics(self):
         rep = solve_nonreciprocal(CFG, N_PLAN, self.BUDGET)
@@ -512,114 +498,18 @@ class TestSolverInputValidation:
             solve_nonreciprocal(CFG, N_PLAN, budget)
 
 
-# --- Stacked log-sum-exp evaluator ------------------------------------------
-# Reference: the per-posynomial recipe the GP used before its posynomials
-# were stacked, one log-sum-exp (value, gradient, Hessian) per block.
-
-
-def _ref_lse(b, e_mat, z):
-    t = b + e_mat @ z
-    m = t.max()
-    w = np.exp(t - m)
-    s = w.sum()
-    p = w / s
-    grad = e_mat.T @ p
-    return m + math.log(s), grad, (e_mat.T * p) @ e_mat - np.outer(grad, grad)
-
-
-def _ref_barrier(blocks, a_den, lin, z, t):
-    """Per-block barrier gradient and Hessian (block 0 is the objective)."""
-    val, grad_num, hess_num = _ref_lse(*blocks[0], z)
-    grad = t * (grad_num - a_den)
-    hess = t * hess_num
-    for b, e in blocks[1:]:
-        gval, ggrad, ghess = _ref_lse(b, e, z)
-        grad += ggrad / (-gval)
-        hess += np.outer(ggrad, ggrad) / gval**2 + ghess / (-gval)
-    for a, c in zip(*lin):
-        gval = float(a @ z + c)
-        grad += a / (-gval)
-        hess += np.outer(a, a) / gval**2
-    return grad, hess
-
-
-def _random_problem(rng, n_blocks):
-    """Random posynomial blocks (as ``_mono``-style term lists) and a
-    log-point at which every constraint block is strictly negative."""
-    z = rng.normal(size=5)
-    posys = []
-    for k in range(n_blocks):
-        terms = [
-            (float(np.exp(rng.normal())), rng.integers(-1, 3, size=5).astype(float))
-            for _ in range(rng.integers(1, 16))
-        ]
-        if k > 0:  # rescale so that log posy(z) lies in [-3, -0.1]
-            val = _ref_lse(np.log([c for c, _ in terms]), np.stack([e for _, e in terms]), z)[0]
-            shift = math.exp(-rng.uniform(0.1, 3.0) - val)
-            terms = [(c * shift, e) for c, e in terms]
-        posys.append(terms)
-    a_lin = rng.normal(size=(2, 5))
-    c_lin = -a_lin @ z - rng.uniform(0.1, 3.0, size=2)
-    return posys, (a_lin, c_lin), z
-
-
-def _frozen(terms):
-    return np.log([c for c, _ in terms]), np.stack([e for _, e in terms])
-
-
-class TestStackedEvaluator:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_values_and_gradients_match_per_block(self, seed):
-        rng = np.random.default_rng(seed)
-        posys, _, z = _random_problem(rng, n_blocks=int(rng.integers(1, 6)))
-        stack = _stack(posys)
-        vals, p = _lse(stack, z)
-        grads = _lse_grads(stack, p)
-        b0, a = _condense(stack, z)
-        for k, terms in enumerate(posys):
-            ref_val, ref_grad, _ = _ref_lse(*_frozen(terms), z)
-            np.testing.assert_allclose(vals[k], ref_val, rtol=1e-12)
-            np.testing.assert_allclose(grads[k], ref_grad, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(a[k], ref_grad, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(b0[k], ref_val - ref_grad @ z, rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("t", [1.0, 1e5, 1e10])
-    def test_barrier_derivatives_match_per_block(self, seed, t):
-        rng = np.random.default_rng(100 + seed)
-        posys, lin, z = _random_problem(rng, n_blocks=4)
-        a_den = rng.normal(size=5)
-        stack = _stack(posys)
-        point = _barrier_point(stack, lin, z)
-        grad, hess = _barrier_derivatives(stack, lin, a_den, point, t)
-        ref_grad, ref_hess = _ref_barrier([_frozen(p) for p in posys], a_den, lin, z, t)
-        scale = np.abs(ref_hess).max()
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
-        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * scale)
-        # Barrier value: t f0 - sum log(-r) over the posynomial and linear rows.
-        residuals = [_ref_lse(*_frozen(p), z)[0] for p in posys[1:]] + list(lin[0] @ z + lin[1])
-        ref_phi = t * (_ref_lse(*_frozen(posys[0]), z)[0] - a_den @ z) - np.sum(np.log(-np.array(residuals)))
-        np.testing.assert_allclose(_barrier_phi(point, a_den, z, t), ref_phi, rtol=1e-12)
-
-    def test_infeasible_point_has_infinite_barrier(self):
-        rng = np.random.default_rng(7)
-        posys, (a_lin, c_lin), z = _random_problem(rng, n_blocks=3)
-        stack = _stack(posys)
-        lin = (a_lin, c_lin + 10.0)  # pushes the linear rows past zero
-        assert _barrier_phi(_barrier_point(stack, lin, z), np.zeros(5), z, 1.0) == math.inf
-
-
 # --- Pinned GP outputs -------------------------------------------------------
-# Outer iterations, convergence and objectives recorded from the per-block
-# solver, at the 13 feasible points of the non-reciprocal `sweep` grid
-# (SystemConfig(4, 2, 2), pt_db = 30, pl_db = pave_db - 10, total cap pave_db)
-# and at the EnergyBudget(8000, 600, 0.1) anchor.
+# Objectives the condensation GP reached (all converged), at the 13 feasible
+# points of the non-reciprocal `sweep` grid (SystemConfig(4, 2, 2), pt_db =
+# 30, pl_db = pave_db - 10, total cap pave_db) and at the EnergyBudget(8000,
+# 600, 0.1) anchor.  The exact solver must reach them or better.  The GP's
+# outer-iteration counts stay in the table as part of each pin's test id.
 _L = {15.0: 18.973665961010276, 21.0: 75.53552470765004, 27.0: 300.71234017636334,
       33.0: 1197.1573889813271, 39.0: 4765.969408345688}
 _A = {15.0: 442.7188724235731, 21.0: 1762.4955765118345, 27.0: 7016.621270781814,
       33.0: 27933.672409564304, 39.0: 111205.95286139939}
 GP_PINS = [
-    # (gamma, pave_db, iterations, objective); every point converged
+    # (gamma, pave_db, GP iterations, objective)
     (0.002, 27.0, 5, 0.0006669184304717396),
     (0.002, 33.0, 5, 0.0005465799140776039),
     (0.002, 39.0, 5, 0.0005412643574315068),
@@ -637,17 +527,148 @@ GP_PINS = [
 
 
 class TestPinnedGpOutputs:
-    @pytest.mark.parametrize("gamma,pave,iterations,objective", GP_PINS)
-    def test_sweep_grid(self, gamma, pave, iterations, objective):
+    @pytest.mark.parametrize("gamma,pave,gp_iterations,objective", GP_PINS)
+    def test_sweep_grid(self, gamma, pave, gp_iterations, objective):
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
         rep = solve_nonreciprocal(CFG, N_PLAN, budget)
-        assert (rep.iterations, rep.converged) == (iterations, True)
-        assert rep.objective == pytest.approx(objective, rel=1e-9)
+        assert rep.converged
+        assert rep.objective <= objective * (1 + 1e-9)
 
     def test_anchor(self):
         rep = solve_nonreciprocal(CFG, N_PLAN, EnergyBudget(8000.0, 600.0, 0.1))
-        assert (rep.iterations, rep.converged) == (3, True)
-        assert rep.objective == pytest.approx(0.002020568509860915, rel=1e-9)
+        assert rep.converged
+        assert rep.objective <= 0.002020568509860915 * (1 + 1e-9)
+
+
+class TestGpShortfalls:
+    """Budgets where the condensation GP reported a worse point as converged.
+
+    Each pin is the objective of a feasible allocation found by a reduced
+    grid search (with ``var_a > 0``); the GP stopped at the AN-free corner or
+    short of the optimum.
+    """
+
+    @pytest.mark.parametrize(
+        "budget,pin",
+        [
+            # gamma = 0.03, P_ave = 14 dB in the acceptance grid's shape:
+            # the GP returned the AN-free corner, 0.03000.
+            (EnergyBudget(200.95, 15.07, 0.03), 0.025281),
+            (EnergyBudget(41.7, 200.0, 0.163), 0.130911),
+            # Total cap far below the per-node caps: the GP took 104
+            # iterations to reach 0.816575678127 (2.4e-6 above the optimum).
+            (EnergyBudget(712.8, 34521.0, 0.826, e_ave_max=12.19), 0.81657370),
+        ],
+        ids=["acceptance-grid", "low-energy", "tight-total-cap"],
+    )
+    def test_reaches_pin(self, budget, pin):
+        rep = solve_nonreciprocal(CFG, N_PLAN, budget)
+        assert rep.objective <= pin * (1 + 1e-6)
+        assert rep.allocation.var_a > 0.0
+        assert rep.converged and rep.scenario == "interior"
+        assert allocation_violations(rep.allocation, CFG, N_PLAN, budget=budget) == []
+        assert rep.constraint_slack >= -1e-9
+
+
+# --- Reduced-space oracle ----------------------------------------------------
+# Written from the paper's formulas with numpy and scipy only; it shares no
+# code with dcekit.  It uses two facts of the reduction -- the UR floor binds
+# and the LR energy left by the caps is spent -- but neither the closed-form
+# LR split nor the TX/LR share condition: those are searched numerically.
+
+
+def _oracle_nmse(cfg, plan, p):
+    """(LR NMSE, UR NMSE) at stacked (e_t0, e_l1, e_l2, e_t3, var_a) rows,
+    uniform rank-K forward pilot, tau_t0 = n_t."""
+    e_t0, e_l1, e_l2, e_t3, var_a = (np.asarray(x, dtype=float) for x in p)
+    nt, nl, k = cfg.n_t, cfg.n_l, plan.pilot_rank
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = cfg.var_hd * e_t0 + nt * cfg.var_w           # echoed stage-0 power
+        alpha2 = e_l1 / (nl * q)                          # echo gain^2 at LR's cap
+        rho0 = cfg.var_hd * e_t0 / q
+        delta_u2 = 1.0 / (1.0 / cfg.var_hu + e_l2 / (nl * cfg.var_wt))
+        beta = nl * delta_u2 + nt * cfg.var_wt / (alpha2 * q)
+        lam = nt * cfg.var_hu**2 * e_l2 / (cfg.var_hu * e_l2 + nl * cfg.var_wt)
+        powered = (e_t0 > 0) & (e_l1 > 0) & (e_l2 > 0)
+        err = np.where(powered, cfg.var_hd * (1.0 - rho0 * lam / (beta + lam)), cfg.var_hd)
+    an = nt - nl
+    noise_l = an * var_a * err + cfg.var_w
+    noise_u = an * var_a * cfg.var_g + cfg.var_v
+
+    def nmse(prior, noise):
+        return ((nt - k) * prior + k / (1.0 / prior + e_t3 / (k * noise))) / nt
+
+    return nmse(cfg.var_hd, noise_l), nmse(cfg.var_g, noise_u)
+
+
+def _oracle(cfg, plan, budget) -> float:
+    """Best LR NMSE over (var_a, e_t0 share, LR split): a 41x21x21 grid, then
+    Nelder-Mead from the two best grid points.  Every point is feasible by
+    construction, so the result bounds the true optimum from above."""
+    nt, nl, k = cfg.n_t, cfg.n_l, plan.pilot_rank
+    an = nt - nl
+    cap = min(budget.e_t_max, budget.e_ave_max)
+    gamma_k = (nt * budget.gamma - (nt - k) * cfg.var_g) / k
+    top = (1.0 / gamma_k - 1.0 / cfg.var_g) * k * cfg.var_v  # floor e_t3 at var_a = 0
+    v_max = (cap - top) / (top * an * cfg.var_g / cfg.var_v + an * plan.tau_t3)
+
+    def point(v, u0, u2):
+        v = np.clip(v, 0.0, v_max)
+        u0, u2 = np.clip(u0, 0.0, 1.0), np.clip(u2, 0.0, 1.0)
+        e_t3 = top * (1.0 + an * cfg.var_g * v / cfg.var_v)
+        tx = e_t3 + an * plan.tau_t3 * v
+        e_t0 = u0 * np.maximum(cap - tx, 0.0)
+        lr = np.minimum(budget.e_l_max, np.maximum(budget.e_ave_max - tx - e_t0, 0.0))
+        return np.array([e_t0, u2 * lr, (1.0 - u2) * lr, e_t3, v])
+
+    axes = (np.concatenate([[0.0], v_max * np.geomspace(1e-7, 1.0, 40)]),
+            np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21))
+    v, u0, u2 = (m.ravel() for m in np.meshgrid(*axes, indexing="ij"))
+    vals = _oracle_nmse(cfg, plan, point(v, u0, u2))[0]
+    order = np.argsort(vals)
+    best = float(vals[order[0]])
+
+    def f(x):
+        p = point(v_max * math.exp(x[0]), x[1], x[2])
+        return float(_oracle_nmse(cfg, plan, p[:, None])[0][0])
+
+    for i in order[:2]:
+        x0 = [math.log(max(v[i], 1e-7 * v_max) / v_max), u0[i], u2[i]]
+        res = optimize.minimize(
+            f, x0, method="Nelder-Mead", options=dict(maxiter=600, xatol=1e-12, fatol=1e-16)
+        )
+        best = min(best, float(res.fun))
+    return best
+
+
+# A non-unit-variance system, so that no two variances can be confused.
+CFG_SKEW = SystemConfig(
+    4, 2, 2, var_hu=0.7, var_hd=1.3, var_g=0.8, var_wt=0.6, var_w=1.1, var_v=0.9
+)
+
+
+class TestReducedSpaceOracle:
+    @pytest.mark.parametrize("total_cap", [False, True], ids=["per-node", "total-cap"])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_never_beaten(self, rank, total_cap):
+        rng = np.random.default_rng(100 * rank + total_cap)
+        for i in range(5):
+            cfg = (CFG, CFG_SKEW)[i % 2]
+            plan = nonreciprocal_plan(cfg, pilot_rank=rank, tau_t3=int(rng.choice([4, 8])))
+            e_t, e_l = 10.0 ** rng.uniform(1.0, 4.5), 10.0 ** rng.uniform(0.5, 4.0)
+            e_ave = 10.0 ** rng.uniform(1.0, 4.5) if total_cap else math.inf
+            # gamma uniform over the window rank K can meet: above the floor
+            # an unguarded pilot at the whole cap reaches, below var_g.
+            cap = min(e_t, e_ave)
+            gamma_k_min = 1.0 / (cap / (rank * cfg.var_v) + 1.0 / cfg.var_g)
+            lo = ((4 - rank) * cfg.var_g + rank * gamma_k_min) / 4
+            budget = EnergyBudget(e_t, e_l, rng.uniform(lo, cfg.var_g), e_ave_max=e_ave)
+            rep = solve_nonreciprocal(cfg, plan, budget)
+            a = rep.allocation
+            mine = _oracle_nmse(cfg, plan, [[a.e_t0], [a.e_l1], [a.e_l2], [a.e_t3], [a.var_a]])
+            assert float(mine[0][0]) == pytest.approx(rep.objective, rel=1e-12)
+            assert allocation_violations(a, cfg, plan, budget=budget) == []
+            assert rep.objective <= _oracle(cfg, plan, budget) * (1 + 1e-9), budget
 
 
 _CAP_DB = st.floats(min_value=10.0, max_value=50.0)

@@ -104,7 +104,7 @@ class TestSolve:
         assert main(["solve", "--config", config_path, "--scheme", "nonreciprocal"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "scheme: nonreciprocal" in out
-        assert "scenario: gp" in out
+        assert "scenario: interior" in out
 
     def test_nonconverged_exits_4(self, config_path, capsys, monkeypatch):
         real = allocator.solve_nonreciprocal

@@ -20,6 +20,7 @@ from dcekit.model import (
     parse_config,
     reciprocal_plan,
     training_lengths,
+    training_spend,
     validate,
 )
 from dcekit.numerics import RngStream
@@ -167,6 +168,18 @@ class TestAllocationViolations:
         alloc = PowerAllocation(scheme=RECIPROCAL, e_r=0.0, e_f=60.0, var_a=6.0)
         msgs = allocation_violations(alloc, CFG, plan, budget)
         assert any("e_t_max" in m for m in msgs)
+
+    def test_nonreciprocal_an_billed_over_tau_t3(self):
+        plan = nonreciprocal_plan(CFG, tau_t3=8)
+        budget = EnergyBudget(e_t_max=100.0, e_l_max=50.0, gamma=0.1)
+        # 20 + 40 + 2*3*8 = 108 > 100; over n_t = 4 uses it would be 84.
+        alloc = PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=20.0, e_l1=10.0, e_l2=10.0, e_t3=40.0, var_a=3.0
+        )
+        assert training_spend(alloc, CFG, plan) == (108.0, 20.0)
+        msgs = allocation_violations(alloc, CFG, plan, budget)
+        assert any("e_t_max" in m for m in msgs)
+        assert allocation_violations(alloc, CFG, nonreciprocal_plan(CFG), budget) == []
 
     def test_exact_cap_is_feasible(self):
         plan = reciprocal_plan(CFG)

@@ -14,17 +14,20 @@ import numpy as np
 import pytest
 
 from dcekit import analytics
+from dcekit.allocator import solve_nonreciprocal, solve_reciprocal
 from dcekit.estimator import effective_forward_noise_var
 from dcekit.model import (
     NONRECIPROCAL,
     RECIPROCAL,
     AllocationError,
     ChannelRealization,
+    EnergyBudget,
     PowerAllocation,
     SystemConfig,
     draw_channels,
     nonreciprocal_plan,
     reciprocal_plan,
+    training_spend,
 )
 from dcekit.numerics import RngStream, complex_normal, null_complement
 from dcekit.protocol import (
@@ -350,6 +353,37 @@ class TestBatchOfOne:
         assert out["h_hat"].shape == (3, CFG.n_t, CFG.n_l)
         assert out["sq_lr"].shape == (3,)
         assert not np.array_equal(out["h_lr"][0], out["h_lr"][1])
+
+
+class TestTrainingSpend:
+    """``training_spend`` bills what the engine transmits, AN included on
+    every use of a forward pilot longer than ``n_t``."""
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_matches_measured_energy(self, scheme):
+        budget = EnergyBudget(8000.0, 600.0, 0.1)
+        if scheme == RECIPROCAL:
+            plan = reciprocal_plan(CFG, tau_f=8)
+            alloc = solve_reciprocal(CFG, plan, budget).allocation
+        else:
+            plan = nonreciprocal_plan(CFG, tau_t3=8)
+            alloc = solve_nonreciprocal(CFG, plan, budget).allocation
+        out = run_rounds(CFG, plan, alloc, RngStream(8).generator, batch=4096, keep_signals=True)
+        sig = out["signals"]
+
+        def energy(x):
+            return np.broadcast_to(np.sum(np.abs(x) ** 2, axis=(-2, -1)), (4096,))
+
+        if scheme == RECIPROCAL:
+            tx, lr = energy(sig["x_t"]), energy(sig["x_l"])
+        else:
+            tx = energy(sig["x_t0"]) + energy(sig["x_t3"])
+            lr = out["alpha"] ** 2 * energy(sig["y_l0"]) + energy(sig["x_l2"])
+        billed = training_spend(alloc, CFG, plan)
+        for measured, bill, cap in zip((tx, lr), billed, (budget.e_t_max, budget.e_l_max)):
+            se = measured.std() / math.sqrt(measured.size)
+            assert measured.mean() <= cap * (1 + 1e-9) + 3.0 * se
+            assert abs(measured.mean() - bill) <= 3.0 * se + 1e-9 * bill
 
 
 class TestNonFiniteInputs:
