@@ -15,7 +15,7 @@ model      system/plan/budget/allocation types, validation, config files
 estimator  batched LMMSE combiner, LMMSE blocks, echo-based downlink estimator
 analytics  every scalar error formula, closed-form NMSE, thresholds, bounds
 protocol   batched round engine (run_rounds) and its batch-of-one transcripts
-allocator  energy-allocation solvers (closed forms, line search, reduced space)
+allocator  energy-allocation solvers (closed forms, reduced-space search)
 simkit     Monte-Carlo NMSE / symbol-error-rate harness
 cli        ``dcekit`` command-line tool
 """

@@ -1,6 +1,6 @@
-r"""Training-energy allocators: closed forms, 1-D searches, exact reduced spaces.
+r"""Training-energy allocators: exact solutions in reduced spaces.
 
-Three solvers, one contract: minimize LR's training NMSE subject to a floor
+Two solvers, one contract: minimize LR's training NMSE subject to a floor
 ``gamma`` on UR's NMSE plus energy caps, returning a :class:`SolveReport`
 whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
 (``NMSE_U - gamma``) is never below ``-1e-9``.  Each first runs
@@ -9,31 +9,39 @@ naming every violated field (a NaN ``gamma`` or cap, say);
 :class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
 cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`.
 
-* :func:`solve_reciprocal` -- per-node caps only.  The problem collapses to a
-  two-branch closed form: below the threshold :func:`dcekit.analytics.mu` of
-  affordable reverse energy, artificial noise cannot pay for itself and the
-  answer is an unguarded pilot at the leakage cap; otherwise both the
-  transmitter budget and the leakage constraint are active and the split is
-  explicit.
+Both reduce the problem the same way: the guarded forward pilot sits on the
+UR floor, ``gt_K (1 + (n_t-n_l) var_g var_a / var_v)``, and the caps are
+spent.  The transmitter's spend on that pilot and its AN is then affine in
+``var_a``.
 
-* :func:`solve_general` -- adds a total (both-node) energy cap.  Depending on
-  how the total cap compares to the per-node caps (scenarios 1-3), the
-  problem either delegates to the per-node solver or reduces to a 1-D search
-  over the reverse energy; the search runs a 2001-point uniform scan followed
-  by golden-section refinement around the best point.  The refinement is the
-  in-house :func:`_golden`, a step-for-step port of scipy's three-point
-  bracket golden search (equal results and iteration counts), so the package
-  needs nothing beyond numpy at run time.
+* :func:`solve_reciprocal` -- ``(e_r, e_f, var_a)``, with or without a total
+  cap (:func:`solve_general` is the same solver).  LR's NMSE decreases in
+  ``e_f / r_bar``, ``r_bar = (n_t-n_l) var_a delta^2 + var_w``, and the
+  reverse-estimate error ``delta^2`` decreases in ``e_r``.  Along the floor
+  at a fixed ``e_r`` that ratio is monotone in ``var_a``: it grows iff
+  ``delta^2 < var_g var_w / var_v``, i.e. iff ``e_r`` exceeds
+  :func:`dcekit.analytics.mu`.  So when no ``e_r`` above ``mu`` is
+  affordable the answer is an unguarded pilot ``e_f = gt_K`` without AN.
+  Otherwise the transmitter spends ``min(e_t_max, e_ave_max - e_r)`` and
+  only ``e_r`` is free, in ``[lo, hi]``: ``hi = min(e_l_max, e_ave_max -
+  gt_K)`` and ``lo = max(0, mu, e_ave_max - e_t_max)`` (below ``e_ave_max
+  - e_t_max`` the transmitter cap binds and more ``e_r`` only helps).  On
+  ``[lo, hi]`` the total cap binds, so ``var_a``, ``e_f`` and the reverse
+  precision ``p = 1/delta^2`` are affine in ``e_r``, and ``e_f / r_bar =
+  N / L`` with ``N = e_f p`` a concave quadratic and ``L = (n_t-n_l) var_a
+  + var_w p`` affine and positive.  Such a ratio is quasi-concave (each
+  superlevel set ``{N - t L >= 0}`` is an interval), so its maximum is at
+  ``lo``, at ``hi`` or at the stationary point, a root of the quadratic
+  ``N' L - N L'``; the solver compares them.  Without a binding total cap
+  ``lo = hi = e_l_max``: the paper's Proposition-1 closed form.
 
 * :func:`solve_nonreciprocal` -- five energies ``(e_t0, e_l1, e_l2, e_t3,
   var_a)``, solved exactly in a reduced space.  LR's NMSE decreases in
   ``e_t3 / D_bar``, ``D_bar = (n_t-n_l) var_a err + var_w``, and the
   downlink error ``err`` (:func:`dcekit.analytics.downlink_error_floor`)
   strictly decreases in ``e_t0``, ``e_l1`` and ``e_l2``.  So at any optimum
-  with ``var_a > 0`` (lowering ``var_a`` would otherwise gain):
-
-  - the UR floor binds, ``e_t3 = gt_K (1 + (n_t-n_l) var_g var_a / var_v)``;
-  - every joule the caps leave goes to ``e_t0`` and to LR.
+  with ``var_a > 0`` (lowering ``var_a`` would otherwise gain) the floor
+  binds and every joule the caps leave goes to ``e_t0`` and to LR.
 
   ``validate()`` pins ``tau_t0 = n_t``, so ``alpha^2 q = e_l1 / n_l`` and
   ``err = var_hd (1 - rho0(e_t0) / Q)`` with ``rho0 = var_hd e_t0 / q`` and
@@ -48,11 +56,14 @@ cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`.
   comparing with the AN-free corner ``var_a = 0``.  A pilot of rank ``K``
   enters only through ``gt_K`` and the pilot profile.
 
-Rank-deficient forward pilots are handled in closed form: with ``K`` active
-pilot directions the UR floor binds only inside the pilot subspace, which
-rescales the threshold to ``gamma_K = (n_t*gamma - (n_t-K)*var_g) / K``; if
-``gamma_K <= 0`` the floor is vacuous and no artificial noise is needed at
-all.  :func:`optimize_rank` sweeps ``K`` and keeps the best.
+Rank-deficient forward pilots are handled in closed form, once for both
+schemes: with ``K`` active pilot directions the UR floor binds only inside
+the pilot subspace, which rescales the threshold to ``gamma_K =
+(n_t*gamma - (n_t-K)*var_g) / K`` and the unguarded pilot energy to ``gt_K
+= (1/gamma_K - 1/var_g) K var_v``; if ``gamma_K <= 0`` the floor is vacuous
+and no artificial noise is needed at all, and if ``gt_K`` exceeds
+``min(e_t_max, e_ave_max)`` the floor is out of reach.  :func:`optimize_rank`
+sweeps ``K`` and keeps the best.
 """
 
 from __future__ import annotations
@@ -93,8 +104,9 @@ class SolveReport:
     """Solver output: the allocation plus bookkeeping for audits.
 
     ``constraint_slack`` is ``NMSE_U - gamma`` at the solution; ``scenario``
-    names the solution path taken; ``iterations`` counts search steps (0 for
-    closed forms).  ``converged`` is false only when the non-reciprocal
+    names the solution path taken; ``iterations`` counts the non-reciprocal
+    solver's ``var_a`` search rounds (0 for the reciprocal solver, which has
+    no search).  ``converged`` is false only when the non-reciprocal
     ``var_a`` bracket did not shrink to its tolerance within the round cap;
     the best point found is still returned, with ``message`` explaining.
     """
@@ -121,73 +133,41 @@ def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
     return tuple([n_t / k] * k + [0.0] * (n_t - k))
 
 
-def _rank_reduced_gamma(config: SystemConfig, gamma: float, k: int) -> float:
-    """Leakage floor referred to the ``k``-dimensional pilot subspace.
-
-    Outside the pilot subspace UR learns nothing (NMSE stays at the prior
-    ``var_g`` there), so the overall floor ``gamma`` translates to
-    ``(n_t*gamma - (n_t-k)*var_g)/k`` inside it.  Nonpositive means the floor
-    is met for free.
-    """
-    return (config.n_t * gamma - (config.n_t - k) * config.var_g) / k
-
-
-def _gamma_tilde_k(config: SystemConfig, gamma_k: float, k: int) -> float:
-    """Transformed in-subspace floor: the max unguarded pilot energy."""
-    return (1.0 / gamma_k - 1.0 / config.var_g) * k * config.var_v
-
-
-def _reciprocal_report(
-    config: SystemConfig,
-    plan: TrainingPlan,
-    budget: EnergyBudget,
-    e_r: float,
-    e_f: float,
-    var_a: float,
-    scenario: str,
-    iterations: int = 0,
-    message: str = "",
-) -> SolveReport:
-    alloc = PowerAllocation(scheme=RECIPROCAL, e_r=e_r, e_f=e_f, var_a=var_a)
-    d = plan.pilot_eigs
-    objective = analytics.nmse_l_reciprocal(config, e_r, e_f, var_a, d)
-    slack = analytics.nmse_u(config, e_f, var_a, d) - budget.gamma
-    return SolveReport(
-        allocation=alloc,
-        objective=objective,
-        constraint_slack=slack,
-        scenario=scenario,
-        iterations=iterations,
-        message=message,
-    )
-
-
-def _prop1(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> SolveReport:
-    """Two-branch closed form for the per-node-caps reciprocal problem."""
+def _floor_energy(
+    config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
+) -> float | None:
+    """Unguarded pilot energy ``gt_K`` that meets the UR floor at the plan's
+    pilot rank (see the module docstring), or ``None`` if the floor is
+    vacuous.  Raises :class:`InfeasibleGamma` when ``gt_K`` exceeds
+    ``min(e_t_max, e_ave_max)``."""
     k = plan.pilot_rank
-    gamma_k = _rank_reduced_gamma(config, budget.gamma, k)
+    gamma_k = (config.n_t * budget.gamma - (config.n_t - k) * config.var_g) / k
     if gamma_k <= 0.0:
-        # The floor is met by rank deficiency alone: no AN, all energy forward.
-        return _reciprocal_report(
-            config, plan, budget, 0.0, budget.e_t_max, 0.0, "rank-k-vacuous"
-        )
-    gt = _gamma_tilde_k(config, gamma_k, k)
-    if not 0.0 <= gt <= budget.e_t_max:
-        rng = analytics.gamma_range(config, budget.e_t_max, budget.gamma)
+        return None
+    # gamma <= var_g, so gt_K < 0 only by rounding.
+    gt = max((1.0 / gamma_k - 1.0 / config.var_g) * k * config.var_v, 0.0)
+    e_cap = min(budget.e_t_max, budget.e_ave_max)
+    if gt > e_cap:
         raise InfeasibleGamma(
-            f"gamma={budget.gamma} outside feasible range "
-            f"[{rng.lo:.6g}, {rng.hi:.6g}] for rank {k}"
+            f"gamma={budget.gamma} needs unguarded pilot energy {gt:.6g} "
+            f"but only {e_cap:.6g} is available at rank {k}"
         )
-    if analytics.mu(config) > budget.e_l_max:
-        # Reverse training can't be made accurate enough for AN to pay off.
-        return _reciprocal_report(config, plan, budget, 0.0, gt, 0.0, "prop1-branch1")
-    tau_f = plan.tau_f
-    zeta = (budget.e_t_max - gt) / (tau_f + gt * config.var_g / config.var_v)
-    var_a = zeta / (config.n_t - config.n_l)
-    e_f = budget.e_t_max - zeta * tau_f
-    return _reciprocal_report(
-        config, plan, budget, budget.e_l_max, e_f, var_a, "prop1-branch2"
-    )
+    return gt
+
+
+def _floor_spend(config: SystemConfig, plan: TrainingPlan, gt: float, var_a):
+    """Guarded-pilot energy on the UR floor at AN variance ``var_a``,
+    ``gt (1 + (n_t-n_l) var_g var_a / var_v)``, and the transmitter energy
+    that pilot and its AN spend; both are affine in ``var_a``."""
+    e_pilot = gt * (1.0 + (config.n_t - config.n_l) * config.var_g * var_a / config.var_v)
+    zero = 0.0 * var_a
+    if plan.scheme == RECIPROCAL:
+        alloc = PowerAllocation(scheme=RECIPROCAL, e_r=zero, e_f=e_pilot, var_a=var_a)
+    else:
+        alloc = PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=zero, e_l1=zero, e_l2=zero, e_t3=e_pilot, var_a=var_a
+        )
+    return e_pilot, training_spend(alloc, config, plan)[0]
 
 
 def _check_inputs(
@@ -202,164 +182,91 @@ def _check_inputs(
         raise ValueError(f"invalid solver input: {'; '.join(problems)}")
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of ``a x^2 + b x + c`` (``a`` may be 0), free of cancellation."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return tuple(r / s for r, s in ((q, a), (c, q)) if s != 0.0)
+
+
 def solve_reciprocal(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
-    """Optimal reciprocal allocation (closed form).
+    """Optimal reciprocal allocation, exact, with or without a total cap.
 
-    With only per-node caps this is the two-branch closed form; a finite
-    total cap in the budget routes through :func:`solve_general` so the
-    caller never has to pick.
+    The UR floor binds and the caps are spent, so only the reverse energy
+    ``e_r`` is free; the optimum is an end of its interval or the one
+    stationary point of LR's pilot-to-noise ratio there (see the module
+    docstring).  Scenarios: ``"rank-k-vacuous"``; without a binding total
+    cap ``"prop1-branch1"`` (no reverse training, no AN) or
+    ``"prop1-branch2"``, reported as ``"scenario1"`` when a total cap is
+    given but slack; with a binding one ``"scenario2"`` (each per-node cap
+    fits inside it) or ``"scenario3"``.  ``iterations`` is 0.
     """
     _check_inputs(config, plan, budget, RECIPROCAL)
-    if math.isfinite(budget.e_ave_max):
-        return _general(config, plan, budget)
-    return _prop1(config, plan, budget)
+    d = plan.pilot_eigs
+    e_t, e_l, e_ave = budget.e_t_max, budget.e_l_max, budget.e_ave_max
+    binds = e_ave <= e_t + e_l
+    scenario = ("scenario2" if max(e_t, e_l) <= e_ave else "scenario3") if binds else None
 
+    def report(e_r, e_f, var_a, label):
+        alloc = PowerAllocation(scheme=RECIPROCAL, e_r=e_r, e_f=e_f, var_a=var_a)
+        objective = analytics.nmse_l_reciprocal(config, e_r, e_f, var_a, d)
+        slack = analytics.nmse_u(config, e_f, var_a, d) - budget.gamma
+        return SolveReport(alloc, objective, slack, label, iterations=0)
 
-def _scenario_f(
-    config: SystemConfig, gt: float, e_ave: float, tau_f: int
-) -> tuple:
-    """The 1-D objective of the total-cap problem and its companions.
-
-    With the total cap and the leakage floor both active, every variable is a
-    function of the reverse energy alone::
-
-        zeta(e_r) = (e_ave - gt - e_r) / (tau_f + gt * var_g / var_v)
-        e_f(e_r)  = gt * (var_g * zeta / var_v + 1)
-
-    and maximizing the pilot-to-effective-noise ratio reduces to maximizing
-
-        f(e_r) = (n_l var_wt + var_h e_r) e_f(e_r) /
-                 (n_l var_wt + var_h e_r + n_l var_h (var_wt/var_w) zeta(e_r))
-    """
-    zeta_den = tau_f + gt * config.var_g / config.var_v
-
-    def zeta(e_r):
-        return (e_ave - gt - e_r) / zeta_den
-
-    def e_f(e_r):
-        return gt * (config.var_g * zeta(e_r) / config.var_v + 1.0)
-
-    def f(e_r):
-        base = config.n_l * config.var_wt + config.var_h * e_r
-        drag = config.n_l * config.var_h * (config.var_wt / config.var_w) * zeta(e_r)
-        return base * e_f(e_r) / (base + drag)
-
-    return f, zeta, e_f
-
-
-# scipy's golden-ratio conjugate, with scipy's rounding of 2/(1+sqrt(5)).
-_GOLDEN_R = 0.61803399
-_GOLDEN_C = 1.0 - _GOLDEN_R
-
-
-def _golden(func, xa: float, xb: float, xc: float) -> tuple[float, int]:
-    """Golden-section minimum of ``func`` on the bracket ``xa < xb < xc``.
-
-    Returns ``(x, nit)``.  The arithmetic is that of scipy's
-    ``minimize_scalar(func, bracket=(xa, xb, xc), method="golden",
-    options={"xtol": 1e-12})``: the same first interior point, the same
-    updates, the stop test ``|x3 - x0| <= 1e-12 * (|x1| + |x2|)``, scipy's
-    default cap of 5000 iterations and the same iteration count, so results
-    match it bit for bit.  Unlike scipy it does not insist on ``func(xb)``
-    lying strictly below both ends: a grid maximum that ties its neighbour
-    still gets searched, and any point of a tied bracket is as good as ``xb``.
-    """
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    gt = _floor_energy(config, plan, budget)
+    if gt is None:
+        rep = report(0.0, min(e_t, e_ave), 0.0, "rank-k-vacuous")
+    elif analytics.mu(config) > min(e_l, e_ave - gt):
+        # Reverse training can't be made accurate enough for AN to pay off.
+        rep = report(0.0, gt, 0.0, scenario or "prop1-branch1")
     else:
-        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
-    f1, f2 = func(x1), func(x2)
-    nit = 0
-    while nit < 5000 and not abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
-            f1, f2 = f2, func(x2)
-        else:
-            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
-            f2, f1 = f1, func(x1)
-        nit += 1
-    return (x1 if f1 < f2 else x2), nit
+        (e0, s0), (e1, s1) = (_floor_spend(config, plan, gt, v) for v in (0.0, 1.0))
+
+        def at(e_r):
+            var_a = max((min(e_t, e_ave - e_r) - s0) / (s1 - s0), 0.0)
+            e_f, _ = _floor_spend(config, plan, gt, var_a)
+            return report(e_r, e_f, var_a, scenario or "prop1-branch2")
+
+        hi = min(e_l, e_ave - gt)
+        lo = min(max(0.0, analytics.mu(config), e_ave - e_t), hi)
+        reps = [at(lo)]
+        if lo < hi:
+            # With t = e_r - lo the total cap binds on [0, hi - lo]: var_a,
+            # e_f and the reverse precision p = 1/delta^2 are affine in t, and
+            # LR's ratio e_f / r_bar is N / L with N = e_f p (concave) and
+            # L = (n_t-n_l) var_a + var_w p.  Its stationary points are the
+            # roots of N' L - N L'.
+            a = reps[0].allocation
+            da = -1.0 / (s1 - s0)
+            df = (e1 - e0) * da
+            p = 1.0 / analytics.reverse_error_var(config, config.var_h, lo)
+            dp = 1.0 / (config.n_l * config.var_wt)
+            n2, n1, n0 = df * dp, df * p + a.e_f * dp, a.e_f * p
+            m = config.n_t - config.n_l
+            l1, l0 = m * da + config.var_w * dp, m * a.var_a + config.var_w * p
+            roots = _quadratic_roots(n2 * l1, 2.0 * n2 * l0, n1 * l0 - n0 * l1)
+            reps += [at(hi)] + [at(lo + t) for t in roots if 0.0 < t < hi - lo]
+        rep = min(reps, key=lambda r: r.objective)
+
+    if not binds and math.isfinite(e_ave):
+        rep = replace(
+            rep,
+            scenario="scenario1",
+            message=f"total cap slack; delegated to per-node solver ({rep.scenario})",
+        )
+    return rep
 
 
 def solve_general(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
-    """Optimal reciprocal allocation under per-node caps plus a total cap.
-
-    Scenario 1 (total cap slack): delegate to the per-node closed form.
-    Scenarios 2 and 3 (total cap binding): both the total cap and the leakage
-    floor are active at the optimum, leaving a 1-D concave-ish search over
-    the reverse energy, done by a 2001-point scan plus golden-section
-    refinement.  Scenario 3 only differs in which per-node caps are redundant
-    (the interval arithmetic absorbs that automatically).
-    """
-    _check_inputs(config, plan, budget, RECIPROCAL)
-    return _general(config, plan, budget)
-
-
-def _general(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> SolveReport:
-    e_t, e_l, e_ave = budget.e_t_max, budget.e_l_max, budget.e_ave_max
-
-    if e_ave > e_l + e_t:
-        inner = _prop1(config, plan, budget)
-        return replace(
-            inner,
-            scenario="scenario1",
-            message=f"total cap slack; delegated to per-node solver ({inner.scenario})",
-        )
-
-    scenario = "scenario2" if max(e_l, e_t) <= e_ave else "scenario3"
-    k = plan.pilot_rank
-    gamma_k = _rank_reduced_gamma(config, budget.gamma, k)
-    if gamma_k <= 0.0:
-        return _reciprocal_report(
-            config, plan, budget, 0.0, min(e_t, e_ave), 0.0, "rank-k-vacuous"
-        )
-    gt = _gamma_tilde_k(config, gamma_k, k)
-    if not 0.0 <= gt <= min(e_t, e_ave):
-        raise InfeasibleGamma(
-            f"gamma={budget.gamma} needs unguarded pilot energy {gt:.6g} "
-            f"but only {min(e_t, e_ave):.6g} is available"
-        )
-
-    if analytics.mu(config) > min(e_l, e_ave - gt):
-        return _reciprocal_report(config, plan, budget, 0.0, gt, 0.0, scenario)
-
-    lo = max(0.0, analytics.mu(config), e_ave - e_t)
-    hi = min(e_l, e_ave - gt)
-    if lo > hi:
-        raise InfeasibleGamma(
-            f"empty reverse-energy interval [{lo:.6g}, {hi:.6g}] for gamma={budget.gamma}"
-        )
-
-    f, zeta, e_f_of = _scenario_f(config, gt, e_ave, plan.tau_f)
-    iterations = 0
-    if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-        e_r_star = hi
-    else:
-        grid = np.linspace(lo, hi, 2001)
-        vals = f(grid)
-        best = int(np.argmax(vals))
-        iterations = 2001
-        e_r_star = float(grid[best])
-        if 0 < best < 2000:
-            x, nit = _golden(
-                lambda x: -f(x), float(grid[best - 1]), e_r_star, float(grid[best + 1])
-            )
-            cand = float(np.clip(x, lo, hi))
-            if f(cand) >= f(e_r_star):
-                e_r_star = cand
-            iterations += nit
-
-    z = zeta(e_r_star)
-    var_a = z / (config.n_t - config.n_l)
-    e_f = e_f_of(e_r_star)
-    return _reciprocal_report(
-        config, plan, budget, e_r_star, e_f, var_a, scenario, iterations=iterations
-    )
+    """Optimal reciprocal allocation under a total cap: :func:`solve_reciprocal`,
+    which takes the total cap from ``budget`` itself."""
+    return solve_reciprocal(config, plan, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +295,6 @@ def _echo_quality(config: SystemConfig, l):
     e_l2 = l - e_l1
     q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
     return e_l1, e_l2, q, -(a + c / e_l1) / e_l2**2
-
-
-def _floor_spend(config: SystemConfig, plan: TrainingPlan, gt: float, var_a):
-    """Guarded-pilot energy on the UR floor at AN variance ``var_a``,
-    ``gt (1 + (n_t-n_l) var_g var_a / var_v)``, and the transmitter energy
-    that pilot and its AN spend."""
-    e_t3 = gt * (1.0 + (config.n_t - config.n_l) * config.var_g * var_a / config.var_v)
-    zero = 0.0 * var_a
-    alloc = PowerAllocation(
-        scheme=NONRECIPROCAL, e_t0=zero, e_l1=zero, e_l2=zero, e_t3=e_t3, var_a=var_a
-    )
-    return e_t3, training_spend(alloc, config, plan)[0]
 
 
 def _reduced_points(
@@ -444,7 +339,6 @@ def solve_nonreciprocal(
     (``"an-free"``).  ``iterations`` counts the rounds.
     """
     _check_inputs(config, plan, budget, NONRECIPROCAL)
-    k = plan.pilot_rank
     d = plan.pilot_eigs
     e_cap = min(budget.e_t_max, budget.e_ave_max)
 
@@ -461,19 +355,12 @@ def solve_nonreciprocal(
             scheme=NONRECIPROCAL, e_t0=0.0, e_l1=0.0, e_l2=0.0, e_t3=e_t3, var_a=0.0
         )
 
-    gamma_k = _rank_reduced_gamma(config, budget.gamma, k)
-    if gamma_k <= 0.0:
+    gt = _floor_energy(config, plan, budget)
+    if gt is None:
         return report(an_free(e_cap), "rank-k-vacuous", iterations=0)
-
-    gt = _gamma_tilde_k(config, gamma_k, k)
     if gt <= 0.0:
         raise InfeasibleGamma(
             f"gamma={budget.gamma} is not strictly below the UR prior var_g={config.var_g}"
-        )
-    if gt > e_cap:
-        raise InfeasibleGamma(
-            f"gamma={budget.gamma} needs unguarded pilot energy {gt:.6g} "
-            f"but only {e_cap:.6g} is available"
         )
 
     # The transmitter's spend along the floor is affine in var_a; at

@@ -31,7 +31,6 @@ from .model import (
     load_config,
     nonreciprocal_plan,
     reciprocal_plan,
-    training_lengths,
 )
 
 __all__ = ["main"]
@@ -203,7 +202,6 @@ def _cmd_sweep(args) -> int:
     settings = _load_settings(args)
     gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
     paves = _parse_pave_grid(args.pave_db) if args.pave_db else [settings.pave_db]
-    tau_t, _ = training_lengths(settings.plan)
     scheme = settings.plan.scheme
     d = settings.plan.pilot_eigs
 

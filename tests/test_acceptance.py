@@ -302,8 +302,9 @@ class TestCriterion4:
             worst_scan = max(worst_scan, abs(rep.objective - best) / best)
         ok_b = worst_scan <= 1e-3
 
-        # (c) GP solver vs the log-grid + refinement oracle at the headline
-        # operating point (30 dB tx / 20 dB LR over their training windows).
+        # (c) non-reciprocal solver vs the log-grid + refinement oracle at the
+        # headline operating point (30 dB tx / 20 dB LR over their training
+        # windows).
         budget = EnergyBudget(8000.0, 600.0, 0.1)
         rep = allocator.solve_nonreciprocal(CFG, N_PLAN, budget)
         # Dual-route tie: the from-scratch formulas must reproduce the
@@ -324,7 +325,7 @@ class TestCriterion4:
             "4 solver optimality vs oracles",
             ok_a and ok_b and ok_c,
             f"grid losses {grid_losses}/50, scan gap {worst_scan:.2e}, "
-            f"GP/oracle ratio {ratio:.5f}",
+            f"non-reciprocal/oracle ratio {ratio:.5f}",
         )
 
 

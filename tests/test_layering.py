@@ -96,7 +96,7 @@ def test_detects_third_party_import(tmp_path):
 
 def test_cli_never_loads_scipy(tmp_path):
     """Every subcommand, in one fresh interpreter; a reciprocal sweep with a
-    total cap goes through the golden-section refinement."""
+    total cap goes through the total-cap branch of the reciprocal solver."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "nt = 4\nnl = 2\nnu = 2\nscheme = reciprocal\ngamma = 0.1\n"
