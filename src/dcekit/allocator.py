@@ -7,7 +7,9 @@ whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
 :func:`dcekit.model.validate` on its inputs and raises a plain ``ValueError``
 naming every violated field (a NaN ``gamma`` or cap, say);
 :class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
-cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`.
+cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`, and
+the reported NMSEs come from :func:`dcekit.analytics.closed_forms`.
+:func:`solve` runs the solver of the plan's scheme.
 
 Both reduce the problem the same way: the guarded forward pilot sits on the
 UR floor, ``gt_K (1 + (n_t-n_l) var_g var_a / var_v)``, and the caps are
@@ -81,6 +83,7 @@ from .model import (
     PowerAllocation,
     SystemConfig,
     TrainingPlan,
+    optimal_pilot_gram,
     training_spend,
     validate,
 )
@@ -90,6 +93,7 @@ __all__ = [
     "SolveReport",
     "optimal_pilot_gram",
     "optimize_rank",
+    "solve",
     "solve_general",
     "solve_nonreciprocal",
     "solve_reciprocal",
@@ -118,19 +122,6 @@ class SolveReport:
     iterations: int
     converged: bool = True
     message: str = ""
-
-
-def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
-    """Best rank-``k`` pilot Gram eigenvalue profile: ``k`` entries ``n_t/k``.
-
-    Among all profiles with ``k`` nonzero eigenvalues summing to ``n_t``, the
-    uniform one minimizes the per-direction NMSE sum (strict convexity of
-    ``x -> 1/(a + b x)`` plus a symmetry argument), so nothing else is worth
-    searching.
-    """
-    if not 1 <= k <= n_t:
-        raise ValueError(f"rank must lie in 1..{n_t}, got {k}")
-    return tuple([n_t / k] * k + [0.0] * (n_t - k))
 
 
 def _floor_energy(
@@ -206,16 +197,14 @@ def solve_reciprocal(
     fits inside it) or ``"scenario3"``.  ``iterations`` is 0.
     """
     _check_inputs(config, plan, budget, RECIPROCAL)
-    d = plan.pilot_eigs
     e_t, e_l, e_ave = budget.e_t_max, budget.e_l_max, budget.e_ave_max
     binds = e_ave <= e_t + e_l
     scenario = ("scenario2" if max(e_t, e_l) <= e_ave else "scenario3") if binds else None
 
     def report(e_r, e_f, var_a, label):
         alloc = PowerAllocation(scheme=RECIPROCAL, e_r=e_r, e_f=e_f, var_a=var_a)
-        objective = analytics.nmse_l_reciprocal(config, e_r, e_f, var_a, d)
-        slack = analytics.nmse_u(config, e_f, var_a, d) - budget.gamma
-        return SolveReport(alloc, objective, slack, label, iterations=0)
+        objective, nmse_u = analytics.closed_forms(config, plan, alloc)
+        return SolveReport(alloc, objective, nmse_u - budget.gamma, label, iterations=0)
 
     gt = _floor_energy(config, plan, budget)
     if gt is None:
@@ -339,16 +328,11 @@ def solve_nonreciprocal(
     (``"an-free"``).  ``iterations`` counts the rounds.
     """
     _check_inputs(config, plan, budget, NONRECIPROCAL)
-    d = plan.pilot_eigs
     e_cap = min(budget.e_t_max, budget.e_ave_max)
 
     def report(alloc, scenario, **search):
-        objective = analytics.nmse_l_nonreciprocal_approx(config, alloc, plan)
-        slack = analytics.nmse_u(config, alloc.e_t3, alloc.var_a, d) - budget.gamma
-        return SolveReport(
-            allocation=alloc, objective=objective, constraint_slack=slack,
-            scenario=scenario, **search,
-        )
+        objective, nmse_u = analytics.closed_forms(config, plan, alloc)
+        return SolveReport(alloc, objective, nmse_u - budget.gamma, scenario, **search)
 
     def an_free(e_t3):
         return PowerAllocation(
@@ -358,10 +342,6 @@ def solve_nonreciprocal(
     gt = _floor_energy(config, plan, budget)
     if gt is None:
         return report(an_free(e_cap), "rank-k-vacuous", iterations=0)
-    if gt <= 0.0:
-        raise InfeasibleGamma(
-            f"gamma={budget.gamma} is not strictly below the UR prior var_g={config.var_g}"
-        )
 
     # The transmitter's spend along the floor is affine in var_a; at
     # var_a_max nothing is left for e_t0.
@@ -391,13 +371,21 @@ def solve_nonreciprocal(
     return corner if corner.objective <= interior.objective else interior
 
 
+def solve(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget) -> SolveReport:
+    """Optimal allocation for the plan's scheme: :func:`solve_reciprocal` or
+    :func:`solve_nonreciprocal`, looked up when called."""
+    if plan.scheme == RECIPROCAL:
+        return solve_reciprocal(config, plan, budget)
+    return solve_nonreciprocal(config, plan, budget)
+
+
 def optimize_rank(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> tuple[int, SolveReport]:
     """Best forward-pilot rank and its allocation.
 
     Sweeps ``K = 1..n_t`` with the uniform rank-``K`` Gram profile, solving
-    each with the scheme-appropriate solver; infeasible ranks are skipped.
+    each with :func:`solve`; infeasible ranks are skipped.
     Ties go to the smaller rank (shorter effective pilot).
     """
     best: tuple[int, SolveReport] | None = None
@@ -406,10 +394,7 @@ def optimize_rank(
             plan, pilot_rank=k, pilot_eigs=optimal_pilot_gram(config.n_t, k)
         )
         try:
-            if plan.scheme == RECIPROCAL:
-                rep = solve_reciprocal(config, plan_k, budget)
-            else:
-                rep = solve_nonreciprocal(config, plan_k, budget)
+            rep = solve(config, plan_k, budget)
         except InfeasibleGamma:
             continue
         if best is None or rep.objective < best[1].objective * (1.0 - 1e-12):

@@ -43,6 +43,7 @@ __all__ = [
     "FeasibleGammaRange",
     "alpha_gain",
     "beta",
+    "closed_forms",
     "downlink_direction_error",
     "downlink_error_floor",
     "echo_power",
@@ -293,6 +294,23 @@ def nmse_l_nonreciprocal_approx(
     d_bar = nonreciprocal_effective_noise(config, alloc, plan)
     d = plan.pilot_eigs
     return float(np.mean(forward_direction_errors(config, config.var_hd, alloc.e_t3, d_bar, d)))
+
+
+def closed_forms(
+    config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation
+) -> tuple[float, float]:
+    """Closed-form ``(NMSE_L, NMSE_U)`` of an allocation under the plan's scheme.
+
+    LR's value is :func:`nmse_l_reciprocal` or
+    :func:`nmse_l_nonreciprocal_approx`; UR's is :func:`nmse_u` at the
+    forward pilot energy, ``e_f`` or ``e_t3``.
+    """
+    d = plan.pilot_eigs
+    if plan.scheme == RECIPROCAL:
+        nmse_l = nmse_l_reciprocal(config, alloc.e_r, alloc.e_f, alloc.var_a, d)
+        return nmse_l, nmse_u(config, alloc.e_f, alloc.var_a, d)
+    nmse_l = nmse_l_nonreciprocal_approx(config, alloc, plan)
+    return nmse_l, nmse_u(config, alloc.e_t3, alloc.var_a, d)
 
 
 def nmse_lower_bound(

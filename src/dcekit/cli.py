@@ -2,9 +2,11 @@ r"""Command-line front end: solve, sweep, nmse, ser, rank.
 
 All subcommands read a flat ``key = value`` config file (see
 :mod:`dcekit.model`) and accept overrides for the leakage floor, the average
-power cap, trial counts, and seeds.  ``sweep`` and ``ser`` write versioned
-CSV (schema line, header line, then rows); ``--emit-plot-script`` drops a
-gnuplot script next to the CSV for a quick look.
+power cap, trial counts, and seeds.  Every solve goes through
+:func:`dcekit.allocator.solve`.  ``sweep`` and ``ser`` share one grid loop
+and differ only in their row columns; both write versioned CSV (schema
+line, header line, then rows), and ``--emit-plot-script`` drops a gnuplot
+script next to the CSV for a quick look.
 
 Exit codes::
 
@@ -27,6 +29,7 @@ from .model import (
     NONRECIPROCAL,
     RECIPROCAL,
     ConfigError,
+    EnergyBudget,
     RunSettings,
     load_config,
     nonreciprocal_plan,
@@ -51,15 +54,6 @@ SER_HEADER = (
     "pave_db,gamma,scheme,data_power,ser_l,ser_l_ci,ser_u,ser_u_ci,"
     "ser_l_perfect,ser_l_perfect_ci,status"
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse, but usage problems exit with the config-error code."""
-
-    def exit(self, status: int = 0, message: str | None = None):
-        if message:
-            sys.stderr.write(message)
-        raise SystemExit(EXIT_CONFIG if status else EXIT_OK)
 
 
 def _fmt(x) -> str:
@@ -101,68 +95,90 @@ def _parse_gammas(text: str) -> list[float]:
 def _load_settings(args) -> RunSettings:
     settings = load_config(args.config)
     if args.scheme and args.scheme != settings.plan.scheme:
-        if args.scheme == RECIPROCAL:
-            settings = settings.with_plan(reciprocal_plan(settings.config))
-        else:
-            settings = settings.with_plan(nonreciprocal_plan(settings.config))
-    if getattr(args, "trials", None) is not None:
-        settings = dataclasses.replace(settings, trials=args.trials)
-    if getattr(args, "seed", None) is not None:
-        settings = dataclasses.replace(settings, seed=args.seed)
-    return settings
+        make_plan = reciprocal_plan if args.scheme == RECIPROCAL else nonreciprocal_plan
+        settings = dataclasses.replace(settings, plan=make_plan(settings.config))
+    overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
+    return dataclasses.replace(settings, **overrides)
 
 
-def _solve_point(settings: RunSettings, budget) -> allocator.SolveReport:
-    if settings.plan.scheme == RECIPROCAL:
-        return allocator.solve_reciprocal(settings.config, settings.plan, budget)
-    return allocator.solve_nonreciprocal(settings.config, settings.plan, budget)
+def _load_point(args) -> tuple[RunSettings, EnergyBudget]:
+    """Settings and the budget at ``--pave-db`` / ``--gamma`` (solve, nmse, rank)."""
+    settings = _load_settings(args)
+    return settings, settings.budget(pave_db=args.pave_db, gamma=args.gamma)
 
 
-def _alloc_columns(report: allocator.SolveReport) -> list[str]:
-    """The four shared energy columns: e_r|e_t0, e_l1, e_l2, e_f|e_t3."""
-    alloc = report.allocation
-    if alloc.scheme == RECIPROCAL:
-        return [_fmt(alloc.e_r), "", "", _fmt(alloc.e_f)]
-    return [_fmt(alloc.e_t0), _fmt(alloc.e_l1), _fmt(alloc.e_l2), _fmt(alloc.e_t3)]
+# Per grid command: CSV schema and header, the plot's y label, and its
+# curves as (CSV column, gnuplot style, title).
+_GRIDS = {
+    "sweep": (SWEEP_SCHEMA, SWEEP_HEADER, "NMSE", (
+        (9, "linespoints", "NMSE_L closed form"),
+        (10, "linespoints", "NMSE_U closed form"),
+        (11, "points pt 6", "NMSE_L monte carlo"),
+        (15, "lines dt 2", "lower bound"),
+    )),
+    "ser": (SER_SCHEMA, SER_HEADER, "symbol error rate", (
+        (5, "linespoints", "LR"),
+        (7, "linespoints", "UR"),
+        (9, "lines dt 2", "LR perfect CSI"),
+    )),
+}
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_plot_script(out: str, kind: str) -> None:
+def _emit_plot_script(out: str, ylabel: str, curves) -> None:
     csv = Path(out)
-    gp = csv.with_suffix(".gp")
-    png = csv.with_suffix(".png")
-    if kind == "sweep":
-        plots = (
-            f"plot '{csv.name}' every ::1 using 1:9 with linespoints title 'NMSE_L closed form', \\\n"
-            f"     '{csv.name}' every ::1 using 1:10 with linespoints title 'NMSE_U closed form', \\\n"
-            f"     '{csv.name}' every ::1 using 1:11 with points pt 6 title 'NMSE_L monte carlo', \\\n"
-            f"     '{csv.name}' every ::1 using 1:15 with lines dt 2 title 'lower bound'"
-        )
-        ylabel = "NMSE"
-    else:
-        plots = (
-            f"plot '{csv.name}' every ::1 using 1:5 with linespoints title 'LR', \\\n"
-            f"     '{csv.name}' every ::1 using 1:7 with linespoints title 'UR', \\\n"
-            f"     '{csv.name}' every ::1 using 1:9 with lines dt 2 title 'LR perfect CSI'"
-        )
-        ylabel = "symbol error rate"
-    gp.write_text(
+    plots = ", \\\n     ".join(
+        f"'{csv.name}' every ::1 using 1:{column} with {style} title '{title}'"
+        for column, style, title in curves
+    )
+    csv.with_suffix(".gp").write_text(
         "set terminal pngcairo size 900,600\n"
-        f"set output '{png.name}'\n"
+        f"set output '{csv.with_suffix('.png').name}'\n"
         "set datafile separator ','\n"
         "set logscale y\n"
         "set xlabel 'average power cap (dB)'\n"
         f"set ylabel '{ylabel}'\n"
         "set key bottom left\n"
-        f"{plots}\n"
+        f"plot {plots}\n"
     )
+
+
+def _grid(args, kind: str, row) -> int:
+    """The loop of ``sweep`` and ``ser``: solve every (P_ave, gamma) point,
+    P_ave outermost, and write one CSV row each, then the plot script.
+
+    ``row(settings, pave, budget, report)`` gives a row's columns between
+    the scheme and the status; ``report`` is ``None`` when the floor is
+    infeasible.  Returns the nonconverged exit code if any solve stopped at
+    its iteration cap.
+    """
+    schema, header, ylabel, curves = _GRIDS[kind]
+    settings = _load_settings(args)
+    gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
+    paves = _parse_pave_grid(args.pave_db) if args.pave_db else [settings.pave_db]
+    lines = [schema, header]
+    any_nonconverged = False
+    for pave in paves:
+        for gamma in gammas:
+            budget = settings.budget(pave_db=pave, gamma=gamma)
+            try:
+                report = allocator.solve(settings.config, settings.plan, budget)
+                status = "ok" if report.converged else "nonconverged"
+            except allocator.InfeasibleGamma:
+                report, status = None, "infeasible"
+            any_nonconverged |= status == "nonconverged"
+            cells = row(settings, pave, budget, report)
+            lines.append(",".join([_fmt(pave), _fmt(gamma), settings.plan.scheme, *cells, status]))
+
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    if args.emit_plot_script:
+        if not args.out:
+            raise ConfigError("--emit-plot-script requires --out")
+        _emit_plot_script(args.out, ylabel, curves)
+    return EXIT_NONCONVERGED if any_nonconverged else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +187,8 @@ def _emit_plot_script(out: str, kind: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    settings = _load_settings(args)
-    budget = settings.budget(pave_db=args.pave_db, gamma=args.gamma)
-    report = _solve_point(settings, budget)
+    settings, budget = _load_point(args)
+    report = allocator.solve(settings.config, settings.plan, budget)
     alloc = report.allocation
     print(f"scheme: {alloc.scheme}")
     print(f"gamma: {_fmt(budget.gamma)}")
@@ -199,60 +214,37 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    settings = _load_settings(args)
-    gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
-    paves = _parse_pave_grid(args.pave_db) if args.pave_db else [settings.pave_db]
-    scheme = settings.plan.scheme
-    d = settings.plan.pilot_eigs
-
-    lines = [SWEEP_SCHEMA, SWEEP_HEADER]
-    any_nonconverged = False
-    for pave in paves:
-        for gamma in gammas:
-            budget = settings.budget(pave_db=pave, gamma=gamma)
-            prefix = [_fmt(pave), _fmt(gamma), scheme]
-            lb = analytics.nmse_lower_bound(
-                settings.config, budget.e_t_max, budget.e_ave_max, scheme
+    def row(settings, pave, budget, report):
+        scheme = settings.plan.scheme
+        lb = analytics.nmse_lower_bound(settings.config, budget.e_t_max, budget.e_ave_max, scheme)
+        if report is None:
+            return [""] * 11 + [_fmt(lb), ""]
+        alloc = report.allocation
+        _, nmse_u = analytics.closed_forms(settings.config, settings.plan, alloc)
+        mc_cols = ["", "", "", ""]
+        if settings.trials > 0:
+            mc = simkit.mc_nmse(
+                settings.config, settings.plan, alloc,
+                settings.trials, settings.seed, workers=args.workers,
             )
-            try:
-                report = _solve_point(settings, budget)
-            except allocator.InfeasibleGamma:
-                row = prefix + [""] * 5 + ["", "", "", "", "", "", _fmt(lb), "", "infeasible"]
-                lines.append(",".join(row))
-                continue
-            alloc = report.allocation
-            e_fwd = alloc.e_f if scheme == RECIPROCAL else alloc.e_t3
-            cf_u = analytics.nmse_u(settings.config, e_fwd, alloc.var_a, d)
-            mc_cols = ["", "", "", ""]
-            if settings.trials > 0:
-                mc = simkit.mc_nmse(
-                    settings.config, settings.plan, alloc,
-                    settings.trials, settings.seed, workers=args.workers,
-                )
-                mc_cols = [_fmt(mc.nmse_l), _fmt(mc.nmse_l_se), _fmt(mc.nmse_u), _fmt(mc.nmse_u_se)]
-            status = "ok" if report.converged else "nonconverged"
-            any_nonconverged |= not report.converged
-            row = (
-                prefix
-                + _alloc_columns(report)
-                + [_fmt(alloc.var_a), _fmt(report.objective), _fmt(cf_u)]
-                + mc_cols
-                + [_fmt(lb), report.scenario, status]
-            )
-            lines.append(",".join(row))
+            mc_cols = [_fmt(mc.nmse_l), _fmt(mc.nmse_l_se), _fmt(mc.nmse_u), _fmt(mc.nmse_u_se)]
+        if scheme == RECIPROCAL:
+            energies = [_fmt(alloc.e_r), "", "", _fmt(alloc.e_f)]
+        else:
+            energies = [_fmt(alloc.e_t0), _fmt(alloc.e_l1), _fmt(alloc.e_l2), _fmt(alloc.e_t3)]
+        return (
+            energies
+            + [_fmt(alloc.var_a), _fmt(report.objective), _fmt(nmse_u)]
+            + mc_cols
+            + [_fmt(lb), report.scenario]
+        )
 
-    _write_lines(lines, args.out)
-    if args.emit_plot_script:
-        if not args.out:
-            raise ConfigError("--emit-plot-script requires --out")
-        _emit_plot_script(args.out, "sweep")
-    return EXIT_NONCONVERGED if any_nonconverged else EXIT_OK
+    return _grid(args, "sweep", row)
 
 
 def _cmd_nmse(args) -> int:
-    settings = _load_settings(args)
-    budget = settings.budget(pave_db=args.pave_db, gamma=args.gamma)
-    report = _solve_point(settings, budget)
+    settings, budget = _load_point(args)
+    report = allocator.solve(settings.config, settings.plan, budget)
     mc = simkit.mc_nmse(
         settings.config, settings.plan, report.allocation,
         settings.trials, settings.seed, workers=args.workers,
@@ -266,48 +258,26 @@ def _cmd_nmse(args) -> int:
 
 
 def _cmd_ser(args) -> int:
-    settings = _load_settings(args)
-    gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
-    paves = _parse_pave_grid(args.pave_db) if args.pave_db else [settings.pave_db]
-    scheme = settings.plan.scheme
-
-    lines = [SER_SCHEMA, SER_HEADER]
-    any_nonconverged = False
-    for pave in paves:
+    def row(settings, pave, budget, report):
         if pave is None or math.isinf(pave):
             raise ConfigError("ser needs a finite average power (pave_db in config or --pave-db)")
         data_power = 10.0 ** (pave / 10.0)
-        for gamma in gammas:
-            budget = settings.budget(pave_db=pave, gamma=gamma)
-            prefix = [_fmt(pave), _fmt(gamma), scheme, _fmt(data_power)]
-            try:
-                report = _solve_point(settings, budget)
-            except allocator.InfeasibleGamma:
-                lines.append(",".join(prefix + [""] * 6 + ["infeasible"]))
-                continue
-            rep = simkit.mc_ser(
-                settings.config, settings.plan, report.allocation,
-                data_power, settings.trials, settings.seed, workers=args.workers,
-            )
-            status = "ok" if report.converged else "nonconverged"
-            any_nonconverged |= not report.converged
-            lines.append(",".join(
-                prefix
-                + [_fmt(rep.ser_l), _fmt(rep.ser_l_ci), _fmt(rep.ser_u), _fmt(rep.ser_u_ci),
-                   _fmt(rep.ser_l_perfect), _fmt(rep.ser_l_perfect_ci), status]
-            ))
+        if report is None:
+            return [_fmt(data_power)] + [""] * 6
+        rep = simkit.mc_ser(
+            settings.config, settings.plan, report.allocation,
+            data_power, settings.trials, settings.seed, workers=args.workers,
+        )
+        return [
+            _fmt(data_power), _fmt(rep.ser_l), _fmt(rep.ser_l_ci), _fmt(rep.ser_u),
+            _fmt(rep.ser_u_ci), _fmt(rep.ser_l_perfect), _fmt(rep.ser_l_perfect_ci),
+        ]
 
-    _write_lines(lines, args.out)
-    if args.emit_plot_script:
-        if not args.out:
-            raise ConfigError("--emit-plot-script requires --out")
-        _emit_plot_script(args.out, "ser")
-    return EXIT_NONCONVERGED if any_nonconverged else EXIT_OK
+    return _grid(args, "ser", row)
 
 
 def _cmd_rank(args) -> int:
-    settings = _load_settings(args)
-    budget = settings.budget(pave_db=args.pave_db, gamma=args.gamma)
+    settings, budget = _load_point(args)
     best_k, report = allocator.optimize_rank(settings.config, settings.plan, budget)
     print(f"scheme: {settings.plan.scheme}")
     print(f"best_rank: {best_k}")
@@ -351,7 +321,7 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="dcekit",
         description="Discriminatory two-way channel training: solvers and simulations.",
     )
@@ -384,8 +354,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help, or a usage error argparse has reported
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except allocator.InfeasibleGamma as exc:

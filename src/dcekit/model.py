@@ -16,7 +16,7 @@ per-channel-use dB powers used in config files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "draw_channels",
     "load_config",
     "nonreciprocal_plan",
+    "optimal_pilot_gram",
     "parse_config",
     "reciprocal_plan",
     "training_lengths",
@@ -109,9 +110,26 @@ class TrainingPlan:
     tau_t3: int | None = None  # guarded forward pilot (>= n_t)
 
 
-def _uniform_eigs(n_t: int, rank: int) -> tuple[float, ...]:
-    eigs = [n_t / rank] * rank + [0.0] * (n_t - rank)
-    return tuple(eigs)
+def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
+    """Best rank-``k`` pilot Gram eigenvalue profile: ``k`` entries ``n_t/k``.
+
+    Among all profiles with ``k`` nonzero eigenvalues summing to ``n_t``, the
+    uniform one minimizes the per-direction NMSE sum (strict convexity of
+    ``x -> 1/(a + b x)`` plus a symmetry argument), so nothing else is worth
+    searching.
+    """
+    if not 1 <= k <= n_t:
+        raise ValueError(f"rank must lie in 1..{n_t}, got {k}")
+    return tuple([n_t / k] * k + [0.0] * (n_t - k))
+
+
+def _plan(scheme: str, config: SystemConfig, pilot_rank: int | None, **taus) -> TrainingPlan:
+    """A plan of rank ``pilot_rank`` (``n_t`` by default) with the uniform
+    profile; an out-of-range rank gets an empty one, which :func:`validate`
+    names."""
+    rank = config.n_t if pilot_rank is None else pilot_rank
+    eigs = optimal_pilot_gram(config.n_t, rank) if 1 <= rank <= config.n_t else ()
+    return TrainingPlan(scheme, rank, eigs, **taus)
 
 
 def reciprocal_plan(
@@ -121,11 +139,8 @@ def reciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length reciprocal plan (full-rank forward pilot by default)."""
-    rank = config.n_t if pilot_rank is None else pilot_rank
-    return TrainingPlan(
-        scheme=RECIPROCAL,
-        pilot_rank=rank,
-        pilot_eigs=_uniform_eigs(config.n_t, rank),
+    return _plan(
+        RECIPROCAL, config, pilot_rank,
         tau_r=config.n_l if tau_r is None else tau_r,
         tau_f=config.n_t if tau_f is None else tau_f,
     )
@@ -138,11 +153,8 @@ def nonreciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length non-reciprocal plan (``tau_t0`` is pinned to ``n_t``)."""
-    rank = config.n_t if pilot_rank is None else pilot_rank
-    return TrainingPlan(
-        scheme=NONRECIPROCAL,
-        pilot_rank=rank,
-        pilot_eigs=_uniform_eigs(config.n_t, rank),
+    return _plan(
+        NONRECIPROCAL, config, pilot_rank,
         tau_t0=config.n_t,
         tau_l2=config.n_l if tau_l2 is None else tau_l2,
         tau_t3=config.n_t if tau_t3 is None else tau_t3,
@@ -186,11 +198,6 @@ class PowerAllocation:
     e_l1: float | None = None  # echo (amplify-and-forward) energy
     e_l2: float | None = None  # uplink pilot energy
     e_t3: float | None = None  # guarded forward pilot energy
-
-    def energies(self) -> tuple[float, ...]:
-        if self.scheme == RECIPROCAL:
-            return (self.e_r, self.e_f, self.var_a)
-        return (self.e_t0, self.e_l1, self.e_l2, self.e_t3, self.var_a)
 
 
 @dataclass(frozen=True)
@@ -428,9 +435,6 @@ class RunSettings:
             gamma=self.gamma if gamma is None else gamma,
             e_ave_max=e_ave,
         )
-
-    def with_plan(self, plan: TrainingPlan) -> "RunSettings":
-        return replace(self, plan=plan)
 
 
 def parse_config(text: str) -> RunSettings:

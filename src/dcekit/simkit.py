@@ -1,10 +1,10 @@
 r"""Monte-Carlo harness: NMSE validation runs and coded-data SER runs.
 
 Trials are processed in fixed chunks of :data:`CHUNK`; chunk ``i`` draws from
-its own counter-based stream ``RngStream(seed, i)`` and partial sums are
-reduced in chunk order, so results are byte-identical for any ``workers``
-value.  Workers are threads (the heavy lifting is batched linear algebra,
-which releases the GIL).
+its own counter-based stream ``RngStream(seed, i)`` and one reduction adds
+the chunks' partial sums in chunk order, so results are byte-identical for
+any ``workers`` value.  Workers are threads (the heavy lifting is batched
+linear algebra, which releases the GIL).
 
 The data phase uses a rate-3/4 orthogonal space-time block code over four
 transmit antennas carrying three unit-energy 64-QAM symbols per block.  For
@@ -18,19 +18,16 @@ perfect-CSI baseline.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytics
-from .model import (
-    RECIPROCAL,
-    PowerAllocation,
-    SystemConfig,
-    TrainingPlan,
-)
+from .model import PowerAllocation, SystemConfig, TrainingPlan
 from .numerics import RngStream, complex_normal
 from .protocol import check_inputs, run_rounds
 
@@ -99,16 +96,23 @@ class SerReport:
     ser_l_perfect_ci: float
 
 
-def _chunk_sizes(trials: int) -> list[int]:
+def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
+    """Run ``chunk(gen, size)`` on ``RngStream(seed, i)`` for every chunk
+    ``i`` of at most :data:`CHUNK` trials and add the returned tuples
+    elementwise, from 0 and in chunk order, on any number of ``workers``."""
     full, rem = divmod(trials, CHUNK)
-    return [CHUNK] * full + ([rem] if rem else [])
+    sizes = [CHUNK] * full + ([rem] if rem else [])
 
+    def run(i: int) -> tuple:
+        return chunk(RngStream(seed, i).generator, sizes[i])
 
-def _run_chunks(worker, n_chunks: int, workers: int) -> list:
     if workers <= 1:
-        return [worker(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_chunks)))
+        parts = [run(i) for i in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes))))
+    # Explicit left-to-right +: sum() adds floats differently from 3.12 on.
+    return tuple(functools.reduce(operator.add, column, 0) for column in zip(*parts))
 
 
 def mc_nmse(
@@ -123,12 +127,11 @@ def mc_nmse(
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful run, got {trials}")
     check_inputs(config, plan, alloc, plan.scheme)
-    sizes = _chunk_sizes(trials)
     norm_l = config.n_t * config.n_l
     norm_u = config.n_t * config.n_u
 
-    def one_chunk(i: int):
-        out = run_rounds(config, plan, alloc, RngStream(seed, i).generator, batch=sizes[i])
+    def one_chunk(gen, m: int):
+        out = run_rounds(config, plan, alloc, gen, batch=m)
         xl = out["sq_lr"] / norm_l
         xu = out["sq_ur"] / norm_u
         return (
@@ -136,27 +139,12 @@ def mc_nmse(
             float(xu.sum()), float((xu * xu).sum()),
         )
 
-    parts = _run_chunks(one_chunk, len(sizes), workers)
-    sum_l = sumsq_l = sum_u = sumsq_u = 0.0
-    for a, b, c, d in parts:  # fixed chunk order: identical for any worker count
-        sum_l += a
-        sumsq_l += b
-        sum_u += c
-        sumsq_u += d
-
+    sum_l, sumsq_l, sum_u, sumsq_u = _reduce_chunks(one_chunk, trials, seed, workers)
     n = trials
     mean_l, mean_u = sum_l / n, sum_u / n
     se_l = math.sqrt(max(sumsq_l - n * mean_l**2, 0.0) / (n - 1) / n)
     se_u = math.sqrt(max(sumsq_u - n * mean_u**2, 0.0) / (n - 1) / n)
-
-    d_prof = plan.pilot_eigs
-    if plan.scheme == RECIPROCAL:
-        cf_l = analytics.nmse_l_reciprocal(config, alloc.e_r, alloc.e_f, alloc.var_a, d_prof)
-        e_fwd = alloc.e_f
-    else:
-        cf_l = analytics.nmse_l_nonreciprocal_approx(config, alloc, plan)
-        e_fwd = alloc.e_t3
-    cf_u = analytics.nmse_u(config, e_fwd, alloc.var_a, d_prof)
+    cf_l, cf_u = analytics.closed_forms(config, plan, alloc)
     return NmseReport(
         trials=n, nmse_l=mean_l, nmse_l_se=se_l, nmse_u=mean_u, nmse_u_se=se_u,
         nmse_l_closed=cf_l, nmse_u_closed=cf_u,
@@ -283,16 +271,13 @@ def mc_ser(
     if data_power <= 0.0:
         raise ValueError(f"data_power must be positive, got {data_power}")
     check_inputs(config, plan, alloc, plan.scheme)
-    sizes = _chunk_sizes(trials)
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)
 
     def count_errors(detected: np.ndarray, sent: np.ndarray) -> int:
         return int(np.count_nonzero(np.abs(detected - sent) > 1e-9))
 
-    def one_chunk(i: int):
-        gen = RngStream(seed, i).generator
-        m = sizes[i]
+    def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)
         sym_idx = gen.integers(0, QAM64.size, size=(m, 3))
         s = QAM64[sym_idx]
@@ -305,13 +290,7 @@ def mc_ser(
             count_errors(ostbc_detect(y_u, out["g_ur"], amp), s),
         )
 
-    parts = _run_chunks(one_chunk, len(sizes), workers)
-    err_l = err_lp = err_u = 0
-    for a, b, c in parts:
-        err_l += a
-        err_lp += b
-        err_u += c
-
+    err_l, err_lp, err_u = _reduce_chunks(one_chunk, trials, seed, workers)
     n_sym = 3 * trials
     return SerReport(
         trials=trials,

@@ -16,7 +16,9 @@ numpy/scipy oracle over random budgets, and its contract is property-tested.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from dcekit import analytics
+from dcekit import allocator, analytics, model
 from dcekit.allocator import (
     InfeasibleGamma,
     optimal_pilot_gram,
     optimize_rank,
+    solve,
     solve_general,
     solve_nonreciprocal,
     solve_reciprocal,
@@ -61,6 +64,20 @@ class TestOptimalPilotGram:
     def test_rank_out_of_range(self, k):
         with pytest.raises(ValueError):
             optimal_pilot_gram(4, k)
+
+    def test_one_definition(self):
+        assert allocator.optimal_pilot_gram is model.optimal_pilot_gram
+
+
+class TestSolveDispatch:
+    @pytest.mark.parametrize("plan, solver", [(R_PLAN, "solve_reciprocal"),
+                                              (N_PLAN, "solve_nonreciprocal")])
+    def test_plan_scheme_picks_the_solver(self, plan, solver, monkeypatch):
+        budget = EnergyBudget(120.0, 200.0, 0.1)
+        assert solve(CFG, plan, budget) == getattr(allocator, solver)(CFG, plan, budget)
+        # Looked up when called, so a replaced solver is the one used.
+        monkeypatch.setattr(allocator, solver, lambda *args: "replaced")
+        assert solve(CFG, plan, budget) == "replaced"
 
 
 class TestReciprocalClosedForm:
@@ -412,9 +429,26 @@ class TestNonreciprocalSolver:
         with pytest.raises(InfeasibleGamma):
             solve_nonreciprocal(CFG, N_PLAN, EnergyBudget(120.0, 200.0, 0.03))
 
-    def test_gamma_at_prior_raises(self):
-        with pytest.raises(InfeasibleGamma, match="strictly below"):
-            solve_nonreciprocal(CFG, N_PLAN, EnergyBudget(120.0, 200.0, 1.0))
+    def test_gamma_at_prior_is_met(self):
+        # gamma = var_g asks for no unguarded pilot energy, so both schemes
+        # meet it; the non-reciprocal optimum sends nothing and LR keeps its
+        # prior.
+        configs = (CFG, SystemConfig(4, 1, 2, var_g=0.1), SystemConfig(5, 3, 1, var_hd=2.0))
+        cases = itertools.product(
+            configs, (math.inf, 150.0), (reciprocal_plan, nonreciprocal_plan), (None, 3)
+        )
+        for cfg, e_ave, make_plan, rank in cases:
+            budget = EnergyBudget(120.0, 200.0, cfg.var_g, e_ave_max=e_ave)
+            plan = make_plan(cfg, pilot_rank=rank)  # None: full rank
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = solve(cfg, plan, budget)
+            assert rep.converged and not rep.message
+            assert rep.constraint_slack == pytest.approx(0.0, abs=1e-12)
+            assert allocation_violations(rep.allocation, cfg, plan, budget=budget) == []
+            if plan.scheme == "nonreciprocal":
+                assert rep.scenario == "an-free"
+                assert rep.objective == pytest.approx(cfg.var_hd, rel=1e-12)
 
     def test_rank_two_vacuous_floor(self):
         plan = dataclasses.replace(N_PLAN, pilot_rank=2, pilot_eigs=optimal_pilot_gram(4, 2))

@@ -22,6 +22,7 @@ from dcekit.model import (
     PowerAllocation,
     SystemConfig,
     nonreciprocal_plan,
+    reciprocal_plan,
 )
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
@@ -189,6 +190,24 @@ class TestNonreciprocalNmse:
         got = analytics.nmse_l_nonreciprocal_approx(CFG, alloc, self.PLAN)
         plain = 1.0 / (1.0 / CFG.var_hd + (alloc.e_t3 / CFG.n_t) / CFG.var_w)
         assert got == pytest.approx(plain, rel=1e-14)
+
+
+class TestClosedForms:
+    def test_reciprocal(self):
+        plan = reciprocal_plan(CFG, pilot_rank=2)
+        alloc = PowerAllocation(scheme=RECIPROCAL, e_r=3.0, e_f=5.0, var_a=0.7)
+        assert analytics.closed_forms(CFG, plan, alloc) == (
+            analytics.nmse_l_reciprocal(CFG, 3.0, 5.0, 0.7, plan.pilot_eigs),
+            analytics.nmse_u(CFG, 5.0, 0.7, plan.pilot_eigs),
+        )
+
+    def test_nonreciprocal(self):
+        plan = nonreciprocal_plan(CFG, pilot_rank=3)
+        alloc = _nonrec_alloc()
+        assert analytics.closed_forms(CFG, plan, alloc) == (
+            analytics.nmse_l_nonreciprocal_approx(CFG, alloc, plan),
+            analytics.nmse_u(CFG, alloc.e_t3, alloc.var_a, plan.pilot_eigs),
+        )
 
 
 class TestLowerBound:

@@ -90,6 +90,18 @@ class TestSolve:
     def test_unknown_subcommand_exits_3(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert "usage: dcekit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_pilot_rank_out_of_range_exits_3(self, tmp_path, rank, capsys):
+        cfg = tmp_path / "rank.cfg"
+        cfg.write_text(BASE_CONFIG + f"pilot_rank = {rank}\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: config: pilot_rank: must lie in 1..4, got {rank}" in capsys.readouterr().err
+
     def test_infinite_pave_override_lifts_cap(self, tmp_path, capsys):
         capped = tmp_path / "capped.cfg"
         capped.write_text(BASE_CONFIG + "pave_db = 15\n")
@@ -178,6 +190,49 @@ class TestSweep:
         assert code == EXIT_OK
         script = (tmp_path / "sweep.gp").read_text()
         assert "pngcairo" in script and "sweep.csv" in script
+
+
+# Closed-form sweep rows, recorded before the grid loop was shared between
+# sweep and ser (--gamma 0.1,0.03 --pave-db 10:30:10 --trials 0).
+PINNED_SWEEP = {
+    "reciprocal": """\
+10,0.1,reciprocal,6.23305621136,,,51.9902494098,0.222086797358,0.0785440434207,0.1,,,,,0.0625,scenario3,ok
+10,0.03,reciprocal,,,,,,,,,,,,0.0625,,infeasible
+20,0.1,reciprocal,105.832595022,,,448.35066448,5.72709256222,0.0107011708774,0.1,,,,,0.00662251655629,scenario3,ok
+20,0.03,reciprocal,57.2383180465,,,530.358831495,1.55035630733,0.00826277013291,0.03,,,,,0.00662251655629,scenario3,ok
+30,0.1,reciprocal,200,,,3603.6,49.55,0.00219429548969,0.1,,,,,0.000999000999001,scenario1,ok
+30,0.03,reciprocal,200,,,3883.88,14.515,0.00132416138822,0.03,,,,,0.000999000999001,scenario1,ok
+""",
+    "nonreciprocal": """\
+10,0.1,nonreciprocal,21.0953192587,15.8583754211,11.5881208423,85.9123660301,0.693227305974,0.0629195580556,0.1,,,,,0.0277777777778,interior,ok
+10,0.03,nonreciprocal,2.53819091816,2.25992732657,1.84138881779,133.239678149,0.0151018485156,0.0299022684638,0.03,,,,,0.0277777777778,interior,ok
+20,0.1,nonreciprocal,256.11157158,182.201340288,129.246177993,752.796819125,9.95551137674,0.00879315921632,0.1,,,,,0.002849002849,interior,ok
+20,0.03,nonreciprocal,165.562007392,118.163500585,83.9625413722,1005.22259213,3.38616981494,0.00533384373839,0.03,,,,,0.002849002849,interior,ok
+30,0.1,nonreciprocal,1916.65410903,351.230394538,248.769605462,5478.61130187,75.5918236371,0.00202056850926,0.1,,,,,0.000499750124938,interior,ok
+30,0.03,nonreciprocal,1170.06936194,351.230394538,248.769605462,6628.91271891,25.1272398927,0.000997836429162,0.03,,,,,0.000499750124938,interior,ok
+""",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(PINNED_SWEEP))
+def test_pinned_closed_form_sweep(config_path, scheme, capsys):
+    code = main(["sweep", "--config", config_path, "--scheme", scheme, "--gamma", "0.1,0.03",
+                 "--pave-db", "10:30:10", "--trials", "0"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [SWEEP_SCHEMA, SWEEP_HEADER]
+    got = [line.split(",") for line in lines[2:]]
+    want = [line.split(",") for line in PINNED_SWEEP[scheme].splitlines()]
+    assert len(got) == len(want)
+    for row, pin in zip(got, want):
+        assert len(row) == len(pin)
+        for cell, value in zip(row, pin):
+            try:
+                number = float(value)
+            except ValueError:  # labels and empty cells
+                assert cell == value
+            else:
+                assert float(cell) == pytest.approx(number, rel=1e-9)
 
 
 class TestSer:

@@ -55,6 +55,11 @@ class TestPlans:
         plan = reciprocal_plan(CFG, pilot_rank=2)
         assert plan.pilot_eigs == (2.0, 2.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("rank", [0, 5, -1])
+    def test_out_of_range_rank_is_a_violation(self, rank):
+        for plan in (reciprocal_plan(CFG, pilot_rank=rank), nonreciprocal_plan(CFG, pilot_rank=rank)):
+            assert validate(CFG, plan)[0].startswith("pilot_rank: must lie in 1..4")
+
     def test_training_lengths(self):
         assert training_lengths(reciprocal_plan(CFG)) == (4, 2)
         assert training_lengths(nonreciprocal_plan(CFG)) == (8, 6)

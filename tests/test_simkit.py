@@ -191,9 +191,11 @@ class TestMcNmse:
         # The LR closed form is an approximation here; 10% agreement at this point.
         assert rep.nmse_l == pytest.approx(rep.nmse_l_closed, rel=0.10)
 
-    def test_worker_count_does_not_change_results(self):
-        a = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=12000, seed=7, workers=1)
-        b = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=12000, seed=7, workers=4)
+    @pytest.mark.parametrize("plan, alloc", [(R_PLAN, R_ALLOC), (N_PLAN, N_ALLOC)],
+                             ids=[RECIPROCAL, NONRECIPROCAL])
+    def test_worker_count_does_not_change_results(self, plan, alloc):
+        a = mc_nmse(CFG, plan, alloc, trials=12000, seed=7, workers=1)
+        b = mc_nmse(CFG, plan, alloc, trials=12000, seed=7, workers=4)
         assert a == b
 
     def test_seed_reproducibility(self):
@@ -264,9 +266,11 @@ class TestMcSer:
         assert rep.ser_l_perfect == 0.0
         assert rep.ser_l_perfect_ci > 0.0
 
-    def test_worker_count_does_not_change_results(self):
-        a = mc_ser(CFG, N_PLAN, N_ALLOC, data_power=30.0, trials=9000, seed=8, workers=1)
-        b = mc_ser(CFG, N_PLAN, N_ALLOC, data_power=30.0, trials=9000, seed=8, workers=3)
+    @pytest.mark.parametrize("plan, alloc", [(R_PLAN, R_ALLOC), (N_PLAN, N_ALLOC)],
+                             ids=[RECIPROCAL, NONRECIPROCAL])
+    def test_worker_count_does_not_change_results(self, plan, alloc):
+        a = mc_ser(CFG, plan, alloc, data_power=30.0, trials=9000, seed=8, workers=1)
+        b = mc_ser(CFG, plan, alloc, data_power=30.0, trials=9000, seed=8, workers=3)
         assert a == b
 
     def test_bad_inputs_rejected(self):
