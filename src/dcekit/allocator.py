@@ -12,9 +12,9 @@ the reported NMSEs come from :func:`dcekit.analytics.closed_forms`.
 :func:`solve` runs the solver of the plan's scheme.
 
 Both reduce the problem the same way: the guarded forward pilot sits on the
-UR floor, ``gt_K (1 + (n_t-n_l) var_g var_a / var_v)``, and the caps are
-spent.  The transmitter's spend on that pilot and its AN is then affine in
-``var_a``.
+UR floor, ``gt_K r_u / var_v`` with UR's disturbance ``r_u``
+(:func:`dcekit.analytics.ur_disturbance`), and the caps are spent.  The
+transmitter's spend on that pilot and its AN is then affine in ``var_a``.
 
 * :func:`solve_reciprocal` -- ``(e_r, e_f, var_a)``, with or without a total
   cap (:func:`solve_general` is the same solver).  LR's NMSE decreases in
@@ -45,10 +45,10 @@ spent.  The transmitter's spend on that pilot and its AN is then affine in
   with ``var_a > 0`` (lowering ``var_a`` would otherwise gain) the floor
   binds and every joule the caps leave goes to ``e_t0`` and to LR.
 
-  ``validate()`` pins ``tau_t0 = n_t``, so ``alpha^2 q = e_l1 / n_l`` and
-  ``err = var_hd (1 - rho0(e_t0) / Q)`` with ``rho0 = var_hd e_t0 / q`` and
-  ``Q = 1 + a/e_l2 + b/e_l1 + c/(e_l1 e_l2)``, ``a = n_l^2 var_wt / (n_t
-  var_hu)``, ``b = n_l var_wt / var_hu``, ``c = b^2``.  For a fixed
+  That ``err = var_hd (1 - rho0(e_t0) / Q(e_l1, e_l2))`` and ``Q`` are
+  defined in :func:`dcekit.analytics.downlink_error_floor`, and the search
+  takes ``D_bar`` from :func:`dcekit.analytics.nonreciprocal_effective_noise`
+  and ``Q``'s coefficients from the analytics module.  For a fixed
   ``var_a`` what remains is concave (``log rho0`` is concave, ``log Q``
   jointly convex): the LR split minimising ``Q`` at a given LR total is the
   root of one quadratic, and when the total cap binds the TX/LR share is
@@ -62,10 +62,10 @@ Rank-deficient forward pilots are handled in closed form, once for both
 schemes: with ``K`` active pilot directions the UR floor binds only inside
 the pilot subspace, which rescales the threshold to ``gamma_K =
 (n_t*gamma - (n_t-K)*var_g) / K`` and the unguarded pilot energy to ``gt_K
-= (1/gamma_K - 1/var_g) K var_v``; if ``gamma_K <= 0`` the floor is vacuous
-and no artificial noise is needed at all, and if ``gt_K`` exceeds
-``min(e_t_max, e_ave_max)`` the floor is out of reach.  :func:`optimize_rank`
-sweeps ``K`` and keeps the best.
+= gamma_tilde(gamma_K) K / n_t`` (:func:`dcekit.analytics.gamma_tilde`); if
+``gamma_K <= 0`` the floor is vacuous and no artificial noise is needed at
+all, and if ``gt_K`` exceeds ``min(e_t_max, e_ave_max)`` the floor is out of
+reach.  :func:`optimize_rank` sweeps ``K`` and keeps the best.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _floor_energy(
     if gamma_k <= 0.0:
         return None
     # gamma <= var_g, so gt_K < 0 only by rounding.
-    gt = max((1.0 / gamma_k - 1.0 / config.var_g) * k * config.var_v, 0.0)
+    gt = max(analytics.gamma_tilde(config, gamma_k) * k / config.n_t, 0.0)
     e_cap = min(budget.e_t_max, budget.e_ave_max)
     if gt > e_cap:
         raise InfeasibleGamma(
@@ -147,10 +147,10 @@ def _floor_energy(
 
 
 def _floor_spend(config: SystemConfig, plan: TrainingPlan, gt: float, var_a):
-    """Guarded-pilot energy on the UR floor at AN variance ``var_a``,
-    ``gt (1 + (n_t-n_l) var_g var_a / var_v)``, and the transmitter energy
-    that pilot and its AN spend; both are affine in ``var_a``."""
-    e_pilot = gt * (1.0 + (config.n_t - config.n_l) * config.var_g * var_a / config.var_v)
+    """Guarded-pilot energy on the UR floor at AN variance ``var_a``, ``gt r_u
+    / var_v``, and the transmitter energy that pilot and its AN spend; both
+    are affine in ``var_a``."""
+    e_pilot = gt * analytics.ur_disturbance(config, var_a) / config.var_v
     zero = 0.0 * var_a
     if plan.scheme == RECIPROCAL:
         alloc = PowerAllocation(scheme=RECIPROCAL, e_r=zero, e_f=e_pilot, var_a=var_a)
@@ -269,17 +269,16 @@ _ZOOM_ROUNDS = 60  # round cap; only a bracket that will not shrink reaches it
 _SHARE_STEPS = 52  # bisection steps on the TX/LR share condition
 
 
-def _echo_quality(config: SystemConfig, l):
-    """The LR split of total energy ``l`` that minimises ``Q``, elementwise.
+def _echo_quality(coefficients, l):
+    """The LR split of total energy ``l`` that minimises ``Q``, elementwise,
+    for the coefficients ``(a, b, c)`` of :func:`dcekit.analytics.echo_coefficients`.
 
     ``e_l1`` is the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 -
     (b l^2 + c l)``, i.e. ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns
     ``(e_l1, e_l2, Q, dQ/dl)``, with ``dQ/dl = dQ/de_l2`` at the split
     (envelope theorem).
     """
-    a = config.n_l**2 * config.var_wt / (config.n_t * config.var_hu)
-    b = config.n_l * config.var_wt / config.var_hu
-    c = b * b
+    a, b, c = coefficients
     e_l1 = l / (1.0 + np.sqrt((a * l + c) / (b * l + c)))
     e_l2 = l - e_l1
     q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
@@ -293,25 +292,26 @@ def _reduced_points(
     on the floor, the rest of the caps to ``e_t0`` and LR.  A binding total
     cap is shared by bisection on the derivative of ``log rho0(e_t0) - log
     Q(l)`` along ``e_t0 + l = room``, which decreases.  Returns ``e_t3 /
-    D_bar`` and the energies ``(e_t0, e_l1, e_l2, e_t3)``."""
+    D_bar`` and the array-valued allocation."""
     e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
     room = np.maximum(budget.e_ave_max - tx_spend, 0.0)  # inf without a total cap
     hi = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
     lo = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi)
+    coefficients = analytics.echo_coefficients(config)
     with np.errstate(divide="ignore", invalid="ignore"):
         if np.any(lo < hi):
             for _ in range(_SHARE_STEPS):
                 mid = 0.5 * (lo + hi)
-                _, _, q, dq = _echo_quality(config, room - mid)
+                _, _, q, dq = _echo_quality(coefficients, room - mid)
                 dlog_rho0 = config.n_t * config.var_w / (mid * analytics.echo_power(config, mid))
                 grow = dlog_rho0 + dq / q > 0.0
                 lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
         e_t0 = 0.5 * (lo + hi)
-        e_l1, e_l2, q, _ = _echo_quality(config, np.minimum(budget.e_l_max, room - e_t0))
-        rho0 = config.var_hd * e_t0 / analytics.echo_power(config, e_t0)
-        err = config.var_hd * (1.0 - rho0 / q)
-    d_bar = (config.n_t - config.n_l) * var_a * err + config.var_w
-    return e_t3 / d_bar, (e_t0, e_l1, e_l2, e_t3)
+        e_l1, e_l2, _, _ = _echo_quality(coefficients, np.minimum(budget.e_l_max, room - e_t0))
+    alloc = PowerAllocation(
+        scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
+    )
+    return e_t3 / analytics.nonreciprocal_effective_noise(config, alloc), alloc
 
 
 def solve_nonreciprocal(
@@ -349,7 +349,7 @@ def solve_nonreciprocal(
     var_a_max = (e_cap - spend0) / (spend1 - spend0)
     grid = var_a_max * np.append(0.0, np.geomspace(1e-9, 1.0, _GRID_POINTS - 1))
     for rounds in range(1, _ZOOM_ROUNDS + 1):
-        ratio, energies = _reduced_points(config, plan, budget, gt, grid)
+        ratio, points = _reduced_points(config, plan, budget, gt, grid)
         i = int(np.argmax(ratio))
         var_a = float(grid[i])
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
@@ -360,13 +360,8 @@ def solve_nonreciprocal(
     message = "" if converged else f"var_a bracket still {hi - lo:.3g} wide after {rounds} rounds"
     search = {"iterations": rounds, "converged": converged, "message": message}
 
-    e_t0, e_l1, e_l2, e_t3 = (float(x[i]) for x in energies)
-    interior = report(
-        PowerAllocation(
-            scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
-        ),
-        "interior", **search,
-    )
+    best = {f: float(getattr(points, f)[i]) for f in ("e_t0", "e_l1", "e_l2", "e_t3", "var_a")}
+    interior = report(replace(points, **best), "interior", **search)
     corner = report(an_free(gt), "an-free", **search)
     return corner if corner.objective <= interior.objective else interior
 

@@ -17,11 +17,11 @@ per-direction posterior :func:`posterior_var` up; the estimators and the
 round transcripts take their error statistics from these functions.
 
 The reciprocal formulas are exact for the LMMSE estimators in
-:mod:`dcekit.estimator`.  The non-reciprocal LR formula is an approximation:
-the random per-realization effective noise is replaced by its mean, with the
-largest eigenvalue of the uplink-estimate Gram collapsed to its expectation
-``n_t * sigma^2`` (a Jensen step).  Monte Carlo agreement at operating SNRs
-is part of the acceptance suite.
+:mod:`dcekit.estimator`.  The non-reciprocal LR formula is an approximation,
+made once in :func:`downlink_error_floor`, which also defines the echo
+quality ``Q`` the solver optimizes: the uplink-estimate Gram eigenvalues are
+collapsed to their mean (a Jensen step).  Monte Carlo agreement at operating
+SNRs is part of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "closed_forms",
     "downlink_direction_error",
     "downlink_error_floor",
+    "echo_coefficients",
     "echo_power",
     "forward_direction_errors",
     "gamma_range",
@@ -59,7 +60,6 @@ __all__ = [
     "posterior_var",
     "reciprocal_effective_noise",
     "reverse_error_var",
-    "sigma_sq",
     "ur_disturbance",
 ]
 
@@ -225,57 +225,55 @@ def echo_power(config: SystemConfig, e_t0: float) -> float:
     return config.var_hd * e_t0 + config.n_t * config.var_w
 
 
-def sigma_sq(config: SystemConfig, e_l2: float) -> float:
-    """Per-entry variance of the uplink *estimate* (prior minus error):
-    ``var_hu^2 e_l2 / (var_hu e_l2 + n_l var_wt)``."""
-    return (
-        config.var_hu**2 * e_l2 / (config.var_hu * e_l2 + config.n_l * config.var_wt)
-    )
-
-
 def downlink_direction_error(config: SystemConfig, e_t0: float, b: float, lam):
     """Conditional per-entry error of the echo-based downlink estimate along an
-    uplink-estimate Gram eigenvalue ``lam``: the bracket of
-    :func:`downlink_error_floor` at ``lam``; ``b = inf`` (no echo) gives ``var_hd``."""
+    uplink-estimate Gram eigenvalue ``lam``, ``rho0`` as in
+    :func:`downlink_error_floor`; ``b = inf`` (no echo) gives ``var_hd``."""
     rho0 = config.var_hd * e_t0 / echo_power(config, e_t0)
     return config.var_hd - config.var_hd * rho0 * (lam / (b + lam))
 
 
-def downlink_error_floor(
-    config: SystemConfig, e_t0: float, e_l1: float, e_l2: float, tau_t0: int
-) -> float:
-    r"""Typical per-entry error of the transmitter's echo-based downlink estimate.
+def echo_coefficients(config: SystemConfig) -> tuple[float, float, float]:
+    """``(a, b, c)`` of the echo quality ``Q`` of :func:`downlink_error_floor`;
+    infinite when ``var_hu == 0`` (no uplink to unwind the echo with)."""
+    if config.var_hu == 0.0:
+        return math.inf, math.inf, math.inf
+    b = config.n_l * config.var_wt / config.var_hu
+    return config.n_l**2 * config.var_wt / (config.n_t * config.var_hu), b, b * b
+
+
+def downlink_error_floor(config: SystemConfig, e_t0, e_l1, e_l2):
+    r"""Typical per-entry error of the transmitter's echo-based downlink
+    estimate, elementwise over array energies:
 
     .. math::
-        \sigma_{h_d}^2 - \sigma_{h_d}^2 \rho_0
-            \frac{N_t \sigma^2}{\beta + N_t \sigma^2},
-        \qquad \rho_0 = \frac{\sigma_{h_d}^2 E_{t0}}{q},
+        \sigma_{h_d}^2 \Big(1 - \frac{\rho_0}{Q}\Big), \quad
+        \rho_0 = \frac{\sigma_{h_d}^2 E_{t0}}{q}, \quad
+        Q = 1 + \frac{a}{E_{L2}} + \frac{b}{E_{L1}} + \frac{c}{E_{L1} E_{L2}},
 
-    i.e. :func:`downlink_direction_error` with the uplink-estimate Gram
-    eigenvalues collapsed to their mean ``n_t * sigma^2`` (a Jensen step).
-    Degrades to the full prior ``var_hd`` when the echo or the initial pilot
-    is unpowered.
+    ``q`` from :func:`echo_power`, ``a = n_l^2 var_wt / (n_t var_hu)``, ``b =
+    n_l var_wt / var_hu``, ``c = b^2``.  This is :func:`downlink_direction_error`
+    at ``b = beta`` with the uplink-estimate Gram eigenvalues collapsed to their
+    mean ``n_t (var_hu - delta_u^2)`` (the Jensen step): ``validate()`` pins
+    ``tau_t0 = n_t``, so ``alpha^2 q = e_l1 / n_l`` and ``lam / (beta + lam) =
+    1 / Q``.  A zero energy or ``var_hu == 0`` gives the prior ``var_hd``.
     """
-    b = beta(config, e_t0, e_l2, alpha_gain(config, e_t0, e_l1, tau_t0))
-    return downlink_direction_error(config, e_t0, b, config.n_t * sigma_sq(config, e_l2))
+    a, b, c = echo_coefficients(config)
+    e_t0, e_l1, e_l2 = (np.asarray(x, dtype=float) for x in (e_t0, e_l1, e_l2))
+    with np.errstate(divide="ignore"):  # a zero energy makes Q infinite
+        q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
+    rho0 = config.var_hd * e_t0 / echo_power(config, e_t0)
+    return config.var_hd * (1.0 - rho0 / q)
 
 
-def nonreciprocal_effective_noise(
-    config: SystemConfig, alloc: PowerAllocation, plan: TrainingPlan
-) -> float:
-    r"""Effective per-entry forward noise LR faces in the non-reciprocal scheme.
-
-    .. math::
-        \bar{D} = (N_t - N_L)\,\sigma_a^2\,
-            \mathrm{err}(E_{t0}, E_{L1}, E_{L2}) + \sigma_w^2
-
-    with ``err`` from :func:`downlink_error_floor`: the artificial noise
-    leaks through the transmitter's downlink estimation error before adding
-    to LR thermal noise.  Reduces to ``var_w`` exactly when ``var_a == 0``.
+def nonreciprocal_effective_noise(config: SystemConfig, alloc: PowerAllocation):
+    r"""Effective per-entry forward noise LR faces in the non-reciprocal scheme,
+    elementwise over array-valued allocation fields:
+    :math:`\bar{D} = (N_t - N_L)\,\sigma_a^2\,\mathrm{err} + \sigma_w^2`, the
+    artificial noise leaking through the downlink error ``err`` of
+    :func:`downlink_error_floor` before adding to LR thermal noise.
     """
-    if alloc.var_a == 0.0:
-        return config.var_w
-    err = downlink_error_floor(config, alloc.e_t0, alloc.e_l1, alloc.e_l2, plan.tau_t0)
+    err = downlink_error_floor(config, alloc.e_t0, alloc.e_l1, alloc.e_l2)
     return (config.n_t - config.n_l) * alloc.var_a * err + config.var_w
 
 
@@ -291,7 +289,7 @@ def nmse_l_nonreciprocal_approx(
     """
     if alloc.scheme != NONRECIPROCAL:
         raise ValueError(f"allocation scheme must be {NONRECIPROCAL!r}, got {alloc.scheme!r}")
-    d_bar = nonreciprocal_effective_noise(config, alloc, plan)
+    d_bar = nonreciprocal_effective_noise(config, alloc)
     d = plan.pilot_eigs
     return float(np.mean(forward_direction_errors(config, config.var_hd, alloc.e_t3, d_bar, d)))
 

@@ -72,8 +72,8 @@ def _parse_pave_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError(f"--pave-db range must be START:STOP:STEP, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ConfigError(f"--pave-db step must be positive, got {step}")
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and start <= stop + 1e-9):
+        raise ConfigError(f"--pave-db needs finite START <= STOP and STEP > 0, got {text!r}")
     grid = []
     value = start
     while value <= stop + 1e-9:
@@ -93,6 +93,9 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _load_settings(args) -> RunSettings:
+    for flag, value, least in (("--trials", args.trials, 0), ("--workers", args.workers, 1)):
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     settings = load_config(args.config)
     if args.scheme and args.scheme != settings.plan.scheme:
         make_plan = reciprocal_plan if args.scheme == RECIPROCAL else nonreciprocal_plan

@@ -216,7 +216,7 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
     if keep_signals:
         out["signals"] = {"x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": x_l2, "y_t2": y_t2}
-    d_bar = analytics.nonreciprocal_effective_noise(config, alloc, plan)
+    d_bar = analytics.nonreciprocal_effective_noise(config, alloc)
     return _forward_stage(config, plan, alloc, gen, out, alloc.e_t3, config.var_hd, d_bar, "3")
 
 

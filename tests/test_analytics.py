@@ -131,29 +131,50 @@ class TestEchoConstants:
     def test_beta_infinite_without_echo(self):
         assert analytics.beta(CFG, 4.0, 2.0, 0.0) == math.inf
 
-    def test_sigma_sq_worked_value(self):
-        # 1 * 2 / (2 + 2) = 1/2; complements delta_u^2: sigma^2 + delta^2 = prior.
-        assert analytics.sigma_sq(CFG, 2.0) == pytest.approx(0.5)
-        delta = 1.0 / (1.0 / CFG.var_hu + 2.0 / (CFG.n_l * CFG.var_wt))
-        assert analytics.sigma_sq(CFG, 2.0) + delta == pytest.approx(CFG.var_hu)
-
     def test_error_floor_worked_value(self):
         # rho0 = 1/2, shrink = 4*(1/2)/(3 + 2) = 2/5: err = 1 - 1/2 * 2/5 = 0.8.
-        got = analytics.downlink_error_floor(CFG, e_t0=4.0, e_l1=4.0, e_l2=2.0, tau_t0=4)
+        got = analytics.downlink_error_floor(CFG, e_t0=4.0, e_l1=4.0, e_l2=2.0)
         assert got == pytest.approx(0.8, rel=1e-12)
 
     @pytest.mark.parametrize("e_t0,e_l1", [(0.0, 4.0), (4.0, 0.0)])
     def test_error_floor_degrades_to_prior(self, e_t0, e_l1):
-        got = analytics.downlink_error_floor(CFG, e_t0, e_l1, 2.0, 4)
+        got = analytics.downlink_error_floor(CFG, e_t0, e_l1, 2.0)
         assert got == CFG.var_hd
 
     def test_error_floor_decreases_with_energy(self):
         vals = [
-            analytics.downlink_error_floor(CFG, e, e, e / 2.0, 4)
+            analytics.downlink_error_floor(CFG, e, e, e / 2.0)
             for e in (1.0, 4.0, 16.0, 64.0, 256.0)
         ]
         assert np.all(np.diff(vals) < 0)
         assert all(0.0 < v <= CFG.var_hd for v in vals)
+
+    def test_error_floor_is_the_estimator_error_at_the_mean_eigenvalue(self):
+        """The factored floor equals the estimator's conditional error
+        (through alpha and beta) at the mean uplink-estimate Gram eigenvalue,
+        on random configs and energies, zero energies and var_hu = 0 included;
+        array input gives the scalar values elementwise.  Both forms lose
+        digits to cancellation when the error is far below var_hd (large
+        energies), hence the absolute term at a tiny fraction of the prior."""
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n_t = int(rng.integers(2, 7))
+            var = {name: float(10.0 ** rng.uniform(-1, 1))
+                   for name in ("var_hu", "var_hd", "var_wt", "var_w")}
+            if rng.random() < 0.2:
+                var["var_hu"] = 0.0
+            cfg = SystemConfig(n_t=n_t, n_l=int(rng.integers(1, n_t)), n_u=2, **var)
+            energies = 10.0 ** rng.uniform(-1, 4, size=(3, 8))
+            energies[rng.random((3, 8)) < 0.2] = 0.0
+            got = analytics.downlink_error_floor(cfg, *energies)
+            for j, (e_t0, e_l1, e_l2) in enumerate(energies.T.tolist()):
+                assert analytics.downlink_error_floor(cfg, e_t0, e_l1, e_l2) == got[j]
+                alpha = analytics.alpha_gain(cfg, e_t0, e_l1, cfg.n_t)
+                lam = cfg.n_t * (cfg.var_hu - analytics.reverse_error_var(cfg, cfg.var_hu, e_l2))
+                want = analytics.downlink_direction_error(
+                    cfg, e_t0, analytics.beta(cfg, e_t0, e_l2, alpha), lam
+                )
+                assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-14 * cfg.var_hd)
 
 
 def _nonrec_alloc(**kw) -> PowerAllocation:
@@ -167,11 +188,11 @@ class TestNonreciprocalNmse:
 
     def test_effective_noise_worked_value(self):
         # (4-2) * 1 * 0.8 + 1 = 2.6.
-        got = analytics.nonreciprocal_effective_noise(CFG, _nonrec_alloc(), self.PLAN)
+        got = analytics.nonreciprocal_effective_noise(CFG, _nonrec_alloc())
         assert got == pytest.approx(2.6, rel=1e-12)
 
     def test_effective_noise_without_an_is_thermal(self):
-        got = analytics.nonreciprocal_effective_noise(CFG, _nonrec_alloc(var_a=0.0), self.PLAN)
+        got = analytics.nonreciprocal_effective_noise(CFG, _nonrec_alloc(var_a=0.0))
         assert got == CFG.var_w
 
     def test_lr_approx_worked_value(self):

@@ -112,6 +112,21 @@ class TestSolve:
         assert main(["solve", "--config", str(uncapped)]) == EXIT_OK
         assert lifted == capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:10:nan", "nan:10:1", "10:0:1"])
+    def test_bad_pave_grid_exits_3(self, config_path, grid, capsys):
+        """A non-finite endpoint or step, or a range with no points, is a
+        config error (an infinite STOP once looped forever)."""
+        code = main(["sweep", "--config", config_path, f"--pave-db={grid}", "--trials", "0"])
+        assert code == EXIT_CONFIG
+        assert "config error: --pave-db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--trials", "-5"), ("nmse", "--workers", "-2"), ("nmse", "--workers", "0"),
+    ])
+    def test_negative_count_override_exits_3(self, config_path, command, flag, value, capsys):
+        assert main([command, "--config", config_path, flag, value]) == EXIT_CONFIG
+        assert f"config error: {flag} must be" in capsys.readouterr().err
+
     def test_scheme_override(self, config_path, capsys):
         assert main(["solve", "--config", config_path, "--scheme", "nonreciprocal"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -338,7 +338,7 @@ class TestBatchOfOne:
         else:
             channels, t = _nonrec_round()
             plan, e_fwd, prior = N_PLAN, N_ALLOC.e_t3, CFG.var_hd
-            noise = analytics.nonreciprocal_effective_noise(CFG, N_ALLOC, N_PLAN)
+            noise = analytics.nonreciprocal_effective_noise(CFG, N_ALLOC)
             batched = (channels.h_d[None], channels.h_u[None], channels.g[None])
             alloc = N_ALLOC
         out = run_rounds(CFG, plan, alloc, RngStream(2).generator, batch=1, channels=batched)
