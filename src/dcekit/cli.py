@@ -93,7 +93,9 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _load_settings(args) -> RunSettings:
-    for flag, value, least in (("--trials", args.trials, 0), ("--workers", args.workers, 1)):
+    for flag, value, least in (
+        ("--trials", args.trials, 0), ("--seed", args.seed, 0), ("--workers", args.workers, 1),
+    ):
         if value is not None and value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     settings = load_config(args.config)

@@ -509,6 +509,9 @@ def parse_config(text: str) -> RunSettings:
     trials = to_int("trials", 10000)
     if trials < 1:
         raise ConfigError(f"config key 'trials': must be >= 1, got {trials}", key="trials")
+    seed = to_int("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"config key 'seed': must be >= 0, got {seed}", key="seed")
 
     return RunSettings(
         config=config,
@@ -518,7 +521,7 @@ def parse_config(text: str) -> RunSettings:
         pl_db=to_float("pl_db", 20.0),
         pave_db=to_float("pave_db", None),
         trials=trials,
-        seed=to_int("seed", 0),
+        seed=seed,
     )
 
 

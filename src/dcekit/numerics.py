@@ -7,10 +7,25 @@ training engine in :mod:`dcekit.protocol` draws on them.  The only state in
 this module is :class:`RngStream`, a thin splittable wrapper over numpy's
 counter-based Philox bit generator so that Monte Carlo code can hand
 independent, reproducible substreams to workers without coordination.
+
+The null complements and the Haar pilots come from a QR factorization with
+two paths.  numpy's stacked LAPACK QR makes one ``zgeqrf`` / ``zungqr`` call
+per matrix, which dominates a Monte Carlo chunk of thousands of small
+matrices; :func:`_householder_qr` instead runs each Householder step as one
+vectorized pass over the whole stack, with LAPACK's conventions, so both
+paths give the same factors up to rounding.  A vectorized call costs a fixed
+0.1-0.2 ms of interpreter work, so stacks below :data:`HOUSEHOLDER_MIN_BATCH`
+matrices (the batch-of-one rounds among them) keep the LAPACK call.
+Measured on a shared 2-vCPU Xeon VM (numpy 2.4, OpenBLAS on one thread),
+the two paths break even at 96-160 matrices for 4x2, 6x3 and 4x4 inputs; at
+a 4096-matrix chunk the vectorized path takes 0.9-2.7 ms against 3.5-5.2 ms
+for a 4x2 null complement and 3.2-4.0 ms against 8.4-8.9 ms for a 4x4 Haar
+pilot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +47,10 @@ ComplexMatrix = np.ndarray
 
 # Relative singular-value cutoff below which an input counts as rank deficient.
 RANK_RTOL = 1e-8
+
+# Stacks of at least this many matrices take the vectorized Householder QR;
+# smaller ones take numpy's LAPACK QR (see the module docstring).
+HOUSEHOLDER_MIN_BATCH = 192
 
 
 class DegenerateMatrixError(ValueError):
@@ -95,6 +114,74 @@ def herm(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
+def _qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``cols`` of the complete Q factor and the R diagonal of a stack
+    of ``(..., n, m)`` matrices: numpy's LAPACK QR below
+    :data:`HOUSEHOLDER_MIN_BATCH` matrices, :func:`_householder_qr` from there on."""
+    if math.prod(a.shape[:-2]) < HOUSEHOLDER_MIN_BATCH:
+        q, r = np.linalg.qr(a, mode="complete" if cols.stop > a.shape[-1] else "reduced")
+        return q[..., cols], np.diagonal(r, axis1=-2, axis2=-1)
+    return _householder_qr(a, cols)
+
+
+def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_qr` by Householder reflections, each step one pass over the stack.
+
+    LAPACK's ``zgeqrf`` / ``zungqr`` conventions: reflector ``k`` is ``I - tau
+    v v^H`` with ``v[0] = 1``; the R diagonal ``beta`` is real, of the sign
+    opposite to the pivot's real part; a column with nothing below the
+    diagonal and a real pivot is left alone (``tau = 0``).  Column norms are
+    taken from the moduli divided by their largest, so no square overflows or
+    underflows at any scale, and a zero column gives ``tau = beta = 0``.
+    """
+    n, m = a.shape[-2:]
+    lead = a.shape[:-2]
+    # w[j, i] holds entry (i, j) of every matrix: the stack is the last axis,
+    # and each column of the matrices is one contiguous block.
+    stack = a.reshape((math.prod(lead), n, m))
+    w = np.ascontiguousarray(stack.transpose(2, 1, 0), dtype=np.complex128)
+    steps = min(n, m)
+    diag = np.empty((steps, w.shape[-1]))
+    reflectors = []
+    for k in range(steps):
+        x = w[k, k:]
+        mags = np.abs(x)
+        s = mags.max(axis=0)
+        s[s == 0.0] = 1.0
+        alpha = x[0]
+        tail = np.square(mags[1:] / s).sum(axis=0)
+        keep = (tail == 0.0) & (alpha.imag == 0.0)
+        beta = -np.copysign(np.sqrt(np.square(mags[0] / s) + tail) * s, alpha.real)
+        beta[keep] = alpha.real[keep]
+        tau = (beta - alpha) / np.where(keep, 1.0, beta)
+        v = x[1:] * (1.0 / np.where(keep, 1.0, alpha - beta))
+        diag[k] = beta
+        reflectors.append((v, tau))
+        # Apply H^H = I - conj(tau) v v^H to the trailing columns.
+        _reflect(w[k + 1:, k:], v, tau.conj())
+
+    # Q[:, cols] = H_0 ... H_{steps-1} I[:, cols], accumulated from the right;
+    # when H_k is applied, the columns left of k are still zero below row k.
+    idx = np.arange(n)[cols]
+    q = np.zeros((idx.size, n, w.shape[-1]), dtype=np.complex128)
+    q[np.arange(idx.size), idx] = 1.0
+    for k in range(steps - 1, -1, -1):
+        v, tau = reflectors[k]
+        _reflect(q[max(k - cols.start, 0):, k:], v, tau)
+    q = np.ascontiguousarray(q.transpose(2, 1, 0))
+    return q.reshape(lead + q.shape[1:]), diag.T.reshape(lead + (steps,))
+
+
+def _reflect(block: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
+    """Apply ``I - tau u u^H``, ``u = (1, v)``, in place to every column of
+    ``block``, shape ``(columns, rows, stack)`` as in :func:`_householder_qr`."""
+    head, body = block[:, 0], block[:, 1:]
+    prod = v.conj() * body
+    t = tau * (head + prod.sum(axis=1))
+    head -= t
+    body -= np.multiply(v, t[:, None], out=prod)
+
+
 def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Independent Haar-distributed ``tau x n`` semi-unitaries, shape ``(..., tau, n)``.
 
@@ -104,8 +191,7 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     tau, n = shape[-2:]
     if not 1 <= n <= tau:
         raise ValueError(f"need tau >= n >= 1 for orthonormal columns, got {tau}x{n}")
-    q, r = np.linalg.qr(complex_normal(gen, shape, 1.0))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
     phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
     return q * phase.conj()[..., None, :]
 
@@ -117,7 +203,8 @@ def null_complement(mat: np.ndarray) -> np.ndarray:
     complement the span of ``mat`` at any rank, zero included, which the
     protocol needs on edges like an unpowered reverse stage.
     """
-    return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
+    n, m = mat.shape[-2:]
+    return _qr(mat, slice(m, n))[0]
 
 
 def null_space_basis(mat: ComplexMatrix) -> ComplexMatrix:

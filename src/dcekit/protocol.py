@@ -112,6 +112,17 @@ def forward_pilot(n_t: int, tau: int, d) -> ComplexMatrix:
     return base * np.sqrt(np.asarray(d, dtype=float))[None, :]
 
 
+def _fixed_matmul(fixed: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """``fixed @ batch`` for one ``(p, q)`` matrix and a ``(b, q, r)`` stack as
+    a single 2-D GEMM; a stacked matmul makes one small BLAS call per matrix,
+    which for a batch of one is that GEMM without the reshaping around it."""
+    b, q, r = batch.shape
+    if b == 1:
+        return fixed @ batch
+    cols = batch.transpose(1, 0, 2).reshape(q, b * r)
+    return (fixed @ cols).reshape(-1, b, r).transpose(1, 0, 2)
+
+
 def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     diff = truth - est
     return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
@@ -175,9 +186,9 @@ def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) 
     w_t = complex_normal(gen, (batch, plan.tau_r, n_t), config.var_wt)
 
     x_l = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
-    y_t = x_l @ np.swapaxes(h, -1, -2) + w_t
+    y_t = _fixed_matmul(x_l, np.swapaxes(h, -1, -2)) + w_t
     k_rev = lmmse_combiner(x_l, config.var_h, config.var_wt)
-    h_hat = np.swapaxes(k_rev @ y_t, -1, -2)  # plain transpose: unknown was H^T
+    h_hat = np.swapaxes(_fixed_matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
 
     out = {"h": h, "g": g, "h_hat": h_hat}
     if keep_signals:
@@ -209,8 +220,8 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
 
     wt2 = complex_normal(gen, (batch, plan.tau_l2, n_t), config.var_wt)
     x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
-    y_t2 = x_l2 @ h_u + wt2
-    hu_hat = lmmse_combiner(x_l2, config.var_hu, config.var_wt) @ y_t2
+    y_t2 = _fixed_matmul(x_l2, h_u) + wt2
+    hu_hat = _fixed_matmul(lmmse_combiner(x_l2, config.var_hu, config.var_wt), y_t2)
     hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
 
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
@@ -240,9 +251,9 @@ def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage
     y_l = x_t @ h + w
     y_u = x_t @ g + v
 
-    h_lr = lmmse_combiner(x_bar, prior_l, noise_l) @ y_l
+    h_lr = _fixed_matmul(lmmse_combiner(x_bar, prior_l, noise_l), y_l)
     r_u = analytics.ur_disturbance(config, alloc.var_a)
-    g_ur = lmmse_combiner(x_bar, config.var_g, r_u) @ y_u
+    g_ur = _fixed_matmul(lmmse_combiner(x_bar, config.var_g, r_u), y_u)
 
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,

@@ -100,6 +100,8 @@ def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
     """Run ``chunk(gen, size)`` on ``RngStream(seed, i)`` for every chunk
     ``i`` of at most :data:`CHUNK` trials and add the returned tuples
     elementwise, from 0 and in chunk order, on any number of ``workers``."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     full, rem = divmod(trials, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
 

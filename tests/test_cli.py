@@ -122,6 +122,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("command,flag,value", [
         ("sweep", "--trials", "-5"), ("nmse", "--workers", "-2"), ("nmse", "--workers", "0"),
+        ("nmse", "--seed", "-1"), ("ser", "--seed", "-1"),
     ])
     def test_negative_count_override_exits_3(self, config_path, command, flag, value, capsys):
         assert main([command, "--config", config_path, flag, value]) == EXIT_CONFIG

@@ -254,6 +254,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gamma"):
             parse_config(GOOD_CONFIG.replace("gamma = 0.1", "gamma = 1.5"))
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="'seed'") as info:
+            parse_config(GOOD_CONFIG + "\nseed = -1\n")
+        assert info.value.key == "seed"
+
     def test_line_without_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("nt 4\n")

@@ -9,6 +9,7 @@ errors with the closed forms is covered by the Monte Carlo suite.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dcekit.model import (
     reciprocal_plan,
     training_spend,
 )
-from dcekit.numerics import RngStream, complex_normal, null_complement
+from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, RngStream, complex_normal, null_complement
 from dcekit.protocol import (
     _guard_null_residual,
     dft_semiunitary,
@@ -105,27 +106,57 @@ class TestBatchedKernels:
         assert gen_a.standard_normal() == gen_b.standard_normal()
 
     @staticmethod
-    def _degenerate_batch(kind: str) -> np.ndarray:
+    def _degenerate_batch(kind: str, batch: int) -> np.ndarray:
         gen = RngStream(32).generator
-        if kind == "full_rank":
-            return complex_normal(gen, (64, 4, 2), 1.0)
         if kind == "rank_one":
-            return complex_normal(gen, (64, 4, 1), 1.0) @ complex_normal(gen, (64, 1, 2), 1.0)
+            return complex_normal(gen, (batch, 4, 1), 1.0) @ complex_normal(gen, (batch, 1, 2), 1.0)
         if kind == "large_rank_one":
-            return 1e6 * complex_normal(gen, (64, 4, 1), 1.0) @ complex_normal(gen, (64, 1, 2), 1.0)
-        return np.zeros((64, 4, 2), dtype=complex)
+            return 1e6 * complex_normal(gen, (batch, 4, 1), 1.0) @ complex_normal(gen, (batch, 1, 2), 1.0)
+        if kind == "zero":
+            return np.zeros((batch, 4, 2), dtype=complex)
+        if kind == "real":
+            return complex_normal(gen, (batch, 4, 2), 1.0).real.astype(complex)
+        if kind == "real_triangular":
+            # Nothing below the diagonal and a real pivot: every reflector is I.
+            return np.triu(complex_normal(gen, (batch, 4, 2), 1.0).real).astype(complex)
+        scale = {"full_rank": 1.0, "tiny": 1e-200, "huge": 1e200}[kind]
+        return scale * complex_normal(gen, (batch, 4, 2), 1.0)
 
-    @pytest.mark.parametrize("kind", ["full_rank", "rank_one", "large_rank_one", "zero"])
+    @pytest.mark.parametrize("kind", [
+        "full_rank", "rank_one", "large_rank_one", "zero", "real", "real_triangular", "tiny", "huge",
+    ])
     def test_null_complement_degenerate_inputs(self, kind):
-        mat = self._degenerate_batch(kind)
-        k = null_complement(mat)
+        """Both QR paths (stacks on either side of the crossover) give an
+        orthonormal complement, without a warning, at any rank and scale."""
+        for batch in (HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH):
+            mat = self._degenerate_batch(kind, batch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                k = null_complement(mat)
+            k_h = np.swapaxes(k.conj(), -1, -2)
+            assert k.shape == (batch, 4, 2)
+            ortho = np.linalg.norm(k_h @ k - np.eye(2), axis=(-2, -1))
+            assert np.max(ortho) < 1e-12
+            # Entrywise moduli: a Frobenius norm of the 1e200 stack would overflow.
+            leak = np.max(np.abs(k_h @ mat), axis=(-2, -1))
+            scale = np.max(np.abs(mat), axis=(-2, -1))
+            assert np.all(leak <= 1e-12 * scale)
+
+
+class TestHouseholderPath:
+    """``run_rounds`` on stacks that take the vectorized QR keeps the
+    artificial noise out of the transmitter's estimate (the per-round guard
+    only sees batch-of-one transcripts)."""
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_null_basis_invariants(self, scheme):
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        out = run_rounds(CFG, plan, alloc, RngStream(12).generator, batch=4096)
+        k, h_hat = out["k_null"], out["h_hat"]
         k_h = np.swapaxes(k.conj(), -1, -2)
-        assert k.shape == (64, 4, 2)
-        ortho = np.linalg.norm(k_h @ k - np.eye(2), axis=(-2, -1))
-        assert np.max(ortho) < 1e-12
-        leak = np.linalg.norm(k_h @ mat, axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
-        assert np.all(leak < 1e-10 * scale)
+        scale = np.maximum(1.0, np.max(np.abs(h_hat), axis=(-2, -1)))
+        assert np.all(np.max(np.abs(k_h @ h_hat), axis=(-2, -1)) <= 1e-10 * scale)
+        assert np.max(np.abs(k_h @ k - np.eye(CFG.n_t - CFG.n_l))) <= 1e-12
 
 
 class TestReciprocalRound:

@@ -209,6 +209,10 @@ class TestMcNmse:
         with pytest.raises(ValueError, match="trials"):
             mc_nmse(CFG, R_PLAN, R_ALLOC, trials=99, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            mc_nmse(CFG, R_PLAN, R_ALLOC, trials=500, seed=-1)
+
     def test_scheme_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mc_nmse(CFG, R_PLAN, N_ALLOC, trials=500, seed=1)
@@ -278,6 +282,8 @@ class TestMcSer:
             mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=10, seed=1)
         with pytest.raises(ValueError, match="power"):
             mc_ser(CFG, R_PLAN, R_ALLOC, data_power=0.0, trials=500, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=500, seed=-1)
         wide = SystemConfig(n_t=6, n_l=2, n_u=2)
         with pytest.raises(ValueError, match="n_t"):
             mc_ser(
