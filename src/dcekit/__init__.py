@@ -10,11 +10,11 @@ Monte-Carlo validation down to coded-data symbol error rates.
 
 Modules
 -------
-numerics   RNG streams; batched Gaussian draws, Haar semi-unitaries, null spaces
+numerics   RNG streams; batched Gaussian draws, Haar semi-unitaries, null complements
 model      system/plan/budget/allocation types, validation, config files
-estimator  batched LMMSE combiner, LMMSE blocks, echo-based downlink estimator
-analytics  every scalar error formula, closed-form NMSE, thresholds, bounds
-protocol   batched round engine (run_rounds) and its batch-of-one transcripts
+estimator  batched LMMSE combiner, echo-based downlink estimator
+analytics  every scalar error formula, closed-form NMSE, UR floor window, bounds
+protocol   batched round engine (run_rounds), batch-of-one transcripts with errors
 allocator  energy-allocation solvers (closed forms, reduced-space search)
 simkit     Monte-Carlo NMSE / symbol-error-rate harness
 cli        ``dcekit`` command-line tool
@@ -39,7 +39,6 @@ from .analytics import (
     nmse_lower_bound,
     nmse_u,
 )
-from .estimator import EstimateWithError, lmmse_block
 from .model import (
     NONRECIPROCAL,
     RECIPROCAL,
@@ -57,8 +56,8 @@ from .model import (
     parse_config,
     reciprocal_plan,
 )
-from .numerics import DegenerateMatrixError, RngStream, null_space_basis, random_gaussian
-from .protocol import TrainingTranscript, run_nonreciprocal, run_reciprocal
+from .numerics import RngStream, random_gaussian
+from .protocol import EstimateWithError, TrainingTranscript, run_nonreciprocal, run_reciprocal
 from .simkit import NmseReport, SerReport, mc_nmse, mc_ser, ostbc_detect, ostbc_encode
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "AllocationError",
     "ChannelRealization",
     "ConfigError",
-    "DegenerateMatrixError",
     "EnergyBudget",
     "EstimateWithError",
     "FeasibleGammaRange",
@@ -86,7 +84,6 @@ __all__ = [
     "draw_channels",
     "gamma_range",
     "gamma_tilde",
-    "lmmse_block",
     "load_config",
     "mc_nmse",
     "mc_ser",
@@ -96,7 +93,6 @@ __all__ = [
     "nmse_lower_bound",
     "nmse_u",
     "nonreciprocal_plan",
-    "null_space_basis",
     "optimal_pilot_gram",
     "optimize_rank",
     "ostbc_detect",

@@ -48,7 +48,7 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   That ``err = var_hd (1 - rho0(e_t0) / Q(e_l1, e_l2))`` and ``Q`` are
   defined in :func:`dcekit.analytics.downlink_error_floor`, and the search
   takes ``D_bar`` from :func:`dcekit.analytics.nonreciprocal_effective_noise`
-  and ``Q``'s coefficients from the analytics module.  For a fixed
+  and ``Q`` from :func:`dcekit.analytics.echo_quality`.  For a fixed
   ``var_a`` what remains is concave (``log rho0`` is concave, ``log Q``
   jointly convex): the LR split minimising ``Q`` at a given LR total is the
   root of one quadratic, and when the total cap binds the TX/LR share is
@@ -270,8 +270,9 @@ _SHARE_STEPS = 52  # bisection steps on the TX/LR share condition
 
 
 def _echo_quality(coefficients, l):
-    """The LR split of total energy ``l`` that minimises ``Q``, elementwise,
-    for the coefficients ``(a, b, c)`` of :func:`dcekit.analytics.echo_coefficients`.
+    """The LR split of total energy ``l`` that minimises
+    :func:`dcekit.analytics.echo_quality`, elementwise, for the coefficients
+    ``(a, b, c)`` of :func:`dcekit.analytics.echo_coefficients`.
 
     ``e_l1`` is the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 -
     (b l^2 + c l)``, i.e. ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns
@@ -281,7 +282,7 @@ def _echo_quality(coefficients, l):
     a, b, c = coefficients
     e_l1 = l / (1.0 + np.sqrt((a * l + c) / (b * l + c)))
     e_l2 = l - e_l1
-    q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
+    q = analytics.echo_quality(coefficients, e_l1, e_l2)
     return e_l1, e_l2, q, -(a + c / e_l1) / e_l2**2
 
 

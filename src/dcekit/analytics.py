@@ -1,4 +1,4 @@
-r"""Closed-form NMSE expressions, feasibility ranges, and protocol constants.
+r"""Closed-form NMSE expressions, the UR floor window, and protocol constants.
 
 Notation used throughout (all per-entry variances):
 
@@ -18,10 +18,15 @@ round transcripts take their error statistics from these functions.
 
 The reciprocal formulas are exact for the LMMSE estimators in
 :mod:`dcekit.estimator`.  The non-reciprocal LR formula is an approximation,
-made once in :func:`downlink_error_floor`, which also defines the echo
-quality ``Q`` the solver optimizes: the uplink-estimate Gram eigenvalues are
-collapsed to their mean (a Jensen step).  Monte Carlo agreement at operating
-SNRs is part of the acceptance suite.
+made once in :func:`downlink_error_floor`: the uplink-estimate Gram
+eigenvalues are collapsed to their mean (a Jensen step), which leaves the
+echo quality ``Q`` (:func:`echo_quality`, the one the solver optimizes).
+Monte Carlo agreement at operating SNRs is part of the acceptance suite.
+
+:func:`gamma_range` is the window of UR floors a full-rank pilot can meet
+under the transmitter cap alone; it is no feasibility verdict.  A total cap
+or a lower pilot rank moves what is reachable, so the solvers in
+:mod:`dcekit.allocator` decide feasibility (``InfeasibleGamma``).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "downlink_error_floor",
     "echo_coefficients",
     "echo_power",
+    "echo_quality",
     "forward_direction_errors",
     "gamma_range",
     "gamma_tilde",
@@ -66,20 +72,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeasibleGammaRange:
-    """Feasible leakage-target window and the transformed threshold.
-
-    A target ``gamma`` is achievable iff ``lo <= gamma <= hi``, equivalently
-    iff ``0 <= gamma_tilde <= e_t_max``.  ``gamma_tilde`` / ``feasible`` are
-    populated only when a concrete ``gamma`` was supplied.
-    """
+    """Full-rank, per-node window ``[lo, hi]`` of UR NMSE floors (see
+    :func:`gamma_range`); the solvers decide what a whole budget can meet."""
 
     lo: float
     hi: float
-    gamma_tilde: float | None = None
-    feasible: bool | None = None
-
-    def contains(self, gamma: float) -> bool:
-        return self.lo <= gamma <= self.hi
 
 
 def gamma_tilde(config: SystemConfig, gamma: float) -> float:
@@ -87,21 +84,16 @@ def gamma_tilde(config: SystemConfig, gamma: float) -> float:
     return (1.0 / gamma - 1.0 / config.var_g) * config.n_t * config.var_v
 
 
-def gamma_range(
-    config: SystemConfig, e_t_max: float, gamma: float | None = None
-) -> FeasibleGammaRange:
-    """Feasible window for the UR NMSE floor given the transmitter cap.
+def gamma_range(config: SystemConfig, e_t_max: float) -> FeasibleGammaRange:
+    """Window of UR NMSE floors a full-rank pilot can meet under the
+    transmitter cap: ``gamma`` lies in it iff ``0 <= gamma_tilde <= e_t_max``.
 
     The lower edge is UR's best NMSE when the whole cap is spent on an
     unguarded forward pilot, ``(1/var_g + e_t_max/(n_t var_v))^{-1}``; the
     upper edge is the prior ``var_g`` (reached by sending nothing).
     """
     lo = posterior_var(config.var_g, e_t_max / (config.n_t * config.var_v))
-    hi = config.var_g
-    if gamma is None:
-        return FeasibleGammaRange(lo=lo, hi=hi)
-    gt = gamma_tilde(config, gamma)
-    return FeasibleGammaRange(lo=lo, hi=hi, gamma_tilde=gt, feasible=lo <= gamma <= hi)
+    return FeasibleGammaRange(lo=lo, hi=config.var_g)
 
 
 def posterior_var(prior: float, gain):
@@ -225,21 +217,34 @@ def echo_power(config: SystemConfig, e_t0: float) -> float:
     return config.var_hd * e_t0 + config.n_t * config.var_w
 
 
+def _rho0(config: SystemConfig, e_t0):
+    """Round-trip signal share ``rho0 = var_hd e_t0 / q`` of the echo, ``q``
+    from :func:`echo_power`."""
+    return config.var_hd * e_t0 / echo_power(config, e_t0)
+
+
 def downlink_direction_error(config: SystemConfig, e_t0: float, b: float, lam):
     """Conditional per-entry error of the echo-based downlink estimate along an
     uplink-estimate Gram eigenvalue ``lam``, ``rho0`` as in
     :func:`downlink_error_floor`; ``b = inf`` (no echo) gives ``var_hd``."""
-    rho0 = config.var_hd * e_t0 / echo_power(config, e_t0)
-    return config.var_hd - config.var_hd * rho0 * (lam / (b + lam))
+    return config.var_hd - config.var_hd * _rho0(config, e_t0) * (lam / (b + lam))
 
 
 def echo_coefficients(config: SystemConfig) -> tuple[float, float, float]:
-    """``(a, b, c)`` of the echo quality ``Q`` of :func:`downlink_error_floor`;
-    infinite when ``var_hu == 0`` (no uplink to unwind the echo with)."""
+    """``(a, b, c)`` of :func:`echo_quality`; infinite when ``var_hu == 0``
+    (no uplink to unwind the echo with)."""
     if config.var_hu == 0.0:
         return math.inf, math.inf, math.inf
     b = config.n_l * config.var_wt / config.var_hu
     return config.n_l**2 * config.var_wt / (config.n_t * config.var_hu), b, b * b
+
+
+def echo_quality(coefficients, e_l1, e_l2):
+    """Echo quality ``Q`` of :func:`downlink_error_floor`, elementwise, for
+    the coefficients ``(a, b, c)`` of :func:`echo_coefficients`; a zero
+    energy makes it infinite."""
+    a, b, c = coefficients
+    return 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
 
 
 def downlink_error_floor(config: SystemConfig, e_t0, e_l1, e_l2):
@@ -251,19 +256,18 @@ def downlink_error_floor(config: SystemConfig, e_t0, e_l1, e_l2):
         \rho_0 = \frac{\sigma_{h_d}^2 E_{t0}}{q}, \quad
         Q = 1 + \frac{a}{E_{L2}} + \frac{b}{E_{L1}} + \frac{c}{E_{L1} E_{L2}},
 
-    ``q`` from :func:`echo_power`, ``a = n_l^2 var_wt / (n_t var_hu)``, ``b =
-    n_l var_wt / var_hu``, ``c = b^2``.  This is :func:`downlink_direction_error`
-    at ``b = beta`` with the uplink-estimate Gram eigenvalues collapsed to their
-    mean ``n_t (var_hu - delta_u^2)`` (the Jensen step): ``validate()`` pins
-    ``tau_t0 = n_t``, so ``alpha^2 q = e_l1 / n_l`` and ``lam / (beta + lam) =
-    1 / Q``.  A zero energy or ``var_hu == 0`` gives the prior ``var_hd``.
+    ``q`` from :func:`echo_power`, ``Q`` from :func:`echo_quality` with ``a =
+    n_l^2 var_wt / (n_t var_hu)``, ``b = n_l var_wt / var_hu``, ``c = b^2``.
+    This is :func:`downlink_direction_error` at ``b = beta`` with the
+    uplink-estimate Gram eigenvalues collapsed to their mean ``n_t (var_hu -
+    delta_u^2)`` (the Jensen step): ``validate()`` pins ``tau_t0 = n_t``, so
+    ``alpha^2 q = e_l1 / n_l`` and ``lam / (beta + lam) = 1 / Q``.  A zero
+    energy or ``var_hu == 0`` gives the prior ``var_hd``.
     """
-    a, b, c = echo_coefficients(config)
     e_t0, e_l1, e_l2 = (np.asarray(x, dtype=float) for x in (e_t0, e_l1, e_l2))
     with np.errstate(divide="ignore"):  # a zero energy makes Q infinite
-        q = 1.0 + a / e_l2 + b / e_l1 + c / (e_l1 * e_l2)
-    rho0 = config.var_hd * e_t0 / echo_power(config, e_t0)
-    return config.var_hd * (1.0 - rho0 / q)
+        q = echo_quality(echo_coefficients(config), e_l1, e_l2)
+    return config.var_hd * (1.0 - _rho0(config, e_t0) / q)
 
 
 def nonreciprocal_effective_noise(config: SystemConfig, alloc: PowerAllocation):

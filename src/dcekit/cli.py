@@ -31,6 +31,7 @@ from .model import (
     ConfigError,
     EnergyBudget,
     RunSettings,
+    db_to_energy,
     load_config,
     nonreciprocal_plan,
     reciprocal_plan,
@@ -264,9 +265,9 @@ def _cmd_nmse(args) -> int:
 
 def _cmd_ser(args) -> int:
     def row(settings, pave, budget, report):
-        if pave is None or math.isinf(pave):
+        data_power = math.inf if pave is None else db_to_energy(pave, 1)
+        if not 0.0 < data_power < math.inf:
             raise ConfigError("ser needs a finite average power (pave_db in config or --pave-db)")
-        data_power = 10.0 ** (pave / 10.0)
         if report is None:
             return [_fmt(data_power)] + [""] * 6
         rep = simkit.mc_ser(

@@ -7,10 +7,10 @@ Every estimator in the package rests on one observation template
 with a white matrix prior on the unknown ``U`` and white noise ``W``.  Its
 LMMSE combiner :func:`lmmse_combiner` is the one the training engine in
 :mod:`dcekit.protocol` applies at every stage (reverse pilot, uplink pilot,
-and both forward-stage receivers), and :func:`lmmse_block` is its
-single-observation view with the exact error statistics attached.  The
-estimate's error covariance depends on the pilot only through the Gram
-``X^H X``, which is what makes the closed-form NMSE expressions in
+and both forward-stage receivers).  The estimate's error covariance depends
+on the pilot only through the Gram ``X^H X``: the per-direction errors are
+:func:`dcekit.analytics.posterior_var` at its eigenvalues over the noise
+level, which is what makes the closed-form NMSE expressions in
 :mod:`dcekit.analytics` exact rather than approximate.
 
 The artificial-noise-protected forward stage is handled by whitening: the AN
@@ -28,38 +28,20 @@ Matrix inverses are never formed; everything goes through linear solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import ComplexMatrix, herm
+from .numerics import herm
 
 __all__ = [
-    "EstimateWithError",
     "echo_downlink_estimate",
     "effective_forward_noise_var",
-    "lmmse_block",
     "lmmse_combiner",
 ]
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
-    """An estimate bundled with its exact per-direction error statistics.
-
-    ``per_direction_error_var`` holds the per-entry error variance along each
-    eigendirection of the pilot Gram; ``nmse`` is their mean, i.e. the
-    per-entry mean-square error, which always lies in ``[0, prior_var]``.
-    """
-
-    estimate: ComplexMatrix
-    per_direction_error_var: np.ndarray
-    nmse: float
-
-
-def lmmse_combiner(pilot: ComplexMatrix, prior_var: float, noise_var: float) -> ComplexMatrix:
+def lmmse_combiner(pilot: np.ndarray, prior_var: float, noise_var: float) -> np.ndarray:
     """LMMSE combiner ``prior * P^H (prior * P P^H + noise * I)^{-1}``.
 
     Left-multiplying an observation ``Y = P U + W`` (or a batch of them) by
@@ -68,34 +50,6 @@ def lmmse_combiner(pilot: ComplexMatrix, prior_var: float, noise_var: float) -> 
     tau = pilot.shape[0]
     cov = prior_var * (pilot @ pilot.conj().T) + noise_var * np.eye(tau)
     return prior_var * np.linalg.solve(cov, pilot).conj().T
-
-
-def lmmse_block(
-    y: ComplexMatrix, x: ComplexMatrix, prior_var: float, noise_var: float
-) -> EstimateWithError:
-    """LMMSE estimate of ``U`` from ``Y = X U + W``.
-
-    ``x`` is ``tau x n``; columns of ``U`` are iid CN(0, ``prior_var`` I_n)
-    vectors and ``W`` has iid CN(0, ``noise_var``) entries.  The reported
-    error statistics come from the posterior covariance
-    ``(I/prior + X^H X / noise)^{-1}``, identical for every column, with the
-    Gram eigenvalues in ascending order.
-    """
-    y = np.asarray(y)
-    x = np.asarray(x)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError(f"observation has {y.shape[0]} rows but pilot has {x.shape[0]}")
-    if noise_var <= 0:
-        raise ValueError(f"noise variance must be > 0, got {noise_var}")
-    if prior_var < 0:
-        raise ValueError(f"prior variance must be >= 0, got {prior_var}")
-    gram_eigs = np.linalg.eigvalsh(x.conj().T @ x)
-    per_dir = analytics.posterior_var(prior_var, gram_eigs / noise_var)
-    return EstimateWithError(
-        estimate=lmmse_combiner(x, prior_var, noise_var) @ y,
-        per_direction_error_var=per_dir,
-        nmse=float(per_dir.mean()),
-    )
 
 
 def effective_forward_noise_var(config: SystemConfig, e_r: float, var_a: float) -> float:

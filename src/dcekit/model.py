@@ -391,10 +391,15 @@ def draw_channels(
 
 
 def db_to_energy(p_db: float, tau: int) -> float:
-    """Energy of a ``tau``-use stage transmitted at ``p_db`` dB average power."""
+    """Energy of a ``tau``-use stage transmitted at ``p_db`` dB average power;
+    ``inf`` past the float range (above about 3083 dB), which the budget
+    checks then judge like any infinite cap."""
     if tau < 1:
         raise ValueError(f"stage length must be >= 1, got {tau}")
-    return 10.0 ** (p_db / 10.0) * tau
+    try:
+        return 10.0 ** (p_db / 10.0) * tau
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Complex-matrix substrate: seeded draws, null-space bases, random semi-unitaries.
+"""Complex-matrix substrate: seeded draws, null complements, random semi-unitaries.
 
 Everything operates on plain ``numpy`` ``complex128`` arrays.  The batched
 primitives (:func:`complex_normal`, :func:`haar_semiunitary`,
 :func:`null_complement`, :func:`herm`) work on any leading batch axes; the
-training engine in :mod:`dcekit.protocol` draws on them.  The only state in
-this module is :class:`RngStream`, a thin splittable wrapper over numpy's
-counter-based Philox bit generator so that Monte Carlo code can hand
-independent, reproducible substreams to workers without coordination.
+training engine in :mod:`dcekit.protocol` draws on them.  The null complement
+is the one null-space routine: it completes an input of any rank, so no rank
+test or rank error exists here.  The only state in this module is
+:class:`RngStream`, a thin splittable wrapper over numpy's counter-based
+Philox bit generator so that Monte Carlo code can hand independent,
+reproducible substreams to workers without coordination.
 
 The null complements and the Haar pilots come from a QR factorization with
 two paths.  numpy's stacked LAPACK QR makes one ``zgeqrf`` / ``zungqr`` call
@@ -31,30 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ComplexMatrix",
-    "DegenerateMatrixError",
     "RngStream",
     "complex_normal",
     "haar_semiunitary",
     "herm",
     "null_complement",
-    "null_space_basis",
     "random_gaussian",
 ]
-
-# Readability alias for signatures; entries are complex128.
-ComplexMatrix = np.ndarray
-
-# Relative singular-value cutoff below which an input counts as rank deficient.
-RANK_RTOL = 1e-8
 
 # Stacks of at least this many matrices take the vectorized Householder QR;
 # smaller ones take numpy's LAPACK QR (see the module docstring).
 HOUSEHOLDER_MIN_BATCH = 192
-
-
-class DegenerateMatrixError(ValueError):
-    """Input matrix is rank deficient where a full-rank matrix is required."""
 
 
 @dataclass
@@ -93,19 +82,19 @@ def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float)
     return z
 
 
-def random_gaussian(
-    rows: int, cols: int, variance: float, rng: RngStream
-) -> ComplexMatrix:
+def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
     """Draw a ``rows x cols`` matrix of iid circular complex Gaussians.
 
     Each entry is CN(0, ``variance``): real and imaginary parts are
-    independent N(0, ``variance``/2).  ``variance`` = 0 gives the zero matrix
-    (the stream still advances, so draw order stays reproducible).
+    independent N(0, ``variance``/2).  ``variance`` must be finite and
+    ``>= 0``, as :func:`dcekit.model.validate` requires of every variance; 0
+    gives the zero matrix (the stream still advances, so draw order stays
+    reproducible).
     """
     if rows <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and nonnegative, got {variance}")
     return complex_normal(rng.generator, (rows, cols), variance)
 
 
@@ -205,31 +194,3 @@ def null_complement(mat: np.ndarray) -> np.ndarray:
     """
     n, m = mat.shape[-2:]
     return _qr(mat, slice(m, n))[0]
-
-
-def null_space_basis(mat: ComplexMatrix) -> ComplexMatrix:
-    """Orthonormal basis of the left null space of a tall full-rank matrix.
-
-    For ``mat`` of shape ``(n, m)`` with ``n > m`` and full column rank,
-    returns ``K`` of shape ``(n, n - m)`` with ``K^H mat = 0`` and
-    ``K^H K = I``: the :func:`null_complement` of ``mat``, so the basis is
-    deterministic for a given input.
-
-    Raises :class:`DegenerateMatrixError` when the smallest singular value
-    falls below ``1e-8`` times the largest (rank-deficient input), and
-    ``ValueError`` for non-tall shapes.
-    """
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    n, m = mat.shape
-    if n <= m:
-        raise ValueError(
-            f"matrix must be tall (rows > cols) to have a left null space, got {n}x{m}"
-        )
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < RANK_RTOL * s[0]:
-        raise DegenerateMatrixError(
-            f"matrix is rank deficient (singular values {s.min():.3e} .. {s.max():.3e})"
-        )
-    return np.ascontiguousarray(null_complement(mat))

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import analytics
 from .estimator import (
-    EstimateWithError,
     echo_downlink_estimate,
     effective_forward_noise_var,
     lmmse_combiner,
@@ -52,7 +51,6 @@ from .model import (
     validate,
 )
 from .numerics import (
-    ComplexMatrix,
     RngStream,
     complex_normal,
     haar_semiunitary,
@@ -61,6 +59,7 @@ from .numerics import (
 )
 
 __all__ = [
+    "EstimateWithError",
     "TrainingTranscript",
     "check_inputs",
     "dft_semiunitary",
@@ -75,6 +74,20 @@ _NULL_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
+class EstimateWithError:
+    """An estimate bundled with its exact per-direction error statistics.
+
+    ``per_direction_error_var`` holds the per-entry error variance along each
+    eigendirection of the pilot Gram; ``nmse`` is their mean, i.e. the
+    per-entry mean-square error, which always lies in ``[0, prior_var]``.
+    """
+
+    estimate: np.ndarray
+    per_direction_error_var: np.ndarray
+    nmse: float
+
+
+@dataclass(frozen=True)
 class TrainingTranscript:
     """Everything one training round produced.
 
@@ -85,14 +98,14 @@ class TrainingTranscript:
     """
 
     scheme: str
-    signals: dict[str, ComplexMatrix]
-    an_matrix: ComplexMatrix
-    null_basis: ComplexMatrix
+    signals: dict[str, np.ndarray]
+    an_matrix: np.ndarray
+    null_basis: np.ndarray
     estimates: dict[str, EstimateWithError]
     squared_errors: dict[str, float]
 
 
-def dft_semiunitary(tau: int, n: int) -> ComplexMatrix:
+def dft_semiunitary(tau: int, n: int) -> np.ndarray:
     """Deterministic ``tau x n`` semi-unitary: leading columns of the DFT."""
     if not 1 <= n <= tau:
         raise ValueError(f"need tau >= n >= 1, got tau={tau}, n={n}")
@@ -101,7 +114,7 @@ def dft_semiunitary(tau: int, n: int) -> ComplexMatrix:
     return np.exp(-2j * np.pi * j * k / tau) / np.sqrt(tau)
 
 
-def forward_pilot(n_t: int, tau: int, d) -> ComplexMatrix:
+def forward_pilot(n_t: int, tau: int, d) -> np.ndarray:
     """Unscaled forward pilot ``C`` with Gram eigenvalue profile ``d``.
 
     Columns of a DFT semi-unitary scaled by ``sqrt(d_k)``, so ``C^H C =

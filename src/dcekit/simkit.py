@@ -270,8 +270,8 @@ def mc_ser(
         raise ValueError(f"need at least 100 trials for a meaningful run, got {trials}")
     if config.n_t != 4:
         raise ValueError(f"the data phase uses a 4-antenna block code, got n_t={config.n_t}")
-    if data_power <= 0.0:
-        raise ValueError(f"data_power must be positive, got {data_power}")
+    if not 0.0 < data_power < math.inf:
+        raise ValueError(f"data_power must be positive and finite, got {data_power}")
     check_inputs(config, plan, alloc, plan.scheme)
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)

@@ -174,7 +174,8 @@ class TestReciprocalClosedForm:
         try:
             rep = solve_reciprocal(CFG, R_PLAN, budget)
         except InfeasibleGamma:
-            assert not analytics.gamma_range(CFG, e_t, gamma).feasible
+            r = analytics.gamma_range(CFG, e_t)
+            assert not r.lo <= gamma <= r.hi
             return
         a = rep.allocation
         assert allocation_violations(a, CFG, R_PLAN, budget=budget) == []

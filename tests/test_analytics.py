@@ -8,6 +8,7 @@ snapshots.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,14 +48,15 @@ class TestGammaTransform:
         r = analytics.gamma_range(CFG, e_t_max=120.0)
         assert r.lo == pytest.approx(1.0 / 31.0)
         assert r.hi == pytest.approx(1.0)
-        assert r.gamma_tilde is None and r.feasible is None
+        assert [f.name for f in dataclasses.fields(r)] == ["lo", "hi"]
 
     @pytest.mark.parametrize("gamma", [0.02, 1.0 / 31.0, 0.1, 1.0, 1.5])
     def test_range_agrees_with_transformed_test(self, gamma):
         """gamma in [lo, hi] must coincide with 0 <= gamma_tilde <= cap."""
-        r = analytics.gamma_range(CFG, e_t_max=120.0, gamma=gamma)
-        assert r.feasible == r.contains(gamma)
-        assert r.feasible == (0.0 <= r.gamma_tilde <= 120.0)
+        r = analytics.gamma_range(CFG, e_t_max=120.0)
+        in_window = r.lo <= gamma <= r.hi
+        assert in_window == (0.0 <= analytics.gamma_tilde(CFG, gamma) <= 120.0)
+        assert in_window == (gamma in (1.0 / 31.0, 0.1, 1.0))
 
 
 class TestReciprocalNmse:
@@ -130,6 +132,15 @@ class TestEchoConstants:
 
     def test_beta_infinite_without_echo(self):
         assert analytics.beta(CFG, 4.0, 2.0, 0.0) == math.inf
+
+    def test_echo_quality_worked_value(self):
+        # a = 2^2/4 = 1, b = 2, c = 4: Q = 1 + 1/1 + 2/2 + 4/(2*1) = 5.
+        coefficients = analytics.echo_coefficients(CFG)
+        assert coefficients == (1.0, 2.0, 4.0)
+        assert analytics.echo_quality(coefficients, 2.0, 1.0) == 5.0
+        with np.errstate(divide="ignore"):
+            q = analytics.echo_quality(coefficients, np.array([0.0, 2.0]), np.array([1.0, 0.0]))
+        assert np.all(np.isinf(q))
 
     def test_error_floor_worked_value(self):
         # rho0 = 1/2, shrink = 4*(1/2)/(3 + 2) = 2/5: err = 1 - 1/2 * 2/5 = 0.8.

@@ -112,6 +112,32 @@ class TestSolve:
         assert main(["solve", "--config", str(uncapped)]) == EXIT_OK
         assert lifted == capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_pave_beyond_float_range_lifts_cap(self, config_path, command, capsys):
+        """4000 dB is past the float range: the cap is infinite, not an error."""
+        args = ["--pave-db", "4000"] + (["--trials", "0"] if command == "sweep" else [])
+        assert main([command, "--config", config_path, *args]) == EXIT_OK
+        out = capsys.readouterr().out
+        if command == "solve":
+            assert "e_ave_max=inf" in out
+        else:
+            assert out.splitlines()[2].startswith("4000,") and out.rstrip().endswith(",ok")
+
+    def test_ser_pave_beyond_float_range_exits_3(self, config_path, capsys):
+        code = main(["ser", "--config", config_path, "--pave-db", "4000", "--trials", "300"])
+        assert code == EXIT_CONFIG
+        assert "config error: ser needs a finite average power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["pt_db", "pl_db"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "ser"])
+    def test_node_power_beyond_float_range_exits_3(self, tmp_path, key, command, capsys):
+        """An infinite per-node cap is a config problem, not a crash."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(BASE_CONFIG.replace(f"{key} = ", f"{key} = 4000  # was ") + "pave_db = 30\n")
+        assert main([command, "--config", str(cfg), "--trials", "300"]) == EXIT_CONFIG
+        field = "e_t_max" if key == "pt_db" else "e_l_max"
+        assert f"{field}: must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:10:nan", "nan:10:1", "10:0:1"])
     def test_bad_pave_grid_exits_3(self, config_path, grid, capsys):
         """A non-finite endpoint or step, or a range with no points, is a

@@ -1,6 +1,6 @@
 """Tests for the LMMSE building blocks.
 
-The block estimator is checked against a hand-computed scalar case, the
+The LMMSE combiner is checked against a hand-computed scalar case, the
 orthogonality principle, and an independently assembled dense LMMSE matrix
 (the "two routes to the same estimator" check for the echo-based downlink
 estimator, built from vectorized covariances with explicit Kronecker
@@ -18,43 +18,65 @@ from dcekit import analytics
 from dcekit.estimator import (
     echo_downlink_estimate,
     effective_forward_noise_var,
-    lmmse_block,
+    lmmse_combiner,
 )
-from dcekit.model import RECIPROCAL, PowerAllocation, SystemConfig, draw_channels, reciprocal_plan
+from dcekit.model import (
+    NONRECIPROCAL,
+    RECIPROCAL,
+    PowerAllocation,
+    SystemConfig,
+    draw_channels,
+    nonreciprocal_plan,
+    reciprocal_plan,
+)
 from dcekit.numerics import RngStream, haar_semiunitary, random_gaussian
-from dcekit.protocol import forward_pilot, run_reciprocal
+from dcekit.protocol import forward_pilot, run_nonreciprocal, run_reciprocal
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
 
 
+def _lmmse(y, x, prior, noise):
+    """LMMSE estimate of ``U`` from ``Y = X U + W`` and its per-direction
+    errors, the posterior at the pilot Gram eigenvalues (ascending)."""
+    per_dir = analytics.posterior_var(prior, np.linalg.eigvalsh(x.conj().T @ x) / noise)
+    return lmmse_combiner(x, prior, noise) @ y, per_dir
+
+
 class TestLmmseBlock:
+    """``lmmse_combiner(X, prior, noise) @ Y`` with the errors of
+    :func:`dcekit.analytics.posterior_var`."""
+
     def test_scalar_oracle(self):
         # y = x*u + w with x=1, prior=1, noise=1: cov=2, W = 1/2.
-        out = lmmse_block(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]), 1.0, 1.0)
-        assert out.estimate[0, 0] == pytest.approx(1.0)
-        assert out.per_direction_error_var[0] == pytest.approx(0.5)
-        assert out.nmse == pytest.approx(0.5)
+        est, per_dir = _lmmse(np.array([[2.0 + 0j]]), np.array([[1.0 + 0j]]), 1.0, 1.0)
+        assert est[0, 0] == pytest.approx(1.0)
+        assert per_dir[0] == pytest.approx(0.5)
+        assert per_dir.mean() == pytest.approx(0.5)
 
     def test_nmse_is_mean_of_directions(self):
-        x = random_gaussian(6, 3, 1.0, RngStream(3))
-        out = lmmse_block(np.zeros((6, 5), dtype=complex), x, 2.0, 0.7)
-        assert out.nmse == pytest.approx(out.per_direction_error_var.mean(), rel=0, abs=0)
-        assert out.per_direction_error_var.shape == (3,)
+        """Every transcript estimate reports the mean of its per-direction
+        errors as its NMSE: ``n_l`` directions for the transmitter, ``n_t``
+        for the receivers."""
+        for seed, (run, scheme, plan, alloc) in enumerate((
+            (run_reciprocal, RECIPROCAL, reciprocal_plan(CFG),
+             PowerAllocation(scheme=RECIPROCAL, e_r=3.0, e_f=10.0, var_a=0.8)),
+            (run_nonreciprocal, NONRECIPROCAL, nonreciprocal_plan(CFG),
+             PowerAllocation(scheme=NONRECIPROCAL, e_t0=8.0, e_l1=3.0, e_l2=2.0,
+                             e_t3=10.0, var_a=0.8)),
+        )):
+            channels = draw_channels(CFG, scheme, RngStream(seed, 1))
+            t = run(CFG, plan, alloc, channels, RngStream(seed, 2))
+            for key, n in (("tx", CFG.n_l), ("lr", CFG.n_t), ("ur", CFG.n_t)):
+                out = t.estimates[key]
+                assert out.per_direction_error_var.shape == (n,)
+                assert out.nmse == pytest.approx(out.per_direction_error_var.mean(), rel=0, abs=0)
 
     def test_zero_prior_returns_prior_mean(self):
         y = random_gaussian(5, 2, 1.0, RngStream(4))
         x = random_gaussian(5, 3, 1.0, RngStream(5))
-        out = lmmse_block(y, x, 0.0, 1.0)
-        np.testing.assert_array_equal(out.estimate, 0.0)
-        assert out.nmse == 0.0
-
-    def test_row_mismatch_raises(self):
-        with pytest.raises(ValueError, match="rows"):
-            lmmse_block(np.zeros((4, 2)), np.zeros((5, 3)), 1.0, 1.0)
-
-    def test_nonpositive_noise_raises(self):
-        with pytest.raises(ValueError):
-            lmmse_block(np.zeros((4, 2)), np.zeros((4, 3)), 1.0, 0.0)
+        est, per_dir = _lmmse(y, x, 0.0, 1.0)
+        np.testing.assert_array_equal(est, 0.0)
+        assert per_dir.mean() == 0.0
 
     def test_dense_lmmse_oracle(self):
         """Compare against W = prior X^H (prior X X^H + noise I)^{-1} built densely."""
@@ -62,14 +84,14 @@ class TestLmmseBlock:
         x = random_gaussian(7, 4, 1.3, stream)
         y = random_gaussian(7, 6, 2.0, stream)
         prior, noise = 0.8, 0.35
-        out = lmmse_block(y, x, prior, noise)
+        est, per_dir = _lmmse(y, x, prior, noise)
         cov = prior * (x @ x.conj().T) + noise * np.eye(7)
         w_oracle = prior * x.conj().T @ np.linalg.inv(cov)
-        np.testing.assert_allclose(out.estimate, w_oracle @ y, rtol=1e-11, atol=1e-13)
-        # Per-direction error variances are the posterior eigenvalues.
-        gram_eigs = np.linalg.eigvalsh(x.conj().T @ x)
-        expected = 1.0 / (1.0 / prior + gram_eigs / noise)
-        np.testing.assert_allclose(np.sort(out.per_direction_error_var), np.sort(expected), rtol=1e-10)
+        np.testing.assert_allclose(est, w_oracle @ y, rtol=1e-11, atol=1e-13)
+        # Per-direction error variances are the eigenvalues of the dense
+        # error covariance prior (I - W X).
+        expected = np.linalg.eigvalsh(prior * (np.eye(4) - w_oracle @ x))
+        np.testing.assert_allclose(np.sort(per_dir), expected, rtol=1e-10)
 
     def test_orthogonality_principle(self):
         """E[(U - Uhat) Uhat^H] = 0: check with a wide block of iid columns."""
@@ -78,13 +100,13 @@ class TestLmmseBlock:
         x = random_gaussian(8, 3, 1.0, stream)
         u = random_gaussian(3, 4000, prior, stream)
         w = random_gaussian(8, 4000, noise, stream)
-        out = lmmse_block(x @ u + w, x, prior, noise)
-        err = u - out.estimate
-        cross = (err @ out.estimate.conj().T) / u.shape[1]
+        est, per_dir = _lmmse(x @ u + w, x, prior, noise)
+        err = u - est
+        cross = (err @ est.conj().T) / u.shape[1]
         assert np.abs(cross).max() < 0.05
         # Empirical per-entry MSE matches the reported mean to MC accuracy.
         emp = float(np.mean(np.abs(err) ** 2))
-        assert emp == pytest.approx(out.nmse, rel=0.05)
+        assert emp == pytest.approx(per_dir.mean(), rel=0.05)
 
 
 class TestEffectiveForwardNoise:
@@ -115,18 +137,18 @@ class TestForwardEstimates:
         pilot = _forward_pilot(e_f, d)
         y = np.zeros((4, CFG.n_l), dtype=complex)
         noise = analytics.reciprocal_effective_noise(CFG, e_r, var_a)
-        out = lmmse_block(y, pilot, CFG.var_h, noise)
+        _, per_dir = _lmmse(y, pilot, CFG.var_h, noise)
         expected = analytics.nmse_l_reciprocal(CFG, e_r, e_f, var_a, d)
-        assert out.nmse == pytest.approx(expected, rel=1e-12)
+        assert per_dir.mean() == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("d", [np.ones(4), np.array([4.0, 0.0, 0.0, 0.0])])
     def test_ur_nmse_matches_closed_form(self, d):
         e_f, var_a = 10.0, 0.8
         pilot = _forward_pilot(e_f, d)
         y = np.zeros((4, CFG.n_u), dtype=complex)
-        out = lmmse_block(y, pilot, CFG.var_g, analytics.ur_disturbance(CFG, var_a))
+        _, per_dir = _lmmse(y, pilot, CFG.var_g, analytics.ur_disturbance(CFG, var_a))
         expected = analytics.nmse_u(CFG, e_f, var_a, d)
-        assert out.nmse == pytest.approx(expected, rel=1e-12)
+        assert per_dir.mean() == pytest.approx(expected, rel=1e-12)
 
     def test_lr_applies_lumped_noise_level(self):
         """The LR combiner must use the effective noise, not the thermal noise."""
@@ -140,14 +162,12 @@ class TestForwardEstimates:
         assert effective_forward_noise_var(CFG, e_r, var_a) / CFG.n_l == pytest.approx(
             noise, rel=1e-15
         )
-        ref = lmmse_block(t.signals["y_l"], pilot, CFG.var_h, noise)
+        ref, ref_dirs = _lmmse(t.signals["y_l"], pilot, CFG.var_h, noise)
         lr = t.estimates["lr"]
-        np.testing.assert_allclose(lr.estimate, ref.estimate, rtol=1e-12)
-        np.testing.assert_allclose(
-            lr.per_direction_error_var, ref.per_direction_error_var, rtol=1e-12
-        )
-        thermal = lmmse_block(t.signals["y_l"], pilot, CFG.var_h, CFG.var_w)
-        assert np.max(np.abs(lr.estimate - thermal.estimate)) > 1e-3
+        np.testing.assert_allclose(lr.estimate, ref, rtol=1e-12)
+        np.testing.assert_allclose(lr.per_direction_error_var, ref_dirs, rtol=1e-12)
+        thermal, _ = _lmmse(t.signals["y_l"], pilot, CFG.var_h, CFG.var_w)
+        assert np.max(np.abs(lr.estimate - thermal)) > 1e-3
 
 
 def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):

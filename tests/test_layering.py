@@ -7,20 +7,27 @@ Parses every module under ``src/dcekit`` and fails on any import of a
 also fails on any import, at module level or inside a function, of a
 third-party package other than numpy.  A CLI run in a fresh interpreter
 checks the same at run time: scipy (a test-only dependency) never loads.
+
+The benchmark under ``perfbench/`` resolves module attributes by name (its
+tracer wraps them from outside), so a renamed or deleted name breaks it
+without breaking any import; one test installs that tracer on the package.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dcekit"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 THIRD_PARTY_ALLOWED = {"numpy"}
 
@@ -127,3 +134,36 @@ def test_cli_never_loads_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _benchmark_modules() -> list[str]:
+    """The dcekit modules ``perfbench/run.py`` imports (``from dcekit import ...``)."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dcekit"
+            for alias in node.names]
+
+
+def test_benchmark_tracer_resolves_every_name():
+    """The benchmark's tracer finds every attribute it wraps, and its
+    uninstall puts each original back.  The tracer is loaded from source,
+    so nothing is written under ``perfbench/``."""
+    path = PERFBENCH / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    names = _benchmark_modules()
+    assert len(names) == 8
+    dk = {name: importlib.import_module(f"dcekit.{name}") for name in names}
+    before = {name: dict(vars(module)) for name, module in dk.items()}
+    try:
+        tr = tracer.install(dk)
+        try:
+            assert len(tr.names) > len(tracer.SITES)  # the analytics functions too
+        finally:
+            tr.uninstall()
+        for name, module in dk.items():
+            assert all(vars(module)[k] is v for k, v in before[name].items()), name
+    finally:
+        # An install that fails halfway leaves no tracer to uninstall.
+        for name, module in dk.items():
+            vars(module).update(before[name])

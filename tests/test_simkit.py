@@ -280,8 +280,9 @@ class TestMcSer:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=10, seed=1)
-        with pytest.raises(ValueError, match="power"):
-            mc_ser(CFG, R_PLAN, R_ALLOC, data_power=0.0, trials=500, seed=1)
+        for power in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="power"):
+                mc_ser(CFG, R_PLAN, R_ALLOC, data_power=power, trials=500, seed=1)
         with pytest.raises(ValueError, match="seed"):
             mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=500, seed=-1)
         wide = SystemConfig(n_t=6, n_l=2, n_u=2)
