@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import allocator, analytics, simkit
 from .model import (
+    MIN_TRIALS,
     NONRECIPROCAL,
     RECIPROCAL,
     ConfigError,
@@ -94,11 +95,15 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _load_settings(args) -> RunSettings:
-    for flag, value, least in (
-        ("--trials", args.trials, 0), ("--seed", args.seed, 0), ("--workers", args.workers, 1),
-    ):
+    for flag, value, least in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
         if value is not None and value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    if args.trials is not None and args.trials < MIN_TRIALS:
+        # 0 turns the Monte Carlo off, which nmse and ser cannot run without.
+        if args.trials != 0 or args.command in ("nmse", "ser"):
+            raise ConfigError(
+                f"--trials must be >= {MIN_TRIALS} (0 skips sweep's MC), got {args.trials}"
+            )
     settings = load_config(args.config)
     if args.scheme and args.scheme != settings.plan.scheme:
         make_plan = reciprocal_plan if args.scheme == RECIPROCAL else nonreciprocal_plan
@@ -157,6 +162,8 @@ def _grid(args, kind: str, row) -> int:
     infeasible.  Returns the nonconverged exit code if any solve stopped at
     its iteration cap.
     """
+    if args.emit_plot_script and not args.out:
+        raise ConfigError("--emit-plot-script requires --out")
     schema, header, ylabel, curves = _GRIDS[kind]
     settings = _load_settings(args)
     gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
@@ -181,8 +188,6 @@ def _grid(args, kind: str, row) -> int:
     else:
         sys.stdout.write(text)
     if args.emit_plot_script:
-        if not args.out:
-            raise ConfigError("--emit-plot-script requires --out")
         _emit_plot_script(args.out, ylabel, curves)
     return EXIT_NONCONVERGED if any_nonconverged else EXIT_OK
 
@@ -304,7 +309,10 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool) -> None:
         "--scheme", choices=(RECIPROCAL, NONRECIPROCAL),
         help="override the config's training scheme (plan lengths reset to defaults)",
     )
-    sub.add_argument("--trials", type=int, help="Monte-Carlo trials (sweep: 0 disables MC columns)")
+    sub.add_argument(
+        "--trials", type=int,
+        help=f"Monte-Carlo trials, at least {MIN_TRIALS} (sweep: 0 disables MC columns)",
+    )
     sub.add_argument("--seed", type=int, help="Monte-Carlo seed override")
     sub.add_argument("--workers", type=int, default=1, help="worker threads for MC chunks")
     if grid:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import herm
+from .numerics import herm, hermitian_solve, matmul
 
 __all__ = [
     "echo_downlink_estimate",
@@ -102,8 +102,8 @@ def echo_downlink_estimate(
         return np.zeros(y_t1.shape[:-2] + (config.n_t, config.n_l), dtype=complex)
     b = analytics.beta(config, e_t0, e_l2, alpha)
     pref = config.var_hd * config.n_t / (alpha * analytics.echo_power(config, e_t0))
-    z = herm(x_t0) @ y_t1  # matched filter over the initial pilot
-    s_mat = hu_hat @ herm(hu_hat) + b * np.eye(config.n_l)
+    z = matmul(herm(x_t0), y_t1)  # matched filter over the initial pilot
+    s_mat = matmul(hu_hat, herm(hu_hat)) + b * np.eye(config.n_l)
     # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
-    right = herm(np.linalg.solve(s_mat, hu_hat))
-    return pref * (z @ right)
+    right = herm(hermitian_solve(s_mat, hu_hat))
+    return pref * matmul(z, right)

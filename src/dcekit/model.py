@@ -30,6 +30,7 @@ __all__ = [
     "ChannelRealization",
     "ConfigError",
     "EnergyBudget",
+    "MIN_TRIALS",
     "PowerAllocation",
     "RunSettings",
     "SystemConfig",
@@ -50,6 +51,9 @@ __all__ = [
 RECIPROCAL = "reciprocal"
 NONRECIPROCAL = "nonreciprocal"
 _SCHEMES = (RECIPROCAL, NONRECIPROCAL)
+
+#: Fewest trials a Monte Carlo run takes, from a config file, a flag or a call.
+MIN_TRIALS = 100
 
 # Tolerance for "sums to n_t" / "equals n_t/K" checks on pilot eigenvalues.
 _EIG_ATOL = 1e-9
@@ -512,8 +516,10 @@ def parse_config(text: str) -> RunSettings:
         raise ConfigError(f"config key 'gamma': must lie in (0, var_g={config.var_g}], got {gamma}", key="gamma")
 
     trials = to_int("trials", 10000)
-    if trials < 1:
-        raise ConfigError(f"config key 'trials': must be >= 1, got {trials}", key="trials")
+    if trials < MIN_TRIALS:
+        raise ConfigError(
+            f"config key 'trials': must be >= {MIN_TRIALS}, got {trials}", key="trials"
+        )
     seed = to_int("seed", 0)
     if seed < 0:
         raise ConfigError(f"config key 'seed': must be >= 0, got {seed}", key="seed")

@@ -25,6 +25,15 @@ rounds of either scheme; :mod:`dcekit.simkit` drives it after one
 :func:`check_inputs`.  :func:`run_reciprocal` / :func:`run_nonreciprocal` are
 its batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
 on the same stream) that add the error statistics of :mod:`dcekit.analytics`.
+
+Every per-trial array of a chunk lives in stack-last memory (the trial axis
+has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
+rows, cols)`` shape: the drawn channels and AN are copied there once, every
+product goes through :func:`dcekit.numerics.matmul`, and each noise draw is
+added in place to a product that is already stack-last.  So a stacked
+product is a few vector operations along the chunk instead of 4096 BLAS
+calls.  Below :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds nothing
+is copied and numpy's own calls run, which keeps the batch-of-one bits.
 """
 
 from __future__ import annotations
@@ -55,7 +64,9 @@ from .numerics import (
     complex_normal,
     haar_semiunitary,
     herm,
+    matmul,
     null_complement,
+    stack_last,
 )
 
 __all__ = [
@@ -125,17 +136,6 @@ def forward_pilot(n_t: int, tau: int, d) -> np.ndarray:
     return base * np.sqrt(np.asarray(d, dtype=float))[None, :]
 
 
-def _fixed_matmul(fixed: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """``fixed @ batch`` for one ``(p, q)`` matrix and a ``(b, q, r)`` stack as
-    a single 2-D GEMM; a stacked matmul makes one small BLAS call per matrix,
-    which for a batch of one is that GEMM without the reshaping around it."""
-    b, q, r = batch.shape
-    if b == 1:
-        return fixed @ batch
-    cols = batch.transpose(1, 0, 2).reshape(q, b * r)
-    return (fixed @ cols).reshape(-1, b, r).transpose(1, 0, 2)
-
-
 def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
     diff = truth - est
     return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
@@ -161,6 +161,8 @@ def check_inputs(
 # Batched engine.  Draw order is part of the contract (reproducibility and
 # the batch-of-one runs below): channels first (when not supplied), then
 # stage noises in protocol order, then the AN matrix, then receiver noises.
+# Channels and AN, which enter products, are copied into stack-last memory;
+# each noise is added in place to a product that already is stack-last.
 # ---------------------------------------------------------------------------
 
 
@@ -192,16 +194,18 @@ def run_rounds(
 def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
     if channels is None:
-        h = complex_normal(gen, (batch, n_t, n_l), config.var_h)
-        g = complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
-    else:
-        h, g = channels
+        channels = (
+            complex_normal(gen, (batch, n_t, n_l), config.var_h),
+            complex_normal(gen, (batch, n_t, config.n_u), config.var_g),
+        )
+    h, g = map(stack_last, channels)
     w_t = complex_normal(gen, (batch, plan.tau_r, n_t), config.var_wt)
 
     x_l = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
-    y_t = _fixed_matmul(x_l, np.swapaxes(h, -1, -2)) + w_t
+    y_t = matmul(x_l, np.swapaxes(h, -1, -2))
+    y_t += w_t
     k_rev = lmmse_combiner(x_l, config.var_h, config.var_wt)
-    h_hat = np.swapaxes(_fixed_matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
+    h_hat = np.swapaxes(matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
 
     out = {"h": h, "g": g, "h_hat": h_hat}
     if keep_signals:
@@ -217,24 +221,29 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
     # Haar-random square unitary pilot, redrawn every round.
     c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
     if channels is None:
-        h_d = complex_normal(gen, (batch, n_t, n_l), config.var_hd)
-        h_u = complex_normal(gen, (batch, n_l, n_t), config.var_hu)
-        g = complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
-    else:
-        h_d, h_u, g = channels
+        channels = (
+            complex_normal(gen, (batch, n_t, n_l), config.var_hd),
+            complex_normal(gen, (batch, n_l, n_t), config.var_hu),
+            complex_normal(gen, (batch, n_t, config.n_u), config.var_g),
+        )
+    h_d, h_u, g = map(stack_last, channels)
 
     w0 = complex_normal(gen, (batch, plan.tau_t0, n_l), config.var_w)
     x_t0 = np.sqrt(e_t0 / n_t) * c_t0
-    y_l0 = x_t0 @ h_d + w0
+    y_l0 = matmul(x_t0, h_d)
+    y_l0 += w0
 
     alpha = analytics.alpha_gain(config, e_t0, alloc.e_l1, plan.tau_t0)
     wt1 = complex_normal(gen, (batch, plan.tau_t0, n_t), config.var_wt)
-    y_t1 = alpha * (y_l0 @ h_u) + wt1
+    y_t1 = matmul(y_l0, h_u)
+    y_t1 *= alpha
+    y_t1 += wt1
 
     wt2 = complex_normal(gen, (batch, plan.tau_l2, n_t), config.var_wt)
     x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
-    y_t2 = _fixed_matmul(x_l2, h_u) + wt2
-    hu_hat = _fixed_matmul(lmmse_combiner(x_l2, config.var_hu, config.var_wt), y_t2)
+    y_t2 = matmul(x_l2, h_u)
+    y_t2 += wt2
+    hu_hat = matmul(lmmse_combiner(x_l2, config.var_hu, config.var_wt), y_t2)
     hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
 
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
@@ -255,18 +264,21 @@ def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage
     tau = plan.tau_f if plan.scheme == RECIPROCAL else plan.tau_t3
 
     k_null = null_complement(out["h_hat"])
-    a = complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
+    a = stack_last(complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a))
     x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, plan.pilot_eigs)
-    x_t = x_bar + a @ herm(k_null)
+    x_t = matmul(a, herm(k_null))
+    x_t += x_bar
 
     w = complex_normal(gen, (batch, tau, n_l), config.var_w)
     v = complex_normal(gen, (batch, tau, config.n_u), config.var_v)
-    y_l = x_t @ h + w
-    y_u = x_t @ g + v
+    y_l = matmul(x_t, h)
+    y_l += w
+    y_u = matmul(x_t, g)
+    y_u += v
 
-    h_lr = _fixed_matmul(lmmse_combiner(x_bar, prior_l, noise_l), y_l)
+    h_lr = matmul(lmmse_combiner(x_bar, prior_l, noise_l), y_l)
     r_u = analytics.ur_disturbance(config, alloc.var_a)
-    g_ur = _fixed_matmul(lmmse_combiner(x_bar, config.var_g, r_u), y_u)
+    g_ur = matmul(lmmse_combiner(x_bar, config.var_g, r_u), y_u)
 
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,

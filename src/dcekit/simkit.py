@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .model import PowerAllocation, SystemConfig, TrainingPlan
-from .numerics import RngStream, complex_normal
+from .model import MIN_TRIALS, PowerAllocation, SystemConfig, TrainingPlan
+from .numerics import RngStream, complex_normal, matmul
 from .protocol import check_inputs, run_rounds
 
 __all__ = [
@@ -126,8 +126,8 @@ def mc_nmse(
     workers: int = 1,
 ) -> NmseReport:
     """Estimate LR/UR training NMSE empirically and pair it with closed forms."""
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials for a meaningful run, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     check_inputs(config, plan, alloc, plan.scheme)
     norm_l = config.n_t * config.n_l
     norm_u = config.n_t * config.n_u
@@ -162,7 +162,9 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
     """Map three symbols to the 4x4 rate-3/4 orthogonal codeword.
 
     Inputs may be scalars or broadcastable arrays; the codeword axes are the
-    last two of the output (time x antenna).  The design satisfies
+    last two of the output (time x antenna), and the input axes have the
+    smallest strides (a stack of codewords is stack-last, as
+    :func:`dcekit.numerics.matmul` wants).  The design satisfies
     ``X X^H = (|s1|^2+|s2|^2+|s3|^2) I`` for every input triple.
     """
     s1, s2, s3 = np.broadcast_arrays(
@@ -175,7 +177,8 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
         [-s3.conj(), zero, s1.conj(), -s2],
         [zero, -s3.conj(), s2.conj(), s1],
     ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    x = np.stack([np.stack(r) for r in rows])
+    return x.transpose(*range(2, x.ndim), 0, 1)
 
 
 # Real-linear expansion basis: the codewords B_k of the 6 unit real
@@ -232,7 +235,7 @@ def ostbc_detect(
     mids_re, mids_im, grid = _axis_slicer(QAM64 if constellation is None else constellation)
     h_energy = np.sum(h_hat.real**2 + h_hat.imag**2, axis=(-2, -1))
     denom = scale * np.maximum(h_energy, 1e-300)
-    m = (y @ np.swapaxes(h_hat.conj(), -1, -2)).astype(np.complex128, copy=False)
+    m = np.ascontiguousarray(matmul(y, np.swapaxes(h_hat.conj(), -1, -2)), dtype=np.complex128)
     m_parts = m.reshape(m.shape[:-2] + (16,)).view(np.float64)
     coords = (m_parts @ _OSTBC_CORR) / denom[..., None]
     # A coordinate exactly on a threshold (say, from a zero estimate) takes
@@ -266,8 +269,8 @@ def mc_ser(
     detects with its own estimate.  Requires ``n_t == 4`` (the code is a
     four-antenna design).
     """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials for a meaningful run, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     if config.n_t != 4:
         raise ValueError(f"the data phase uses a 4-antenna block code, got n_t={config.n_t}")
     if not 0.0 < data_power < math.inf:
@@ -284,8 +287,10 @@ def mc_ser(
         sym_idx = gen.integers(0, QAM64.size, size=(m, 3))
         s = QAM64[sym_idx]
         x = amp * ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
-        y_l = x @ out["h"] + complex_normal(gen, (m, 4, config.n_l), config.var_w)
-        y_u = x @ out["g"] + complex_normal(gen, (m, 4, config.n_u), config.var_v)
+        y_l = matmul(x, out["h"])
+        y_l += complex_normal(gen, (m, 4, config.n_l), config.var_w)
+        y_u = matmul(x, out["g"])
+        y_u += complex_normal(gen, (m, 4, config.n_u), config.var_v)
         return (
             count_errors(ostbc_detect(y_l, out["h_lr"], amp), s),
             count_errors(ostbc_detect(y_l, out["h"], amp), s),

@@ -160,6 +160,30 @@ class TestSolve:
         assert "scheme: nonreciprocal" in out
         assert "scenario: interior" in out
 
+    @pytest.mark.parametrize("command,value", [
+        ("nmse", "50"), ("sweep", "50"), ("ser", "99"), ("sweep", "1"),
+        ("nmse", "0"), ("ser", "0"), ("solve", "50"),
+    ])
+    def test_too_few_trials_exits_3_before_solving(
+        self, config_path, command, value, capsys, monkeypatch
+    ):
+        """1-99 trials (and 0 where a Monte Carlo must run) fail on the flag,
+        before any solve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking --trials")
+
+        monkeypatch.setattr(allocator, "solve", refuse)
+        assert main([command, "--config", config_path, "--trials", value]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --trials must be >= 100")
+        assert captured.out == ""
+
+    def test_too_few_trials_in_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(BASE_CONFIG.replace("trials = 2000", "trials = 50"))
+        assert main(["nmse", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config key 'trials': must be >= 100" in capsys.readouterr().err
+
     def test_nonconverged_exits_4(self, config_path, capsys, monkeypatch):
         real = allocator.solve_nonreciprocal
 
@@ -219,10 +243,19 @@ class TestSweep:
         # MC agrees with the closed form to a loose 5 sigma at 200 trials.
         assert abs(mc_l - float(row[8])) <= 5 * mc_l_se
 
-    def test_plot_script_requires_out(self, config_path, capsys):
-        code = main(["sweep", "--config", config_path, "--gamma", "0.1",
-                     "--pave-db", "20", "--trials", "0", "--emit-plot-script"])
-        assert code == EXIT_CONFIG
+    def test_plot_script_requires_out(self, config_path, capsys, monkeypatch):
+        """The flag is checked before any point is solved or simulated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before checking --emit-plot-script")
+
+        monkeypatch.setattr(allocator, "solve", refuse)
+        for command in ("sweep", "ser"):
+            code = main([command, "--config", config_path, "--gamma", "0.1",
+                         "--pave-db", "10:30:10", "--trials", "20000", "--emit-plot-script"])
+            assert code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--emit-plot-script requires --out" in captured.err
 
     def test_plot_script_emitted(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"

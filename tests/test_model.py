@@ -259,6 +259,14 @@ class TestParseConfig:
             parse_config(GOOD_CONFIG + "\nseed = -1\n")
         assert info.value.key == "seed"
 
+    @pytest.mark.parametrize("trials", [0, 1, 50, 99])
+    def test_too_few_trials(self, trials):
+        """Every Monte Carlo run needs MIN_TRIALS; the config says so up front."""
+        with pytest.raises(ConfigError, match="'trials': must be >= 100") as info:
+            parse_config(GOOD_CONFIG + f"\ntrials = {trials}\n")
+        assert info.value.key == "trials"
+        assert parse_config(GOOD_CONFIG + "\ntrials = 100\n").trials == 100
+
     def test_line_without_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("nt 4\n")

@@ -1,5 +1,6 @@
 """Unit tests for the complex-matrix substrate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcekit.numerics import (
+    HOUSEHOLDER_MIN_BATCH,
     RngStream,
     _householder_qr,
     complex_normal,
     haar_semiunitary,
+    hermitian_solve,
+    matmul,
     null_complement,
     random_gaussian,
+    stack_last,
 )
 
 
@@ -177,3 +182,56 @@ class TestHouseholderQr:
         q, diag = _householder_qr(a, slice(0, 4))
         np.testing.assert_array_equal(q, np.broadcast_to(np.eye(4), q.shape))
         np.testing.assert_array_equal(diag, np.diagonal(a, axis1=-2, axis2=-1).real)
+
+
+class TestStackKernels:
+    """The stack product and the stack Hermitian solve against numpy, on both
+    sides of the crossover, for stack-last inputs and for batch-first ones
+    (the strided case).  Below the crossover they are numpy's own calls."""
+
+    BATCHES = (HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH)
+
+    @staticmethod
+    def _check(got: np.ndarray, ref: np.ndarray, batch: int) -> None:
+        assert got.shape == ref.shape
+        if batch < HOUSEHOLDER_MIN_BATCH:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+            assert got.strides[0] == got.itemsize
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("layout", ["stack_last", "batch_first"])
+    def test_matmul_matches_numpy(self, batch, layout):
+        gen = RngStream(50).generator
+        dims = (1, 2, 3, 4, 6)
+        for p, q, r in itertools.product(dims, dims, dims):
+            a = complex_normal(gen, (batch, p, q), 1.0)
+            b = complex_normal(gen, (batch, q, r), 1.0)
+            if layout == "stack_last":
+                a, b = stack_last(a), stack_last(b)
+            # Two stacks, and a matrix shared by the stack on either side.
+            for x, y in ((a, b), (a[0], b), (a, b[0])):
+                self._check(matmul(x, y), np.matmul(x, y), batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("layout", ["stack_last", "batch_first"])
+    def test_hermitian_solve_matches_numpy(self, batch, layout):
+        gen = RngStream(51).generator
+        for n, m in itertools.product((1, 2, 3, 4), (1, 2, 4, 6)):
+            h = complex_normal(gen, (batch, n, 6), 1.0)
+            s = h @ np.swapaxes(h.conj(), -1, -2) + 0.2 * np.eye(n)
+            rhs = complex_normal(gen, (batch, n, m), 1.0)
+            ref = np.linalg.solve(s, rhs)
+            if layout == "stack_last":
+                s, rhs = stack_last(s), stack_last(rhs)
+            self._check(hermitian_solve(s, rhs), ref, batch)
+
+    def test_stack_last_copies_only_large_batch_first_stacks(self):
+        small = complex_normal(RngStream(52).generator, (HOUSEHOLDER_MIN_BATCH - 1, 4, 2), 1.0)
+        assert stack_last(small) is small
+        big = complex_normal(RngStream(52).generator, (HOUSEHOLDER_MIN_BATCH, 4, 2), 1.0)
+        moved = stack_last(big)
+        np.testing.assert_array_equal(moved, big)
+        assert moved.strides[0] == moved.itemsize
+        assert np.shares_memory(stack_last(moved), moved)  # no second copy

@@ -158,6 +158,19 @@ class TestHouseholderPath:
         assert np.all(np.max(np.abs(k_h @ h_hat), axis=(-2, -1)) <= 1e-10 * scale)
         assert np.max(np.abs(k_h @ k - np.eye(CFG.n_t - CFG.n_l))) <= 1e-12
 
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_chunk_arrays_are_stack_last(self, scheme):
+        """Every per-trial array of a 4096-round chunk has the trial axis as
+        its unit-stride axis, which the vector kernels rely on for speed."""
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        out = run_rounds(CFG, plan, alloc, RngStream(13).generator, batch=4096, keep_signals=True)
+        arrays = {k: v for k, v in out.items() if isinstance(v, np.ndarray)}
+        arrays.update((k, v) for k, v in out["signals"].items() if v.ndim == 3)
+        assert {"h", "g", "h_hat", "h_lr", "g_ur", "k_null", "an", "sq_lr"} <= set(arrays)
+        assert len(arrays) > 12  # the stage signals too
+        for name, x in arrays.items():
+            assert x.shape[0] == 4096 and x.strides[0] == x.itemsize, name
+
 
 class TestReciprocalRound:
     def test_signal_shapes(self):

@@ -23,7 +23,7 @@ from dcekit.model import (
     nonreciprocal_plan,
     reciprocal_plan,
 )
-from dcekit.numerics import RngStream, complex_normal, random_gaussian
+from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, RngStream, complex_normal, random_gaussian
 from dcekit.simkit import (
     QAM4,
     QAM64,
@@ -165,6 +165,21 @@ class TestOstbcDetect:
             metrics = np.sum(np.abs(y[i] - cands) ** 2, axis=(1, 2))
             np.testing.assert_allclose(fast[i], triples[np.argmin(metrics)], atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH])
+    def test_shared_matrix_matches_stacked_copies(self, batch):
+        """A 2-D ``y`` or ``h_hat`` shared by the stack (the zero estimate
+        among them) detects as the same matrix repeated in a stack."""
+        gen = RngStream(77).generator
+        y = complex_normal(gen, (batch, 4, 2), 1.0)
+        h_hat = complex_normal(gen, (batch, 4, 2), 1.0)
+        for est in (h_hat[0], np.zeros((4, 2), dtype=complex)):
+            stacked = np.broadcast_to(est, y.shape).copy()
+            np.testing.assert_array_equal(ostbc_detect(y, est), ostbc_detect(y, stacked))
+            reference = _reference_detect(y, stacked, 1.0, QAM64)
+            np.testing.assert_array_equal(ostbc_detect(y, est), reference)
+        stacked = np.broadcast_to(y[0], y.shape).copy()
+        np.testing.assert_array_equal(ostbc_detect(y[0], h_hat), ostbc_detect(stacked, h_hat))
+
     def test_zero_estimate_degrades_gracefully(self):
         y = random_gaussian(4, 2, 1.0, RngStream(73))
         out = ostbc_detect(y, np.zeros((4, 2), dtype=complex))
@@ -295,3 +310,65 @@ class TestMcSer:
                 trials=500,
                 seed=1,
             )
+
+
+class TestPerSeedPins:
+    """Per-seed Monte Carlo outputs as computed with numpy's stacked ``@`` and
+    LAPACK solve on batch-first memory.  Trial count 5000 ends in a partial
+    chunk.  The stack-last kernels sum in another order, which may move the
+    NMSE figures only at rounding level, and no detected symbol may change."""
+
+    TRIALS = 5000
+
+    # (n_t, n_l, n_u), scheme, seed -> (nmse_l, nmse_l_se, nmse_u, nmse_u_se)
+    NMSE = {
+        ((4, 2, 2), RECIPROCAL, 3): (
+            0.6684467754465794, 0.0037861684085832474, 0.756483585917256, 0.004534904332875051),
+        ((4, 2, 2), RECIPROCAL, 8): (
+            0.6674509408631965, 0.003695249939532803, 0.7462264801840309, 0.004632257507427639),
+        ((4, 2, 2), NONRECIPROCAL, 3): (
+            0.5597490817188246, 0.003513205962183217, 0.5955323861230565, 0.0037924062588792122),
+        ((4, 2, 2), NONRECIPROCAL, 8): (
+            0.56177213926069, 0.0034714861634594827, 0.5955826164949629, 0.003807383199945443),
+        ((6, 3, 2), RECIPROCAL, 3): (
+            0.811114034862437, 0.0030128389828882112, 0.8627418859826914, 0.00397560692116629),
+        ((6, 3, 2), RECIPROCAL, 8): (
+            0.8094274972570255, 0.002980309561352049, 0.8545170993620923, 0.003937159462053822),
+        ((6, 3, 2), NONRECIPROCAL, 3): (
+            0.7330750122159245, 0.0029596828956694877, 0.7454884976665513, 0.003617818834338178),
+        ((6, 3, 2), NONRECIPROCAL, 8): (
+            0.7271705528516976, 0.002861015773024201, 0.7473261880197182, 0.0036329722189345198),
+    }
+
+    # scheme, seed -> symbol errors (LR, LR perfect CSI, UR) at data power 1000
+    SER = {
+        (RECIPROCAL, 3): (879, 0, 4116),
+        (RECIPROCAL, 8): (807, 0, 4186),
+        (NONRECIPROCAL, 3): (1269, 0, 4156),
+        (NONRECIPROCAL, 8): (1300, 0, 4237),
+    }
+    SER_ALLOC = {
+        RECIPROCAL: PowerAllocation(scheme=RECIPROCAL, e_r=40.0, e_f=200.0, var_a=1.0),
+        NONRECIPROCAL: PowerAllocation(
+            scheme=NONRECIPROCAL, e_t0=40.0, e_l1=40.0, e_l2=20.0, e_t3=200.0, var_a=1.0
+        ),
+    }
+
+    @pytest.mark.parametrize("dims, scheme, seed", list(NMSE), ids=str)
+    def test_mc_nmse(self, dims, scheme, seed):
+        cfg = SystemConfig(*dims)
+        if scheme == RECIPROCAL:
+            plan, alloc = reciprocal_plan(cfg), R_ALLOC
+        else:
+            plan, alloc = nonreciprocal_plan(cfg), N_ALLOC
+        rep = mc_nmse(cfg, plan, alloc, self.TRIALS, seed)
+        got = (rep.nmse_l, rep.nmse_l_se, rep.nmse_u, rep.nmse_u_se)
+        assert got == pytest.approx(self.NMSE[dims, scheme, seed], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scheme, seed", list(SER), ids=str)
+    def test_mc_ser(self, scheme, seed):
+        plan = R_PLAN if scheme == RECIPROCAL else N_PLAN
+        rep = mc_ser(CFG, plan, self.SER_ALLOC[scheme], 1000.0, self.TRIALS, seed)
+        n_sym = 3 * self.TRIALS
+        counts = (rep.ser_l * n_sym, rep.ser_l_perfect * n_sym, rep.ser_u * n_sym)
+        assert tuple(round(c) for c in counts) == self.SER[scheme, seed]
