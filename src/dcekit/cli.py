@@ -66,8 +66,16 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+# More P_ave points than any sweep needs; a range past it is a typo (a tiny STEP).
+_MAX_PAVE_POINTS = 10_000
+
+
 def _parse_pave_grid(text: str) -> list[float]:
-    """``'18'`` -> [18.0]; ``'10:32:2'`` -> [10, 12, ..., 32] (inclusive)."""
+    """``'18'`` -> [18.0]; ``'10:32:2'`` -> [10, 12, ..., 32] (inclusive).
+
+    A range is counted before it is built: more than :data:`_MAX_PAVE_POINTS`
+    points, or points that do not strictly increase (a STEP below the float
+    spacing of START), are a config error."""
     if ":" not in text:
         return [float(text)]
     parts = text.split(":")
@@ -76,11 +84,12 @@ def _parse_pave_grid(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and start <= stop + 1e-9):
         raise ConfigError(f"--pave-db needs finite START <= STOP and STEP > 0, got {text!r}")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 12))
-        value += step
+    count = (stop + 1e-9 - start) / step
+    if not count < _MAX_PAVE_POINTS:
+        raise ConfigError(f"--pave-db range has more than {_MAX_PAVE_POINTS} points, got {text!r}")
+    grid = [round(start + i * step, 12) for i in range(math.floor(count) + 1)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"--pave-db STEP is too small to advance from START, got {text!r}")
     return grid
 
 

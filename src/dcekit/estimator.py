@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import herm, hermitian_solve, matmul
+from .numerics import empty_stack, herm, hermitian_solve, matmul, scratch
 
 __all__ = [
     "echo_downlink_estimate",
@@ -98,12 +98,17 @@ def echo_downlink_estimate(
     :func:`dcekit.analytics.downlink_direction_error`.  With ``alpha == 0``
     the echo carries no signal and the estimate is the prior mean (zero).
     """
+    est = empty_stack(y_t1.shape[:-2] + (config.n_t, config.n_l))
     if alpha == 0.0:
-        return np.zeros(y_t1.shape[:-2] + (config.n_t, config.n_l), dtype=complex)
+        est.fill(0.0)
+        return est
     b = analytics.beta(config, e_t0, e_l2, alpha)
     pref = config.var_hd * config.n_t / (alpha * analytics.echo_power(config, e_t0))
-    z = matmul(herm(x_t0), y_t1)  # matched filter over the initial pilot
-    s_mat = matmul(hu_hat, herm(hu_hat)) + b * np.eye(config.n_l)
-    # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
-    right = herm(hermitian_solve(s_mat, hu_hat))
-    return pref * matmul(z, right)
+    with scratch():
+        z = matmul(herm(x_t0), y_t1)  # matched filter over the initial pilot
+        s_mat = matmul(hu_hat, herm(hu_hat))
+        s_mat += b * np.eye(config.n_l)
+        # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
+        right = herm(hermitian_solve(s_mat, hu_hat))
+        np.multiply(pref, matmul(z, right), out=est)
+    return est

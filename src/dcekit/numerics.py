@@ -5,10 +5,10 @@ primitives (:func:`complex_normal`, :func:`haar_semiunitary`,
 :func:`null_complement`, :func:`herm`) work on any leading batch axes; the
 training engine in :mod:`dcekit.protocol` draws on them.  The null complement
 is the one null-space routine: it completes an input of any rank, so no rank
-test or rank error exists here.  The only state in this module is
-:class:`RngStream`, a thin splittable wrapper over numpy's counter-based
-Philox bit generator so that Monte Carlo code can hand independent,
-reproducible substreams to workers without coordination.
+test or rank error exists here.  :class:`RngStream` is a thin splittable
+wrapper over numpy's counter-based Philox bit generator so that Monte Carlo
+code can hand independent, reproducible substreams to workers without
+coordination.
 
 Monte Carlo chunks hold thousands of small matrices per array, and numpy's
 stacked ``@``, ``np.linalg.solve`` and ``np.linalg.qr`` make one BLAS or
@@ -38,34 +38,202 @@ right-hand sides 0.5-0.9 ms against 1.3-2.9 ms, and the Householder QR
 0.9-2.7 ms against 3.5-5.2 ms for a 4x2 null complement and 3.2-4.0 ms
 against 8.4-8.9 ms for a 4x4 Haar pilot.  The products break even with
 numpy at 32-64 matrices and the solve and the QR at 64-160, so at 192 every
-kernel is on its faster side.  Minor page faults are part of these times:
-on that VM each costs about 2 us, and a chunk's temporaries take from one to
-five thousand of them, depending on how the allocator last trimmed its heap.
+kernel is on its faster side.
+
+Scratch arenas.  A chunk's arrays are megabytes, and the C allocator hands
+freed memory of that size back to the system, so without reuse every chunk
+page-faults much of its working set in again: about 2,450 minor faults per
+4096-trial reciprocal ``mc_nmse`` chunk and 4,730 per non-reciprocal one, at
+about 2 us each on that VM.  An :class:`Arena` is one block of memory that a
+Monte Carlo worker keeps from chunk to chunk; :mod:`dcekit.simkit` activates
+one for the length of each chunk (a ``contextvars`` variable, so threads
+never share one).  While one is active, every chunk-scale output and
+temporary here and in the engine comes from it through ``out=``:
+:func:`empty`, :func:`empty_like` and :func:`empty_stack` take memory,
+:func:`scratch` opens a frame whose arrays are free again when it closes,
+and :func:`keep` marks results that must outlive the caller's frame.  The
+footprint rule is that whatever is dead by the next step shares memory: each
+kernel's temporaries go when it returns, each noise draw once it is added in
+place, each batch-first draw once it is copied stack-last.  So a 4x2x2
+chunk's arena is 6.1 MiB reciprocal and 10.1 MiB non-reciprocal for
+``mc_nmse`` (8.3 and 10.3 MiB for ``mc_ser``), against a peak of 9.6 and
+16.1 MiB of live numpy memory without arenas, and a steady-state chunk takes
+no page fault.  That cut a ``mc_nmse`` chunk from 20.4-21.0 ms to 14.7-15.6
+ms reciprocal and from 35-44 ms to 28-32 ms non-reciprocal (one BLAS thread,
+fresh processes, alternating), a share that depends on how the allocator
+last trimmed its heap.  With no arena active (a direct
+:func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
+allocates as it always did, and below :data:`HOUSEHOLDER_MIN_BATCH` matrices
+the kernels take numpy's calls before any arena lookup.  Only the
+destination memory changes, never an operation or its order, so the bits are
+the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "Arena",
     "RngStream",
+    "active_arena",
+    "add_complex_normal",
     "complex_normal",
+    "empty",
+    "empty_like",
+    "empty_stack",
     "haar_semiunitary",
     "herm",
     "hermitian_solve",
+    "keep",
     "matmul",
     "null_complement",
     "random_gaussian",
+    "scratch",
     "stack_last",
+    "stacked_complex_normal",
 ]
 
 # Stacks of at least this many matrices take the vector kernels (QR, product,
 # Hermitian solve) in stack-last memory; smaller ones take numpy's calls (see
 # the module docstring).
 HOUSEHOLDER_MIN_BATCH = 192
+
+_ALIGN = 64  # bytes; every arena array starts on a cache line
+
+
+class Arena:
+    """Scratch memory that one Monte Carlo worker reuses from chunk to chunk.
+
+    One block, used as a stack from each end.  Arrays that last the chunk
+    (taken outside any frame, or inside :func:`keep`) grow from the bottom;
+    the temporaries of a :func:`scratch` frame grow from the top and are
+    given back when the frame closes.  A request that does not fit gets
+    fresh numpy memory, and when :meth:`activate` ends, the block grows to
+    the largest size the chunk used, so from the next chunk with the same
+    shapes on nothing is allocated.  An arena serves one thread at a time.
+    """
+
+    def __init__(self) -> None:
+        self._block = np.empty(0, dtype=np.uint8)
+        self._low = 0  # bytes taken from the bottom
+        self._top = 0  # bytes taken from the top
+        self._used = 0  # the largest _low + _top seen
+        self._frames: list[int | None] = []  # saved _top per scratch frame, None per keep frame
+        self._scratch = _Frame(self, scratch=True)
+        self._keep = _Frame(self, scratch=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the block the arena holds between chunks."""
+        return self._block.size
+
+    @contextlib.contextmanager
+    def activate(self):
+        """Serve this thread's allocations from the arena until the ``with``
+        statement ends; nothing taken inside may be used after it."""
+        token = _ACTIVE.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE.reset(token)
+            self._low = self._top = 0
+            self._frames.clear()
+            if self._used > self._block.size:
+                self._block = np.empty(self._used, dtype=np.uint8)
+
+    def _take(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """An uninitialised C-order array of ``shape`` and ``dtype``."""
+        nbytes = -(-math.prod(shape) * dtype.itemsize // _ALIGN) * _ALIGN
+        if self._frames and self._frames[-1] is not None:
+            self._top += nbytes
+            start = self._block.size - self._top
+        else:
+            start = self._low
+            self._low += nbytes
+        used = self._low + self._top
+        if used > self._used:
+            self._used = used
+        if used > self._block.size:
+            return np.empty(shape, dtype)
+        return np.ndarray(shape, dtype, self._block, start)
+
+
+class _Frame:
+    """A :func:`scratch` or :func:`keep` frame of one arena."""
+
+    __slots__ = ("_arena", "_scratch")
+
+    def __init__(self, arena: Arena, scratch: bool) -> None:
+        self._arena, self._scratch = arena, scratch
+
+    def __enter__(self) -> None:
+        arena = self._arena
+        arena._frames.append(arena._top if self._scratch else None)
+
+    def __exit__(self, *exc) -> None:
+        top = self._arena._frames.pop()
+        if top is not None:
+            self._arena._top = top
+
+
+_ACTIVE: contextvars.ContextVar[Arena | None] = contextvars.ContextVar("dcekit_arena", default=None)
+_NO_FRAME = contextlib.nullcontext()
+
+
+def active_arena() -> Arena | None:
+    """The arena serving this thread's allocations, or ``None``."""
+    return _ACTIVE.get()
+
+
+def scratch():
+    """Frame of the active arena whose arrays are free again when it closes;
+    with no arena active, a no-op.  Nothing taken inside may escape it
+    unless taken inside a nested :func:`keep`."""
+    arena = _ACTIVE.get()
+    return _NO_FRAME if arena is None else arena._scratch
+
+
+def keep():
+    """Frame inside which the active arena's arrays last the chunk, whatever
+    frame encloses it; with no arena active, a no-op."""
+    arena = _ACTIVE.get()
+    return _NO_FRAME if arena is None else arena._keep
+
+
+def empty(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """``np.empty(shape, dtype)``, from the active arena if there is one."""
+    arena = _ACTIVE.get()
+    if arena is None:
+        return np.empty(shape, dtype)
+    return arena._take(shape, np.dtype(dtype))
+
+
+def empty_like(x: np.ndarray, dtype=None) -> np.ndarray:
+    """``np.empty_like(x, dtype)``, from the active arena if there is one: the
+    axes keep ``x``'s memory order, as numpy's ``K`` order does, so a
+    reduction over the result sums in the order it would have."""
+    arena = _ACTIVE.get()
+    if arena is None:
+        return np.empty_like(x, dtype)
+    order = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+    buf = arena._take(tuple(x.shape[i] for i in order), np.dtype(x.dtype if dtype is None else dtype))
+    return buf.transpose(np.argsort(order))
+
+
+def empty_stack(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """Uninitialised ``(batch, rows, cols)`` array in stack-last memory (rows
+    outermost, the layout :func:`matmul` gives a product of two stacks) from
+    :data:`HOUSEHOLDER_MIN_BATCH` matrices on, C order otherwise; from the
+    active arena if there is one."""
+    if len(shape) != 3 or shape[0] < HOUSEHOLDER_MIN_BATCH:
+        return empty(shape, dtype)
+    return empty(shape[1:] + shape[:1], dtype).transpose(2, 0, 1)
 
 
 @dataclass
@@ -98,10 +266,29 @@ def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float)
     interleaved real/imaginary parts, bit for bit the values of
     ``(p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)``, ``p = gen.standard_normal(shape + (2,))``.
     """
-    z = np.empty(shape, dtype=np.complex128)
+    z = empty(shape)
     gen.standard_normal(out=z.reshape(-1).view(np.float64))
     z *= np.sqrt(var / 2.0)
     return z
+
+
+def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
+    """``stack_last(complex_normal(gen, shape, var))`` for a ``(batch, rows,
+    cols)`` shape: the same draws, made batch-first in scratch memory and
+    copied into a stack-last result."""
+    if shape[0] < HOUSEHOLDER_MIN_BATCH:
+        return complex_normal(gen, shape, var)
+    out = empty_stack(shape)
+    with scratch():
+        np.copyto(out, complex_normal(gen, shape, var))
+    return out
+
+
+def add_complex_normal(x: np.ndarray, gen: np.random.Generator, var: float) -> np.ndarray:
+    """``x += complex_normal(gen, x.shape, var)``, the draw in scratch memory; returns ``x``."""
+    with scratch():
+        x += complex_normal(gen, x.shape, var)
+    return x
 
 
 def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
@@ -122,6 +309,8 @@ def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np
 
 def herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
+    if x.ndim == 3 and x.shape[0] >= HOUSEHOLDER_MIN_BATCH:
+        return np.swapaxes(np.conjugate(x, out=empty_like(x)), -1, -2)
     return np.swapaxes(x.conj(), -1, -2)
 
 
@@ -130,9 +319,11 @@ def stack_last(x: np.ndarray) -> np.ndarray:
     :data:`HOUSEHOLDER_MIN_BATCH` matrices on a copy whose batch axis has unit
     stride (``x`` itself if it already has), below that, or for an input that
     is not 3-D, ``x`` unchanged."""
-    if x.shape[0] < HOUSEHOLDER_MIN_BATCH or x.ndim != 3:
+    if x.shape[0] < HOUSEHOLDER_MIN_BATCH or x.ndim != 3 or x.transpose(1, 2, 0).flags.c_contiguous:
         return x
-    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    out = empty_stack(x.shape, x.dtype)
+    np.copyto(out, x)
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,18 +344,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     batch = max(a.shape[0] if a.ndim == 3 else 1, b.shape[0] if b.ndim == 3 else 1)
     if batch < HOUSEHOLDER_MIN_BATCH or not (2 <= a.ndim <= 3 and 2 <= b.ndim <= 3):
         return a @ b
+    dtype = np.result_type(a, b)
     if a.ndim == 2:  # one (p, q) @ (q, batch) GEMM per column of b
-        return np.matmul(a, b.transpose(2, 1, 0)).transpose(2, 1, 0)
+        bm = b.transpose(2, 1, 0)
+        out = empty((bm.shape[0], a.shape[0], batch), dtype)
+        return np.matmul(a, bm, out=out).transpose(2, 1, 0)
     am = a.transpose(1, 2, 0)
     if b.ndim == 2:  # one (r, q) @ (q, batch) GEMM per row of a
-        return np.matmul(b.T, am).transpose(2, 0, 1)
+        out = empty((am.shape[0], b.shape[1], batch), dtype)
+        return np.matmul(b.T, am, out=out).transpose(2, 0, 1)
     bm = b.transpose(1, 2, 0)
-    out = np.empty((am.shape[0], bm.shape[1], batch), dtype=np.result_type(a, b))
-    term = np.empty(out.shape[1:], dtype=out.dtype)
-    for i, row in enumerate(out):  # row i of every product, (r, batch)
-        np.multiply(am[i, 0], bm[0], out=row)
-        for k in range(1, am.shape[1]):
-            row += np.multiply(am[i, k], bm[k], out=term)
+    out = empty((am.shape[0], bm.shape[1], batch), dtype)
+    with scratch():
+        term = empty(out.shape[1:], dtype)
+        for i, row in enumerate(out):  # row i of every product, (r, batch)
+            np.multiply(am[i, 0], bm[0], out=row)
+            for k in range(1, am.shape[1]):
+                row += np.multiply(am[i, k], bm[k], out=term)
     return out.transpose(2, 0, 1)
 
 
@@ -180,20 +376,32 @@ def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if s.shape[0] < HOUSEHOLDER_MIN_BATCH or s.ndim != 3:
         return np.linalg.solve(s, rhs)
     sm = s.transpose(1, 2, 0)
-    n = sm.shape[0]
-    low = np.zeros(sm.shape, dtype=np.complex128)
-    diag = np.empty((n, sm.shape[-1]))
-    for j in range(n):
-        col = sm[j:, j] - (low[j:, :j] * low[j, :j].conj()).sum(axis=1)
-        diag[j] = np.sqrt(col[0].real)
-        low[j:, j] = col / diag[j]
-    x = np.array(rhs.transpose(1, 2, 0), dtype=np.complex128, order="C")
-    for i in range(n):  # L y = rhs
-        x[i] -= (low[i, :i, None] * x[:i]).sum(axis=0)
-        x[i] /= diag[i]
-    for i in range(n - 1, -1, -1):  # L^H x = y
-        x[i] -= (low[i + 1:, i, None].conj() * x[i + 1:]).sum(axis=0)
-        x[i] /= diag[i]
+    n, size = sm.shape[0], sm.shape[-1]
+    x = empty(rhs.shape[1:] + rhs.shape[:1])
+    np.copyto(x, rhs.transpose(1, 2, 0))
+    m = x.shape[1]
+    with scratch():
+        low = empty(sm.shape)
+        low.fill(0.0)
+        diag = empty((n, size), np.float64)
+        conj, col, sums = empty((n, size)), empty((n, size)), empty((m, size))
+        prod = empty((n * max(n, m), size))  # each step's terms, before their sum
+        for j in range(n):
+            # col = sm[j:, j] - (low[j:, :j] * low[j, :j].conj()).sum(axis=1)
+            terms = np.multiply(low[j:, :j], np.conjugate(low[j, :j], out=conj[:j]),
+                                out=prod[:(n - j) * j].reshape(n - j, j, size))
+            np.subtract(sm[j:, j], np.sum(terms, axis=1, out=col[j:]), out=col[j:])
+            np.sqrt(col[j].real, out=diag[j])
+            np.divide(col[j:], diag[j], out=low[j:, j])
+        for i in range(n):  # L y = rhs
+            terms = np.multiply(low[i, :i, None], x[:i], out=prod[:i * m].reshape(i, m, size))
+            x[i] -= np.sum(terms, axis=0, out=sums)
+            x[i] /= diag[i]
+        for i in range(n - 1, -1, -1):  # L^H x = y
+            lc = np.conjugate(low[i + 1:, i, None], out=conj[:n - i - 1, None])
+            terms = np.multiply(lc, x[i + 1:], out=prod[:(n - i - 1) * m].reshape(n - i - 1, m, size))
+            x[i] -= np.sum(terms, axis=0, out=sums)
+            x[i] /= diag[i]
     return x.transpose(2, 0, 1)
 
 
@@ -216,42 +424,67 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
     diagonal and a real pivot is left alone (``tau = 0``).  Column norms are
     taken from the moduli divided by their largest, so no square overflows or
     underflows at any scale, and a zero column gives ``tau = beta = 0``.
+    The factors are taken (:func:`empty`) before the working copy and the
+    per-step vectors, which live in one :func:`scratch` frame.
     """
     n, m = a.shape[-2:]
     lead = a.shape[:-2]
-    # w[j, i] holds entry (i, j) of every matrix: the stack is the last axis,
-    # and each column of the matrices is one contiguous block.  From a
-    # stack-last input this copy moves whole rows of the stack.
     stack = a.reshape((math.prod(lead), n, m))
-    w = np.array(stack.transpose(2, 1, 0), dtype=np.complex128, order="C")
+    size = stack.shape[0]
     steps = min(n, m)
-    diag = np.empty((steps, w.shape[-1]))
-    reflectors = []
-    for k in range(steps):
-        x = w[k, k:]
-        mags = np.abs(x)
-        s = mags.max(axis=0)
-        s[s == 0.0] = 1.0
-        alpha = x[0]
-        tail = np.square(mags[1:] / s).sum(axis=0)
-        keep = (tail == 0.0) & (alpha.imag == 0.0)
-        beta = -np.copysign(np.sqrt(np.square(mags[0] / s) + tail) * s, alpha.real)
-        beta[keep] = alpha.real[keep]
-        tau = (beta - alpha) / np.where(keep, 1.0, beta)
-        v = x[1:] * (1.0 / np.where(keep, 1.0, alpha - beta))
-        diag[k] = beta
-        reflectors.append((v, tau))
-        # Apply H^H = I - conj(tau) v v^H to the trailing columns.
-        _reflect(w[k + 1:, k:], v, tau.conj())
-
-    # Q[:, cols] = H_0 ... H_{steps-1} I[:, cols], accumulated from the right;
-    # when H_k is applied, the columns left of k are still zero below row k.
     idx = np.arange(n)[cols]
-    q = np.zeros((idx.size, n, w.shape[-1]), dtype=np.complex128)
-    q[np.arange(idx.size), idx] = 1.0
-    for k in range(steps - 1, -1, -1):
-        v, tau = reflectors[k]
-        _reflect(q[max(k - cols.start, 0):, k:], v, tau)
+    q = empty((idx.size, n, size))
+    diag = empty((steps, size), np.float64)
+    with scratch():
+        # w[j, i] holds entry (i, j) of every matrix: the stack is the last
+        # axis, and each column of the matrices is one contiguous block.  From
+        # a stack-last input this copy moves whole rows of the stack.  The
+        # reflector vectors v overwrite the columns below the diagonal.
+        w = empty((m, n, size))
+        np.copyto(w, stack.transpose(2, 1, 0))
+        taus = empty((steps, size))
+        mags, ratios = empty((n, size), np.float64), empty((n, size), np.float64)
+        s, tail, den = empty((size,), np.float64), empty((size,), np.float64), empty((size,), np.float64)
+        alone, real_pivot = empty((size,), np.bool_), empty((size,), np.bool_)
+        inv, tau_h = empty((size,)), empty((size,))
+        for k in range(steps):
+            x = w[k, k:]
+            mag = np.abs(x, out=mags[:n - k])
+            np.max(mag, axis=0, out=s)
+            np.copyto(s, 1.0, where=np.equal(s, 0.0, out=alone))
+            alpha = x[0]
+            ratio = np.divide(mag[1:], s, out=ratios[:n - k - 1])
+            np.sum(np.square(ratio, out=ratio), axis=0, out=tail)
+            np.equal(tail, 0.0, out=alone)
+            alone &= np.equal(alpha.imag, 0.0, out=real_pivot)
+            # beta = -copysign(sqrt((|alpha| / s)^2 + tail) * s, Re alpha)
+            beta = np.divide(mag[0], s, out=diag[k])
+            np.square(beta, out=beta)
+            beta += tail
+            np.sqrt(beta, out=beta)
+            beta *= s
+            np.negative(np.copysign(beta, alpha.real, out=beta), out=beta)
+            np.copyto(beta, alpha.real, where=alone)
+            # tau = (beta - alpha) / where(alone, 1, beta)
+            tau = np.subtract(beta, alpha, out=taus[k])
+            np.copyto(den, beta)
+            np.copyto(den, 1.0, where=alone)
+            np.divide(tau, den, out=tau)
+            # v = x[1:] / where(alone, 1, alpha - beta)
+            np.subtract(alpha, beta, out=inv)
+            np.copyto(inv, 1.0, where=alone)
+            np.divide(1.0, inv, out=inv)
+            np.multiply(x[1:], inv, out=x[1:])
+            # Apply H^H = I - conj(tau) v v^H to the trailing columns.
+            _reflect(w[k + 1:, k:], x[1:], np.conjugate(tau, out=tau_h))
+
+        # Q[:, cols] = H_0 ... H_{steps-1} I[:, cols], accumulated from the
+        # right; when H_k is applied, the columns left of k are still zero
+        # below row k.
+        q.fill(0.0)
+        q[np.arange(idx.size), idx] = 1.0
+        for k in range(steps - 1, -1, -1):
+            _reflect(q[max(k - cols.start, 0):, k:], w[k, k + 1:], taus[k])
     q = q.transpose(2, 1, 0)  # stack-last: no copy back
     return q.reshape(lead + q.shape[1:]), diag.T.reshape(lead + (steps,))
 
@@ -260,10 +493,13 @@ def _reflect(block: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
     """Apply ``I - tau u u^H``, ``u = (1, v)``, in place to every column of
     ``block``, shape ``(columns, rows, stack)`` as in :func:`_householder_qr`."""
     head, body = block[:, 0], block[:, 1:]
-    prod = v.conj() * body
-    t = tau * (head + prod.sum(axis=1))
-    head -= t
-    body -= np.multiply(v, t[:, None], out=prod)
+    with scratch():
+        prod = np.multiply(np.conjugate(v, out=empty(v.shape)), body, out=empty(body.shape))
+        t = np.sum(prod, axis=1, out=empty(head.shape))
+        np.add(head, t, out=t)
+        np.multiply(tau, t, out=t)
+        head -= t
+        body -= np.multiply(v, t[:, None], out=prod)
 
 
 def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -275,9 +511,22 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     tau, n = shape[-2:]
     if not 1 <= n <= tau:
         raise ValueError(f"need tau >= n >= 1 for orthonormal columns, got {tau}x{n}")
-    q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
-    phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
-    return q * phase.conj()[..., None, :]
+    size = math.prod(shape[:-2])
+    if size < HOUSEHOLDER_MIN_BATCH:
+        q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
+        phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
+        return q * phase.conj()[..., None, :]
+    # The same steps into scratch memory, the result laid out as the
+    # Householder Q factor (stack-last, columns outermost).
+    out = empty((n, tau, size)).transpose(2, 1, 0).reshape(shape)
+    with scratch():
+        q, diag = _householder_qr(complex_normal(gen, shape, 1.0), slice(0, n))
+        ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
+        phase = empty_like(diag, np.complex128)
+        np.copyto(phase, ratio)
+        np.copyto(phase, 1.0 + 0j, where=np.equal(diag, 0, out=empty_like(diag, np.bool_)))
+        np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
+    return out
 
 
 def null_complement(mat: np.ndarray) -> np.ndarray:

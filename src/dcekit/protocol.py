@@ -60,13 +60,20 @@ from .model import (
     validate,
 )
 from .numerics import (
+    HOUSEHOLDER_MIN_BATCH,
     RngStream,
-    complex_normal,
+    active_arena,
+    add_complex_normal,
+    empty,
+    empty_like,
     haar_semiunitary,
     herm,
+    keep,
     matmul,
     null_complement,
+    scratch,
     stack_last,
+    stacked_complex_normal,
 )
 
 __all__ = [
@@ -137,8 +144,20 @@ def forward_pilot(n_t: int, tau: int, d) -> np.ndarray:
 
 
 def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    diff = truth - est
-    return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+    """Squared Frobenius error of each matrix.  From
+    :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` matrices on, the difference
+    is scratch, laid out as ``truth`` (numpy's choice for ``truth - est``) and
+    squared in place; for fewer, numpy's own temporaries cost less than the
+    ``out=`` calls."""
+    if truth.shape[0] < HOUSEHOLDER_MIN_BATCH:
+        diff = truth - est
+        return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+    out = empty(truth.shape[:-2], np.float64)
+    with scratch():
+        diff = np.subtract(truth, est, out=empty_like(truth))
+        re, im = np.square(diff.real, out=diff.real), np.square(diff.imag, out=diff.imag)
+        re += im
+        return np.sum(re, axis=(-2, -1), out=out)
 
 
 def check_inputs(
@@ -161,8 +180,10 @@ def check_inputs(
 # Batched engine.  Draw order is part of the contract (reproducibility and
 # the batch-of-one runs below): channels first (when not supplied), then
 # stage noises in protocol order, then the AN matrix, then receiver noises.
-# Channels and AN, which enter products, are copied into stack-last memory;
+# Channels and AN, which enter products, are drawn into stack-last memory;
 # each noise is added in place to a product that already is stack-last.
+# Under an arena (dcekit.numerics) the returned arrays last the chunk and
+# the intermediate signals live in scratch frames.
 # ---------------------------------------------------------------------------
 
 
@@ -184,8 +205,12 @@ def run_rounds(
     ``"k_null"``, AN ``"an"`` and squared errors ``"sq_tx"``, ``"sq_lr"``,
     ``"sq_ur"``; also the float ``"noise_l"``, the noise level LR's estimate
     assumed.  Non-reciprocal adds ``"hu_hat"`` and the echo gain
-    ``"alpha"``, and ``keep_signals`` every stage signal under ``"signals"``.
+    ``"alpha"``, and ``keep_signals`` every stage signal under ``"signals"``;
+    the signals are scratch under an arena, so ``keep_signals`` needs none
+    active.
     """
+    if keep_signals and active_arena() is not None:
+        raise ValueError("keep_signals needs numpy's own memory, but an arena is active")
     if plan.scheme == RECIPROCAL:
         return _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
     return _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
@@ -194,18 +219,17 @@ def run_rounds(
 def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
     if channels is None:
-        channels = (
-            complex_normal(gen, (batch, n_t, n_l), config.var_h),
-            complex_normal(gen, (batch, n_t, config.n_u), config.var_g),
-        )
-    h, g = map(stack_last, channels)
-    w_t = complex_normal(gen, (batch, plan.tau_r, n_t), config.var_wt)
+        h = stacked_complex_normal(gen, (batch, n_t, n_l), config.var_h)
+        g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
+    else:
+        h, g = map(stack_last, channels)
 
     x_l = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
-    y_t = matmul(x_l, np.swapaxes(h, -1, -2))
-    y_t += w_t
     k_rev = lmmse_combiner(x_l, config.var_h, config.var_wt)
-    h_hat = np.swapaxes(matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
+    with scratch():
+        y_t = add_complex_normal(matmul(x_l, np.swapaxes(h, -1, -2)), gen, config.var_wt)
+        with keep():
+            h_hat = np.swapaxes(matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
 
     out = {"h": h, "g": g, "h_hat": h_hat}
     if keep_signals:
@@ -221,30 +245,25 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
     # Haar-random square unitary pilot, redrawn every round.
     c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
     if channels is None:
-        channels = (
-            complex_normal(gen, (batch, n_t, n_l), config.var_hd),
-            complex_normal(gen, (batch, n_l, n_t), config.var_hu),
-            complex_normal(gen, (batch, n_t, config.n_u), config.var_g),
-        )
-    h_d, h_u, g = map(stack_last, channels)
+        h_d = stacked_complex_normal(gen, (batch, n_t, n_l), config.var_hd)
+        h_u = stacked_complex_normal(gen, (batch, n_l, n_t), config.var_hu)
+        g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
+    else:
+        h_d, h_u, g = map(stack_last, channels)
 
-    w0 = complex_normal(gen, (batch, plan.tau_t0, n_l), config.var_w)
-    x_t0 = np.sqrt(e_t0 / n_t) * c_t0
-    y_l0 = matmul(x_t0, h_d)
-    y_l0 += w0
-
+    x_t0 = np.multiply(np.sqrt(e_t0 / n_t), c_t0, out=c_t0)
     alpha = analytics.alpha_gain(config, e_t0, alloc.e_l1, plan.tau_t0)
-    wt1 = complex_normal(gen, (batch, plan.tau_t0, n_t), config.var_wt)
-    y_t1 = matmul(y_l0, h_u)
-    y_t1 *= alpha
-    y_t1 += wt1
-
-    wt2 = complex_normal(gen, (batch, plan.tau_l2, n_t), config.var_wt)
     x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
-    y_t2 = matmul(x_l2, h_u)
-    y_t2 += wt2
-    hu_hat = matmul(lmmse_combiner(x_l2, config.var_hu, config.var_wt), y_t2)
-    hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
+    k_up = lmmse_combiner(x_l2, config.var_hu, config.var_wt)
+    with scratch():
+        y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
+        y_t1 = matmul(y_l0, h_u)
+        y_t1 *= alpha
+        add_complex_normal(y_t1, gen, config.var_wt)
+        y_t2 = add_complex_normal(matmul(x_l2, h_u), gen, config.var_wt)
+        with keep():
+            hu_hat = matmul(k_up, y_t2)
+            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
 
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
     if keep_signals:
@@ -264,21 +283,18 @@ def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage
     tau = plan.tau_f if plan.scheme == RECIPROCAL else plan.tau_t3
 
     k_null = null_complement(out["h_hat"])
-    a = stack_last(complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a))
+    a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
     x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, plan.pilot_eigs)
-    x_t = matmul(a, herm(k_null))
-    x_t += x_bar
-
-    w = complex_normal(gen, (batch, tau, n_l), config.var_w)
-    v = complex_normal(gen, (batch, tau, config.n_u), config.var_v)
-    y_l = matmul(x_t, h)
-    y_l += w
-    y_u = matmul(x_t, g)
-    y_u += v
-
-    h_lr = matmul(lmmse_combiner(x_bar, prior_l, noise_l), y_l)
-    r_u = analytics.ur_disturbance(config, alloc.var_a)
-    g_ur = matmul(lmmse_combiner(x_bar, config.var_g, r_u), y_u)
+    k_l = lmmse_combiner(x_bar, prior_l, noise_l)
+    k_u = lmmse_combiner(x_bar, config.var_g, analytics.ur_disturbance(config, alloc.var_a))
+    with scratch():
+        x_t = matmul(a, herm(k_null))
+        x_t += x_bar
+        y_l = add_complex_normal(matmul(x_t, h), gen, config.var_w)
+        y_u = add_complex_normal(matmul(x_t, g), gen, config.var_v)
+        with keep():
+            h_lr = matmul(k_l, y_l)
+            g_ur = matmul(k_u, y_u)
 
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,

@@ -6,6 +6,16 @@ the chunks' partial sums in chunk order, so results are byte-identical for
 any ``workers`` value.  Workers are threads (the heavy lifting is batched
 linear algebra, which releases the GIL).
 
+Each running chunk borrows a scratch arena (:class:`dcekit.numerics.Arena`)
+from a module-level pool and gives it back when it ends, so a chunk's
+arrays reuse the memory of the chunks before it, in this call and in
+earlier ones, instead of faulting fresh pages in.  The pool makes at most
+``os.cpu_count()`` arenas (a chunk that finds none free and the pool full
+allocates from numpy), and keeps them for the life of the process: the
+memory retained is at most that many times the largest chunk's working set,
+about 10 MiB for a 4x2x2 chunk.  Nothing allocated in an arena leaves its
+chunk: the chunk functions return Python numbers.
+
 The data phase uses a rate-3/4 orthogonal space-time block code over four
 transmit antennas carrying three unit-energy 64-QAM symbols per block.  For
 orthogonal designs, coherent ML detection with an (imperfect) channel
@@ -18,9 +28,12 @@ perfect-CSI baseline.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +41,17 @@ import numpy as np
 
 from . import analytics
 from .model import MIN_TRIALS, PowerAllocation, SystemConfig, TrainingPlan
-from .numerics import RngStream, complex_normal, matmul
+from .numerics import (
+    Arena,
+    RngStream,
+    add_complex_normal,
+    empty,
+    empty_like,
+    herm,
+    keep,
+    matmul,
+    scratch,
+)
 from .protocol import check_inputs, run_rounds
 
 __all__ = [
@@ -96,17 +119,59 @@ class SerReport:
     ser_l_perfect_ci: float
 
 
+class _ArenaPool:
+    """The scratch arenas of running chunks, kept between chunks and calls.
+
+    :meth:`lend` hands a chunk a free arena, makes a new one while fewer
+    than ``limit`` exist, and otherwise lends none (the chunk then allocates
+    from numpy).  So at most ``limit`` arenas exist, each about the largest
+    chunk it has served.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.arenas: list[Arena] = []
+        self._free: list[Arena] = []
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def lend(self):
+        with self._lock:
+            if self._free:
+                arena = self._free.pop()
+            elif len(self.arenas) < self.limit:
+                arena = Arena()
+                self.arenas.append(arena)
+            else:
+                arena = None
+        if arena is None:
+            yield
+            return
+        try:
+            with arena.activate():
+                yield
+        finally:
+            with self._lock:
+                self._free.append(arena)
+
+
+_ARENAS = _ArenaPool(os.cpu_count() or 1)
+
+
 def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
     """Run ``chunk(gen, size)`` on ``RngStream(seed, i)`` for every chunk
     ``i`` of at most :data:`CHUNK` trials and add the returned tuples
-    elementwise, from 0 and in chunk order, on any number of ``workers``."""
+    elementwise, from 0 and in chunk order, on any number of ``workers``.
+    Each chunk runs under an arena from the pool, so ``chunk`` must return
+    Python scalars, never an array."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     full, rem = divmod(trials, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
 
     def run(i: int) -> tuple:
-        return chunk(RngStream(seed, i).generator, sizes[i])
+        with _ARENAS.lend():
+            return chunk(RngStream(seed, i).generator, sizes[i])
 
     if workers <= 1:
         parts = [run(i) for i in range(len(sizes))]
@@ -134,11 +199,12 @@ def mc_nmse(
 
     def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)
-        xl = out["sq_lr"] / norm_l
-        xu = out["sq_ur"] / norm_u
+        xl = np.divide(out["sq_lr"], norm_l, out=out["sq_lr"])
+        xu = np.divide(out["sq_ur"], norm_u, out=out["sq_ur"])
+        sq = empty((m,), np.float64)
         return (
-            float(xl.sum()), float((xl * xl).sum()),
-            float(xu.sum()), float((xu * xu).sum()),
+            float(xl.sum()), float(np.multiply(xl, xl, out=sq).sum()),
+            float(xu.sum()), float(np.multiply(xu, xu, out=sq).sum()),
         )
 
     sum_l, sumsq_l, sum_u, sumsq_u = _reduce_chunks(one_chunk, trials, seed, workers)
@@ -158,6 +224,20 @@ def mc_nmse(
 # ---------------------------------------------------------------------------
 
 
+# The codeword, row by row:
+#     [  s1     s2     s3    0  ]
+#     [ -s2*    s1*    0     s3 ]
+#     [ -s3*    0      s1*  -s2 ]
+#     [  0     -s3*    s2*   s1 ]
+# as (row, column): (symbol index, conjugated, negated); the rest are zero.
+_OSTBC_ENTRIES = {
+    (0, 0): (0, False, False), (0, 1): (1, False, False), (0, 2): (2, False, False),
+    (1, 0): (1, True, True), (1, 1): (0, True, False), (1, 3): (2, False, False),
+    (2, 0): (2, True, True), (2, 2): (0, True, False), (2, 3): (1, False, True),
+    (3, 1): (2, True, True), (3, 2): (1, True, False), (3, 3): (0, False, False),
+}
+
+
 def ostbc_encode(s1, s2, s3) -> np.ndarray:
     """Map three symbols to the 4x4 rate-3/4 orthogonal codeword.
 
@@ -167,17 +247,22 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
     :func:`dcekit.numerics.matmul` wants).  The design satisfies
     ``X X^H = (|s1|^2+|s2|^2+|s3|^2) I`` for every input triple.
     """
-    s1, s2, s3 = np.broadcast_arrays(
+    syms = np.broadcast_arrays(
         np.asarray(s1, dtype=complex), np.asarray(s2, dtype=complex), np.asarray(s3, dtype=complex)
     )
-    zero = np.zeros_like(s1)
-    rows = [
-        [s1, s2, s3, zero],
-        [-s2.conj(), s1.conj(), zero, s3],
-        [-s3.conj(), zero, s1.conj(), -s2],
-        [zero, -s3.conj(), s2.conj(), s1],
-    ]
-    x = np.stack([np.stack(r) for r in rows])
+    x = empty((4, 4) + syms[0].shape)
+    for i, j in np.ndindex(4, 4):
+        entry = x[i, j, ...]
+        if (i, j) not in _OSTBC_ENTRIES:
+            entry.fill(0.0)
+            continue
+        k, conj, neg = _OSTBC_ENTRIES[i, j]
+        if conj:
+            np.conjugate(syms[k], out=entry)
+        else:
+            np.copyto(entry, syms[k])
+        if neg:
+            np.negative(entry, out=entry)
     return x.transpose(*range(2, x.ndim), 0, 1)
 
 
@@ -233,16 +318,26 @@ def ostbc_detect(
     raises ``ValueError``.
     """
     mids_re, mids_im, grid = _axis_slicer(QAM64 if constellation is None else constellation)
-    h_energy = np.sum(h_hat.real**2 + h_hat.imag**2, axis=(-2, -1))
-    denom = scale * np.maximum(h_energy, 1e-300)
-    m = np.ascontiguousarray(matmul(y, np.swapaxes(h_hat.conj(), -1, -2)), dtype=np.complex128)
-    m_parts = m.reshape(m.shape[:-2] + (16,)).view(np.float64)
-    coords = (m_parts @ _OSTBC_CORR) / denom[..., None]
-    # A coordinate exactly on a threshold (say, from a zero estimate) takes
-    # the lower level.
-    i_re = np.searchsorted(mids_re, coords[..., 0::2])
-    i_im = np.searchsorted(mids_im, coords[..., 1::2])
-    return grid[i_re, i_im]
+    lead = np.broadcast_shapes(y.shape[:-2], h_hat.shape[:-2])
+    detected = empty(lead + (3,))
+    with scratch():
+        energy = np.square(h_hat.real, out=empty_like(h_hat, np.float64))
+        energy += np.square(h_hat.imag, out=empty_like(h_hat, np.float64))
+        denom = np.sum(energy, axis=(-2, -1), out=empty(h_hat.shape[:-2], np.float64))
+        np.multiply(scale, np.maximum(denom, 1e-300, out=denom), out=denom)
+        m = empty(lead + (4, 4))  # y h_hat^H, batch-first for the correlation GEMM
+        with scratch():
+            np.copyto(m, matmul(y, herm(h_hat)))
+        m_parts = m.reshape(lead + (16,)).view(np.float64)
+        coords = np.matmul(m_parts, _OSTBC_CORR, out=empty(lead + (6,), np.float64))
+        coords /= denom[..., None]
+        # A coordinate exactly on a threshold (say, from a zero estimate) takes
+        # the lower level.  grid[i_re, i_im], as one flat index:
+        index = np.searchsorted(mids_re, coords[..., 0::2])
+        index *= grid.shape[1]
+        index += np.searchsorted(mids_im, coords[..., 1::2])
+        np.take(grid, index, out=detected, mode="clip")
+    return detected
 
 
 def _wilson_halfwidth(errors: int, n: int) -> float:
@@ -279,22 +374,27 @@ def mc_ser(
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)
 
-    def count_errors(detected: np.ndarray, sent: np.ndarray) -> int:
-        return int(np.count_nonzero(np.abs(detected - sent) > 1e-9))
+    def count_errors(y: np.ndarray, h_hat: np.ndarray, sent: np.ndarray) -> int:
+        with scratch():
+            miss = np.subtract(ostbc_detect(y, h_hat, amp), sent, out=empty(sent.shape))
+            dist = np.abs(miss, out=empty(sent.shape, np.float64))
+            return int(np.count_nonzero(np.greater(dist, 1e-9, out=empty(sent.shape, np.bool_))))
 
     def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)
-        sym_idx = gen.integers(0, QAM64.size, size=(m, 3))
-        s = QAM64[sym_idx]
-        x = amp * ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
-        y_l = matmul(x, out["h"])
-        y_l += complex_normal(gen, (m, 4, config.n_l), config.var_w)
-        y_u = matmul(x, out["g"])
-        y_u += complex_normal(gen, (m, 4, config.n_u), config.var_v)
+        s = np.take(QAM64, gen.integers(0, QAM64.size, size=(m, 3)), out=empty((m, 3)), mode="clip")
+        with scratch():
+            x = ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
+            np.multiply(amp, x, out=x)
+            with keep():
+                y_l = matmul(x, out["h"])
+                y_u = matmul(x, out["g"])
+        add_complex_normal(y_l, gen, config.var_w)
+        add_complex_normal(y_u, gen, config.var_v)
         return (
-            count_errors(ostbc_detect(y_l, out["h_lr"], amp), s),
-            count_errors(ostbc_detect(y_l, out["h"], amp), s),
-            count_errors(ostbc_detect(y_u, out["g_ur"], amp), s),
+            count_errors(y_l, out["h_lr"], s),
+            count_errors(y_l, out["h"], s),
+            count_errors(y_u, out["g_ur"], s),
         )
 
     err_l, err_lp, err_u = _reduce_chunks(one_chunk, trials, seed, workers)

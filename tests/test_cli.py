@@ -21,8 +21,10 @@ from dcekit.cli import (
     SER_SCHEMA,
     SWEEP_HEADER,
     SWEEP_SCHEMA,
+    _parse_pave_grid,
     main,
 )
+from dcekit.model import ConfigError
 
 BASE_CONFIG = """\
 # four transmit antennas, two-antenna receivers
@@ -138,13 +140,24 @@ class TestSolve:
         field = "e_t_max" if key == "pt_db" else "e_l_max"
         assert f"{field}: must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:10:nan", "nan:10:1", "10:0:1"])
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:10:nan", "nan:10:1", "10:0:1",
+                                      "0:1:1e-12", "1e16:10000000000000008:1"])
     def test_bad_pave_grid_exits_3(self, config_path, grid, capsys):
-        """A non-finite endpoint or step, or a range with no points, is a
-        config error (an infinite STOP once looped forever)."""
+        """A non-finite endpoint or step, a range with no points, with about
+        10^12 points or with a STEP that cannot advance START is a config
+        error (the last three once looped forever or nearly so)."""
         code = main(["sweep", "--config", config_path, f"--pave-db={grid}", "--trials", "0"])
         assert code == EXIT_CONFIG
         assert "config error: --pave-db" in capsys.readouterr().err
+
+    def test_pave_grid_is_counted_before_it_is_built(self):
+        assert _parse_pave_grid("10:32:2") == [float(v) for v in range(10, 33, 2)]
+        assert _parse_pave_grid("0:1:0.1") == [i / 10 for i in range(11)]
+        assert _parse_pave_grid("1e16:1e16:1") == [1e16]
+        with pytest.raises(ConfigError, match="--pave-db STEP is too small"):
+            _parse_pave_grid("1e16:10000000000000008:1")
+        with pytest.raises(ConfigError, match="--pave-db range has more than"):
+            _parse_pave_grid("0:1e308:1e-300")
 
     @pytest.mark.parametrize("command,flag,value", [
         ("sweep", "--trials", "-5"), ("nmse", "--workers", "-2"), ("nmse", "--workers", "0"),

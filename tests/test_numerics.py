@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 
 from dcekit.numerics import (
     HOUSEHOLDER_MIN_BATCH,
+    Arena,
     RngStream,
     _householder_qr,
     complex_normal,
+    empty,
+    empty_like,
     haar_semiunitary,
     hermitian_solve,
+    keep,
     matmul,
     null_complement,
     random_gaussian,
+    scratch,
     stack_last,
 )
 
@@ -235,3 +240,44 @@ class TestStackKernels:
         np.testing.assert_array_equal(moved, big)
         assert moved.strides[0] == moved.itemsize
         assert np.shares_memory(stack_last(moved), moved)  # no second copy
+
+
+class TestArena:
+    def test_frames_reuse_scratch_and_keep_results(self):
+        arena = Arena()
+        sizes = []
+        for rep in range(3):  # the first activation sizes the block, the others run in it
+            with arena.activate():
+                lasting = empty((1000,))
+                with scratch():
+                    first = empty((1000,))
+                    with keep():
+                        kept = empty((1000,))
+                with scratch():
+                    second = empty((1000,))
+                    inner = empty_like(stack_last(np.zeros((200, 4, 2), dtype=complex)), np.float64)
+                assert np.shares_memory(first, second) == (rep > 0)
+                assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(
+                    (lasting, kept, second, inner), 2))
+                assert inner.strides[0] == inner.itemsize  # stack-last, as numpy's K order
+            sizes.append(arena.nbytes)
+        assert sizes[0] > 0 and sizes[0] == sizes[1] == sizes[2]
+
+    def test_without_arena_numpy_allocates(self):
+        x = empty((3, 4))
+        assert x.base is None and x.flags.owndata
+        with scratch(), keep():
+            y = empty((3,))
+        assert y.flags.owndata
+
+    def test_request_past_the_block_grows_it(self):
+        arena = Arena()
+        with arena.activate():
+            empty((10,))
+        small = arena.nbytes
+        with arena.activate():
+            big = empty((10_000,))
+            assert big.flags.owndata  # past the block: numpy memory this time
+        assert arena.nbytes >= big.nbytes > small
+        with arena.activate():
+            assert not empty((10_000,)).flags.owndata

@@ -30,7 +30,7 @@ from dcekit.model import (
     reciprocal_plan,
     training_spend,
 )
-from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, RngStream, complex_normal, null_complement
+from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, Arena, RngStream, complex_normal, null_complement
 from dcekit.protocol import (
     _guard_null_residual,
     dft_semiunitary,
@@ -170,6 +170,26 @@ class TestHouseholderPath:
         assert len(arrays) > 12  # the stage signals too
         for name, x in arrays.items():
             assert x.shape[0] == 4096 and x.strides[0] == x.itemsize, name
+
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_arena_changes_no_bit(self, scheme):
+        """Under an arena only the memory changes: every returned array is
+        bit-equal to numpy's, on the chunk that grows the block and on the
+        next one, which runs inside it."""
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        ref = run_rounds(CFG, plan, alloc, RngStream(21).generator, batch=4096)
+        arena = Arena()
+        for _ in range(2):
+            with arena.activate():
+                out = run_rounds(CFG, plan, alloc, RngStream(21).generator, batch=4096)
+                for name, value in ref.items():
+                    np.testing.assert_array_equal(out[name], value, err_msg=name)
+        assert arena.nbytes > 0
+
+    def test_signals_need_numpy_memory(self):
+        with Arena().activate(), pytest.raises(ValueError, match="keep_signals"):
+            run_rounds(CFG, R_PLAN, R_ALLOC, RngStream(22).generator, batch=4096, keep_signals=True)
 
 
 class TestReciprocalRound:
