@@ -52,7 +52,10 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   ``var_a`` what remains is concave (``log rho0`` is concave, ``log Q``
   jointly convex): the LR split minimising ``Q`` at a given LR total is the
   root of one quadratic, and when the total cap binds the TX/LR share is
-  the root of a decreasing first-order condition, found by bisection.  The
+  the root of a decreasing first-order condition.  That condition is tested
+  at both ends of the share's interval first: where it already has the
+  sign of an end, the share sits at that cap (which is what most
+  cap-bound points do), and only the points left open are bisected.  The
   outer search over ``var_a`` evaluates whole grids of candidates at once (a
   log grid, then uniform zoom rounds around the best point) and ends by
   comparing with the AN-free corner ``var_a = 0``.  A pilot of rank ``K``
@@ -286,28 +289,47 @@ def _echo_quality(coefficients, l):
     return e_l1, e_l2, q, -(a + c / e_l1) / e_l2**2
 
 
+def _share_condition(config: SystemConfig, coefficients, room, e_t0):
+    """Derivative of ``log rho0(e_t0) - log Q(room - e_t0)`` in ``e_t0``,
+    elementwise, with ``Q`` at its best LR split; it decreases in ``e_t0``."""
+    _, _, q, dq = _echo_quality(coefficients, room - e_t0)
+    return config.n_t * config.var_w / (e_t0 * analytics.echo_power(config, e_t0)) + dq / q
+
+
 def _reduced_points(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget, gt: float, var_a
 ):
     """Best allocation at each AN variance in the array ``var_a``: ``e_t3``
-    on the floor, the rest of the caps to ``e_t0`` and LR.  A binding total
-    cap is shared by bisection on the derivative of ``log rho0(e_t0) - log
-    Q(l)`` along ``e_t0 + l = room``, which decreases.  Returns ``e_t3 /
-    D_bar`` and the array-valued allocation."""
+    on the floor, the rest of the caps to ``e_t0`` and LR.  Where a total cap
+    binds, ``e_t0`` lies in ``[lo, hi]`` (LR's cap below, the transmitter's
+    above) and the share condition (:func:`_share_condition`) settles it: the
+    condition is tested at both ends first, and ``e_t0`` is ``lo`` where it
+    is already ``<= 0`` there and ``hi`` where it is still ``> 0`` there;
+    only the points left open are bisected on it.  Returns ``e_t3 / D_bar``
+    and the array-valued allocation."""
     e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
     room = np.maximum(budget.e_ave_max - tx_spend, 0.0)  # inf without a total cap
     hi = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
     lo = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi)
     coefficients = analytics.echo_coefficients(config)
     with np.errstate(divide="ignore", invalid="ignore"):
+        e_t0 = lo
         if np.any(lo < hi):
-            for _ in range(_SHARE_STEPS):
-                mid = 0.5 * (lo + hi)
-                _, _, q, dq = _echo_quality(coefficients, room - mid)
-                dlog_rho0 = config.n_t * config.var_w / (mid * analytics.echo_power(config, mid))
-                grow = dlog_rho0 + dq / q > 0.0
-                lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
-        e_t0 = 0.5 * (lo + hi)
+            ends = _share_condition(
+                config, coefficients, np.concatenate([room, room]), np.concatenate([lo, hi])
+            )
+            at_lo = ends[: lo.size] <= 0.0
+            at_hi = (ends[lo.size :] > 0.0) & ~at_lo
+            e_t0 = np.where(at_hi, hi, lo)
+            # NaN at an end (a zero energy there) leaves the point open too.
+            idx = np.flatnonzero((lo < hi) & ~at_lo & ~at_hi)
+            if idx.size:
+                a, b, r = lo[idx], hi[idx], room[idx]
+                for _ in range(_SHARE_STEPS):
+                    mid = 0.5 * (a + b)
+                    grow = _share_condition(config, coefficients, r, mid) > 0.0
+                    a, b = np.where(grow, mid, a), np.where(grow, b, mid)
+                e_t0[idx] = 0.5 * (a + b)
         e_l1, e_l2, _, _ = _echo_quality(coefficients, np.minimum(budget.e_l_max, room - e_t0))
     alloc = PowerAllocation(
         scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a

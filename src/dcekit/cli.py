@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -343,8 +345,20 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads any token starting ``-<digit>`` or
+    ``-.<digit>`` as a value, not an option, so ``--pave-db -5:5:5`` and
+    ``--pave-db -5e0`` parse like ``--pave-db=-5:5:5``.  (argparse itself
+    only takes plain ``-5`` and ``-.5``; no option here starts with a
+    digit.)  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcekit",
         description="Discriminatory two-way channel training: solvers and simulations.",
     )
@@ -373,10 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main and kept: parsing leaves no state in it,
+# and building takes about 20 times as long as parsing one command line.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error argparse has reported
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:

@@ -757,3 +757,95 @@ class TestNonreciprocalContract:
             assert math.isfinite(rep.objective)
             mine = _oracle_nmse(cfg, plan, [[a.e_t0], [a.e_l1], [a.e_l2], [a.e_t3], [a.var_a]])
             assert float(mine[0][0]) == pytest.approx(rep.objective, rel=1e-12)
+
+
+# --- TX/LR share search --------------------------------------------------------
+# The share condition is tested at both ends of [lo, hi] before any point is
+# bisected.  The reference below is the search that bisected every grid
+# point for 52 steps.
+
+
+def _bisected_points(cfg, plan, budget, gt, var_a):
+    """``(e_t3 / D_bar, e_t0, lo, hi)`` at each ``var_a``, every share
+    bisected for 52 steps on the derivative of ``log rho0 - log Q``."""
+    e_t3, tx_spend = allocator._floor_spend(cfg, plan, gt, var_a)
+    room = np.maximum(budget.e_ave_max - tx_spend, 0.0)
+    hi0 = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
+    lo0 = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi0)
+    coefficients = analytics.echo_coefficients(cfg)
+    lo, hi = lo0, hi0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            _, _, q, dq = allocator._echo_quality(coefficients, room - mid)
+            dlog_rho0 = cfg.n_t * cfg.var_w / (mid * analytics.echo_power(cfg, mid))
+            grow = dlog_rho0 + dq / q > 0.0
+            lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
+        e_t0 = 0.5 * (lo + hi)
+        e_l1, e_l2, _, _ = allocator._echo_quality(
+            coefficients, np.minimum(budget.e_l_max, room - e_t0)
+        )
+    alloc = model.PowerAllocation(
+        scheme="nonreciprocal", e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
+    )
+    return e_t3 / analytics.nonreciprocal_effective_noise(cfg, alloc), e_t0, lo0, hi0
+
+
+class TestShareSearch:
+    def _budgets(self, total_cap):
+        if total_cap:  # the gamma = 0.002, P_ave = 27 dB GP pin: interior shares
+            yield CFG, EnergyBudget(8000.0, _L[27.0], 0.002, e_ave_max=_A[27.0])
+        rng = np.random.default_rng(7 + total_cap)
+        for i in range(12):
+            cfg = (CFG, CFG_SKEW)[i % 2]
+            e_t, e_l = 10.0 ** rng.uniform(1.0, 4.5), 10.0 ** rng.uniform(0.5, 4.0)
+            e_ave = rng.uniform(0.3, 1.0) * (e_t + e_l) if total_cap else math.inf
+            yield cfg, EnergyBudget(e_t, e_l, rng.uniform(0.01, cfg.var_g), e_ave_max=e_ave)
+
+    @pytest.mark.parametrize("total_cap", [False, True], ids=["per-node", "total-cap"])
+    def test_matches_full_bisection(self, total_cap):
+        kinds = set()
+        for cfg, budget in self._budgets(total_cap):
+            plan = nonreciprocal_plan(cfg)
+            try:
+                gt = allocator._floor_energy(cfg, plan, budget)
+            except InfeasibleGamma:
+                continue
+            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
+            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
+            grid = var_a_max * np.concatenate(
+                [[0.0], np.geomspace(1e-9, 1.0, 63), np.linspace(0.0, 1.0, 24)]
+            )
+            ratio, points = allocator._reduced_points(cfg, plan, budget, gt, grid)
+            ref_ratio, ref_e_t0, lo, hi = _bisected_points(cfg, plan, budget, gt, grid)
+            np.testing.assert_allclose(ratio, ref_ratio, rtol=1e-13, atol=0.0)
+            # The bisection's resolution, or one float step where the
+            # bracket stops shrinking before its 52 steps are done.
+            tol = 2.0**-50 * (hi - lo) + np.spacing(hi)
+            assert np.all(np.abs(points.e_t0 - ref_e_t0) <= tol), budget
+            kinds.update(np.where(
+                lo == hi, "no-share",
+                np.where(points.e_t0 == lo, "lo", np.where(points.e_t0 == hi, "hi", "open")),
+            ))
+        # Every branch of the end test is exercised.
+        assert kinds == ({"lo", "hi", "open", "no-share"} if total_cap else {"no-share"})
+
+    # GP pins without a binding total cap (33-39 dB) and those whose shares
+    # sit at a cap on every round (gamma = 0.3, 15-27 dB).
+    @pytest.mark.parametrize(
+        "gamma,pave", [(g, p) for g, p, _, _ in GP_PINS if p >= 33.0 or g == 0.3]
+    )
+    def test_share_work_per_round(self, gamma, pave, monkeypatch):
+        """Calls of ``_echo_quality`` per solve: one per round without a
+        binding total cap, at most three where every share sits at a cap."""
+        calls = []
+        echo_quality = allocator._echo_quality
+        monkeypatch.setattr(
+            allocator, "_echo_quality", lambda *args: calls.append(1) or echo_quality(*args)
+        )
+        budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
+        rep = solve_nonreciprocal(CFG, N_PLAN, budget)
+        if budget.e_ave_max >= budget.e_t_max + budget.e_l_max:
+            assert len(calls) == rep.iterations == 10
+        else:
+            assert len(calls) <= 3 * rep.iterations

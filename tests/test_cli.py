@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from dcekit import allocator
+from dcekit import allocator, cli
 from dcekit.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -22,6 +22,7 @@ from dcekit.cli import (
     SWEEP_HEADER,
     SWEEP_SCHEMA,
     _parse_pave_grid,
+    build_parser,
     main,
 )
 from dcekit.model import ConfigError
@@ -166,6 +167,20 @@ class TestSolve:
     def test_negative_count_override_exits_3(self, config_path, command, flag, value, capsys):
         assert main([command, "--config", config_path, flag, value]) == EXIT_CONFIG
         assert f"config error: {flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,value", [
+        ("solve", "-5e0"), ("nmse", "-5e0"), ("rank", "-5e0"),
+        ("sweep", "-5:-1:2"), ("ser", "-5:-1:2"),
+    ])
+    def test_negative_pave_as_separate_token(self, config_path, command, value, capsys):
+        joined = main([command, "--config", config_path, f"--pave-db={value}"])
+        expected = capsys.readouterr()
+        code = main([command, "--config", config_path, "--pave-db", value])
+        assert (code, capsys.readouterr()) == (joined, expected)
+        assert code != EXIT_CONFIG and "expected one argument" not in expected.err
+        if command in ("sweep", "ser"):
+            rows = expected.out.splitlines()[2:]
+            assert [row.split(",")[0] for row in rows] == ["-5", "-3", "-1"]
 
     def test_scheme_override(self, config_path, capsys):
         assert main(["solve", "--config", config_path, "--scheme", "nonreciprocal"]) == EXIT_OK
@@ -369,3 +384,30 @@ class TestRankCommand:
         cfg.write_text(BASE_CONFIG.replace("gamma = 0.1", "gamma = 0.99")
                        .replace("pt_db = 30", "pt_db = -60"))
         assert main(["rank", "--config", str(cfg)]) == EXIT_INFEASIBLE
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaves state in it."""
+
+    def test_scheme_override_does_not_stick(self, config_path, capsys):
+        main(["solve", "--config", config_path])
+        alone = capsys.readouterr().out
+        assert main(["solve", "--config", config_path, "--scheme", "nonreciprocal"]) == EXIT_OK
+        assert "scheme: nonreciprocal" in capsys.readouterr().out
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        assert capsys.readouterr().out == alone
+
+    @pytest.mark.parametrize("first,code", [
+        (["solve", "--workers", "x"], EXIT_CONFIG), (["solve", "--help"], EXIT_OK),
+    ])
+    def test_valid_call_after_exit(self, config_path, first, code, capsys):
+        main(["solve", "--config", config_path])
+        alone = capsys.readouterr().out
+        assert main(first[:1] + ["--config", config_path] + first[1:]) == code
+        capsys.readouterr()
+        assert main(["solve", "--config", config_path]) == EXIT_OK
+        assert capsys.readouterr().out == alone
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
