@@ -55,10 +55,12 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   the root of a decreasing first-order condition.  That condition is tested
   at both ends of the share's interval first: where it already has the
   sign of an end, the share sits at that cap (which is what most
-  cap-bound points do), and only the points left open are bisected.  The
-  outer search over ``var_a`` evaluates whole grids of candidates at once (a
-  log grid, then uniform zoom rounds around the best point) and ends by
-  comparing with the AN-free corner ``var_a = 0``.  A pilot of rank ``K``
+  cap-bound points do).  The points left open get a safeguarded Newton
+  iteration, finished by a short bisection on a bracket checked around its
+  result.  The outer search over ``var_a`` evaluates whole grids of
+  candidates at once (a log grid, then 128-point uniform zoom rounds around
+  the best point, about six rounds in all) and ends by comparing with the
+  AN-free corner ``var_a = 0``.  A pilot of rank ``K``
   enters only through ``gt_K`` and the pilot profile.
 
 Rank-deficient forward pilots are handled in closed form, once for both
@@ -266,10 +268,10 @@ def solve_general(
 # ---------------------------------------------------------------------------
 
 _GRID_POINTS = 64  # first var_a round: 0 and a log grid over var_a_max * [1e-9, 1]
-_ZOOM_POINTS = 24  # every later round: a uniform grid over the bracket
+_ZOOM_POINTS = 128  # every later round: a uniform grid over the bracket
 _ZOOM_RTOL = 1e-9  # done once the bracket is this narrow relative to its best
 _ZOOM_ROUNDS = 60  # round cap; only a bracket that will not shrink reaches it
-_SHARE_STEPS = 52  # bisection steps on the TX/LR share condition
+_SHARE_STEPS = 52  # cap on Newton steps, and on bisection steps (a full bisection)
 
 
 def _echo_quality(coefficients, l):
@@ -296,6 +298,55 @@ def _share_condition(config: SystemConfig, coefficients, room, e_t0):
     return config.n_t * config.var_w / (e_t0 * analytics.echo_power(config, e_t0)) + dq / q
 
 
+def _share_root(config: SystemConfig, coefficients, room, lo, hi):
+    """Root of the share condition in each bracket ``[lo, hi]`` that the end
+    test left open, elementwise, to the resolution of a 52-step bisection,
+    ``2^-52 (hi - lo)``.
+
+    A safeguarded Newton iteration finds it: the condition times ``e_t0 (room
+    - e_t0)`` (positive, so the same sign) is nearly linear where the
+    condition has a pole at either end, and its derivative is a complex step
+    through :func:`_share_condition`.  Each iterate shrinks a bracket by its
+    sign, and a step leaving it bisects instead.  Newton stalls at the
+    condition's rounding noise, so the root is then bracketed by the
+    condition's sign a little beyond the last step on both sides and bisected
+    down to the resolution; where that check fails the whole ``[lo, hi]`` is
+    bisected."""
+    width = hi - lo
+    a, b = lo, hi
+    x = 0.5 * (a + b)
+    for _ in range(_SHARE_STEPS):
+        h = 2.0**-60 * x
+        z = x + 1j * h
+        g = z * (room - z) * _share_condition(config, coefficients, room, z)
+        grow = g.real > 0.0
+        a, b = np.where(grow, x, a), np.where(grow, b, x)
+        step = g.real / g.imag * h
+        new = x - step
+        # A converged iterate is an end of its bracket, hence the <=.
+        x = np.where((a <= new) & (new <= b), new, 0.5 * (a + b))
+        # Near the root a step is rounding noise, measured up to about 40 ulps
+        # of e_t0 (the iterate itself within a few): 64 ulps ends the search,
+        # and the check below brackets 16 ulps beyond the last step.
+        if np.all(np.abs(step) <= 64.0 * np.spacing(x)):
+            break
+    d = np.abs(step) + 16.0 * np.spacing(x)
+    xl, xh = np.maximum(x - d, lo), np.minimum(x + d, hi)
+    ends = _share_condition(
+        config, coefficients, np.concatenate([room, room]), np.concatenate([xl, xh])
+    )
+    a = np.where(ends[: x.size] > 0.0, xl, lo)
+    b = np.where(ends[x.size :] <= 0.0, xh, hi)
+    for _ in range(_SHARE_STEPS):
+        mid = 0.5 * (a + b)
+        open_ = (b - a > 2.0**-52 * width) & (a < mid) & (mid < b)
+        if not open_.any():
+            break
+        grow = _share_condition(config, coefficients, room, mid) > 0.0
+        a, b = np.where(open_ & grow, mid, a), np.where(open_ & ~grow, mid, b)
+    return 0.5 * (a + b)
+
+
 def _reduced_points(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget, gt: float, var_a
 ):
@@ -305,8 +356,8 @@ def _reduced_points(
     above) and the share condition (:func:`_share_condition`) settles it: the
     condition is tested at both ends first, and ``e_t0`` is ``lo`` where it
     is already ``<= 0`` there and ``hi`` where it is still ``> 0`` there;
-    only the points left open are bisected on it.  Returns ``e_t3 / D_bar``
-    and the array-valued allocation."""
+    only the points left open get a root search (:func:`_share_root`).
+    Returns ``e_t3 / D_bar`` and the array-valued allocation."""
     e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
     room = np.maximum(budget.e_ave_max - tx_spend, 0.0)  # inf without a total cap
     hi = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
@@ -324,12 +375,7 @@ def _reduced_points(
             # NaN at an end (a zero energy there) leaves the point open too.
             idx = np.flatnonzero((lo < hi) & ~at_lo & ~at_hi)
             if idx.size:
-                a, b, r = lo[idx], hi[idx], room[idx]
-                for _ in range(_SHARE_STEPS):
-                    mid = 0.5 * (a + b)
-                    grow = _share_condition(config, coefficients, r, mid) > 0.0
-                    a, b = np.where(grow, mid, a), np.where(grow, b, mid)
-                e_t0[idx] = 0.5 * (a + b)
+                e_t0[idx] = _share_root(config, coefficients, room[idx], lo[idx], hi[idx])
         e_l1, e_l2, _, _ = _echo_quality(coefficients, np.minimum(budget.e_l_max, room - e_t0))
     alloc = PowerAllocation(
         scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
@@ -344,7 +390,7 @@ def solve_nonreciprocal(
 
     For each AN variance the rest of the allocation is exact (see the module
     docstring).  ``var_a`` itself is searched by a 64-point grid over its
-    feasible range (0 and a log grid), then by rounds of 24-point uniform
+    feasible range (0 and a log grid), then by rounds of 128-point uniform
     grids over the bracket around each round's best point, every round
     evaluated at once.  The best
     point (scenario ``"interior"``) is compared with the AN-free corner

@@ -77,7 +77,9 @@ def _parse_pave_grid(text: str) -> list[float]:
 
     A range is counted before it is built: more than :data:`_MAX_PAVE_POINTS`
     points, or points that do not strictly increase (a STEP below the float
-    spacing of START), are a config error."""
+    spacing of START), are a config error, and so is an empty value."""
+    if not text.strip():
+        raise ConfigError("--pave-db got an empty value")
     if ":" not in text:
         return [float(text)]
     parts = text.split(":")
@@ -96,13 +98,16 @@ def _parse_pave_grid(text: str) -> list[float]:
 
 
 def _parse_gammas(text: str) -> list[float]:
+    """``'0.1,0.03'`` -> [0.1, 0.03]; an empty list or element is a config error."""
+    parts = text.split(",")
+    if not text.strip():
+        raise ConfigError("--gamma got an empty list")
+    if not all(part.strip() for part in parts):
+        raise ConfigError(f"--gamma has an empty element, got {text!r}")
     try:
-        gammas = [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"--gamma expects comma-separated numbers, got {text!r}") from exc
-    if not gammas:
-        raise ConfigError("--gamma got an empty list")
-    return gammas
 
 
 def _load_settings(args) -> RunSettings:
@@ -177,8 +182,8 @@ def _grid(args, kind: str, row) -> int:
         raise ConfigError("--emit-plot-script requires --out")
     schema, header, ylabel, curves = _GRIDS[kind]
     settings = _load_settings(args)
-    gammas = _parse_gammas(args.gamma) if args.gamma else [settings.gamma]
-    paves = _parse_pave_grid(args.pave_db) if args.pave_db else [settings.pave_db]
+    gammas = [settings.gamma] if args.gamma is None else _parse_gammas(args.gamma)
+    paves = [settings.pave_db] if args.pave_db is None else _parse_pave_grid(args.pave_db)
     lines = [schema, header]
     any_nonconverged = False
     for pave in paves:
