@@ -422,7 +422,7 @@ def solve_nonreciprocal(
         i = int(np.argmax(ratio))
         var_a = float(grid[i])
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        converged = hi - lo <= _ZOOM_RTOL * var_a or var_a == 0.0  # zero: the corner wins
+        converged = bool(hi - lo <= _ZOOM_RTOL * var_a) or var_a == 0.0  # zero: the corner wins
         if converged:
             break
         grid = np.linspace(lo, hi, _ZOOM_POINTS)
@@ -454,11 +454,8 @@ def optimize_rank(
     """
     best: tuple[int, SolveReport] | None = None
     for k in range(1, config.n_t + 1):
-        plan_k = replace(
-            plan, pilot_rank=k, pilot_eigs=optimal_pilot_gram(config.n_t, k)
-        )
         try:
-            rep = solve(config, plan_k, budget)
+            rep = solve(config, replace(plan, pilot_rank=k), budget)
         except InfeasibleGamma:
             continue
         if best is None or rep.objective < best[1].objective * (1.0 - 1e-12):

@@ -42,6 +42,7 @@ from .model import (
     PowerAllocation,
     SystemConfig,
     TrainingPlan,
+    optimal_pilot_gram,
 )
 
 __all__ = [
@@ -294,7 +295,7 @@ def nmse_l_nonreciprocal_approx(
     if alloc.scheme != NONRECIPROCAL:
         raise ValueError(f"allocation scheme must be {NONRECIPROCAL!r}, got {alloc.scheme!r}")
     d_bar = nonreciprocal_effective_noise(config, alloc)
-    d = plan.pilot_eigs
+    d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
     return float(np.mean(forward_direction_errors(config, config.var_hd, alloc.e_t3, d_bar, d)))
 
 
@@ -307,7 +308,7 @@ def closed_forms(
     :func:`nmse_l_nonreciprocal_approx`; UR's is :func:`nmse_u` at the
     forward pilot energy, ``e_f`` or ``e_t3``.
     """
-    d = plan.pilot_eigs
+    d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
     if plan.scheme == RECIPROCAL:
         nmse_l = nmse_l_reciprocal(config, alloc.e_r, alloc.e_f, alloc.var_a, d)
         return nmse_l, nmse_u(config, alloc.e_f, alloc.var_a, d)

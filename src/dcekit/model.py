@@ -55,9 +55,6 @@ _SCHEMES = (RECIPROCAL, NONRECIPROCAL)
 #: Fewest trials a Monte Carlo run takes, from a config file, a flag or a call.
 MIN_TRIALS = 100
 
-# Tolerance for "sums to n_t" / "equals n_t/K" checks on pilot eigenvalues.
-_EIG_ATOL = 1e-9
-
 
 class ConfigError(ValueError):
     """Bad config file: unknown key, missing key, or unparsable value."""
@@ -91,18 +88,16 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class TrainingPlan:
-    """Pilot lengths and the forward pilot Gram eigenvalue profile.
+    """Pilot lengths and the rank of the forward pilot.
 
-    ``pilot_eigs`` are the eigenvalues of the (unscaled) forward pilot Gram
-    ``C^H C``: ``n_t`` nonnegative entries summing to ``n_t``, of which exactly
-    ``pilot_rank`` are nonzero and equal to ``n_t / pilot_rank``.  Use
-    :func:`reciprocal_plan` / :func:`nonreciprocal_plan` to get the minimal
-    plan with sensible defaults.
+    The (unscaled) forward pilot Gram ``C^H C`` has the uniform profile
+    :func:`optimal_pilot_gram` ``(n_t, pilot_rank)``: ``pilot_rank`` entries
+    ``n_t / pilot_rank`` and the rest zero.  Use :func:`reciprocal_plan` /
+    :func:`nonreciprocal_plan` to get the minimal plan with sensible defaults.
     """
 
     scheme: str
     pilot_rank: int
-    pilot_eigs: tuple[float, ...]
 
     # reciprocal lengths
     tau_r: int | None = None  # reverse pilot (>= n_l)
@@ -127,15 +122,6 @@ def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
     return tuple([n_t / k] * k + [0.0] * (n_t - k))
 
 
-def _plan(scheme: str, config: SystemConfig, pilot_rank: int | None, **taus) -> TrainingPlan:
-    """A plan of rank ``pilot_rank`` (``n_t`` by default) with the uniform
-    profile; an out-of-range rank gets an empty one, which :func:`validate`
-    names."""
-    rank = config.n_t if pilot_rank is None else pilot_rank
-    eigs = optimal_pilot_gram(config.n_t, rank) if 1 <= rank <= config.n_t else ()
-    return TrainingPlan(scheme, rank, eigs, **taus)
-
-
 def reciprocal_plan(
     config: SystemConfig,
     tau_r: int | None = None,
@@ -143,8 +129,8 @@ def reciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length reciprocal plan (full-rank forward pilot by default)."""
-    return _plan(
-        RECIPROCAL, config, pilot_rank,
+    return TrainingPlan(
+        RECIPROCAL, config.n_t if pilot_rank is None else pilot_rank,
         tau_r=config.n_l if tau_r is None else tau_r,
         tau_f=config.n_t if tau_f is None else tau_f,
     )
@@ -157,8 +143,8 @@ def nonreciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length non-reciprocal plan (``tau_t0`` is pinned to ``n_t``)."""
-    return _plan(
-        NONRECIPROCAL, config, pilot_rank,
+    return TrainingPlan(
+        NONRECIPROCAL, config.n_t if pilot_rank is None else pilot_rank,
         tau_t0=config.n_t,
         tau_l2=config.n_l if tau_l2 is None else tau_l2,
         tau_t3=config.n_t if tau_t3 is None else tau_t3,
@@ -257,24 +243,6 @@ def _plan_violations(config: SystemConfig, plan: TrainingPlan) -> list[str]:
             out.append(f"tau_t3: must be >= n_t={config.n_t}, got {plan.tau_t3}")
     if not 1 <= plan.pilot_rank <= config.n_t:
         out.append(f"pilot_rank: must lie in 1..{config.n_t}, got {plan.pilot_rank}")
-        return out
-    d = np.asarray(plan.pilot_eigs, dtype=float)
-    if d.shape != (config.n_t,):
-        out.append(f"pilot_eigs: need {config.n_t} entries, got shape {d.shape}")
-        return out
-    if np.any(d < 0):
-        out.append("pilot_eigs: entries must be nonnegative")
-    if abs(d.sum() - config.n_t) > _EIG_ATOL:
-        out.append(f"pilot_eigs: must sum to n_t={config.n_t}, got {d.sum()!r}")
-    nonzero = d[d > _EIG_ATOL]
-    if nonzero.size != plan.pilot_rank:
-        out.append(
-            f"pilot_eigs: expected exactly pilot_rank={plan.pilot_rank} nonzero entries, got {nonzero.size}"
-        )
-    elif np.any(np.abs(nonzero - config.n_t / plan.pilot_rank) > _EIG_ATOL):
-        out.append(
-            f"pilot_eigs: nonzero entries must all equal n_t/K = {config.n_t / plan.pilot_rank}"
-        )
     return out
 
 

@@ -64,9 +64,9 @@ fresh processes, alternating), a share that depends on how the allocator
 last trimmed its heap.  With no arena active (a direct
 :func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
 allocates as it always did, and below :data:`HOUSEHOLDER_MIN_BATCH` matrices
-the kernels take numpy's calls before any arena lookup.  Only the
-destination memory changes, never an operation or its order, so the bits are
-the same either way.
+the products, solves and QRs take numpy's calls before any arena lookup.
+Only the destination memory changes, never an operation or its order, so the
+bits are the same either way.
 """
 
 from __future__ import annotations
@@ -276,8 +276,6 @@ def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var
     """``stack_last(complex_normal(gen, shape, var))`` for a ``(batch, rows,
     cols)`` shape: the same draws, made batch-first in scratch memory and
     copied into a stack-last result."""
-    if shape[0] < HOUSEHOLDER_MIN_BATCH:
-        return complex_normal(gen, shape, var)
     out = empty_stack(shape)
     with scratch():
         np.copyto(out, complex_normal(gen, shape, var))
@@ -309,9 +307,7 @@ def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np
 
 def herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
-    if x.ndim == 3 and x.shape[0] >= HOUSEHOLDER_MIN_BATCH:
-        return np.swapaxes(np.conjugate(x, out=empty_like(x)), -1, -2)
-    return np.swapaxes(x.conj(), -1, -2)
+    return np.swapaxes(np.conjugate(x, out=empty_like(x)), -1, -2)
 
 
 def stack_last(x: np.ndarray) -> np.ndarray:
@@ -511,22 +507,17 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     tau, n = shape[-2:]
     if not 1 <= n <= tau:
         raise ValueError(f"need tau >= n >= 1 for orthonormal columns, got {tau}x{n}")
-    size = math.prod(shape[:-2])
-    if size < HOUSEHOLDER_MIN_BATCH:
-        q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
-        phase = np.where(diag == 0, 1.0 + 0j, diag / np.abs(diag))
-        return q * phase.conj()[..., None, :]
-    # The same steps into scratch memory, the result laid out as the
-    # Householder Q factor (stack-last, columns outermost).
-    out = empty((n, tau, size)).transpose(2, 1, 0).reshape(shape)
+    # The result is laid out as the Q factor (stack-last, columns outermost,
+    # from the Householder QR).
     with scratch():
-        q, diag = _householder_qr(complex_normal(gen, shape, 1.0), slice(0, n))
+        q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
         ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
         phase = empty_like(diag, np.complex128)
         np.copyto(phase, ratio)
         np.copyto(phase, 1.0 + 0j, where=np.equal(diag, 0, out=empty_like(diag, np.bool_)))
-        np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
-    return out
+        with keep():
+            out = empty_like(q)
+        return np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
 
 
 def null_complement(mat: np.ndarray) -> np.ndarray:

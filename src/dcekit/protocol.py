@@ -32,8 +32,9 @@ rows, cols)`` shape: the drawn channels and AN are copied there once, every
 product goes through :func:`dcekit.numerics.matmul`, and each noise draw is
 added in place to a product that is already stack-last.  So a stacked
 product is a few vector operations along the chunk instead of 4096 BLAS
-calls.  Below :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds nothing
-is copied and numpy's own calls run, which keeps the batch-of-one bits.
+calls.  Below :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds the
+arrays stay batch-first and numpy's own products, solves and QRs run, which
+keeps the batch-of-one bits.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ from .model import (
     SystemConfig,
     TrainingPlan,
     allocation_violations,
+    optimal_pilot_gram,
     validate,
 )
 from .numerics import (
-    HOUSEHOLDER_MIN_BATCH,
     RngStream,
     active_arena,
     add_complex_normal,
@@ -137,21 +138,17 @@ def forward_pilot(n_t: int, tau: int, d) -> np.ndarray:
 
     Columns of a DFT semi-unitary scaled by ``sqrt(d_k)``, so ``C^H C =
     diag(d)`` and ``Tr(C^H C) = sum(d) = n_t``.  A rank-K profile simply
-    zeroes out ``n_t - K`` columns.
+    zeroes out ``n_t - K`` columns.  The engine passes a plan's profile,
+    :func:`dcekit.model.optimal_pilot_gram` ``(n_t, plan.pilot_rank)``.
     """
     base = dft_semiunitary(tau, n_t)
     return base * np.sqrt(np.asarray(d, dtype=float))[None, :]
 
 
 def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Squared Frobenius error of each matrix.  From
-    :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` matrices on, the difference
-    is scratch, laid out as ``truth`` (numpy's choice for ``truth - est``) and
-    squared in place; for fewer, numpy's own temporaries cost less than the
-    ``out=`` calls."""
-    if truth.shape[0] < HOUSEHOLDER_MIN_BATCH:
-        diff = truth - est
-        return np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+    """Squared Frobenius error of each matrix.  The difference is scratch,
+    laid out as ``truth`` (numpy's choice for ``truth - est``) and squared in
+    place."""
     out = empty(truth.shape[:-2], np.float64)
     with scratch():
         diff = np.subtract(truth, est, out=empty_like(truth))
@@ -284,7 +281,7 @@ def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage
 
     k_null = null_complement(out["h_hat"])
     a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
-    x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, plan.pilot_eigs)
+    x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, optimal_pilot_gram(n_t, plan.pilot_rank))
     k_l = lmmse_combiner(x_bar, prior_l, noise_l)
     k_u = lmmse_combiner(x_bar, config.var_g, analytics.ur_disturbance(config, alloc.var_a))
     with scratch():
@@ -327,7 +324,7 @@ def _transcript(config, plan, alloc, out, e_fwd, prior_l, tx_dirs) -> TrainingTr
     level the engine used) and UR."""
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
-    d = np.asarray(plan.pilot_eigs, dtype=float)
+    d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
     r_u = analytics.ur_disturbance(config, alloc.var_a)
     dirs = {
         "tx": tx_dirs,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 
@@ -129,9 +130,7 @@ class TestReciprocalClosedForm:
         # gamma = var_g = 0.1 at rank 3 of 4 rounds gamma_tilde_3 to -5e-15;
         # the floor is the prior itself, so it is met, as at full rank.
         cfg = SystemConfig(n_t=4, n_l=1, n_u=2, var_g=0.1)
-        plan = dataclasses.replace(
-            reciprocal_plan(cfg), pilot_rank=3, pilot_eigs=optimal_pilot_gram(4, 3)
-        )
+        plan = dataclasses.replace(reciprocal_plan(cfg), pilot_rank=3)
         budget = EnergyBudget(100.0, 100.0, 0.1)
         rep = solve_reciprocal(cfg, plan, budget)
         assert rep.allocation.e_f == 0.0
@@ -146,20 +145,20 @@ class TestReciprocalClosedForm:
         # K = 2, gamma = 0.6: per-trained-direction target
         # gamma_2 = (4*0.6 - 2)/2 = 0.2, gamma_tilde_2 = (5-1)*2 = 8;
         # zeta = (120-8)/(4+8) = 28/3; e_f = 248/3; var_a = 14/3.
-        plan = dataclasses.replace(R_PLAN, pilot_rank=2, pilot_eigs=optimal_pilot_gram(4, 2))
+        plan = dataclasses.replace(R_PLAN, pilot_rank=2)
         rep = solve_reciprocal(CFG, plan, EnergyBudget(120.0, 200.0, 0.6))
         a = rep.allocation
         assert a.e_r == pytest.approx(200.0)
         assert a.e_f == pytest.approx(248.0 / 3.0, rel=1e-12)
         assert a.var_a == pytest.approx(14.0 / 3.0, rel=1e-12)
         assert rep.constraint_slack == pytest.approx(0.0, abs=1e-12)
-        got = analytics.nmse_u(CFG, a.e_f, a.var_a, plan.pilot_eigs)
+        got = analytics.nmse_u(CFG, a.e_f, a.var_a, optimal_pilot_gram(4, 2))
         assert got == pytest.approx(0.6, rel=1e-12)
 
     def test_rank_two_vacuous_floor(self):
         # gamma = 0.4 sits below the untrained-direction floor 2/4 = 0.5:
         # any rank-2 pilot satisfies it, so everything goes to the pilot.
-        plan = dataclasses.replace(R_PLAN, pilot_rank=2, pilot_eigs=optimal_pilot_gram(4, 2))
+        plan = dataclasses.replace(R_PLAN, pilot_rank=2)
         rep = solve_reciprocal(CFG, plan, EnergyBudget(120.0, 200.0, 0.4))
         a = rep.allocation
         assert rep.scenario == "rank-k-vacuous"
@@ -333,6 +332,29 @@ def _reciprocal_scan(cfg, plan, budget, points=4001) -> float:
     return float(min(with_an.min(), nmse_l(0.0, gt, 0.0)))
 
 
+def _wide_draw(rng, variances):
+    """A random configuration, pilot rank and budget far outside the
+    operating range: variances 10^-6..10^6, caps 10^-2..10^8 (a total cap on
+    most draws)."""
+    n_t = int(rng.integers(3, 7))
+    n_l, k = int(rng.integers(1, n_t)), int(rng.integers(1, n_t + 1))
+    var = {name: float(10.0 ** rng.uniform(-6, 6)) for name in variances}
+    cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
+    e_t, e_l, e_ave = 10.0 ** rng.uniform(-2, 8, size=3)
+    budget = EnergyBudget(
+        e_t, e_l, cfg.var_g * rng.uniform(0.01, 1.0),
+        e_ave_max=e_ave if rng.random() < 0.75 else math.inf,
+    )
+    return cfg, k, budget
+
+
+def _assert_contract(rep, cfg, plan, budget):
+    assert allocation_violations(rep.allocation, cfg, plan, budget=budget) == [], (cfg, plan, budget)
+    assert rep.constraint_slack >= -1e-9, (cfg, plan, budget)
+    assert math.isfinite(rep.objective), (cfg, plan, budget)
+    assert rep.converged, (cfg, plan, budget)
+
+
 class TestReciprocalContract:
     """Random configurations (n_t 3-6, any n_l < n_t, every rank, tau_f
     n_t..n_t+3, non-unit variances, a total cap on most draws): each solve
@@ -350,7 +372,7 @@ class TestReciprocalContract:
             cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
             plan = dataclasses.replace(
                 reciprocal_plan(cfg), tau_f=n_t + int(rng.integers(0, 4)),
-                pilot_rank=k, pilot_eigs=optimal_pilot_gram(n_t, k),
+                pilot_rank=k,
             )
             e_ave = 10.0 ** rng.uniform(0, 4.3) if rng.random() < 0.75 else math.inf
             budget = EnergyBudget(
@@ -367,6 +389,18 @@ class TestReciprocalContract:
             assert rep.constraint_slack >= -1e-9
             assert math.isfinite(rep.objective)
             assert rep.objective <= best * (1 + 1e-12), (cfg, plan, budget)
+
+
+    def test_wide_domain(self):
+        rng = np.random.default_rng(10)
+        for _ in range(1500):
+            cfg, k, budget = _wide_draw(rng, ("var_h", "var_g", "var_wt", "var_w", "var_v"))
+            plan = reciprocal_plan(cfg, pilot_rank=k)
+            try:
+                rep = solve_reciprocal(cfg, plan, budget)
+            except InfeasibleGamma:
+                continue
+            _assert_contract(rep, cfg, plan, budget)
 
 
 class TestNonreciprocalSolver:
@@ -451,7 +485,7 @@ class TestNonreciprocalSolver:
                 assert rep.objective == pytest.approx(cfg.var_hd, rel=1e-12)
 
     def test_rank_two_vacuous_floor(self):
-        plan = dataclasses.replace(N_PLAN, pilot_rank=2, pilot_eigs=optimal_pilot_gram(4, 2))
+        plan = dataclasses.replace(N_PLAN, pilot_rank=2)
         rep = solve_nonreciprocal(CFG, plan, EnergyBudget(120.0, 200.0, 0.4))
         assert rep.scenario == "rank-k-vacuous"
         a = rep.allocation
@@ -490,11 +524,30 @@ class TestOptimizeRank:
     def test_reported_best_matches_rerun(self):
         budget = EnergyBudget(120.0, 200.0, 0.1)
         best, rep = optimize_rank(CFG, R_PLAN, budget)
-        plan = dataclasses.replace(
-            R_PLAN, pilot_rank=best, pilot_eigs=optimal_pilot_gram(4, best)
-        )
+        plan = dataclasses.replace(R_PLAN, pilot_rank=best)
         again = solve_reciprocal(CFG, plan, budget)
         assert again.objective == pytest.approx(rep.objective, rel=1e-12)
+
+
+class TestReportIsJson:
+    """A report holds plain Python values, so ``dataclasses.asdict`` of it
+    goes through ``json`` on every solution path."""
+
+    @pytest.mark.parametrize("solver,plan,budget,scenario", [
+        (solve_reciprocal, R_PLAN, EnergyBudget(8000.0, 600.0, 0.1), "prop1-branch2"),
+        (solve_reciprocal, dataclasses.replace(R_PLAN, pilot_rank=2),
+         EnergyBudget(120.0, 200.0, 0.4), "rank-k-vacuous"),
+        (solve_nonreciprocal, N_PLAN, EnergyBudget(8000.0, 600.0, 0.1), "interior"),
+        (solve_nonreciprocal, N_PLAN, EnergyBudget(120.0, 200.0, 1.0), "an-free"),
+        (solve_nonreciprocal, dataclasses.replace(N_PLAN, pilot_rank=2),
+         EnergyBudget(120.0, 200.0, 0.4), "rank-k-vacuous"),
+    ])
+    def test_round_trip(self, solver, plan, budget, scenario):
+        rep = solver(CFG, plan, budget)
+        assert rep.scenario == scenario
+        assert type(rep.converged) is bool
+        fields = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(fields)) == fields
 
 
 class TestSolverInputValidation:
@@ -778,6 +831,19 @@ class TestNonreciprocalContract:
             assert math.isfinite(rep.objective)
             mine = _oracle_nmse(cfg, plan, [[a.e_t0], [a.e_l1], [a.e_l2], [a.e_t3], [a.var_a]])
             assert float(mine[0][0]) == pytest.approx(rep.objective, rel=1e-12)
+
+
+    def test_wide_domain(self):
+        rng = np.random.default_rng(10)
+        variances = ("var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v")
+        for _ in range(1500):
+            cfg, k, budget = _wide_draw(rng, variances)
+            plan = nonreciprocal_plan(cfg, pilot_rank=k)
+            try:
+                rep = solve_nonreciprocal(cfg, plan, budget)
+            except InfeasibleGamma:
+                continue
+            _assert_contract(rep, cfg, plan, budget)
 
 
 # --- TX/LR share search --------------------------------------------------------

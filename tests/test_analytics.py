@@ -23,6 +23,7 @@ from dcekit.model import (
     PowerAllocation,
     SystemConfig,
     nonreciprocal_plan,
+    optimal_pilot_gram,
     reciprocal_plan,
 )
 
@@ -228,17 +229,19 @@ class TestClosedForms:
     def test_reciprocal(self):
         plan = reciprocal_plan(CFG, pilot_rank=2)
         alloc = PowerAllocation(scheme=RECIPROCAL, e_r=3.0, e_f=5.0, var_a=0.7)
+        d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
         assert analytics.closed_forms(CFG, plan, alloc) == (
-            analytics.nmse_l_reciprocal(CFG, 3.0, 5.0, 0.7, plan.pilot_eigs),
-            analytics.nmse_u(CFG, 5.0, 0.7, plan.pilot_eigs),
+            analytics.nmse_l_reciprocal(CFG, 3.0, 5.0, 0.7, d),
+            analytics.nmse_u(CFG, 5.0, 0.7, d),
         )
 
     def test_nonreciprocal(self):
         plan = nonreciprocal_plan(CFG, pilot_rank=3)
         alloc = _nonrec_alloc()
+        d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
         assert analytics.closed_forms(CFG, plan, alloc) == (
             analytics.nmse_l_nonreciprocal_approx(CFG, alloc, plan),
-            analytics.nmse_u(CFG, alloc.e_t3, alloc.var_a, plan.pilot_eigs),
+            analytics.nmse_u(CFG, alloc.e_t3, alloc.var_a, d),
         )
 
 

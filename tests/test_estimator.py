@@ -27,6 +27,7 @@ from dcekit.model import (
     SystemConfig,
     draw_channels,
     nonreciprocal_plan,
+    optimal_pilot_gram,
     reciprocal_plan,
 )
 from dcekit.numerics import RngStream, haar_semiunitary, random_gaussian
@@ -157,7 +158,8 @@ class TestForwardEstimates:
         plan = reciprocal_plan(CFG)
         channels = draw_channels(CFG, RECIPROCAL, RngStream(8))
         t = run_reciprocal(CFG, plan, alloc, channels, RngStream(9))
-        pilot = np.sqrt(e_f / CFG.n_t) * forward_pilot(CFG.n_t, plan.tau_f, plan.pilot_eigs)
+        d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
+        pilot = np.sqrt(e_f / CFG.n_t) * forward_pilot(CFG.n_t, plan.tau_f, d)
         noise = analytics.reciprocal_effective_noise(CFG, e_r, var_a)
         assert effective_forward_noise_var(CFG, e_r, var_a) / CFG.n_l == pytest.approx(
             noise, rel=1e-15

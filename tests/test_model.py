@@ -17,6 +17,7 @@ from dcekit.model import (
     draw_channels,
     load_config,
     nonreciprocal_plan,
+    optimal_pilot_gram,
     parse_config,
     reciprocal_plan,
     training_lengths,
@@ -43,8 +44,6 @@ class TestPlans:
         assert plan.scheme == RECIPROCAL
         assert (plan.tau_r, plan.tau_f) == (2, 4)
         assert plan.pilot_rank == 4
-        assert plan.pilot_eigs == (1.0, 1.0, 1.0, 1.0)
-        assert sum(plan.pilot_eigs) == pytest.approx(4.0)
 
     def test_nonreciprocal_defaults(self):
         plan = nonreciprocal_plan(CFG)
@@ -53,7 +52,7 @@ class TestPlans:
 
     def test_rank_deficient_profile(self):
         plan = reciprocal_plan(CFG, pilot_rank=2)
-        assert plan.pilot_eigs == (2.0, 2.0, 0.0, 0.0)
+        assert optimal_pilot_gram(CFG.n_t, plan.pilot_rank) == (2.0, 2.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("rank", [0, 5, -1])
     def test_out_of_range_rank_is_a_violation(self, rank):
@@ -78,15 +77,6 @@ class TestValidate:
         bad = SystemConfig(n_t=4, n_l=2, n_u=2, var_w=0.0)
         msgs = validate(bad, reciprocal_plan(CFG))
         assert any("var_w" in m for m in msgs)
-
-    def test_pilot_profile_sum(self):
-        plan = reciprocal_plan(CFG)
-        broken = type(plan)(
-            scheme=plan.scheme, pilot_rank=4, pilot_eigs=(2.0, 1.0, 1.0, 1.0),
-            tau_r=plan.tau_r, tau_f=plan.tau_f,
-        )
-        msgs = validate(CFG, broken)
-        assert any("pilot_eigs" in m for m in msgs)
 
     def test_budget_gamma_range(self):
         budget = EnergyBudget(e_t_max=100.0, e_l_max=10.0, gamma=2.0)

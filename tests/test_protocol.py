@@ -8,6 +8,7 @@ errors with the closed forms is covered by the Monte Carlo suite.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -27,8 +28,10 @@ from dcekit.model import (
     SystemConfig,
     draw_channels,
     nonreciprocal_plan,
+    optimal_pilot_gram,
     reciprocal_plan,
     training_spend,
+    validate,
 )
 from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, Arena, RngStream, complex_normal, null_complement
 from dcekit.protocol import (
@@ -74,6 +77,42 @@ class TestPilots:
         c = forward_pilot(4, 4, d)
         np.testing.assert_allclose(c.conj().T @ c, np.diag(d), atol=1e-12)
         assert np.trace(c.conj().T @ c).real == pytest.approx(4.0)
+
+
+class TestPilotRank:
+    """The rank alone sets the forward pilot: ``replace(plan, pilot_rank=k)``
+    is a valid plan whose engine pilot has the Gram profile
+    ``optimal_pilot_gram(n_t, k)``, the profile its closed forms use."""
+
+    @pytest.mark.parametrize("k", range(1, CFG.n_t + 1))
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_rank_sets_profile(self, scheme, k):
+        d = optimal_pilot_gram(CFG.n_t, k)
+        if scheme == RECIPROCAL:
+            plan, alloc, run, stage = R_PLAN, R_ALLOC, run_reciprocal, ""
+            e_fwd, prior = R_ALLOC.e_f, CFG.var_h
+            noise = analytics.reciprocal_effective_noise(CFG, R_ALLOC.e_r, R_ALLOC.var_a)
+        else:
+            plan, alloc, run, stage = N_PLAN, N_ALLOC, run_nonreciprocal, "3"
+            e_fwd, prior = N_ALLOC.e_t3, CFG.var_hd
+            noise = analytics.nonreciprocal_effective_noise(CFG, N_ALLOC)
+        plan = dataclasses.replace(plan, pilot_rank=k)
+        assert validate(CFG, plan) == []
+
+        channels = draw_channels(CFG, scheme, RngStream(1))
+        # Without AN the forward signal is the bare pilot.
+        quiet = run(CFG, plan, dataclasses.replace(alloc, var_a=0.0), channels, RngStream(2))
+        c = quiet.signals[f"x_t{stage}"] / np.sqrt(e_fwd / CFG.n_t)
+        np.testing.assert_allclose(c.conj().T @ c, np.diag(d), atol=1e-12)
+
+        nmse_l, nmse_u = analytics.closed_forms(CFG, plan, alloc)
+        assert nmse_l == float(np.mean(
+            analytics.forward_direction_errors(CFG, prior, e_fwd, noise, d)
+        ))
+        assert nmse_u == analytics.nmse_u(CFG, e_fwd, alloc.var_a, d)
+        t = run(CFG, plan, alloc, channels, RngStream(2))
+        assert t.estimates["lr"].nmse == pytest.approx(nmse_l, rel=1e-12)
+        assert t.estimates["ur"].nmse == pytest.approx(nmse_u, rel=1e-12)
 
 
 class TestGuard:
@@ -407,7 +446,8 @@ class TestBatchOfOne:
             alloc = N_ALLOC
         out = run_rounds(CFG, plan, alloc, RngStream(2).generator, batch=1, channels=batched)
         assert out["noise_l"] == noise
-        expected = analytics.forward_direction_errors(CFG, prior, e_fwd, noise, plan.pilot_eigs)
+        d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
+        expected = analytics.forward_direction_errors(CFG, prior, e_fwd, noise, d)
         self._assert_same_bits(t.estimates["lr"].per_direction_error_var, expected)
 
     def test_batch_rows_are_independent_rounds(self):
