@@ -250,7 +250,7 @@ def solve_reciprocal(
         rep = replace(
             rep,
             scenario="scenario1",
-            message=f"total cap slack; delegated to per-node solver ({rep.scenario})",
+            message=f"total cap slack; the per-node optimum holds ({rep.scenario})",
         )
     return rep
 

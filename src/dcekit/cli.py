@@ -368,27 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discriminatory two-way channel training: solvers and simulations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("solve", help="solve one energy-allocation problem")
-    _add_common(p, grid=False)
-    p.set_defaults(func=_cmd_solve)
-
-    p = subs.add_parser("sweep", help="solve across power/gamma grids, CSV out")
-    _add_common(p, grid=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = subs.add_parser("nmse", help="Monte-Carlo NMSE check at one operating point")
-    _add_common(p, grid=False)
-    p.set_defaults(func=_cmd_nmse)
-
-    p = subs.add_parser("ser", help="coded data-phase symbol error rates, CSV out")
-    _add_common(p, grid=True)
-    p.set_defaults(func=_cmd_ser)
-
-    p = subs.add_parser("rank", help="optimize the forward-pilot rank")
-    _add_common(p, grid=False)
-    p.set_defaults(func=_cmd_rank)
-
+    for name, handler, grid, help_text in (
+        ("solve", _cmd_solve, False, "solve one energy-allocation problem"),
+        ("sweep", _cmd_sweep, True, "solve across power/gamma grids, CSV out"),
+        ("nmse", _cmd_nmse, False, "Monte-Carlo NMSE check at one operating point"),
+        ("ser", _cmd_ser, True, "coded data-phase symbol error rates, CSV out"),
+        ("rank", _cmd_rank, False, "optimize the forward-pilot rank"),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub, grid)
+        sub.set_defaults(func=handler)
     return parser
 
 

@@ -11,12 +11,17 @@ legitimate receiver's channel:
 
 All energy bookkeeping is in linear units; ``db_to_energy`` converts the
 per-channel-use dB powers used in config files.
+
+Two tables hold the schema: ``_STAGES`` gives each scheme's stage lengths
+and their floors, which are also their defaults, and ``_KEYS`` gives each
+config-file key its type and default.  :func:`parse_config` type-checks every
+value in a file and leaves all other checks on the settings to :func:`validate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +91,10 @@ class SystemConfig:
     var_v: float = 1.0   # noise variance at UR
 
 
+_NOISES = ("var_wt", "var_w", "var_v")
+_VARIANCES = ("var_h", "var_hu", "var_hd", "var_g") + _NOISES  # in field order
+
+
 @dataclass(frozen=True)
 class TrainingPlan:
     """Pilot lengths and the rank of the forward pilot.
@@ -122,6 +131,26 @@ def optimal_pilot_gram(n_t: int, k: int) -> tuple[float, ...]:
     return tuple([n_t / k] * k + [0.0] * (n_t - k))
 
 
+# Each scheme's stage lengths, each with its floor (a ``SystemConfig`` field),
+# which is also its default.  ``tau_t0`` must equal its floor: the initial
+# downlink pilot is a square unitary.
+_STAGES = {
+    RECIPROCAL: (("tau_r", "n_l"), ("tau_f", "n_t")),
+    NONRECIPROCAL: (("tau_t0", "n_t"), ("tau_l2", "n_l"), ("tau_t3", "n_t")),
+}
+
+
+def _plan(config: SystemConfig, scheme: str, pilot_rank: int | None, lengths: dict) -> TrainingPlan:
+    """A ``scheme`` plan with the stage lengths in ``lengths``, each one
+    missing or ``None`` at its floor, and a full-rank forward pilot unless
+    ``pilot_rank`` is given.  Other entries of ``lengths`` are ignored."""
+    stages = {}
+    for name, floor in _STAGES[scheme]:
+        val = lengths.get(name)
+        stages[name] = getattr(config, floor) if val is None else val
+    return TrainingPlan(scheme, config.n_t if pilot_rank is None else pilot_rank, **stages)
+
+
 def reciprocal_plan(
     config: SystemConfig,
     tau_r: int | None = None,
@@ -129,11 +158,7 @@ def reciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length reciprocal plan (full-rank forward pilot by default)."""
-    return TrainingPlan(
-        RECIPROCAL, config.n_t if pilot_rank is None else pilot_rank,
-        tau_r=config.n_l if tau_r is None else tau_r,
-        tau_f=config.n_t if tau_f is None else tau_f,
-    )
+    return _plan(config, RECIPROCAL, pilot_rank, {"tau_r": tau_r, "tau_f": tau_f})
 
 
 def nonreciprocal_plan(
@@ -143,12 +168,7 @@ def nonreciprocal_plan(
     pilot_rank: int | None = None,
 ) -> TrainingPlan:
     """Minimal-length non-reciprocal plan (``tau_t0`` is pinned to ``n_t``)."""
-    return TrainingPlan(
-        NONRECIPROCAL, config.n_t if pilot_rank is None else pilot_rank,
-        tau_t0=config.n_t,
-        tau_l2=config.n_l if tau_l2 is None else tau_l2,
-        tau_t3=config.n_t if tau_t3 is None else tau_t3,
-    )
+    return _plan(config, NONRECIPROCAL, pilot_rank, {"tau_l2": tau_l2, "tau_t3": tau_t3})
 
 
 def training_lengths(plan: TrainingPlan) -> tuple[int, int]:
@@ -212,12 +232,11 @@ def _config_violations(config: SystemConfig) -> list[str]:
         out.append(f"n_t: must exceed n_l, got n_t={config.n_t}, n_l={config.n_l}")
     if config.n_u < 1:
         out.append(f"n_u: must be >= 1, got {config.n_u}")
-    noises = ("var_wt", "var_w", "var_v")
-    for name in ("var_h", "var_hu", "var_hd", "var_g") + noises:
+    for name in _VARIANCES:
         val = getattr(config, name)
         if not math.isfinite(val):
             out.append(f"{name}: variance must be finite, got {val}")
-        elif name in noises and val <= 0:
+        elif name in _NOISES and val <= 0:
             out.append(f"{name}: noise variance must be > 0, got {val}")
         elif val < 0:
             out.append(f"{name}: channel variance must be >= 0, got {val}")
@@ -229,18 +248,13 @@ def _plan_violations(config: SystemConfig, plan: TrainingPlan) -> list[str]:
     if plan.scheme not in _SCHEMES:
         out.append(f"scheme: must be one of {_SCHEMES}, got {plan.scheme!r}")
         return out
-    if plan.scheme == RECIPROCAL:
-        if plan.tau_r is None or plan.tau_r < config.n_l:
-            out.append(f"tau_r: must be >= n_l={config.n_l}, got {plan.tau_r}")
-        if plan.tau_f is None or plan.tau_f < config.n_t:
-            out.append(f"tau_f: must be >= n_t={config.n_t}, got {plan.tau_f}")
-    else:
-        if plan.tau_t0 is None or plan.tau_t0 != config.n_t:
-            out.append(f"tau_t0: must equal n_t={config.n_t} (square unitary pilot), got {plan.tau_t0}")
-        if plan.tau_l2 is None or plan.tau_l2 < config.n_l:
-            out.append(f"tau_l2: must be >= n_l={config.n_l}, got {plan.tau_l2}")
-        if plan.tau_t3 is None or plan.tau_t3 < config.n_t:
-            out.append(f"tau_t3: must be >= n_t={config.n_t}, got {plan.tau_t3}")
+    for name, floor in _STAGES[plan.scheme]:
+        val, least = getattr(plan, name), getattr(config, floor)
+        if name == "tau_t0":
+            if val != least:
+                out.append(f"{name}: must equal {floor}={least} (square unitary pilot), got {val}")
+        elif val is None or val < least:
+            out.append(f"{name}: must be >= {floor}={least}, got {val}")
     if not 1 <= plan.pilot_rank <= config.n_t:
         out.append(f"pilot_rank: must lie in 1..{config.n_t}, got {plan.pilot_rank}")
     return out
@@ -378,14 +392,21 @@ def db_to_energy(p_db: float, tau: int) -> float:
 # Config files: flat "key = value" lines, '#' comments, a fixed key set.
 # --------------------------------------------------------------------------
 
-_INT_KEYS = {"nt", "nl", "nu", "tau_r", "tau_f", "tau_t0", "tau_l2", "tau_t3",
-             "pilot_rank", "trials", "seed"}
-_FLOAT_KEYS = {"var_h", "var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v",
-               "gamma", "pt_db", "pl_db", "pave_db"}
-_STR_KEYS = {"scheme"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_REQUIRED = object()  # the default of a key every file must set
 
-_REQUIRED_KEYS = ("nt", "nl", "nu", "scheme", "gamma")
+# Every config key: the type its value is parsed as, and its default.  A
+# stage length or ``pilot_rank`` left unset gets the plan's default.
+_KEYS = {
+    "nt": (int, _REQUIRED), "nl": (int, _REQUIRED), "nu": (int, _REQUIRED),
+    "scheme": (str, _REQUIRED),
+    **{name: (float, 1.0) for name in _VARIANCES},
+    **{name: (int, None) for stages in _STAGES.values() for name, _ in stages},
+    "pilot_rank": (int, None),
+    "gamma": (float, _REQUIRED),
+    "pt_db": (float, 30.0), "pl_db": (float, 20.0), "pave_db": (float, None),
+    "trials": (int, 10000), "seed": (int, 0),
+}
+_DEFAULTS = {key: default for key, (_, default) in _KEYS.items()}  # copied by each parse
 
 
 @dataclass(frozen=True)
@@ -414,94 +435,62 @@ class RunSettings:
         )
 
 
+# The fields of RunSettings that config keys set as they are, in field order.
+_SETTINGS = tuple(field.name for field in fields(RunSettings) if field.name in _KEYS)
+
+
 def parse_config(text: str) -> RunSettings:
-    """Parse config text.  Unknown or missing keys raise :class:`ConfigError`."""
+    """Parse config text.  Unknown or missing keys raise :class:`ConfigError`,
+    and so does every value that does not parse as its key's type, whether or
+    not the file's scheme uses it.  Settings that parse are then checked by
+    :func:`validate`, and ``gamma``, ``trials`` and ``seed`` by range."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, equals, value = stripped.partition("=")
+        if not equals:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
+        key, value = key.strip(), value.strip()
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key!r}", key=key)
         if key in raw:
             raise ConfigError(f"duplicate config key: {key!r}", key=key)
         raw[key] = value
 
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    values = {**_DEFAULTS, **raw}
+    for key, value in values.items():
+        if value is _REQUIRED:
             raise ConfigError(f"missing config key: {key!r}", key=key)
-
-    def to_int(key: str, default: int | None = None) -> int | None:
-        if key not in raw:
-            return default
+    for key, value in raw.items():
+        kind = _KEYS[key][0]
         try:
-            return int(raw[key])
+            values[key] = kind(value)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected integer, got {raw[key]!r}", key=key) from exc
+            expected = "integer" if kind is int else "number"
+            raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}", key=key) from exc
 
-    def to_float(key: str, default: float | None = None) -> float | None:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected number, got {raw[key]!r}", key=key) from exc
-
-    scheme = raw["scheme"]
+    scheme = values["scheme"]
     if scheme not in _SCHEMES:
         raise ConfigError(f"config key 'scheme': must be one of {_SCHEMES}, got {scheme!r}", key="scheme")
 
     config = SystemConfig(
-        n_t=to_int("nt"), n_l=to_int("nl"), n_u=to_int("nu"),
-        var_h=to_float("var_h", 1.0), var_hu=to_float("var_hu", 1.0),
-        var_hd=to_float("var_hd", 1.0), var_g=to_float("var_g", 1.0),
-        var_wt=to_float("var_wt", 1.0), var_w=to_float("var_w", 1.0),
-        var_v=to_float("var_v", 1.0),
+        values["nt"], values["nl"], values["nu"], *[values[name] for name in _VARIANCES]
     )
-    bad = _config_violations(config)
+    plan = _plan(config, scheme, values["pilot_rank"], values)
+    bad = validate(config, plan)
     if bad:
         raise ConfigError(f"config: {bad[0]}", key=bad[0].split(":", 1)[0])
 
-    if scheme == RECIPROCAL:
-        plan = reciprocal_plan(config, tau_r=to_int("tau_r"), tau_f=to_int("tau_f"),
-                               pilot_rank=to_int("pilot_rank"))
-    else:
-        plan = nonreciprocal_plan(config, tau_l2=to_int("tau_l2"), tau_t3=to_int("tau_t3"),
-                                  pilot_rank=to_int("pilot_rank"))
-        if to_int("tau_t0") not in (None, config.n_t):
-            raise ConfigError(
-                f"config key 'tau_t0': must equal nt={config.n_t}, got {raw['tau_t0']}", key="tau_t0"
-            )
-    bad = _plan_violations(config, plan)
-    if bad:
-        raise ConfigError(f"config: {bad[0]}", key=bad[0].split(":", 1)[0])
-
-    gamma = to_float("gamma")
+    gamma = values["gamma"]
     if not 0 < gamma <= config.var_g:
         raise ConfigError(f"config key 'gamma': must lie in (0, var_g={config.var_g}], got {gamma}", key="gamma")
+    for key, least in (("trials", MIN_TRIALS), ("seed", 0)):
+        if values[key] < least:
+            raise ConfigError(f"config key {key!r}: must be >= {least}, got {values[key]}", key=key)
 
-    trials = to_int("trials", 10000)
-    if trials < MIN_TRIALS:
-        raise ConfigError(
-            f"config key 'trials': must be >= {MIN_TRIALS}, got {trials}", key="trials"
-        )
-    seed = to_int("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"config key 'seed': must be >= 0, got {seed}", key="seed")
-
-    return RunSettings(
-        config=config,
-        plan=plan,
-        gamma=gamma,
-        pt_db=to_float("pt_db", 30.0),
-        pl_db=to_float("pl_db", 20.0),
-        pave_db=to_float("pave_db", None),
-        trials=trials,
-        seed=seed,
-    )
+    return RunSettings(config, plan, *[values[name] for name in _SETTINGS])
 
 
 def load_config(path: str | Path) -> RunSettings:

@@ -206,6 +206,7 @@ class TestAverageCapScenarios:
             tight.allocation, scheme=loose.allocation.scheme
         )
         assert loose.scenario == "scenario1"
+        assert loose.message == "total cap slack; the per-node optimum holds (prop1-branch2)"
 
     def test_boundary_cap_matches_closed_form(self):
         # e_ave = e_t + e_l: the average cap is exactly saturated by prop-1.
@@ -853,13 +854,25 @@ class TestNonreciprocalContract:
 
 
 def _bisected_points(cfg, plan, budget, gt, var_a):
-    """``(e_t3 / D_bar, e_t0, lo, hi)`` at each ``var_a``, every share
-    bisected for 52 steps on the derivative of ``log rho0 - log Q``."""
+    """``(e_t3 / D_bar, e_t0, lo, hi, slope)`` at each ``var_a``, every share
+    bisected for 52 steps on the derivative of ``log rho0 - log Q``;
+    ``slope`` is the ratio's derivative in ``e_t0`` there (a one-sided
+    difference inside ``[lo, hi]``, 0 where ``lo == hi``)."""
     e_t3, tx_spend = allocator._floor_spend(cfg, plan, gt, var_a)
     room = np.maximum(budget.e_ave_max - tx_spend, 0.0)
     hi0 = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
     lo0 = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi0)
     coefficients = analytics.echo_coefficients(cfg)
+
+    def ratio(e_t0):
+        e_l1, e_l2, _, _ = allocator._echo_quality(
+            coefficients, np.minimum(budget.e_l_max, room - e_t0)
+        )
+        alloc = model.PowerAllocation(
+            scheme="nonreciprocal", e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
+        )
+        return e_t3 / analytics.nonreciprocal_effective_noise(cfg, alloc)
+
     lo, hi = lo0, hi0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(52):
@@ -869,13 +882,11 @@ def _bisected_points(cfg, plan, budget, gt, var_a):
             grow = dlog_rho0 + dq / q > 0.0
             lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
         e_t0 = 0.5 * (lo + hi)
-        e_l1, e_l2, _, _ = allocator._echo_quality(
-            coefficients, np.minimum(budget.e_l_max, room - e_t0)
-        )
-    alloc = model.PowerAllocation(
-        scheme="nonreciprocal", e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
-    )
-    return e_t3 / analytics.nonreciprocal_effective_noise(cfg, alloc), e_t0, lo0, hi0
+        ref = ratio(e_t0)
+        step = 1e-7 * (hi0 - lo0)
+        near = np.where(e_t0 + step <= hi0, e_t0 + step, e_t0 - step)
+        slope = np.where(lo0 < hi0, (ratio(near) - ref) / (near - e_t0), 0.0)
+    return ref, e_t0, lo0, hi0, slope
 
 
 class TestShareSearch:
@@ -892,6 +903,14 @@ class TestShareSearch:
             e_t, e_l = 10.0 ** rng.uniform(1.0, 4.5), 10.0 ** rng.uniform(0.5, 4.0)
             e_ave = rng.uniform(0.3, 1.0) * (e_t + e_l) if total_cap else math.inf
             yield cfg, EnergyBudget(e_t, e_l, rng.uniform(0.01, cfg.var_g), e_ave_max=e_ave)
+        if total_cap:
+            # LR's share small against the room: one ulp of e_t0 moves LR's
+            # energy by about 1e-12 relative, and the ratio with it.
+            for i in range(8):
+                cfg = (CFG, CFG_SKEW)[i % 2]
+                e_t, e_l = rng.uniform(3e4, 9e4), rng.uniform(2.0, 20.0)
+                e_ave = rng.uniform(0.3, 1.0) * (e_t + e_l)
+                yield cfg, EnergyBudget(e_t, e_l, rng.uniform(0.01, cfg.var_g), e_ave_max=e_ave)
 
     @pytest.mark.parametrize("total_cap", [False, True], ids=["per-node", "total-cap"])
     def test_matches_full_bisection(self, total_cap):
@@ -908,12 +927,18 @@ class TestShareSearch:
                 [[0.0], np.geomspace(1e-9, 1.0, 63), np.linspace(0.0, 1.0, 24)]
             )
             ratio, points = allocator._reduced_points(cfg, plan, budget, gt, grid)
-            ref_ratio, ref_e_t0, lo, hi = _bisected_points(cfg, plan, budget, gt, grid)
-            np.testing.assert_allclose(ratio, ref_ratio, rtol=1e-13, atol=0.0)
+            ref_ratio, ref_e_t0, lo, hi, slope = _bisected_points(cfg, plan, budget, gt, grid)
             # The bisection's resolution, or one float step where the
             # bracket stops shrinking before its 52 steps are done.
             tol = 2.0**-50 * (hi - lo) + np.spacing(hi)
             assert np.all(np.abs(points.e_t0 - ref_e_t0) <= tol), budget
+            # Within that tolerance the ratio moves by up to |slope| tol; the
+            # rest is rounding, held to 1e-13 relative.  Where the move is
+            # smaller than that, the 1e-13 bound alone must hold.
+            err, rounding = np.abs(ratio - ref_ratio), 1e-13 * np.abs(ref_ratio)
+            moved = np.abs(slope) * tol
+            assert np.all(err <= rounding + moved), budget
+            assert np.all((err <= rounding) | (moved >= rounding)), budget
             kinds.update(np.where(
                 lo == hi, "no-share",
                 np.where(points.e_t0 == lo, "lo", np.where(points.e_t0 == hi, "hi", "open")),

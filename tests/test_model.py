@@ -266,6 +266,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tau_t0"):
             parse_config(text)
 
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    @pytest.mark.parametrize("key", [
+        "nt", "nl", "nu", "scheme", "gamma",
+        "var_h", "var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v",
+        "tau_r", "tau_f", "tau_t0", "tau_l2", "tau_t3", "pilot_rank",
+        "pt_db", "pl_db", "pave_db", "trials", "seed",
+    ])
+    def test_unparsable_value_names_its_key(self, scheme, key):
+        """Every value is type-checked, the other scheme's stage lengths too."""
+        lines = [line for line in GOOD_CONFIG.replace("reciprocal", scheme).splitlines()
+                 if not line.startswith(f"{key} =")]
+        with pytest.raises(ConfigError) as info:
+            parse_config("\n".join(lines + [f"{key} = banana"]))
+        assert info.value.key == key
+        if key != "scheme":
+            assert "expected" in str(info.value)
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_documented_defaults_change_nothing(self, scheme):
+        """A file listing every optional key at its README default (``pave_db``
+        has none) parses to the settings of the minimal file."""
+        minimal = GOOD_CONFIG.replace("reciprocal", scheme)
+        defaults = (
+            "var_h = 1\nvar_hu = 1\nvar_hd = 1\nvar_g = 1\nvar_wt = 1\nvar_w = 1\nvar_v = 1\n"
+            "tau_r = 2\ntau_f = 4\ntau_t0 = 4\ntau_l2 = 2\ntau_t3 = 4\npilot_rank = 4\n"
+            "pt_db = 30\npl_db = 20\ntrials = 10000\nseed = 0\n"
+        )
+        assert parse_config(minimal + defaults) == parse_config(minimal)
+
     def test_budget_mapping(self):
         settings = parse_config(GOOD_CONFIG)
         budget = settings.budget()
