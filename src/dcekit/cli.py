@@ -72,16 +72,25 @@ def _fmt(x) -> str:
 _MAX_PAVE_POINTS = 10_000
 
 
+def _check_pave(pave: float) -> float:
+    """A single ``--pave-db`` value: NaN or ``-inf`` is a config error,
+    ``inf`` lifts the total cap."""
+    if math.isnan(pave) or pave == -math.inf:
+        raise ConfigError(f"--pave-db must be a number of dB or inf, got {pave}")
+    return pave
+
+
 def _parse_pave_grid(text: str) -> list[float]:
     """``'18'`` -> [18.0]; ``'10:32:2'`` -> [10, 12, ..., 32] (inclusive).
 
     A range is counted before it is built: more than :data:`_MAX_PAVE_POINTS`
     points, or points that do not strictly increase (a STEP below the float
-    spacing of START), are a config error, and so is an empty value."""
+    spacing of START), are a config error, and so is an empty value or a
+    single value that :func:`_check_pave` rejects."""
     if not text.strip():
         raise ConfigError("--pave-db got an empty value")
     if ":" not in text:
-        return [float(text)]
+        return [_check_pave(float(text))]
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--pave-db range must be START:STOP:STEP, got {text!r}")
@@ -131,7 +140,8 @@ def _load_settings(args) -> RunSettings:
 def _load_point(args) -> tuple[RunSettings, EnergyBudget]:
     """Settings and the budget at ``--pave-db`` / ``--gamma`` (solve, nmse, rank)."""
     settings = _load_settings(args)
-    return settings, settings.budget(pave_db=args.pave_db, gamma=args.gamma)
+    pave = None if args.pave_db is None else _check_pave(args.pave_db)
+    return settings, settings.budget(pave_db=pave, gamma=args.gamma)
 
 
 # Per grid command: CSV schema and header, the plot's y label, and its

@@ -443,7 +443,8 @@ def parse_config(text: str) -> RunSettings:
     """Parse config text.  Unknown or missing keys raise :class:`ConfigError`,
     and so does every value that does not parse as its key's type, whether or
     not the file's scheme uses it.  Settings that parse are then checked by
-    :func:`validate`, and ``gamma``, ``trials`` and ``seed`` by range."""
+    :func:`validate`, ``gamma``, ``trials`` and ``seed`` by range, and the dB
+    powers for finiteness (``pave_db = inf`` lifts the total cap)."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -489,6 +490,12 @@ def parse_config(text: str) -> RunSettings:
     for key, least in (("trials", MIN_TRIALS), ("seed", 0)):
         if values[key] < least:
             raise ConfigError(f"config key {key!r}: must be >= {least}, got {values[key]}", key=key)
+    # A dB power is a number; only pave_db may be inf, which lifts the total cap.
+    for key in ("pt_db", "pl_db", "pave_db"):
+        val, lifts = values[key], key == "pave_db"
+        if not (val is None or math.isfinite(val) or (lifts and val == math.inf)):
+            allowed = "finite or inf" if lifts else "finite"
+            raise ConfigError(f"config key {key!r}: must be {allowed}, got {val}", key=key)
 
     return RunSettings(config, plan, *[values[name] for name in _SETTINGS])
 

@@ -26,6 +26,18 @@ rounds of either scheme; :mod:`dcekit.simkit` drives it after one
 its batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
 on the same stream) that add the error statistics of :mod:`dcekit.analytics`.
 
+What a round needs that no draw changes is built once per (config, plan,
+allocation) and kept for the :data:`_MEMO_SIZE` latest distinct inputs: the
+reverse or uplink pilot and its LMMSE combiner, the echo gain ``alpha`` and
+regularizer ``beta``, the noise level LR's forward estimate assumes, the
+forward pilot with LR's and UR's combiners, and the per-direction errors
+(with their means) of every estimate whose errors do not depend on the draw.
+Every round of those inputs shares these arrays, so they are read-only; so
+is every transcript's ``per_direction_error_var``, and its pilot signals
+``x_l`` / ``x_l2`` are the shared arrays.  :func:`check_inputs` keeps its
+verdict on valid inputs the same way; invalid inputs are checked, and
+raise, on every call.
+
 Every per-trial array of a chunk lives in stack-last memory (the trial axis
 has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
 rows, cols)`` shape: the drawn channels and AN are copied there once, every
@@ -39,7 +51,10 @@ keeps the batch-of-one bits.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -157,12 +172,20 @@ def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
         return np.sum(re, axis=(-2, -1), out=out)
 
 
+# Distinct (config, plan, alloc) inputs each memo below keeps: more than the
+# operating points a sweep or a benchmark pass revisits, and each entry is a
+# few small arrays.
+_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def check_inputs(
     config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation, scheme: str
 ) -> None:
     """Raise unless ``config``, ``plan`` and ``alloc`` admit a ``scheme`` round:
     ``ValueError`` for a mismatched plan or an invalid configuration,
-    :class:`AllocationError` for a malformed allocation."""
+    :class:`AllocationError` for a malformed allocation.  A passing verdict
+    is memoized; a raising call stores nothing."""
     if plan.scheme != scheme:
         raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
     problems = validate(config, plan)
@@ -171,6 +194,59 @@ def check_inputs(
     problems = allocation_violations(alloc, config, plan)
     if problems:
         raise AllocationError(f"infeasible allocation: {problems[0]}")
+
+
+@dataclass(frozen=True)
+class _RoundConstants:
+    """What every round of one (config, plan, alloc) shares; arrays read-only."""
+
+    x_rev: np.ndarray  # reverse pilot x_l (reciprocal) or uplink pilot x_l2
+    k_rev: np.ndarray  # its LMMSE combiner
+    alpha: float | None  # echo gain (non-reciprocal)
+    beta: float | None  # echo estimator's regularizer (non-reciprocal)
+    x_bar: np.ndarray  # energy-scaled forward pilot
+    k_l: np.ndarray  # LR's forward combiner
+    k_u: np.ndarray  # UR's forward combiner
+    noise_l: float  # per-entry noise level LR's forward estimate assumes
+    # Per-direction error variances and their mean, for "lr", "ur" and, when
+    # they do not depend on the draw (reciprocal), "tx".
+    errors: Mapping[str, tuple[np.ndarray, float]]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _round_constants(
+    config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation
+) -> _RoundConstants:
+    """Build the draw-independent part of a round (inputs as passed by
+    :func:`check_inputs`)."""
+    n_t, n_l = config.n_t, config.n_l
+    if plan.scheme == RECIPROCAL:
+        e_fwd, prior_l, tau = alloc.e_f, config.var_h, plan.tau_f
+        x_rev = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
+        k_rev = lmmse_combiner(x_rev, config.var_h, config.var_wt)
+        alpha = b = None
+        noise_l = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / n_l
+        delta2 = analytics.reverse_error_var(config, config.var_h, alloc.e_r)
+        dirs = {"tx": np.full(n_l, delta2)}
+    else:
+        e_fwd, prior_l, tau = alloc.e_t3, config.var_hd, plan.tau_t3
+        x_rev = np.sqrt(alloc.e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
+        k_rev = lmmse_combiner(x_rev, config.var_hu, config.var_wt)
+        alpha = analytics.alpha_gain(config, alloc.e_t0, alloc.e_l1, plan.tau_t0)
+        b = analytics.beta(config, alloc.e_t0, alloc.e_l2, alpha)
+        noise_l = analytics.nonreciprocal_effective_noise(config, alloc)
+        dirs = {}
+    d = optimal_pilot_gram(n_t, plan.pilot_rank)
+    r_u = analytics.ur_disturbance(config, alloc.var_a)
+    x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, d)
+    k_l = lmmse_combiner(x_bar, prior_l, noise_l)
+    k_u = lmmse_combiner(x_bar, config.var_g, r_u)
+    dirs["lr"] = analytics.forward_direction_errors(config, prior_l, e_fwd, noise_l, d)
+    dirs["ur"] = analytics.forward_direction_errors(config, config.var_g, e_fwd, r_u, d)
+    for arr in (x_rev, k_rev, x_bar, k_l, k_u, *dirs.values()):
+        arr.setflags(write=False)
+    errors = MappingProxyType({k: (v, float(v.mean())) for k, v in dirs.items()})
+    return _RoundConstants(x_rev, k_rev, alpha, b, x_bar, k_l, k_u, noise_l, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +297,16 @@ def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) 
     else:
         h, g = map(stack_last, channels)
 
-    x_l = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
-    k_rev = lmmse_combiner(x_l, config.var_h, config.var_wt)
+    const = _round_constants(config, plan, alloc)
     with scratch():
-        y_t = add_complex_normal(matmul(x_l, np.swapaxes(h, -1, -2)), gen, config.var_wt)
+        y_t = add_complex_normal(matmul(const.x_rev, np.swapaxes(h, -1, -2)), gen, config.var_wt)
         with keep():
-            h_hat = np.swapaxes(matmul(k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
+            h_hat = np.swapaxes(matmul(const.k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
 
     out = {"h": h, "g": g, "h_hat": h_hat}
     if keep_signals:
-        out["signals"] = {"x_l": x_l, "y_t": y_t}
-    r_bar = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / n_l
-    return _forward_stage(config, plan, alloc, gen, out, alloc.e_f, config.var_h, r_bar, "")
+        out["signals"] = {"x_l": const.x_rev, "y_t": y_t}
+    return _forward_stage(config, alloc, gen, out, const, "")
 
 
 def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
@@ -248,55 +322,51 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
     else:
         h_d, h_u, g = map(stack_last, channels)
 
+    const = _round_constants(config, plan, alloc)
+    alpha = const.alpha
     x_t0 = np.multiply(np.sqrt(e_t0 / n_t), c_t0, out=c_t0)
-    alpha = analytics.alpha_gain(config, e_t0, alloc.e_l1, plan.tau_t0)
-    x_l2 = np.sqrt(e_l2 / n_l) * dft_semiunitary(plan.tau_l2, n_l)
-    k_up = lmmse_combiner(x_l2, config.var_hu, config.var_wt)
     with scratch():
         y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
         y_t1 = matmul(y_l0, h_u)
         y_t1 *= alpha
         add_complex_normal(y_t1, gen, config.var_wt)
-        y_t2 = add_complex_normal(matmul(x_l2, h_u), gen, config.var_wt)
+        y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
         with keep():
-            hu_hat = matmul(k_up, y_t2)
+            hu_hat = matmul(const.k_rev, y_t2)
             hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
 
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
     if keep_signals:
-        out["signals"] = {"x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": x_l2, "y_t2": y_t2}
-    d_bar = analytics.nonreciprocal_effective_noise(config, alloc)
-    return _forward_stage(config, plan, alloc, gen, out, alloc.e_t3, config.var_hd, d_bar, "3")
+        out["signals"] = {
+            "x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": const.x_rev, "y_t2": y_t2,
+        }
+    return _forward_stage(config, alloc, gen, out, const, "3")
 
 
-def _forward_stage(config, plan, alloc, gen, out, e_fwd, prior_l, noise_l, stage) -> dict:
+def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
     """The guarded forward stage both schemes end with, added to ``out``: the
-    ``e_fwd`` pilot plus AN in the null complement of ``out["h_hat"]``; LR
-    estimates against prior ``prior_l`` and noise ``noise_l``, UR against the
-    full AN.  ``stage`` suffixes the signal names (``"3"`` gives ``x_t3``)."""
+    pilot ``const.x_bar`` plus AN in the null complement of ``out["h_hat"]``,
+    estimated by LR and UR through ``const``'s combiners.  ``stage``
+    suffixes the signal names (``"3"`` gives ``x_t3``)."""
     n_t, n_l = config.n_t, config.n_l
     h, g = out["h"], out["g"]
-    batch = h.shape[0]
-    tau = plan.tau_f if plan.scheme == RECIPROCAL else plan.tau_t3
+    batch, tau = h.shape[0], const.x_bar.shape[0]
 
     k_null = null_complement(out["h_hat"])
     a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
-    x_bar = np.sqrt(e_fwd / n_t) * forward_pilot(n_t, tau, optimal_pilot_gram(n_t, plan.pilot_rank))
-    k_l = lmmse_combiner(x_bar, prior_l, noise_l)
-    k_u = lmmse_combiner(x_bar, config.var_g, analytics.ur_disturbance(config, alloc.var_a))
     with scratch():
         x_t = matmul(a, herm(k_null))
-        x_t += x_bar
+        x_t += const.x_bar
         y_l = add_complex_normal(matmul(x_t, h), gen, config.var_w)
         y_u = add_complex_normal(matmul(x_t, g), gen, config.var_v)
         with keep():
-            h_lr = matmul(k_l, y_l)
-            g_ur = matmul(k_u, y_u)
+            h_lr = matmul(const.k_l, y_l)
+            g_ur = matmul(const.k_u, y_u)
 
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,
         "sq_tx": _sq_err(h, out["h_hat"]), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
-        "noise_l": noise_l,
+        "noise_l": const.noise_l,
     })
     if "signals" in out:
         out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
@@ -318,27 +388,18 @@ def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
         )
 
 
-def _transcript(config, plan, alloc, out, e_fwd, prior_l, tx_dirs) -> TrainingTranscript:
-    """Unbatch one engine round and attach the per-direction error statistics:
-    ``tx_dirs`` for the transmitter, the forward stage's for LR (at the noise
-    level the engine used) and UR."""
+def _transcript(plan, out, errors) -> TrainingTranscript:
+    """Unbatch one engine round and attach ``errors``: for ``"tx"``, ``"lr"``
+    and ``"ur"``, the per-direction error variances and their mean."""
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
-    d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
-    r_u = analytics.ur_disturbance(config, alloc.var_a)
-    dirs = {
-        "tx": tx_dirs,
-        "lr": analytics.forward_direction_errors(config, prior_l, e_fwd, out["noise_l"], d),
-        "ur": analytics.forward_direction_errors(config, config.var_g, e_fwd, r_u, d),
-    }
     keys = {"tx": "h_hat", "lr": "h_lr", "ur": "g_ur"}
     return TrainingTranscript(
         scheme=plan.scheme,
         signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
         an_matrix=out["an"][0],
         null_basis=null_basis,
-        estimates={k: EstimateWithError(out[keys[k]][0], dirs[k], float(dirs[k].mean()))
-                   for k in keys},
+        estimates={k: EstimateWithError(out[keys[k]][0], *errors[k]) for k in keys},
         squared_errors={k: float(out[f"sq_{k}"][0]) for k in keys},
     )
 
@@ -358,9 +419,7 @@ def run_reciprocal(
         config, plan, alloc, rng.generator, batch=1,
         channels=(channels.h[None], channels.g[None]), keep_signals=True,
     )
-    delta2 = analytics.reverse_error_var(config, config.var_h, alloc.e_r)
-    tx_dirs = np.full(config.n_l, delta2)
-    return _transcript(config, plan, alloc, out, alloc.e_f, config.var_h, tx_dirs)
+    return _transcript(plan, out, _round_constants(config, plan, alloc).errors)
 
 
 def run_nonreciprocal(
@@ -379,8 +438,9 @@ def run_nonreciprocal(
         channels=(channels.h_d[None], channels.h_u[None], channels.g[None]),
         keep_signals=True,
     )
+    const = _round_constants(config, plan, alloc)
     hu_hat = out["hu_hat"][0]
     lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
-    b = analytics.beta(config, alloc.e_t0, alloc.e_l2, out["alpha"])
-    tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, b, lam)
-    return _transcript(config, plan, alloc, out, alloc.e_t3, config.var_hd, tx_dirs)
+    tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, const.beta, lam)
+    tx_dirs.setflags(write=False)
+    return _transcript(plan, out, {**const.errors, "tx": (tx_dirs, float(tx_dirs.mean()))})

@@ -151,6 +151,24 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "config error: --pave-db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("command", ["solve", "nmse", "rank", "sweep", "ser"])
+    def test_non_finite_single_pave_exits_3(self, config_path, command, value, capsys):
+        """A single --pave-db of NaN or -inf is a flag error; only inf lifts the cap."""
+        code = main([command, "--config", config_path, f"--pave-db={value}", "--trials", "300"])
+        assert code == EXIT_CONFIG
+        assert "config error: --pave-db must be a number of dB or inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("pt_db", "nan"), ("pl_db", "-inf"),
+                                           ("pave_db", "nan"), ("pave_db", "-inf")])
+    def test_non_finite_power_in_config_exits_3(self, tmp_path, key, value, capsys):
+        """The error names the config key, not a budget field derived from it."""
+        cfg = tmp_path / "bad.cfg"
+        kept = [line for line in BASE_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: config key '{key}': must be finite" in capsys.readouterr().err
+
     def test_pave_grid_is_counted_before_it_is_built(self):
         assert _parse_pave_grid("10:32:2") == [float(v) for v in range(10, 33, 2)]
         assert _parse_pave_grid("0:1:0.1") == [i / 10 for i in range(11)]

@@ -283,6 +283,22 @@ class TestParseConfig:
         if key != "scheme":
             assert "expected" in str(info.value)
 
+    @pytest.mark.parametrize("key,value", [
+        ("pt_db", "nan"), ("pt_db", "inf"), ("pt_db", "-inf"),
+        ("pl_db", "nan"), ("pl_db", "inf"), ("pl_db", "-inf"),
+        ("pave_db", "nan"), ("pave_db", "-inf"),
+    ])
+    def test_non_finite_power_names_its_key(self, key, value):
+        """A dB power that is no number fails at its key, not later at a budget field."""
+        with pytest.raises(ConfigError, match=f"'{key}': must be finite") as info:
+            parse_config(GOOD_CONFIG + f"\n{key} = {value}\n")
+        assert info.value.key == key
+
+    def test_infinite_pave_lifts_cap(self):
+        settings = parse_config(GOOD_CONFIG + "\npave_db = inf\n")
+        assert settings.pave_db == math.inf
+        assert settings.budget().e_ave_max == math.inf
+
     @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
     def test_documented_defaults_change_nothing(self, scheme):
         """A file listing every optional key at its README default (``pave_db``

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -36,6 +37,8 @@ from dcekit.model import (
 from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, Arena, RngStream, complex_normal, null_complement
 from dcekit.protocol import (
     _guard_null_residual,
+    _round_constants,
+    check_inputs,
     dft_semiunitary,
     forward_pilot,
     run_nonreciprocal,
@@ -457,6 +460,80 @@ class TestBatchOfOne:
         assert out["h_hat"].shape == (3, CFG.n_t, CFG.n_l)
         assert out["sq_lr"].shape == (3,)
         assert not np.array_equal(out["h_lr"][0], out["h_lr"][1])
+
+
+class TestRoundConstants:
+    """Pilots, combiners and draw-free error statistics are built once per
+    (config, plan, alloc) and shared, read-only, by every round of them."""
+
+    CFG2 = SystemConfig(n_t=4, n_l=2, n_u=3, var_h=0.6, var_hd=1.4, var_g=0.8, var_w=0.5)
+
+    @classmethod
+    def _inputs(cls):
+        """Two configs x two schemes x two allocations, as (config, plan, alloc, run)."""
+        out = []
+        for cfg in (CFG, cls.CFG2):
+            for alloc in (R_ALLOC, dataclasses.replace(R_ALLOC, e_r=5.0, var_a=0.3)):
+                out.append((cfg, reciprocal_plan(cfg, tau_f=6), alloc, run_reciprocal))
+            for alloc in (N_ALLOC, dataclasses.replace(N_ALLOC, e_l1=9.0, e_t3=3.0)):
+                out.append((cfg, nonreciprocal_plan(cfg, pilot_rank=3), alloc, run_nonreciprocal))
+        return out
+
+    @staticmethod
+    def _round(cfg, plan, alloc, run, seed):
+        rng = RngStream(seed)
+        return pickle.dumps(run(cfg, plan, alloc, draw_channels(cfg, plan.scheme, rng), rng))
+
+    def test_alternating_inputs_match_cold_cache(self):
+        inputs = self._inputs()
+        order = [(i, seed) for seed in range(3) for i in range(len(inputs))]
+        warm = [self._round(*inputs[i], seed) for i, seed in order]
+        cold = []
+        for i, seed in order:
+            _round_constants.cache_clear()
+            check_inputs.cache_clear()
+            cold.append(self._round(*inputs[i], seed))
+        assert warm == cold
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_shared_arrays_are_read_only(self, scheme):
+        if scheme == RECIPROCAL:
+            _, t = _recip_round()
+            const, pilot = _round_constants(CFG, R_PLAN, R_ALLOC), "x_l"
+        else:
+            _, t = _nonrec_round()
+            const, pilot = _round_constants(CFG, N_PLAN, N_ALLOC), "x_l2"
+        arrays = [const.x_rev, const.k_rev, const.x_bar, const.k_l, const.k_u]
+        arrays += [dirs for dirs, _ in const.errors.values()]
+        arrays += [e.per_direction_error_var for e in t.estimates.values()]
+        arrays.append(t.signals[pilot])
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        assert t.signals[pilot] is const.x_rev
+        for key in ("lr", "ur"):
+            assert t.estimates[key].per_direction_error_var is const.errors[key][0]
+
+    def test_cache_is_bounded(self):
+        _round_constants.cache_clear()
+        check_inputs.cache_clear()
+        size = _round_constants.cache_info().maxsize
+        channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
+        for i in range(size + 5):
+            alloc = dataclasses.replace(R_ALLOC, e_f=4.0 + i)
+            run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(2))
+        for memo in (_round_constants, check_inputs):
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize == size
+
+    def test_infeasible_allocation_raises_every_call(self):
+        alloc = dataclasses.replace(R_ALLOC, e_f=-1.0)
+        channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
+        for _ in range(3):
+            with pytest.raises(AllocationError, match="e_f"):
+                run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(3))
+            with pytest.raises(AllocationError, match="e_f"):
+                check_inputs(CFG, R_PLAN, alloc, RECIPROCAL)
 
 
 class TestTrainingSpend:
