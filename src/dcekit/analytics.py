@@ -306,8 +306,13 @@ def closed_forms(
 
     LR's value is :func:`nmse_l_reciprocal` or
     :func:`nmse_l_nonreciprocal_approx`; UR's is :func:`nmse_u` at the
-    forward pilot energy, ``e_f`` or ``e_t3``.
+    forward pilot energy, ``e_f`` or ``e_t3``.  ``ValueError`` if the
+    allocation and the plan are of different schemes.
     """
+    if alloc.scheme != plan.scheme:
+        raise ValueError(
+            f"allocation scheme {alloc.scheme!r} does not match plan scheme {plan.scheme!r}"
+        )
     d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
     if plan.scheme == RECIPROCAL:
         nmse_l = nmse_l_reciprocal(config, alloc.e_r, alloc.e_f, alloc.var_a, d)

@@ -20,7 +20,9 @@ variance is known in closed form, so the same template applies with an
 :func:`dcekit.analytics.ur_disturbance` for UR).
 
 The non-reciprocal transmitter's downlink estimate from the amplified echo is
-:func:`echo_downlink_estimate`; its conditional error statistics are
+:func:`echo_downlink_estimate`.  Its prefactor and regularizer depend only on
+the training energies, so the training engine builds them once per
+allocation and passes them in; its conditional error statistics are
 :func:`dcekit.analytics.downlink_direction_error`.
 
 Matrix inverses are never formed; everything goes through linear solves.
@@ -74,10 +76,8 @@ def echo_downlink_estimate(
     y_t1: np.ndarray,
     x_t0: np.ndarray,
     hu_hat: np.ndarray,
-    alpha: float,
-    config: SystemConfig,
-    e_t0: float,
-    e_l2: float,
+    scale: float,
+    beta: float,
 ) -> np.ndarray:
     r"""Transmitter's downlink estimates from the amplified echo (non-reciprocal).
 
@@ -87,28 +87,30 @@ def echo_downlink_estimate(
     yields the linear estimator
 
     .. math::
-        \hat{H}_{d,t} = \frac{\sigma_{h_d}^2 N_t}{\alpha q}\, X_{t0}^H\, Y_{t1}\,
+        \hat{H}_{d,t} = s\, X_{t0}^H\, Y_{t1}\,
         \hat{H}_u^H \big(\hat{H}_u \hat{H}_u^H + \beta I_{N_L}\big)^{-1},
+        \qquad s = \frac{\sigma_{h_d}^2 N_t}{\alpha q},
 
-    with ``q`` from :func:`dcekit.analytics.echo_power` and :math:`\beta`
-    from :func:`dcekit.analytics.beta`.  ``x_t0`` is the energy-scaled square
-    unitary initial pilot; all arrays may carry the same leading batch axes.
-    Its exact conditional (on :math:`\hat{H}_u`) error along each eigenvalue
-    of :math:`\hat{H}_u \hat{H}_u^H` is
-    :func:`dcekit.analytics.downlink_direction_error`.  With ``alpha == 0``
-    the echo carries no signal and the estimate is the prior mean (zero).
+    with ``q`` from :func:`dcekit.analytics.echo_power`; ``scale`` is
+    :math:`s` and ``beta`` is :func:`dcekit.analytics.beta`.  ``x_t0`` is
+    the energy-scaled square unitary initial pilot and ``hu_hat`` the
+    ``n_l x n_t`` uplink estimate; all arrays may carry the same leading
+    batch axes.  Its exact conditional (on :math:`\hat{H}_u`) error along
+    each eigenvalue of :math:`\hat{H}_u \hat{H}_u^H` is
+    :func:`dcekit.analytics.downlink_direction_error`.  With ``scale == 0``
+    (``alpha == 0``: the echo carries no signal) the estimate is the prior
+    mean (zero).
     """
-    est = empty_stack(y_t1.shape[:-2] + (config.n_t, config.n_l))
-    if alpha == 0.0:
+    n_t, n_l = hu_hat.shape[-1], hu_hat.shape[-2]
+    est = empty_stack(y_t1.shape[:-2] + (n_t, n_l))
+    if scale == 0.0:
         est.fill(0.0)
         return est
-    b = analytics.beta(config, e_t0, e_l2, alpha)
-    pref = config.var_hd * config.n_t / (alpha * analytics.echo_power(config, e_t0))
     with scratch():
         z = matmul(herm(x_t0), y_t1)  # matched filter over the initial pilot
         s_mat = matmul(hu_hat, herm(hu_hat))
-        s_mat += b * np.eye(config.n_l)
+        s_mat += beta * np.eye(n_l)
         # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
         right = herm(hermitian_solve(s_mat, hu_hat))
-        np.multiply(pref, matmul(z, right), out=est)
+        np.multiply(scale, matmul(z, right), out=est)
     return est

@@ -15,8 +15,8 @@ stacked ``@``, ``np.linalg.solve`` and ``np.linalg.qr`` make one BLAS or
 LAPACK call per matrix: about 1 ms per 4096-matrix stack of 4x4, 4x2 or 2x2
 products, whatever their size.  The training engine therefore keeps every
 chunk-scale stack in *stack-last* memory: the array is still ``(batch, rows,
-cols)``, but the batch axis has unit stride (:func:`stack_last` makes the
-copy; ``strides[0] == itemsize``).  On that layout :func:`matmul` computes a
+cols)``, but the batch axis has unit stride (:func:`empty_stack` allocates
+one; ``strides[0] == itemsize``).  On that layout :func:`matmul` computes a
 product of two stacks as ``q`` multiply-adds of contiguous vectors along the
 stack per row of the result, and a product with one shared matrix as a few
 GEMMs against whole rows of the stack; :func:`hermitian_solve` is a Cholesky
@@ -95,7 +95,6 @@ __all__ = [
     "null_complement",
     "random_gaussian",
     "scratch",
-    "stack_last",
     "stacked_complex_normal",
 ]
 
@@ -273,9 +272,9 @@ def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float)
 
 
 def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
-    """``stack_last(complex_normal(gen, shape, var))`` for a ``(batch, rows,
-    cols)`` shape: the same draws, made batch-first in scratch memory and
-    copied into a stack-last result."""
+    """``complex_normal(gen, shape, var)`` for a ``(batch, rows, cols)``
+    shape in stack-last memory: the same draws, made batch-first in scratch
+    memory and copied into an :func:`empty_stack` result."""
     out = empty_stack(shape)
     with scratch():
         np.copyto(out, complex_normal(gen, shape, var))
@@ -308,18 +307,6 @@ def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np
 def herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return np.swapaxes(np.conjugate(x, out=empty_like(x)), -1, -2)
-
-
-def stack_last(x: np.ndarray) -> np.ndarray:
-    """The ``(batch, rows, cols)`` stack ``x`` in stack-last memory: from
-    :data:`HOUSEHOLDER_MIN_BATCH` matrices on a copy whose batch axis has unit
-    stride (``x`` itself if it already has), below that, or for an input that
-    is not 3-D, ``x`` unchanged."""
-    if x.shape[0] < HOUSEHOLDER_MIN_BATCH or x.ndim != 3 or x.transpose(1, 2, 0).flags.c_contiguous:
-        return x
-    out = empty_stack(x.shape, x.dtype)
-    np.copyto(out, x)
-    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

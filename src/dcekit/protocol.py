@@ -26,17 +26,19 @@ rounds of either scheme; :mod:`dcekit.simkit` drives it after one
 its batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
 on the same stream) that add the error statistics of :mod:`dcekit.analytics`.
 
-What a round needs that no draw changes is built once per (config, plan,
-allocation) and kept for the :data:`_MEMO_SIZE` latest distinct inputs: the
-reverse or uplink pilot and its LMMSE combiner, the echo gain ``alpha`` and
-regularizer ``beta``, the noise level LR's forward estimate assumes, the
+What a round needs that no draw changes is checked and built once per
+(config, plan, allocation), in one memo that keeps the :data:`_MEMO_SIZE`
+latest distinct valid inputs: the reverse or uplink pilot and its LMMSE
+combiner, the echo gain ``alpha`` with the echo estimator's regularizer
+``beta`` and prefactor, the noise level LR's forward estimate assumes, the
 forward pilot with LR's and UR's combiners, and the per-direction errors
 (with their means) of every estimate whose errors do not depend on the draw.
 Every round of those inputs shares these arrays, so they are read-only; so
 is every transcript's ``per_direction_error_var``, and its pilot signals
-``x_l`` / ``x_l2`` are the shared arrays.  :func:`check_inputs` keeps its
-verdict on valid inputs the same way; invalid inputs are checked, and
-raise, on every call.
+``x_l`` / ``x_l2`` are the shared arrays.  :func:`check_inputs` and
+:func:`run_rounds` both go through that memo, so a passing check leaves the
+constants the rounds read; invalid inputs are checked, and raise, on every
+call.
 
 Every per-trial array of a chunk lives in stack-last memory (the trial axis
 has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
@@ -88,7 +90,6 @@ from .numerics import (
     matmul,
     null_complement,
     scratch,
-    stack_last,
     stacked_complex_normal,
 )
 
@@ -172,28 +173,23 @@ def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
         return np.sum(re, axis=(-2, -1), out=out)
 
 
-# Distinct (config, plan, alloc) inputs each memo below keeps: more than the
+# Distinct (config, plan, alloc) inputs the memo below keeps: more than the
 # operating points a sweep or a benchmark pass revisits, and each entry is a
 # few small arrays.
 _MEMO_SIZE = 16
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def check_inputs(
     config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation, scheme: str
 ) -> None:
     """Raise unless ``config``, ``plan`` and ``alloc`` admit a ``scheme`` round:
     ``ValueError`` for a mismatched plan or an invalid configuration,
-    :class:`AllocationError` for a malformed allocation.  A passing verdict
-    is memoized; a raising call stores nothing."""
+    :class:`AllocationError` for a malformed allocation.  The rest of the
+    check is :func:`_round_constants`, so valid inputs leave their round's
+    constants in its memo."""
     if plan.scheme != scheme:
         raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
-    problems = validate(config, plan)
-    if problems:
-        raise ValueError(f"invalid configuration: {problems[0]}")
-    problems = allocation_violations(alloc, config, plan)
-    if problems:
-        raise AllocationError(f"infeasible allocation: {problems[0]}")
+    _round_constants(config, plan, alloc)
 
 
 @dataclass(frozen=True)
@@ -204,6 +200,7 @@ class _RoundConstants:
     k_rev: np.ndarray  # its LMMSE combiner
     alpha: float | None  # echo gain (non-reciprocal)
     beta: float | None  # echo estimator's regularizer (non-reciprocal)
+    echo_scale: float | None  # echo estimator's prefactor (0 when alpha is)
     x_bar: np.ndarray  # energy-scaled forward pilot
     k_l: np.ndarray  # LR's forward combiner
     k_u: np.ndarray  # UR's forward combiner
@@ -217,14 +214,21 @@ class _RoundConstants:
 def _round_constants(
     config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation
 ) -> _RoundConstants:
-    """Build the draw-independent part of a round (inputs as passed by
-    :func:`check_inputs`)."""
+    """Check the inputs, raising as :func:`check_inputs` says, then build the
+    draw-independent part of their rounds.  A raising call stores nothing,
+    so invalid inputs are checked, and raise, on every call."""
+    problems = validate(config, plan)
+    if problems:
+        raise ValueError(f"invalid configuration: {problems[0]}")
+    problems = allocation_violations(alloc, config, plan)
+    if problems:
+        raise AllocationError(f"infeasible allocation: {problems[0]}")
     n_t, n_l = config.n_t, config.n_l
     if plan.scheme == RECIPROCAL:
         e_fwd, prior_l, tau = alloc.e_f, config.var_h, plan.tau_f
         x_rev = np.sqrt(alloc.e_r / n_l) * dft_semiunitary(plan.tau_r, n_l)
         k_rev = lmmse_combiner(x_rev, config.var_h, config.var_wt)
-        alpha = b = None
+        alpha = b = scale = None
         noise_l = effective_forward_noise_var(config, alloc.e_r, alloc.var_a) / n_l
         delta2 = analytics.reverse_error_var(config, config.var_h, alloc.e_r)
         dirs = {"tx": np.full(n_l, delta2)}
@@ -234,6 +238,8 @@ def _round_constants(
         k_rev = lmmse_combiner(x_rev, config.var_hu, config.var_wt)
         alpha = analytics.alpha_gain(config, alloc.e_t0, alloc.e_l1, plan.tau_t0)
         b = analytics.beta(config, alloc.e_t0, alloc.e_l2, alpha)
+        q = analytics.echo_power(config, alloc.e_t0)
+        scale = config.var_hd * n_t / (alpha * q) if alpha else 0.0
         noise_l = analytics.nonreciprocal_effective_noise(config, alloc)
         dirs = {}
     d = optimal_pilot_gram(n_t, plan.pilot_rank)
@@ -246,13 +252,14 @@ def _round_constants(
     for arr in (x_rev, k_rev, x_bar, k_l, k_u, *dirs.values()):
         arr.setflags(write=False)
     errors = MappingProxyType({k: (v, float(v.mean())) for k, v in dirs.items()})
-    return _RoundConstants(x_rev, k_rev, alpha, b, x_bar, k_l, k_u, noise_l, errors)
+    return _RoundConstants(x_rev, k_rev, alpha, b, scale, x_bar, k_l, k_u, noise_l, errors)
 
 
 # ---------------------------------------------------------------------------
 # Batched engine.  Draw order is part of the contract (reproducibility and
-# the batch-of-one runs below): channels first (when not supplied), then
-# stage noises in protocol order, then the AN matrix, then receiver noises.
+# the batch-of-one runs below): the non-reciprocal Haar pilot c_t0 first,
+# then the channels (when not supplied), then stage noises in protocol
+# order, then the AN matrix, then receiver noises.
 # Channels and AN, which enter products, are drawn into stack-last memory;
 # each noise is added in place to a product that already is stack-last.
 # Under an arena (dcekit.numerics) the returned arrays last the chunk and
@@ -269,35 +276,34 @@ def run_rounds(
     channels: tuple[np.ndarray, ...] | None = None,
     keep_signals: bool = False,
 ) -> dict:
-    """Run ``batch`` independent rounds of ``plan.scheme`` (inputs as passed by
-    :func:`check_inputs`).  ``channels`` holds batched ``(h, g)`` or ``(h_d,
-    h_u, g)``; without it they are the first draws from ``gen``.
+    """Run ``batch`` independent rounds of ``plan.scheme``, raising on invalid
+    inputs as :func:`check_inputs` does.  ``channels`` holds batched ``(h,
+    g)`` or ``(h_d, h_u, g)``, used as given; without it they are drawn from
+    ``gen`` (stack-last).
 
     Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
     ``"k_null"``, AN ``"an"`` and squared errors ``"sq_tx"``, ``"sq_lr"``,
-    ``"sq_ur"``; also the float ``"noise_l"``, the noise level LR's estimate
-    assumed.  Non-reciprocal adds ``"hu_hat"`` and the echo gain
-    ``"alpha"``, and ``keep_signals`` every stage signal under ``"signals"``;
-    the signals are scratch under an arena, so ``keep_signals`` needs none
-    active.
+    ``"sq_ur"``.  Non-reciprocal adds ``"hu_hat"``, and ``keep_signals``
+    every stage signal under ``"signals"``; the signals are scratch under an
+    arena, so ``keep_signals`` needs none active.  What the inputs fix (LR's
+    noise level, the echo gain) is in :func:`_round_constants`.
     """
     if keep_signals and active_arena() is not None:
         raise ValueError("keep_signals needs numpy's own memory, but an arena is active")
-    if plan.scheme == RECIPROCAL:
-        return _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
-    return _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals)
+    const = _round_constants(config, plan, alloc)
+    rounds = _reciprocal_rounds if plan.scheme == RECIPROCAL else _nonreciprocal_rounds
+    return rounds(config, alloc, const, gen, batch, channels, keep_signals)
 
 
-def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
+def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
     if channels is None:
         h = stacked_complex_normal(gen, (batch, n_t, n_l), config.var_h)
         g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
     else:
-        h, g = map(stack_last, channels)
+        h, g = channels
 
-    const = _round_constants(config, plan, alloc)
     with scratch():
         y_t = add_complex_normal(matmul(const.x_rev, np.swapaxes(h, -1, -2)), gen, config.var_wt)
         with keep():
@@ -309,9 +315,8 @@ def _reciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) 
     return _forward_stage(config, alloc, gen, out, const, "")
 
 
-def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signals) -> dict:
+def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
-    e_t0, e_l2 = alloc.e_t0, alloc.e_l2
 
     # Haar-random square unitary pilot, redrawn every round.
     c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
@@ -320,22 +325,20 @@ def _nonreciprocal_rounds(config, plan, alloc, gen, batch, channels, keep_signal
         h_u = stacked_complex_normal(gen, (batch, n_l, n_t), config.var_hu)
         g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
     else:
-        h_d, h_u, g = map(stack_last, channels)
+        h_d, h_u, g = channels
 
-    const = _round_constants(config, plan, alloc)
-    alpha = const.alpha
-    x_t0 = np.multiply(np.sqrt(e_t0 / n_t), c_t0, out=c_t0)
+    x_t0 = np.multiply(np.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
     with scratch():
         y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
         y_t1 = matmul(y_l0, h_u)
-        y_t1 *= alpha
+        y_t1 *= const.alpha
         add_complex_normal(y_t1, gen, config.var_wt)
         y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
         with keep():
             hu_hat = matmul(const.k_rev, y_t2)
-            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, alpha, config, e_t0, e_l2)
+            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, const.echo_scale, const.beta)
 
-    out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat, "alpha": alpha}
+    out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat}
     if keep_signals:
         out["signals"] = {
             "x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": const.x_rev, "y_t2": y_t2,
@@ -366,7 +369,6 @@ def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
     out.update({
         "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,
         "sq_tx": _sq_err(h, out["h_hat"]), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
-        "noise_l": const.noise_l,
     })
     if "signals" in out:
         out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
@@ -404,6 +406,23 @@ def _transcript(plan, out, errors) -> TrainingTranscript:
     )
 
 
+def _batch_of_one(config, channels, names) -> tuple[np.ndarray, ...]:
+    """The ``names`` fields of ``channels`` as ``complex128`` batches of one,
+    each checked against its shape under ``config``."""
+    n_t, n_l = config.n_t, config.n_l
+    shapes = {"h": (n_t, n_l), "h_d": (n_t, n_l), "h_u": (n_l, n_t), "g": (n_t, config.n_u)}
+    out = []
+    for name in names:
+        x = getattr(channels, name)
+        if x is None:
+            raise ValueError(f"this scheme's run needs channels.{name}")
+        x = np.asarray(x, dtype=np.complex128)
+        if x.shape != shapes[name]:
+            raise ValueError(f"channels.{name} must have shape {shapes[name]}, got {x.shape}")
+        out.append(x[None])
+    return tuple(out)
+
+
 def run_reciprocal(
     config: SystemConfig,
     plan: TrainingPlan,
@@ -411,14 +430,11 @@ def run_reciprocal(
     channels: ChannelRealization,
     rng: RngStream,
 ) -> TrainingTranscript:
-    """Execute one reciprocal training round for a given channel draw."""
+    """Execute one reciprocal training round for a given channel draw;
+    ``ValueError`` for a missing or misshapen channel."""
     check_inputs(config, plan, alloc, RECIPROCAL)
-    if channels.h is None:
-        raise ValueError("reciprocal run needs channels.h")
-    out = run_rounds(
-        config, plan, alloc, rng.generator, batch=1,
-        channels=(channels.h[None], channels.g[None]), keep_signals=True,
-    )
+    batched = _batch_of_one(config, channels, ("h", "g"))
+    out = run_rounds(config, plan, alloc, rng.generator, 1, batched, keep_signals=True)
     return _transcript(plan, out, _round_constants(config, plan, alloc).errors)
 
 
@@ -429,15 +445,11 @@ def run_nonreciprocal(
     channels: ChannelRealization,
     rng: RngStream,
 ) -> TrainingTranscript:
-    """Execute one non-reciprocal training round for a given channel draw."""
+    """Execute one non-reciprocal training round for a given channel draw;
+    ``ValueError`` for a missing or misshapen channel."""
     check_inputs(config, plan, alloc, NONRECIPROCAL)
-    if channels.h_d is None or channels.h_u is None:
-        raise ValueError("non-reciprocal run needs channels.h_d and channels.h_u")
-    out = run_rounds(
-        config, plan, alloc, rng.generator, batch=1,
-        channels=(channels.h_d[None], channels.h_u[None], channels.g[None]),
-        keep_signals=True,
-    )
+    batched = _batch_of_one(config, channels, ("h_d", "h_u", "g"))
+    out = run_rounds(config, plan, alloc, rng.generator, 1, batched, keep_signals=True)
     const = _round_constants(config, plan, alloc)
     hu_hat = out["hu_hat"][0]
     lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)

@@ -244,6 +244,18 @@ class TestClosedForms:
             analytics.nmse_u(CFG, alloc.e_t3, alloc.var_a, d),
         )
 
+    @pytest.mark.parametrize("plan_scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_scheme_mismatch_raises(self, plan_scheme):
+        """Either pairing of a plan with the other scheme's allocation is a
+        ValueError, not an arithmetic error on a missing field."""
+        if plan_scheme == RECIPROCAL:
+            plan, alloc = reciprocal_plan(CFG), _nonrec_alloc()
+        else:
+            plan = nonreciprocal_plan(CFG)
+            alloc = PowerAllocation(scheme=RECIPROCAL, e_r=3.0, e_f=5.0, var_a=0.7)
+        with pytest.raises(ValueError, match="does not match plan scheme"):
+            analytics.closed_forms(CFG, plan, alloc)
+
 
 class TestLowerBound:
     def test_worked_value(self):

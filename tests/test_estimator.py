@@ -172,6 +172,13 @@ class TestForwardEstimates:
         assert np.max(np.abs(lr.estimate - thermal)) > 1e-3
 
 
+def _echo_constants(alpha, e_t0, e_l2):
+    """The echo estimator's prefactor ``var_hd n_t / (alpha q)`` (0 without
+    echo) and regularizer ``beta``."""
+    scale = CFG.var_hd * CFG.n_t / (alpha * analytics.echo_power(CFG, e_t0)) if alpha else 0.0
+    return scale, analytics.beta(CFG, e_t0, e_l2, alpha)
+
+
 def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):
     """Echo estimate and its conditional per-direction errors for one round.
 
@@ -180,9 +187,9 @@ def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):
     """
     n_t = CFG.n_t
     x_t0 = np.sqrt(e_t0 / n_t) * (np.eye(n_t) if c_t0 is None else c_t0)
-    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat, alpha, CFG, e_t0, e_l2)
+    scale, b = _echo_constants(alpha, e_t0, e_l2)
+    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat, scale, b)
     lam = np.linalg.eigvalsh(h_u_hat @ h_u_hat.conj().T)
-    b = analytics.beta(CFG, e_t0, e_l2, alpha)
     per_dir = analytics.downlink_direction_error(CFG, e_t0, b, lam)
     return estimate, per_dir
 
@@ -298,10 +305,9 @@ class TestTxDownlinkEstimate:
         ys = np.stack([y, 2.0 * y, y.conj()])
         hus = np.stack([random_gaussian(2, 4, 1.0, RngStream(43 + i)) for i in range(3)])
         x_t0 = np.sqrt(self.E_T0 / CFG.n_t) * haar_semiunitary(gen, (3, 4, 4))
-        batched = echo_downlink_estimate(ys, x_t0, hus, self.ALPHA, CFG, self.E_T0, self.E_L2)
+        constants = _echo_constants(self.ALPHA, self.E_T0, self.E_L2)
+        batched = echo_downlink_estimate(ys, x_t0, hus, *constants)
         assert batched.shape == (3, CFG.n_t, CFG.n_l)
         for i in range(3):
-            single = echo_downlink_estimate(
-                ys[i], x_t0[i], hus[i], self.ALPHA, CFG, self.E_T0, self.E_L2
-            )
+            single = echo_downlink_estimate(ys[i], x_t0[i], hus[i], *constants)
             np.testing.assert_allclose(batched[i], single, rtol=1e-13, atol=1e-15)

@@ -397,6 +397,40 @@ class TestNonreciprocalRound:
             run_nonreciprocal(CFG, R_PLAN, N_ALLOC, channels, RngStream(3))
 
 
+class TestChannelChecks:
+    """The single-round runs check each supplied channel's shape against the
+    config and take real arrays as their complex twins."""
+
+    @staticmethod
+    def _run(scheme, channels):
+        if scheme == RECIPROCAL:
+            return run_reciprocal(CFG, R_PLAN, R_ALLOC, channels, RngStream(3))
+        return run_nonreciprocal(CFG, N_PLAN, N_ALLOC, channels, RngStream(3))
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_wrong_ur_width_rejected(self, scheme):
+        channels = draw_channels(CFG, scheme, RngStream(1))
+        wide = dataclasses.replace(channels, g=np.zeros((CFG.n_t, CFG.n_u + 1), dtype=complex))
+        with pytest.raises(ValueError, match=r"channels\.g must have shape \(4, 2\), got \(4, 3\)"):
+            self._run(scheme, wide)
+
+    def test_transposed_uplink_rejected(self):
+        channels = draw_channels(CFG, NONRECIPROCAL, RngStream(1))
+        flipped = dataclasses.replace(channels, h_u=channels.h_u.T)
+        with pytest.raises(ValueError, match=r"channels\.h_u must have shape \(2, 4\)"):
+            self._run(NONRECIPROCAL, flipped)
+
+    @pytest.mark.parametrize("scheme,field", [(RECIPROCAL, "h"), (NONRECIPROCAL, "h_d")])
+    def test_real_channel_runs_as_complex_twin(self, scheme, field):
+        channels = draw_channels(CFG, scheme, RngStream(1))
+        real = getattr(channels, field).real
+        as_real = dataclasses.replace(channels, **{field: real})
+        as_complex = dataclasses.replace(channels, **{field: real.astype(complex)})
+        assert pickle.dumps(self._run(scheme, as_real)) == pickle.dumps(
+            self._run(scheme, as_complex)
+        )
+
+
 class TestBatchOfOne:
     """The single-round runs are ``run_rounds(batch=1)`` on the same stream."""
 
@@ -436,19 +470,16 @@ class TestBatchOfOne:
     def test_transcript_reads_engine_noise_level(self, scheme):
         """LR's statistics use the noise level the engine estimated with."""
         if scheme == RECIPROCAL:
-            channels, t = _recip_round()
+            _, t = _recip_round()
             plan, e_fwd, prior = R_PLAN, R_ALLOC.e_f, CFG.var_h
             noise = effective_forward_noise_var(CFG, R_ALLOC.e_r, R_ALLOC.var_a) / CFG.n_l
-            batched = (channels.h[None], channels.g[None])
             alloc = R_ALLOC
         else:
-            channels, t = _nonrec_round()
+            _, t = _nonrec_round()
             plan, e_fwd, prior = N_PLAN, N_ALLOC.e_t3, CFG.var_hd
             noise = analytics.nonreciprocal_effective_noise(CFG, N_ALLOC)
-            batched = (channels.h_d[None], channels.h_u[None], channels.g[None])
             alloc = N_ALLOC
-        out = run_rounds(CFG, plan, alloc, RngStream(2).generator, batch=1, channels=batched)
-        assert out["noise_l"] == noise
+        assert _round_constants(CFG, plan, alloc).noise_l == noise
         d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
         expected = analytics.forward_direction_errors(CFG, prior, e_fwd, noise, d)
         self._assert_same_bits(t.estimates["lr"].per_direction_error_var, expected)
@@ -491,7 +522,6 @@ class TestRoundConstants:
         cold = []
         for i, seed in order:
             _round_constants.cache_clear()
-            check_inputs.cache_clear()
             cold.append(self._round(*inputs[i], seed))
         assert warm == cold
 
@@ -517,14 +547,25 @@ class TestRoundConstants:
 
     def test_cache_is_bounded(self):
         _round_constants.cache_clear()
-        check_inputs.cache_clear()
         size = _round_constants.cache_info().maxsize
         channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
         for i in range(size + 5):
             alloc = dataclasses.replace(R_ALLOC, e_f=4.0 + i)
             run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(2))
-        for memo in (_round_constants, check_inputs):
-            assert memo.cache_info().currsize <= memo.cache_info().maxsize == size
+        info = _round_constants.cache_info()
+        assert info.currsize <= info.maxsize == size
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_check_fills_the_one_memo(self, scheme):
+        """A passing check leaves one memo entry, which the rounds then hit."""
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        _round_constants.cache_clear()
+        check_inputs(CFG, plan, alloc, scheme)
+        assert _round_constants.cache_info().currsize == 1
+        hits = _round_constants.cache_info().hits
+        run_rounds(CFG, plan, alloc, RngStream(4).generator, batch=2)
+        info = _round_constants.cache_info()
+        assert (info.currsize, info.hits) == (1, hits + 1)
 
     def test_infeasible_allocation_raises_every_call(self):
         alloc = dataclasses.replace(R_ALLOC, e_f=-1.0)
@@ -532,8 +573,11 @@ class TestRoundConstants:
         for _ in range(3):
             with pytest.raises(AllocationError, match="e_f"):
                 run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(3))
-            with pytest.raises(AllocationError, match="e_f"):
+            with pytest.raises(AllocationError, match="e_f") as checked:
                 check_inputs(CFG, R_PLAN, alloc, RECIPROCAL)
+            with pytest.raises(AllocationError) as engine:
+                run_rounds(CFG, R_PLAN, alloc, RngStream(4).generator, batch=2)
+            assert str(engine.value) == str(checked.value)
 
 
 class TestTrainingSpend:
@@ -559,7 +603,8 @@ class TestTrainingSpend:
             tx, lr = energy(sig["x_t"]), energy(sig["x_l"])
         else:
             tx = energy(sig["x_t0"]) + energy(sig["x_t3"])
-            lr = out["alpha"] ** 2 * energy(sig["y_l0"]) + energy(sig["x_l2"])
+            alpha = _round_constants(CFG, plan, alloc).alpha
+            lr = alpha**2 * energy(sig["y_l0"]) + energy(sig["x_l2"])
         billed = training_spend(alloc, CFG, plan)
         for measured, bill, cap in zip((tx, lr), billed, (budget.e_t_max, budget.e_l_max)):
             se = measured.std() / math.sqrt(measured.size)
