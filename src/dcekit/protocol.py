@@ -102,6 +102,7 @@ __all__ = [
     "run_nonreciprocal",
     "run_reciprocal",
     "run_rounds",
+    "squared_error",
 ]
 
 # Transcript sanity: AN must sit in the estimated null space to this residual.
@@ -161,10 +162,10 @@ def forward_pilot(n_t: int, tau: int, d) -> np.ndarray:
     return base * np.sqrt(np.asarray(d, dtype=float))[None, :]
 
 
-def _sq_err(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Squared Frobenius error of each matrix.  The difference is scratch,
-    laid out as ``truth`` (numpy's choice for ``truth - est``) and squared in
-    place."""
+def squared_error(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Squared Frobenius error ``||truth - est||_F^2`` of each matrix of a
+    stack, shape ``truth.shape[:-2]``.  The difference is scratch, laid out
+    as ``truth`` (numpy's choice for ``truth - est``) and squared in place."""
     out = empty(truth.shape[:-2], np.float64)
     with scratch():
         diff = np.subtract(truth, est, out=empty_like(truth))
@@ -283,11 +284,12 @@ def run_rounds(
 
     Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
-    ``"k_null"``, AN ``"an"`` and squared errors ``"sq_tx"``, ``"sq_lr"``,
-    ``"sq_ur"``.  Non-reciprocal adds ``"hu_hat"``, and ``keep_signals``
-    every stage signal under ``"signals"``; the signals are scratch under an
-    arena, so ``keep_signals`` needs none active.  What the inputs fix (LR's
-    noise level, the echo gain) is in :func:`_round_constants`.
+    ``"k_null"`` and AN ``"an"``; a caller that wants an estimate's error
+    takes :func:`squared_error` of it.  Non-reciprocal adds ``"hu_hat"``, and
+    ``keep_signals`` every stage signal under ``"signals"``; the signals are
+    scratch under an arena, so ``keep_signals`` needs none active.  What the
+    inputs fix (LR's noise level, the echo gain) is in
+    :func:`_round_constants`.
     """
     if keep_signals and active_arena() is not None:
         raise ValueError("keep_signals needs numpy's own memory, but an arena is active")
@@ -366,10 +368,7 @@ def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
             h_lr = matmul(const.k_l, y_l)
             g_ur = matmul(const.k_u, y_u)
 
-    out.update({
-        "h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a,
-        "sq_tx": _sq_err(h, out["h_hat"]), "sq_lr": _sq_err(h, h_lr), "sq_ur": _sq_err(g, g_ur),
-    })
+    out.update({"h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a})
     if "signals" in out:
         out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
     return out
@@ -395,14 +394,16 @@ def _transcript(plan, out, errors) -> TrainingTranscript:
     and ``"ur"``, the per-direction error variances and their mean."""
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
-    keys = {"tx": "h_hat", "lr": "h_lr", "ur": "g_ur"}
+    keys = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
     return TrainingTranscript(
         scheme=plan.scheme,
         signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
         an_matrix=out["an"][0],
         null_basis=null_basis,
-        estimates={k: EstimateWithError(out[keys[k]][0], *errors[k]) for k in keys},
-        squared_errors={k: float(out[f"sq_{k}"][0]) for k in keys},
+        estimates={k: EstimateWithError(out[est][0], *errors[k]) for k, (_, est) in keys.items()},
+        squared_errors={
+            k: float(squared_error(out[truth], out[est])[0]) for k, (truth, est) in keys.items()
+        },
     )
 
 

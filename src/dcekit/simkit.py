@@ -23,7 +23,12 @@ estimate reduces to linear combining into six real coordinates; for a
 product constellation such as square QAM each coordinate is then sliced
 against its own axis levels, which is what :func:`ostbc_detect` implements
 (other constellations are rejected).  Feeding it the true channel gives the
-perfect-CSI baseline.
+perfect-CSI baseline.  The detector reads the stack-last blocks of a chunk
+as they are: each of the 12 entries of ``y h_hat^H`` the codeword uses is a
+few vector operations along the 4096 trials, and each coordinate's level is
+a count of the thresholds at or above it, all in arena memory.  A detected
+symbol is a copy of a constellation value, so :func:`mc_ser` counts errors
+by exact comparison with the sent one.
 """
 
 from __future__ import annotations
@@ -47,12 +52,11 @@ from .numerics import (
     add_complex_normal,
     empty,
     empty_like,
-    herm,
     keep,
     matmul,
     scratch,
 )
-from .protocol import check_inputs, run_rounds
+from .protocol import check_inputs, run_rounds, squared_error
 
 __all__ = [
     "CHUNK",
@@ -199,8 +203,10 @@ def mc_nmse(
 
     def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)
-        xl = np.divide(out["sq_lr"], norm_l, out=out["sq_lr"])
-        xu = np.divide(out["sq_ur"], norm_u, out=out["sq_ur"])
+        xl = squared_error(out["h"], out["h_lr"])
+        xl /= norm_l
+        xu = squared_error(out["g"], out["g_ur"])
+        xu /= norm_u
         sq = empty((m,), np.float64)
         return (
             float(xl.sum()), float(np.multiply(xl, xl, out=sq).sum()),
@@ -266,35 +272,26 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
     return x.transpose(*range(2, x.ndim), 0, 1)
 
 
-# Real-linear expansion basis: the codewords B_k of the 6 unit real
-# coordinates (Re s1, Im s1, Re s2, Im s2, Re s3, Im s3), column k holding the
-# 16 interleaved (real, imaginary) parts of B_k.  Since Re <B_k, M> =
-# Re(B_k) . Re(M) + Im(B_k) . Im(M), the six correlations of a 4x4 complex M
-# are one real (.., 32) @ (32, 6) product.
-_OSTBC_CORR = np.stack([
-    ostbc_encode(1, 0, 0), ostbc_encode(1j, 0, 0),
-    ostbc_encode(0, 1, 0), ostbc_encode(0, 1j, 0),
-    ostbc_encode(0, 0, 1), ostbc_encode(0, 0, 1j),
-]).reshape(6, 16).view(np.float64).T
-
-
 def _axis_slicer(constellation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis decision thresholds and the level grid of a product constellation.
+    """Per-axis decision thresholds and the point table of a product constellation.
 
     Returns the midpoints between adjacent sorted real levels, the same for
-    the imaginary levels, and ``grid[i, j]``, the constellation point with
-    real level ``i`` and imaginary level ``j``.
+    the imaginary levels, and ``table``: the point whose real level lies
+    below ``a`` of the real thresholds and whose imaginary level lies below
+    ``b`` of the imaginary ones is ``table[a * n_im + b]``, ``n_im`` being
+    the number of imaginary levels.
     """
     pts = np.asarray(constellation, dtype=complex)
-    re, im = np.unique(pts.real), np.unique(pts.imag)
+    re, at_re = np.unique(pts.real, return_inverse=True)
+    im, at_im = np.unique(pts.imag, return_inverse=True)
     grid = np.full((re.size, im.size), np.nan, dtype=complex)
-    grid[np.searchsorted(re, pts.real), np.searchsorted(im, pts.imag)] = pts
+    grid[at_re, at_im] = pts
     if pts.size == 0 or pts.size != grid.size or np.isnan(grid).any():
         raise ValueError(
             "per-axis slicing needs a product constellation: every pairing of "
             "a real level with an imaginary level must be a point, exactly once"
         )
-    return (re[1:] + re[:-1]) / 2.0, (im[1:] + im[:-1]) / 2.0, grid
+    return (re[1:] + re[:-1]) / 2.0, (im[1:] + im[:-1]) / 2.0, grid[::-1, ::-1].ravel()
 
 
 def ostbc_detect(
@@ -308,35 +305,87 @@ def ostbc_detect(
     ``y`` is the received block ``(..., 4, n_r)`` for transmitted
     ``scale * ostbc_encode(s1, s2, s3) @ H``; ``h_hat`` the ``(..., 4, n_r)``
     channel estimate used for detection (pass the true channel for the
-    perfect-CSI baseline).  Returns the detected symbols ``(..., 3)`` as
-    constellation values (default 64-QAM).  Orthogonality of the design makes
-    exact ML decouple into six real correlations ``Re tr(B_k^H y h_hat^H)``;
-    for a constellation that is the Cartesian product of its real and
-    imaginary levels (every square QAM, including :data:`QAM4` and
-    :data:`QAM64`) each correlation is then sliced on its own axis, so the
-    cost does not grow with the constellation size.  Any other constellation
-    raises ``ValueError``.
+    perfect-CSI baseline); their leading axes broadcast, so either may be one
+    matrix shared by a stack.  ``scale`` must be positive and finite, and
+    misshapen blocks or a bad ``scale`` raise ``ValueError``.  Returns the
+    detected symbols ``(..., 3)`` as constellation values (default 64-QAM).
+
+    Orthogonality of the design makes exact ML decouple into six real
+    coordinates ``Re tr(B_k^H y h_hat^H) / (scale ||h_hat||^2)``, which come
+    from the 12 entries of ``y h_hat^H`` the codeword uses, each a sum of
+    ``n_r`` elementwise products along the leading axes.  For a constellation
+    that is the Cartesian product of its real and imaginary levels (every
+    square QAM, including :data:`QAM4` and :data:`QAM64`) each coordinate is
+    then sliced on its own axis; any other constellation raises
+    ``ValueError``.  A coordinate's level is the number of thresholds below
+    it, so one exactly on a threshold takes the lower level, NaN the top
+    level, and an infinite one the outer level on its side.  Under an arena
+    every array the size of the stack comes from it.
     """
-    mids_re, mids_im, grid = _axis_slicer(QAM64 if constellation is None else constellation)
-    lead = np.broadcast_shapes(y.shape[:-2], h_hat.shape[:-2])
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if y.ndim < 2 or y.shape[-2:] != h_hat.shape[-2:] or y.shape[-2] != 4 or y.shape[-1] < 1:
+        raise ValueError(
+            f"y and h_hat must be (..., 4, n_r) blocks with the same n_r >= 1, "
+            f"got {y.shape} and {h_hat.shape}"
+        )
+    mids_re, mids_im, table = _axis_slicer(QAM64 if constellation is None else constellation)
+    lead, n_r = np.broadcast_shapes(y.shape[:-2], h_hat.shape[:-2]), y.shape[-1]
     detected = empty(lead + (3,))
     with scratch():
-        energy = np.square(h_hat.real, out=empty_like(h_hat, np.float64))
-        energy += np.square(h_hat.imag, out=empty_like(h_hat, np.float64))
-        denom = np.sum(energy, axis=(-2, -1), out=empty(h_hat.shape[:-2], np.float64))
-        np.multiply(scale, np.maximum(denom, 1e-300, out=denom), out=denom)
-        m = empty(lead + (4, 4))  # y h_hat^H, batch-first for the correlation GEMM
+        denom = empty(h_hat.shape[:-2], np.float64)
         with scratch():
-            np.copyto(m, matmul(y, herm(h_hat)))
-        m_parts = m.reshape(lead + (16,)).view(np.float64)
-        coords = np.matmul(m_parts, _OSTBC_CORR, out=empty(lead + (6,), np.float64))
-        coords /= denom[..., None]
-        # A coordinate exactly on a threshold (say, from a zero estimate) takes
-        # the lower level.  grid[i_re, i_im], as one flat index:
-        index = np.searchsorted(mids_re, coords[..., 0::2])
-        index *= grid.shape[1]
-        index += np.searchsorted(mids_im, coords[..., 1::2])
-        np.take(grid, index, out=detected, mode="clip")
+            energy = np.square(h_hat.real, out=empty_like(h_hat, np.float64))
+            energy += np.square(h_hat.imag, out=empty_like(h_hat, np.float64))
+            np.sum(energy, axis=(-2, -1), out=denom)
+        np.multiply(scale, np.maximum(denom, 1e-300, out=denom), out=denom)
+
+        # Row i of the codeword carries symbol k in column i ^ k, so with
+        # M = y h_hat^H the soft symbols are
+        #     s1 = M00 + M33 + conj(M11 + M22)
+        #     s2 = M01 - M23 + conj(M32 - M10)
+        #     s3 = M02 + M13 - conj(M20 + M31).
+        # terms[r, k, i] = y[..., i, r] conj(h_hat[..., i ^ k, r]), one
+        # vector over the leading axes at a time: numpy copies through a
+        # fresh buffer any product whose operands' strides differ on more
+        # than one axis, and a stack-last y or h_hat may have its rows or
+        # its columns outermost in memory.
+        soft, tail = empty((3,) + lead), empty((3,) + lead)
+        with scratch():
+            h_conj = np.conjugate(h_hat, out=empty_like(h_hat))
+            terms = empty((n_r, 3, 4) + lead)
+            for r, k, i in np.ndindex(n_r, 3, 4):
+                np.multiply(y[..., i, r], h_conj[..., i ^ k, r], out=terms[r, k, i, ...])
+            m = terms[0]  # m[k, i] = M[i, i ^ k]
+            for r in range(1, n_r):
+                m += terms[r]
+            np.add(m[0, 0], m[0, 3], out=soft[0, ...])
+            np.add(m[0, 1], m[0, 2], out=tail[0, ...])
+            np.subtract(m[1, 0], m[1, 2], out=soft[1, ...])
+            np.subtract(m[1, 3], m[1, 1], out=tail[1, ...])
+            np.add(m[2, 0], m[2, 1], out=soft[2, ...])
+            np.add(m[2, 2], m[2, 3], out=tail[2, ...])
+        np.conjugate(tail, out=tail)
+        np.add(soft[:2], tail[:2], out=soft[:2])
+        np.subtract(soft[2], tail[2], out=soft[2, ...])
+
+        coords = empty((2, 3) + lead, np.float64)  # real parts, then imaginary parts
+        for k in range(3):
+            np.divide(soft[k].real, denom, out=coords[0, k, ...])
+            np.divide(soft[k].imag, denom, out=coords[1, k, ...])
+        # Per axis, count the thresholds at or above each coordinate (one
+        # byte per comparison); the two counts make the index into table.
+        counts = empty((2, 3) + lead, np.min_scalar_type(table.size - 1))
+        for part, mids, count in zip(coords, (mids_re, mids_im), counts):
+            at_or_above = empty(mids.shape + part.shape, np.uint8)
+            thresholds = mids.reshape(mids.shape + (1,) * part.ndim)
+            np.less_equal(part, thresholds, out=at_or_above.view(np.bool_))
+            np.add.reduce(at_or_above, axis=0, out=count)
+        position = np.multiply(counts[0], mids_im.size + 1, out=counts[0])
+        position += counts[1]
+        index = empty(lead + (3,), np.intp)
+        np.copyto(np.moveaxis(index, -1, 0), position)
+        np.take(table, index, out=detected, mode="clip")
     return detected
 
 
@@ -374,11 +423,12 @@ def mc_ser(
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)
 
+    # Detected symbols are constellation values copied from QAM64, as the
+    # sent ones are, so a correct decision is exactly equal.
     def count_errors(y: np.ndarray, h_hat: np.ndarray, sent: np.ndarray) -> int:
         with scratch():
-            miss = np.subtract(ostbc_detect(y, h_hat, amp), sent, out=empty(sent.shape))
-            dist = np.abs(miss, out=empty(sent.shape, np.float64))
-            return int(np.count_nonzero(np.greater(dist, 1e-9, out=empty(sent.shape, np.bool_))))
+            wrong = np.not_equal(ostbc_detect(y, h_hat, amp), sent, out=empty(sent.shape, np.bool_))
+            return int(np.count_nonzero(wrong))
 
     def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)

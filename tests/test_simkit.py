@@ -26,7 +26,14 @@ from dcekit.model import (
     nonreciprocal_plan,
     reciprocal_plan,
 )
-from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, RngStream, complex_normal, random_gaussian
+from dcekit.numerics import (
+    HOUSEHOLDER_MIN_BATCH,
+    Arena,
+    RngStream,
+    complex_normal,
+    random_gaussian,
+    stacked_complex_normal,
+)
 from dcekit.protocol import run_rounds
 from dcekit.simkit import (
     CHUNK,
@@ -142,6 +149,20 @@ class TestOstbcDetect:
         with pytest.raises(ValueError, match="product constellation"):
             ostbc_detect(y, y, 1.0, constellation)
 
+    def test_many_levels_per_axis_match_reference(self):
+        """A rectangular product constellation, 300 real by 3 unevenly spaced
+        imaginary levels: more thresholds and points than a byte counts."""
+        levels_re, levels_im = np.arange(300) - 149.5, np.array([-1.0, 0.0, 2.0])
+        constellation = (levels_re[:, None] + 1j * levels_im[None, :]).ravel() / 50.0
+        gen = RngStream(80).generator
+        sent = constellation[gen.integers(0, constellation.size, size=(500, 3))]
+        h = complex_normal(gen, (500, 4, 2), 1.0)
+        y = ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h
+        y += complex_normal(gen, (500, 4, 2), 0.01)
+        got = ostbc_detect(y, h, 1.0, constellation)
+        np.testing.assert_array_equal(got, _reference_detect(y, h, 1.0, constellation))
+        assert 0.05 < np.mean(got == sent) < 0.95
+
     def test_noiseless_perfect_csi(self):
         stream = RngStream(71)
         gen = stream.generator
@@ -191,6 +212,107 @@ class TestOstbcDetect:
         assert out.shape == (3,)
         assert np.all(np.isfinite(out))
         assert all(np.min(np.abs(QAM64 - v)) < 1e-12 for v in out)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_scale_rejected(self, scale):
+        """A zero scale used to divide by zero, a negative one mirrored every
+        decision, and NaN returned the top corner."""
+        y = random_gaussian(4, 2, 1.0, RngStream(79))
+        with pytest.raises(ValueError, match="scale"):
+            ostbc_detect(y, y, scale)
+
+    @pytest.mark.parametrize(
+        "y_shape, h_shape",
+        [
+            ((4, 3), (4, 2)), ((3, 2), (3, 2)), ((6, 4, 2), (6, 2, 4)),
+            ((4,), (4,)), ((4, 0), (4, 0)),
+        ],
+        ids=["n_r_differs", "three_rows", "transposed_estimate", "one_axis", "no_antenna"],
+    )
+    def test_misshapen_blocks_rejected(self, y_shape, h_shape):
+        y, h_hat = np.ones(y_shape, dtype=complex), np.ones(h_shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 4, n_r\)"):
+            ostbc_detect(y, h_hat)
+
+    def test_warm_arena_call_allocates_no_chunk_memory(self):
+        """Under a warmed arena a 4096-block detection takes every array from
+        it: what numpy allocates besides stays under 64 KiB (a 4096 x 3 index
+        array alone is 96 KiB)."""
+        gen = RngStream(78).generator
+        y = stacked_complex_normal(gen, (CHUNK, 4, 2), 1.0)
+        h_hat = stacked_complex_normal(gen, (CHUNK, 4, 2), 1.0)
+        arena = Arena()
+        with arena.activate():
+            warm = ostbc_detect(y, h_hat).copy()
+        with arena.activate():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                again = ostbc_detect(y, h_hat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(again, warm)
+        assert peak - base < 64 << 10
+
+
+def _unit_probe_blocks(coords: np.ndarray) -> np.ndarray:
+    """Received blocks ``(..., 4, 2)`` whose six detection coordinates against
+    :data:`_UNIT_PROBE` at scale 1 are ``coords`` ``(..., 6)``, exactly: with
+    that estimate, ``Re s1, Im s1`` read ``y[0, 0]``, ``Re s2, Im s2`` read
+    ``-conj(y[1, 0])`` and ``Re s3, Im s3`` read ``-conj(y[2, 0])``."""
+    y = np.zeros(coords.shape[:-1] + (4, 2), dtype=complex)
+    for row, (re, im) in enumerate(((0, 1), (2, 3), (4, 5))):
+        y.real[..., row, 0] = coords[..., re] if row == 0 else -coords[..., re]
+        y.imag[..., row, 0] = coords[..., im]
+    return y
+
+
+# A unit-energy channel estimate with one nonzero entry, which turns the
+# received block into its detection coordinates without rounding.
+_UNIT_PROBE = np.zeros((4, 2), dtype=complex)
+_UNIT_PROBE[0, 0] = 1.0
+
+
+class TestSlicerEdges:
+    """How each coordinate is sliced at the edges, pinned on inputs whose
+    coordinates are exact: a coordinate exactly on a threshold takes the lower
+    level, NaN takes the top level, and an infinite one the outer level on its
+    side.  Batches on both sides of the stack-kernel crossover and a full
+    chunk, with the estimate stacked and shared."""
+
+    @staticmethod
+    def _run(y, scale, constellation, batch, shared):
+        h_hat = _UNIT_PROBE if shared else np.broadcast_to(_UNIT_PROBE, (batch, 4, 2)).copy()
+        return ostbc_detect(y, h_hat, scale, constellation)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("batch", [1, HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH, CHUNK])
+    @pytest.mark.parametrize("constellation", [QAM64, QAM4], ids=["qam64", "qam4"])
+    def test_ties_nan_and_infinities(self, constellation, batch, shared):
+        levels_re, levels_im = np.unique(constellation.real), np.unique(constellation.imag)
+        mids_re = (levels_re[1:] + levels_re[:-1]) / 2.0
+        mids_im = (levels_im[1:] + levels_im[:-1]) / 2.0
+        # Ties: trial t puts coordinate k on threshold (6 t + k) mod (levels - 1).
+        pick = np.arange(6 * batch).reshape(batch, 6)
+        j_re, j_im = pick[:, 0::2] % mids_re.size, pick[:, 1::2] % mids_im.size
+        coords = np.empty((batch, 6))
+        coords[:, 0::2], coords[:, 1::2] = mids_re[j_re], mids_im[j_im]
+        got = self._run(_unit_probe_blocks(coords), 1.0, constellation, batch, shared)
+        np.testing.assert_array_equal(got, levels_re[j_re] + 1j * levels_im[j_im])
+
+        top = levels_re[-1] + 1j * levels_im[-1]
+        nan = _unit_probe_blocks(np.full((batch, 6), np.nan))
+        got = self._run(nan, 1.0, constellation, batch, shared)
+        np.testing.assert_array_equal(got, np.full((batch, 3), top))
+
+        # 1e300 over a scale of 1e-300 overflows to an infinite coordinate.
+        sign = np.where(pick % 3 == 0, -1.0, 1.0)
+        with np.errstate(over="ignore"):
+            got = self._run(_unit_probe_blocks(1e300 * sign), 1e-300, constellation, batch, shared)
+        outer_re = np.where(sign[:, 0::2] > 0, levels_re[-1], levels_re[0])
+        outer_im = np.where(sign[:, 1::2] > 0, levels_im[-1], levels_im[0])
+        np.testing.assert_array_equal(got, outer_re + 1j * outer_im)
 
 
 class TestMcNmse:
