@@ -87,8 +87,8 @@ def echo_downlink_estimate(
     yields the linear estimator
 
     .. math::
-        \hat{H}_{d,t} = s\, X_{t0}^H\, Y_{t1}\,
-        \hat{H}_u^H \big(\hat{H}_u \hat{H}_u^H + \beta I_{N_L}\big)^{-1},
+        \hat{H}_{d,t} = s\, X_{t0}^H \big(Y_{t1} R\big), \qquad
+        R = \hat{H}_u^H \big(\hat{H}_u \hat{H}_u^H + \beta I_{N_L}\big)^{-1},
         \qquad s = \frac{\sigma_{h_d}^2 N_t}{\alpha q},
 
     with ``q`` from :func:`dcekit.analytics.echo_power`; ``scale`` is
@@ -99,7 +99,9 @@ def echo_downlink_estimate(
     each eigenvalue of :math:`\hat{H}_u \hat{H}_u^H` is
     :func:`dcekit.analytics.downlink_direction_error`.  With ``scale == 0``
     (``alpha == 0``: the echo carries no signal) the estimate is the prior
-    mean (zero).
+    mean (zero).  The products go from the narrow side: ``Y_t1 R`` and then
+    ``X_t0^H`` times that are both ``n_t x n_l``, so no ``n_t x n_t``
+    product is formed.
     """
     n_t, n_l = hu_hat.shape[-1], hu_hat.shape[-2]
     est = empty_stack(y_t1.shape[:-2] + (n_t, n_l))
@@ -107,10 +109,13 @@ def echo_downlink_estimate(
         est.fill(0.0)
         return est
     with scratch():
-        z = matmul(herm(x_t0), y_t1)  # matched filter over the initial pilot
         s_mat = matmul(hu_hat, herm(hu_hat))
         s_mat += beta * np.eye(n_l)
-        # Z Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
+        # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
         right = herm(hermitian_solve(s_mat, hu_hat))
-        np.multiply(scale, matmul(z, right), out=est)
+        m = matmul(y_t1, right)
+        # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.
+        np.conjugate(m, out=m)
+        np.conjugate(matmul(np.swapaxes(x_t0, -1, -2), m), out=est)
+        est *= scale
     return est

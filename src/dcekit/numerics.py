@@ -23,22 +23,28 @@ GEMMs against whole rows of the stack; :func:`hermitian_solve` is a Cholesky
 factorization and two triangular solves with one vector operation per step;
 :func:`_householder_qr`, behind the null complements and the Haar pilots,
 runs each Householder step as one vectorized pass with LAPACK's conventions
-and returns stack-last factors without a copy.  Each of these pays a fixed
-interpreter cost per step, so all of them share one crossover,
-:data:`HOUSEHOLDER_MIN_BATCH`: smaller stacks (the batch-of-one rounds among
-them) keep numpy's own calls and their exact bits.  Larger stacks differ
-from numpy only by rounding (elementwise sums in place of ``zgemm``).
+and returns stack-last factors without a copy; :func:`haar_semiunitary`
+builds the Haar pilots from the same reflector step without a full Gaussian
+matrix or its QR; and the draws (:func:`stacked_complex_normal`,
+:func:`add_complex_normal`) write their normals straight into stack-last
+memory in its own order.  Each of these pays a fixed interpreter cost per
+step, so all of them share one crossover, :data:`HOUSEHOLDER_MIN_BATCH`:
+smaller stacks (the batch-of-one rounds among them) keep numpy's own calls
+and draws and their exact bits.  Larger stacks differ from numpy by rounding
+(elementwise sums in place of ``zgemm``) and in which draw lands in which
+entry.
 
 Measured on a shared 2-vCPU Xeon VM (numpy 2.4, OpenBLAS on one thread), at
 a 4096-matrix stack: the stack products take 0.10-0.7 ms against
 1.0-2.2 ms for numpy's stacked ``@`` (4x4@4x2, 4x2@2x4, 4x4@4x4, 2x4@4x2,
 4x2@2x2), a shared 2x4 factor times a 4x4 stack 0.12 ms against 0.36 ms for
 one reshaped GEMM on batch-first memory, the 2x2 Hermitian solve with four
-right-hand sides 0.5-0.9 ms against 1.3-2.9 ms, and the Householder QR
-0.9-2.7 ms against 3.5-5.2 ms for a 4x2 null complement and 3.2-4.0 ms
-against 8.4-8.9 ms for a 4x4 Haar pilot.  The products break even with
-numpy at 32-64 matrices and the solve and the QR at 64-160, so at 192 every
-kernel is on its faster side.
+right-hand sides 0.5-0.9 ms against 1.3-2.9 ms, the Householder QR 0.9-2.7
+ms against 3.5-5.2 ms for a 4x2 null complement, and a 4x4 Haar pilot from
+reflectors 2.7-3.4 ms against 4.3-5.0 ms for the Householder QR of a full
+Gaussian draw and 7.7-8.6 ms for numpy's QR of it.  The products break even
+with numpy at 32-64 matrices and the solve and the QR at 64-160, so at 192
+every kernel is on its faster side.
 
 Scratch arenas.  A chunk's arrays are megabytes, and the C allocator hands
 freed memory of that size back to the system, so without reuse every chunk
@@ -53,16 +59,15 @@ temporary here and in the engine comes from it through ``out=``:
 :func:`scratch` opens a frame whose arrays are free again when it closes,
 and :func:`keep` marks results that must outlive the caller's frame.  The
 footprint rule is that whatever is dead by the next step shares memory: each
-kernel's temporaries go when it returns, each noise draw once it is added in
-place, each batch-first draw once it is copied stack-last.  So a 4x2x2
-chunk's arena is 6.1 MiB reciprocal and 10.1 MiB non-reciprocal for
-``mc_nmse`` (8.3 and 10.3 MiB for ``mc_ser``), against a peak of 9.6 and
-16.1 MiB of live numpy memory without arenas, and a steady-state chunk takes
-no page fault.  That cut a ``mc_nmse`` chunk from 20.4-21.0 ms to 14.7-15.6
-ms reciprocal and from 35-44 ms to 28-32 ms non-reciprocal (one BLAS thread,
-fresh processes, alternating), a share that depends on how the allocator
-last trimmed its heap.  With no arena active (a direct
-:func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
+kernel's temporaries go when it returns, and each noise draw once it is
+added in place.  So a 4x2x2 chunk's arena is 6.1 MiB reciprocal and 8.4
+MiB non-reciprocal for ``mc_nmse`` (7.3 and 9.3 MiB for ``mc_ser``), against
+a peak of 9.6 and 16.1 MiB of live numpy memory without arenas, and a
+steady-state chunk takes no page fault.  That cut a ``mc_nmse`` chunk from
+20.4-21.0 ms to 14.7-15.6 ms reciprocal and from 35-44 ms to 28-32 ms
+non-reciprocal (one BLAS thread, fresh processes, alternating), a share that
+depends on how the allocator last trimmed its heap.  With no arena active (a
+direct :func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
 allocates as it always did, and below :data:`HOUSEHOLDER_MIN_BATCH` matrices
 the products, solves and QRs take numpy's calls before any arena lookup.
 Only the destination memory changes, never an operation or its order, so the
@@ -220,9 +225,14 @@ def empty_like(x: np.ndarray, dtype=None) -> np.ndarray:
     arena = _ACTIVE.get()
     if arena is None:
         return np.empty_like(x, dtype)
-    order = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+    order = _memory_order(x)
     buf = arena._take(tuple(x.shape[i] for i in order), np.dtype(x.dtype if dtype is None else dtype))
     return buf.transpose(np.argsort(order))
+
+
+def _memory_order(x: np.ndarray) -> list[int]:
+    """``x``'s axes from the largest stride to the smallest (numpy's ``K`` order)."""
+    return sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
 
 
 def empty_stack(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
@@ -272,19 +282,29 @@ def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float)
 
 
 def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
-    """``complex_normal(gen, shape, var)`` for a ``(batch, rows, cols)``
-    shape in stack-last memory: the same draws, made batch-first in scratch
-    memory and copied into an :func:`empty_stack` result."""
-    out = empty_stack(shape)
-    with scratch():
-        np.copyto(out, complex_normal(gen, shape, var))
-    return out
+    """iid CN(0, ``var``) draws in :func:`empty_stack` memory for a ``(batch,
+    rows, cols)`` shape: below :data:`HOUSEHOLDER_MIN_BATCH` matrices
+    ``complex_normal(gen, shape, var)`` itself, from there on the normals go
+    straight into the stack-last buffer in its memory order, so entry ``(b, i,
+    j)`` takes draw ``(i * cols + j) * batch + b``."""
+    if len(shape) != 3 or shape[0] < HOUSEHOLDER_MIN_BATCH:
+        return complex_normal(gen, shape, var)
+    return complex_normal(gen, shape[1:] + shape[:1], var).transpose(2, 0, 1)
 
 
 def add_complex_normal(x: np.ndarray, gen: np.random.Generator, var: float) -> np.ndarray:
-    """``x += complex_normal(gen, x.shape, var)``, the draw in scratch memory; returns ``x``."""
+    """``x += z`` for iid CN(0, ``var``) draws ``z``, made in scratch memory;
+    returns ``x``.  Below :data:`HOUSEHOLDER_MIN_BATCH` matrices ``z`` is
+    ``complex_normal(gen, x.shape, var)``.  A larger stack draws ``z`` in
+    ``x``'s own memory order, so the add runs over two arrays of the same
+    strides, which numpy does in one pass with no buffer of its own."""
     with scratch():
-        x += complex_normal(gen, x.shape, var)
+        if x.ndim != 3 or x.shape[0] < HOUSEHOLDER_MIN_BATCH:
+            x += complex_normal(gen, x.shape, var)
+        else:
+            order = _memory_order(x)
+            z = complex_normal(gen, tuple(x.shape[i] for i in order), var)
+            x += z.transpose(np.argsort(order))
     return x
 
 
@@ -426,40 +446,11 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
         w = empty((m, n, size))
         np.copyto(w, stack.transpose(2, 1, 0))
         taus = empty((steps, size))
-        mags, ratios = empty((n, size), np.float64), empty((n, size), np.float64)
-        s, tail, den = empty((size,), np.float64), empty((size,), np.float64), empty((size,), np.float64)
-        alone, real_pivot = empty((size,), np.bool_), empty((size,), np.bool_)
-        inv, tau_h = empty((size,)), empty((size,))
+        work, tau_h = _reflector_work(n, size), empty((size,))
         for k in range(steps):
-            x = w[k, k:]
-            mag = np.abs(x, out=mags[:n - k])
-            np.max(mag, axis=0, out=s)
-            np.copyto(s, 1.0, where=np.equal(s, 0.0, out=alone))
-            alpha = x[0]
-            ratio = np.divide(mag[1:], s, out=ratios[:n - k - 1])
-            np.sum(np.square(ratio, out=ratio), axis=0, out=tail)
-            np.equal(tail, 0.0, out=alone)
-            alone &= np.equal(alpha.imag, 0.0, out=real_pivot)
-            # beta = -copysign(sqrt((|alpha| / s)^2 + tail) * s, Re alpha)
-            beta = np.divide(mag[0], s, out=diag[k])
-            np.square(beta, out=beta)
-            beta += tail
-            np.sqrt(beta, out=beta)
-            beta *= s
-            np.negative(np.copysign(beta, alpha.real, out=beta), out=beta)
-            np.copyto(beta, alpha.real, where=alone)
-            # tau = (beta - alpha) / where(alone, 1, beta)
-            tau = np.subtract(beta, alpha, out=taus[k])
-            np.copyto(den, beta)
-            np.copyto(den, 1.0, where=alone)
-            np.divide(tau, den, out=tau)
-            # v = x[1:] / where(alone, 1, alpha - beta)
-            np.subtract(alpha, beta, out=inv)
-            np.copyto(inv, 1.0, where=alone)
-            np.divide(1.0, inv, out=inv)
-            np.multiply(x[1:], inv, out=x[1:])
+            _reflector(w[k, k:], diag[k], taus[k], work)
             # Apply H^H = I - conj(tau) v v^H to the trailing columns.
-            _reflect(w[k + 1:, k:], x[1:], np.conjugate(tau, out=tau_h))
+            _reflect(w[k + 1:, k:], w[k, k + 1:], np.conjugate(taus[k], out=tau_h))
 
         # Q[:, cols] = H_0 ... H_{steps-1} I[:, cols], accumulated from the
         # right; when H_k is applied, the columns left of k are still zero
@@ -470,6 +461,52 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
             _reflect(q[max(k - cols.start, 0):, k:], w[k, k + 1:], taus[k])
     q = q.transpose(2, 1, 0)  # stack-last: no copy back
     return q.reshape(lead + q.shape[1:]), diag.T.reshape(lead + (steps,))
+
+
+def _reflector_work(n: int, size: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for :func:`_reflector` on columns of up to ``n`` entries."""
+    real = np.float64
+    return (empty((n, size), real), empty((n, size), real), empty((size,), real),
+            empty((size,), real), empty((size,), real), empty((size,), np.bool_),
+            empty((size,), np.bool_), empty((size,)))
+
+
+def _reflector(
+    x: np.ndarray, beta: np.ndarray, tau: np.ndarray, work: tuple[np.ndarray, ...]
+) -> None:
+    """Householder reflector ``H = I - tau v v^H``, ``v = (1, x[1:] / (x[0] -
+    beta))``, with ``H^H x = beta e_0``, of every column of the ``(rows,
+    stack)`` block ``x`` (the stack last), in the LAPACK conventions that
+    :func:`_householder_qr` states.  Writes ``beta`` (real) and ``tau``, and
+    overwrites ``x[1:]`` with ``v[1:]``; ``work`` is :func:`_reflector_work`'s."""
+    mags, ratios, s, tail, den, alone, real_pivot, inv = work
+    n = x.shape[0]
+    mag = np.abs(x, out=mags[:n])
+    np.max(mag, axis=0, out=s)
+    np.copyto(s, 1.0, where=np.equal(s, 0.0, out=alone))
+    alpha = x[0]
+    ratio = np.divide(mag[1:], s, out=ratios[:n - 1])
+    np.sum(np.square(ratio, out=ratio), axis=0, out=tail)
+    np.equal(tail, 0.0, out=alone)
+    alone &= np.equal(alpha.imag, 0.0, out=real_pivot)
+    # beta = -copysign(sqrt((|alpha| / s)^2 + tail) * s, Re alpha)
+    np.divide(mag[0], s, out=beta)
+    np.square(beta, out=beta)
+    beta += tail
+    np.sqrt(beta, out=beta)
+    beta *= s
+    np.negative(np.copysign(beta, alpha.real, out=beta), out=beta)
+    np.copyto(beta, alpha.real, where=alone)
+    # tau = (beta - alpha) / where(alone, 1, beta)
+    np.subtract(beta, alpha, out=tau)
+    np.copyto(den, beta)
+    np.copyto(den, 1.0, where=alone)
+    np.divide(tau, den, out=tau)
+    # v = x[1:] / where(alone, 1, alpha - beta)
+    np.subtract(alpha, beta, out=inv)
+    np.copyto(inv, 1.0, where=alone)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(x[1:], inv, out=x[1:])
 
 
 def _reflect(block: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
@@ -488,23 +525,58 @@ def _reflect(block: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
 def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Independent Haar-distributed ``tau x n`` semi-unitaries, shape ``(..., tau, n)``.
 
-    Each is the Q factor of a complex Gaussian matrix with the R diagonal
-    phase-normalized, so its law is invariant under any fixed right unitary.
+    Each is the Q factor of a complex Gaussian (Ginibre) matrix with the R
+    diagonal made positive, whose law is invariant under any fixed unitary.
+    Below :data:`HOUSEHOLDER_MIN_BATCH` matrices that is literal: LAPACK's QR
+    of ``complex_normal(gen, shape, 1.0)``, then a phase per column.
+
+    A larger stack draws only what Q depends on.  Householder QR takes the
+    columns one at a time: reflector ``k`` is built from column ``k`` below
+    row ``k`` after reflectors ``0 .. k-1`` were applied, and as those are
+    unitary and depend on the earlier columns only, that is a fresh Gaussian
+    vector of length ``tau - k``, independent of the rest.  So Q is the
+    product of ``n`` reflectors of independent Gaussian vectors of lengths
+    ``tau, tau - 1, ..., tau - n + 1`` (G. W. Stewart, SIAM J. Numer. Anal.
+    17(3), 1980; F. Mezzadri, Notices AMS 54(5), 2007): 10 complex normals
+    for a 4x4, not 16, and no update of the trailing columns.  They are drawn
+    as one stack-last block, unscaled (a reflector does not depend on its
+    vector's scale), and Q is accumulated from the right starting from
+    ``diag(sign beta_k)``, which is the phase step.  The result is stack-last
+    with its columns outermost, as :func:`_householder_qr`'s Q factor.  The
+    module docstring has the timings.
     """
     tau, n = shape[-2:]
     if not 1 <= n <= tau:
         raise ValueError(f"need tau >= n >= 1 for orthonormal columns, got {tau}x{n}")
-    # The result is laid out as the Q factor (stack-last, columns outermost,
-    # from the Householder QR).
+    lead = shape[:-2]
+    size = math.prod(lead)
+    if size < HOUSEHOLDER_MIN_BATCH:
+        with scratch():
+            q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
+            ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
+            phase = empty_like(diag, np.complex128)
+            np.copyto(phase, ratio)
+            np.copyto(phase, 1.0 + 0j, where=np.equal(diag, 0, out=empty_like(diag, np.bool_)))
+            with keep():
+                out = empty_like(q)
+            return np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
+    q = empty((n, tau, size))  # q[j, i] holds entry (i, j) of every matrix
+    q.fill(0.0)
     with scratch():
-        q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
-        ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
-        phase = empty_like(diag, np.complex128)
-        np.copyto(phase, ratio)
-        np.copyto(phase, 1.0 + 0j, where=np.equal(diag, 0, out=empty_like(diag, np.bool_)))
-        with keep():
-            out = empty_like(q)
-        return np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
+        # Reflector k's vector is rows starts[k] .. starts[k + 1] of the block.
+        starts = [k * tau - k * (k - 1) // 2 for k in range(n + 1)]
+        block = empty((starts[n], size))
+        gen.standard_normal(out=block.reshape(-1).view(np.float64))
+        taus, beta = empty((n, size)), empty((size,), np.float64)
+        work = _reflector_work(tau, size)
+        for k in range(n):
+            _reflector(block[starts[k]:starts[k + 1]], beta, taus[k], work)
+            np.copysign(1.0, beta, out=q[k, k].real)
+        # Q = H_0 ... H_{n-1} diag(sign beta)[:, :n], accumulated from the right.
+        for k in range(n - 1, -1, -1):
+            _reflect(q[k:, k:], block[starts[k] + 1:starts[k + 1]], taus[k])
+    q = q.transpose(2, 1, 0)
+    return q.reshape(lead + q.shape[1:])
 
 
 def null_complement(mat: np.ndarray) -> np.ndarray:

@@ -42,13 +42,14 @@ call.
 
 Every per-trial array of a chunk lives in stack-last memory (the trial axis
 has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
-rows, cols)`` shape: the drawn channels and AN are copied there once, every
+rows, cols)`` shape: the channels and AN are drawn straight into it, every
 product goes through :func:`dcekit.numerics.matmul`, and each noise draw is
-added in place to a product that is already stack-last.  So a stacked
+made in its product's own memory order and added in place.  So a stacked
 product is a few vector operations along the chunk instead of 4096 BLAS
-calls.  Below :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds the
-arrays stay batch-first and numpy's own products, solves and QRs run, which
-keeps the batch-of-one bits.
+calls, and no draw is copied or buffered on its way.  Below
+:data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds the arrays stay
+batch-first and numpy's own draws, products, solves and QRs run, which keeps
+the batch-of-one bits.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def _round_constants(
 # then the channels (when not supplied), then stage noises in protocol
 # order, then the AN matrix, then receiver noises.
 # Channels and AN, which enter products, are drawn into stack-last memory;
-# each noise is added in place to a product that already is stack-last.
+# each noise is drawn in its stack-last product's memory order and added in
+# place.
 # Under an arena (dcekit.numerics) the returned arrays last the chunk and
 # the intermediate signals live in scratch frames.
 # ---------------------------------------------------------------------------

@@ -291,7 +291,18 @@ def _axis_slicer(constellation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
             "per-axis slicing needs a product constellation: every pairing of "
             "a real level with an imaginary level must be a point, exactly once"
         )
-    return (re[1:] + re[:-1]) / 2.0, (im[1:] + im[:-1]) / 2.0, grid[::-1, ::-1].ravel()
+    slicer = (re[1:] + re[:-1]) / 2.0, (im[1:] + im[:-1]) / 2.0, grid[::-1, ::-1].ravel()
+    for part in slicer:
+        part.setflags(write=False)
+    return slicer
+
+
+@functools.cache
+def _qam64_slicer() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The default constellation's slicer, built on first use and kept.  Not
+    built at import: the first ``np.unique`` in a process maps in about 0.7
+    MB, which a run that never detects would otherwise carry."""
+    return _axis_slicer(QAM64)
 
 
 def ostbc_detect(
@@ -317,10 +328,12 @@ def ostbc_detect(
     that is the Cartesian product of its real and imaginary levels (every
     square QAM, including :data:`QAM4` and :data:`QAM64`) each coordinate is
     then sliced on its own axis; any other constellation raises
-    ``ValueError``.  A coordinate's level is the number of thresholds below
-    it, so one exactly on a threshold takes the lower level, NaN the top
-    level, and an infinite one the outer level on its side.  Under an arena
-    every array the size of the stack comes from it.
+    ``ValueError``.  The default's thresholds and point table are built once
+    per process, a constellation passed in on every call.  A coordinate's
+    level is the number of thresholds below it, so one exactly on a
+    threshold takes the lower level, NaN the top level, and an infinite one
+    the outer level on its side.  Under an arena every array the size of the
+    stack comes from it.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
@@ -329,7 +342,10 @@ def ostbc_detect(
             f"y and h_hat must be (..., 4, n_r) blocks with the same n_r >= 1, "
             f"got {y.shape} and {h_hat.shape}"
         )
-    mids_re, mids_im, table = _axis_slicer(QAM64 if constellation is None else constellation)
+    if constellation is None:
+        mids_re, mids_im, table = _qam64_slicer()
+    else:  # built and checked on every call
+        mids_re, mids_im, table = _axis_slicer(constellation)
     lead, n_r = np.broadcast_shapes(y.shape[:-2], h_hat.shape[:-2]), y.shape[-1]
     detected = empty(lead + (3,))
     with scratch():

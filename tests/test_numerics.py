@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dcekit.numerics import (
     Arena,
     RngStream,
     _householder_qr,
+    add_complex_normal,
     complex_normal,
     empty,
     empty_like,
@@ -24,6 +26,7 @@ from dcekit.numerics import (
     null_complement,
     random_gaussian,
     scratch,
+    stacked_complex_normal,
 )
 
 
@@ -178,15 +181,18 @@ class TestHouseholderQr:
 
     @pytest.mark.parametrize("shape", [(4, 4), (6, 4)])
     def test_haar_q_matches_lapack(self, shape):
-        batch = haar_semiunitary(RngStream(41).generator, (4096,) + shape)
+        """The QR the Haar law rests on: the Q factor of a Gaussian stack with
+        its R diagonal made positive is LAPACK's, phase-normalized."""
         a = complex_normal(RngStream(41).generator, (4096,) + shape, 1.0)
-        q, r = np.linalg.qr(a)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        ref = q * (diag / np.abs(diag)).conj()[..., None, :]
-        err = np.max(np.abs(batch - ref), axis=(-2, -1))
+        q, diag = _householder_qr(a, slice(0, shape[1]))
+        got = q * np.sign(diag)[..., None, :]
+        q_ref, r = np.linalg.qr(a)
+        r_diag = np.diagonal(r, axis1=-2, axis2=-1)
+        ref = q_ref * (r_diag / np.abs(r_diag)).conj()[..., None, :]
+        err = np.max(np.abs(got - ref), axis=(-2, -1))
         assert np.all(err <= self._tolerance(a))
         eye = np.eye(shape[1])
-        assert np.max(np.abs(np.swapaxes(batch.conj(), -1, -2) @ batch - eye)) <= 1e-12
+        assert np.max(np.abs(np.swapaxes(got.conj(), -1, -2) @ got - eye)) <= 1e-12
 
     def test_reduced_columns_are_left_alone(self):
         """Real pivots with nothing below them take tau = 0, as in LAPACK:
@@ -195,6 +201,105 @@ class TestHouseholderQr:
         q, diag = _householder_qr(a, slice(0, 4))
         np.testing.assert_array_equal(q, np.broadcast_to(np.eye(4), q.shape))
         np.testing.assert_array_equal(diag, np.diagonal(a, axis1=-2, axis2=-1).real)
+
+
+class TestHaarReflectors:
+    """From HOUSEHOLDER_MIN_BATCH matrices on, the Haar pilot is a product of
+    reflectors of Gaussian vectors of lengths tau, tau - 1, ...; below, it is
+    LAPACK's QR of a full Gaussian draw."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4)])
+    def test_unitary(self, shape):
+        q = haar_semiunitary(RngStream(60).generator, (4096,) + shape)
+        assert q.shape == (4096,) + shape and q.strides[0] == q.itemsize
+        eye = np.eye(shape[1])
+        assert np.max(np.abs(np.swapaxes(q.conj(), -1, -2) @ q - eye)) <= 1e-13
+
+    @staticmethod
+    def _within_4se(samples: np.ndarray, expected: float) -> None:
+        """Every entry's mean over axis 0 lies within 4 standard errors of ``expected``."""
+        se = samples.std(axis=0) / math.sqrt(samples.shape[0])
+        assert np.all(np.abs(samples.mean(axis=0) - expected) <= 4.0 * se)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4)])
+    def test_haar_moments(self, shape):
+        """E|Q_ij|^2 = 1/tau, E|Q_ij|^4 = 2/(tau(tau+1)) and, for a square Q,
+        E|tr Q|^2 = 1, over 2^17 matrices."""
+        tau = shape[0]
+        q = np.concatenate([haar_semiunitary(RngStream(61, i).generator, (4096,) + shape)
+                            for i in range(32)])
+        power = np.abs(q) ** 2
+        self._within_4se(power, 1.0 / tau)
+        self._within_4se(power**2, 2.0 / (tau * (tau + 1)))
+        if shape[0] == shape[1]:
+            self._within_4se(np.abs(np.trace(q, axis1=-2, axis2=-1)) ** 2, 1.0)
+
+    def test_square_pilot_takes_ten_normals_per_matrix(self):
+        gen = RngStream(62).generator
+        haar_semiunitary(gen, (4096, 4, 4))
+        fresh = RngStream(62).generator
+        fresh.standard_normal(2 * 10 * 4096)
+
+        def same(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+            return np.array_equal(a, b)
+
+        assert same(gen.bit_generator.state, fresh.bit_generator.state)
+
+    def test_below_crossover_is_lapack_qr_of_the_same_draws(self):
+        shape = (HOUSEHOLDER_MIN_BATCH - 1, 4, 4)
+        got = haar_semiunitary(RngStream(63).generator, shape)
+        q, r = np.linalg.qr(complex_normal(RngStream(63).generator, shape, 1.0))
+        r_diag = np.diagonal(r, axis1=-2, axis2=-1)
+        np.testing.assert_array_equal(got, q * (r_diag / np.abs(r_diag)).conj()[..., None, :])
+
+
+class TestDrawLayout:
+    """Chunk-scale normals go straight into their destination's memory order;
+    smaller stacks draw exactly ``complex_normal``'s values."""
+
+    def test_below_crossover_matches_complex_normal(self):
+        shape = (HOUSEHOLDER_MIN_BATCH - 1, 4, 2)
+        ref = complex_normal(RngStream(70).generator, shape, 0.5)
+        got = stacked_complex_normal(RngStream(70).generator, shape, 0.5)
+        np.testing.assert_array_equal(got, ref)
+        x = complex_normal(RngStream(71).generator, shape, 1.0)
+        ref = x + complex_normal(RngStream(70).generator, shape, 0.5)
+        assert add_complex_normal(x, RngStream(70).generator, 0.5) is x
+        np.testing.assert_array_equal(x, ref)
+
+    def test_from_crossover_draws_are_in_memory_order(self):
+        batch, rows, cols = HOUSEHOLDER_MIN_BATCH, 4, 2
+        z = stacked_complex_normal(RngStream(72).generator, (batch, rows, cols), 0.5)
+        assert z.strides[0] == z.itemsize  # stack-last, rows outermost
+        ref = complex_normal(RngStream(72).generator, (rows, cols, batch), 0.5)
+        np.testing.assert_array_equal(z, ref.transpose(2, 0, 1))
+        # Added noise follows the target's own layout, either axis outermost.
+        for memory, axes in (((rows, cols, batch), (2, 0, 1)), ((cols, rows, batch), (2, 1, 0))):
+            x = np.zeros(memory, complex).transpose(axes)
+            assert add_complex_normal(x, RngStream(73).generator, 0.5) is x
+            ref = complex_normal(RngStream(73).generator, memory, 0.5)
+            np.testing.assert_array_equal(x, ref.transpose(axes))
+
+    def test_warm_add_takes_no_buffer(self):
+        """Noise and target share strides, so numpy adds them without an
+        iterator buffer (a batch-first draw took 258 KiB here)."""
+        arena, gen = Arena(), RngStream(74).generator
+
+        def call():
+            with arena.activate():
+                add_complex_normal(empty_stack((4096, 4, 2)), gen, 1.0)
+
+        call()
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestStackKernels:
