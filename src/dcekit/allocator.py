@@ -1,6 +1,8 @@
-r"""Training-energy allocators: exact solutions in reduced spaces.
+r"""Training-energy allocators: reduced-space solutions, exact for their closed forms.
 
-Two solvers, one contract: minimize LR's training NMSE subject to a floor
+Two solvers, one contract: minimize LR's closed-form training NMSE (exact
+for the reciprocal scheme, the Jensen surrogate for the non-reciprocal one,
+whose optimum is not that of LR's true NMSE) subject to a floor
 ``gamma`` on UR's NMSE plus energy caps, returning a :class:`SolveReport`
 whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
 (``NMSE_U - gamma``) is never below ``-1e-9``.  Each first runs
@@ -38,9 +40,9 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   ``lo = hi = e_l_max``: the paper's Proposition-1 closed form.
 
 * :func:`solve_nonreciprocal` -- five energies ``(e_t0, e_l1, e_l2, e_t3,
-  var_a)``, solved exactly in a reduced space.  LR's NMSE decreases in
-  ``e_t3 / D_bar``, ``D_bar = (n_t-n_l) var_a err + var_w``, and the
-  downlink error ``err`` (:func:`dcekit.analytics.downlink_error_floor`)
+  var_a)``, solved exactly for the Jensen surrogate in a reduced space.  Its
+  LR NMSE decreases in ``e_t3 / D_bar``, ``D_bar = (n_t-n_l) var_a err +
+  var_w``, and the downlink error ``err`` (:func:`dcekit.analytics.downlink_error_floor`)
   strictly decreases in ``e_t0``, ``e_l1`` and ``e_l2``.  So at any optimum
   with ``var_a > 0`` (lowering ``var_a`` would otherwise gain) the floor
   binds and every joule the caps leave goes to ``e_t0`` and to LR.
@@ -386,7 +388,11 @@ def _reduced_points(
 def solve_nonreciprocal(
     config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget
 ) -> SolveReport:
-    """Optimal non-reciprocal allocation by an exact reduced-space search.
+    """Non-reciprocal allocation by a reduced-space search, exact for the
+    Jensen surrogate :func:`dcekit.analytics.nmse_l_nonreciprocal_approx`.
+    That surrogate overstates the error of echo-heavy splits, so LR's true
+    NMSE is lower at a larger echo share ``e_l1`` (by 2-27% at the points
+    README's "Non-reciprocal allocation" table measures).
 
     For each AN variance the rest of the allocation is exact (see the module
     docstring).  ``var_a`` itself is searched by a 64-point grid over its

@@ -16,6 +16,8 @@ Two tables hold the schema: ``_STAGES`` gives each scheme's stage lengths
 and their floors, which are also their defaults, and ``_KEYS`` gives each
 config-file key its type and default.  :func:`parse_config` type-checks every
 value in a file and leaves all other checks on the settings to :func:`validate`.
+:func:`channel_table` gives each scheme's channels with their shapes and
+variances, in draw order: every channel draw and shape check reads it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "SystemConfig",
     "TrainingPlan",
     "allocation_violations",
+    "channel_table",
     "db_to_energy",
     "draw_channels",
     "load_config",
@@ -212,11 +215,8 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of every channel the active scheme uses.
-
-    Shapes: ``h`` and ``h_d`` are ``n_t x n_l``; ``h_u`` is ``n_l x n_t``
-    (uplink); ``g`` is ``n_t x n_u``.
-    """
+    """One draw of every channel the active scheme uses; their shapes and
+    variances are :func:`channel_table`'s."""
 
     g: np.ndarray
     h: np.ndarray | None = None
@@ -360,20 +360,24 @@ def allocation_violations(
     return out
 
 
+def channel_table(config: SystemConfig, scheme: str) -> tuple[tuple[str, tuple[int, int], float], ...]:
+    """Each channel ``scheme`` uses, in draw order: its :class:`ChannelRealization`
+    field, its shape and its per-entry variance.  ``ValueError`` for an unknown scheme."""
+    down, g = (config.n_t, config.n_l), ("g", (config.n_t, config.n_u), config.var_g)
+    if scheme == RECIPROCAL:
+        return ("h", down, config.var_h), g
+    if scheme == NONRECIPROCAL:
+        return ("h_d", down, config.var_hd), ("h_u", down[::-1], config.var_hu), g
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def draw_channels(
     config: SystemConfig, scheme: str, rng: RngStream
 ) -> ChannelRealization:
-    """Draw one realization of the channels used by ``scheme``."""
-    if scheme == RECIPROCAL:
-        h = random_gaussian(config.n_t, config.n_l, config.var_h, rng)
-        g = random_gaussian(config.n_t, config.n_u, config.var_g, rng)
-        return ChannelRealization(g=g, h=h)
-    if scheme == NONRECIPROCAL:
-        h_d = random_gaussian(config.n_t, config.n_l, config.var_hd, rng)
-        h_u = random_gaussian(config.n_l, config.n_t, config.var_hu, rng)
-        g = random_gaussian(config.n_t, config.n_u, config.var_g, rng)
-        return ChannelRealization(g=g, h_d=h_d, h_u=h_u)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Draw one realization of the channels used by ``scheme``, in
+    :func:`channel_table` order."""
+    table = channel_table(config, scheme)
+    return ChannelRealization(**{name: random_gaussian(*shape, var, rng) for name, shape, var in table})
 
 
 def db_to_energy(p_db: float, tau: int) -> float:

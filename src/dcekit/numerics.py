@@ -18,12 +18,12 @@ chunk-scale stack in *stack-last* memory: the array is still ``(batch, rows,
 cols)``, but the batch axis has unit stride (:func:`empty_stack` allocates
 one; ``strides[0] == itemsize``).  On that layout :func:`matmul` computes a
 product of two stacks as ``q`` multiply-adds of contiguous vectors along the
-stack per row of the result, and a product with one shared matrix as a few
-GEMMs against whole rows of the stack; :func:`hermitian_solve` is a Cholesky
+stack per row of the result, and a shared left factor times a stack as one
+GEMM per column of the stack; :func:`hermitian_solve` is a Cholesky
 factorization and two triangular solves with one vector operation per step;
-:func:`_householder_qr`, behind the null complements and the Haar pilots,
-runs each Householder step as one vectorized pass with LAPACK's conventions
-and returns stack-last factors without a copy; :func:`haar_semiunitary`
+:func:`_householder_qr`, behind the null complements, runs each Householder
+step as one vectorized pass with LAPACK's conventions and returns the
+complement columns stack-last without a copy; :func:`haar_semiunitary`
 builds the Haar pilots from the same reflector step without a full Gaussian
 matrix or its QR; and the draws (:func:`stacked_complex_normal`,
 :func:`add_complex_normal`) write their normals straight into stack-last
@@ -330,33 +330,25 @@ def herm(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a ``(batch, p, q)`` stack times a ``(batch, q, r)`` stack,
-    where either factor may instead be one matrix shared by the stack.
+    """``a @ b`` for a ``(batch, p, q)`` stack times a ``(batch, q, r)`` stack
+    ``b``, where ``a`` may instead be one ``(p, q)`` matrix shared by the stack.
 
     From :data:`HOUSEHOLDER_MIN_BATCH` matrices on the result is stack-last:
-    a shared factor makes a few GEMMs against whole rows of the stack, and two
-    stacks make, per row of the result, ``q`` multiply-adds of ``r`` vectors
-    along the stack (fast when the inputs are stack-last, correct for any
-    strides).  Smaller stacks, and inputs that are not 2-D or 3-D, take
-    numpy's ``@``.
+    a shared ``a`` makes one ``(p, q) @ (q, batch)`` GEMM per column of ``b``,
+    and two stacks make, per row of the result, ``q`` multiply-adds of ``r``
+    vectors along the stack (fast when the inputs are stack-last, correct for
+    any strides).  Smaller stacks take numpy's ``@``.
     """
-    # Every product of a batch-of-one round passes here: the first test is
-    # the cheapest that sends it to numpy.
-    if a.shape[0] < HOUSEHOLDER_MIN_BATCH and b.shape[0] < HOUSEHOLDER_MIN_BATCH:
-        return a @ b
-    batch = max(a.shape[0] if a.ndim == 3 else 1, b.shape[0] if b.ndim == 3 else 1)
-    if batch < HOUSEHOLDER_MIN_BATCH or not (2 <= a.ndim <= 3 and 2 <= b.ndim <= 3):
+    # Every product of a batch-of-one round passes here: one test sends it to numpy.
+    batch = b.shape[0]
+    if batch < HOUSEHOLDER_MIN_BATCH:
         return a @ b
     dtype = np.result_type(a, b)
     if a.ndim == 2:  # one (p, q) @ (q, batch) GEMM per column of b
         bm = b.transpose(2, 1, 0)
         out = empty((bm.shape[0], a.shape[0], batch), dtype)
         return np.matmul(a, bm, out=out).transpose(2, 1, 0)
-    am = a.transpose(1, 2, 0)
-    if b.ndim == 2:  # one (r, q) @ (q, batch) GEMM per row of a
-        out = empty((am.shape[0], b.shape[1], batch), dtype)
-        return np.matmul(b.T, am, out=out).transpose(2, 0, 1)
-    bm = b.transpose(1, 2, 0)
+    am, bm = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
     out = empty((am.shape[0], bm.shape[1], batch), dtype)
     with scratch():
         term = empty(out.shape[1:], dtype)
@@ -408,18 +400,10 @@ def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.transpose(2, 0, 1)
 
 
-def _qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``cols`` of the complete Q factor and the R diagonal of a stack
-    of ``(..., n, m)`` matrices: numpy's LAPACK QR below
-    :data:`HOUSEHOLDER_MIN_BATCH` matrices, :func:`_householder_qr` from there on."""
-    if math.prod(a.shape[:-2]) < HOUSEHOLDER_MIN_BATCH:
-        q, r = np.linalg.qr(a, mode="complete" if cols.stop > a.shape[-1] else "reduced")
-        return q[..., cols], np.diagonal(r, axis1=-2, axis2=-1)
-    return _householder_qr(a, cols)
-
-
-def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_qr` by Householder reflections, each step one pass over the stack.
+def _householder_qr(a: np.ndarray) -> np.ndarray:
+    """The last ``n - m`` columns of the complete Q factor of a stack of
+    ``(..., n, m)`` matrices, by Householder reflections, each step one pass
+    over the stack; stack-last, with its columns outermost.
 
     LAPACK's ``zgeqrf`` / ``zungqr`` conventions: reflector ``k`` is ``I - tau
     v v^H`` with ``v[0] = 1``; the R diagonal ``beta`` is real, of the sign
@@ -427,7 +411,7 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
     diagonal and a real pivot is left alone (``tau = 0``).  Column norms are
     taken from the moduli divided by their largest, so no square overflows or
     underflows at any scale, and a zero column gives ``tau = beta = 0``.
-    The factors are taken (:func:`empty`) before the working copy and the
+    The result is taken (:func:`empty`) before the working copy and the
     per-step vectors, which live in one :func:`scratch` frame.
     """
     n, m = a.shape[-2:]
@@ -435,9 +419,7 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
     stack = a.reshape((math.prod(lead), n, m))
     size = stack.shape[0]
     steps = min(n, m)
-    idx = np.arange(n)[cols]
-    q = empty((idx.size, n, size))
-    diag = empty((steps, size), np.float64)
+    q = empty((max(n - m, 0), n, size))
     with scratch():
         # w[j, i] holds entry (i, j) of every matrix: the stack is the last
         # axis, and each column of the matrices is one contiguous block.  From
@@ -445,22 +427,20 @@ def _householder_qr(a: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]
         # reflector vectors v overwrite the columns below the diagonal.
         w = empty((m, n, size))
         np.copyto(w, stack.transpose(2, 1, 0))
-        taus = empty((steps, size))
+        taus, beta = empty((steps, size)), empty((size,), np.float64)
         work, tau_h = _reflector_work(n, size), empty((size,))
         for k in range(steps):
-            _reflector(w[k, k:], diag[k], taus[k], work)
+            _reflector(w[k, k:], beta, taus[k], work)
             # Apply H^H = I - conj(tau) v v^H to the trailing columns.
             _reflect(w[k + 1:, k:], w[k, k + 1:], np.conjugate(taus[k], out=tau_h))
 
-        # Q[:, cols] = H_0 ... H_{steps-1} I[:, cols], accumulated from the
-        # right; when H_k is applied, the columns left of k are still zero
-        # below row k.
+        # Q[:, m:] = H_0 ... H_{steps-1} I[:, m:], accumulated from the right.
         q.fill(0.0)
-        q[np.arange(idx.size), idx] = 1.0
+        q[np.arange(n - m), np.arange(m, n)] = 1.0
         for k in range(steps - 1, -1, -1):
-            _reflect(q[max(k - cols.start, 0):, k:], w[k, k + 1:], taus[k])
+            _reflect(q[:, k:], w[k, k + 1:], taus[k])
     q = q.transpose(2, 1, 0)  # stack-last: no copy back
-    return q.reshape(lead + q.shape[1:]), diag.T.reshape(lead + (steps,))
+    return q.reshape(lead + q.shape[1:])
 
 
 def _reflector_work(n: int, size: int) -> tuple[np.ndarray, ...]:
@@ -552,7 +532,8 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     size = math.prod(lead)
     if size < HOUSEHOLDER_MIN_BATCH:
         with scratch():
-            q, diag = _qr(complex_normal(gen, shape, 1.0), slice(0, n))
+            q, r = np.linalg.qr(complex_normal(gen, shape, 1.0))
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
             ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
             phase = empty_like(diag, np.complex128)
             np.copyto(phase, ratio)
@@ -584,7 +565,10 @@ def null_complement(mat: np.ndarray) -> np.ndarray:
 
     Never raises: the last ``n - m`` columns of the unitary complete-QR factor
     complement the span of ``mat`` at any rank, zero included, which the
-    protocol needs on edges like an unpowered reverse stage.
+    protocol needs on edges like an unpowered reverse stage.  Numpy's LAPACK
+    QR below :data:`HOUSEHOLDER_MIN_BATCH` matrices, :func:`_householder_qr`
+    from there on.
     """
-    n, m = mat.shape[-2:]
-    return _qr(mat, slice(m, n))[0]
+    if math.prod(mat.shape[:-2]) < HOUSEHOLDER_MIN_BATCH:
+        return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
+    return _householder_qr(mat)

@@ -21,24 +21,25 @@ downlink pilot ``C_t0``, which must stay unpredictable to both receivers and
 is therefore Haar-random per round.
 
 :func:`run_rounds` is the one estimation engine, a batch of independent
-rounds of either scheme; :mod:`dcekit.simkit` drives it after one
-:func:`check_inputs`.  :func:`run_reciprocal` / :func:`run_nonreciprocal` are
-its batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
-on the same stream) that add the error statistics of :mod:`dcekit.analytics`.
+rounds of either scheme, and the one input check: ``ValueError`` for an
+invalid configuration or plan, :class:`AllocationError` for a malformed
+allocation.  :func:`run_reciprocal` / :func:`run_nonreciprocal` are its
+batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
+on the same stream), one body for both schemes, that also check the plan's
+scheme and each channel's shape (:func:`dcekit.model.channel_table`) and add
+the error statistics of :mod:`dcekit.analytics`.
 
 What a round needs that no draw changes is checked and built once per
 (config, plan, allocation), in one memo that keeps the :data:`_MEMO_SIZE`
 latest distinct valid inputs: the reverse or uplink pilot and its LMMSE
 combiner, the echo gain ``alpha`` with the echo estimator's regularizer
 ``beta`` and prefactor, the noise level LR's forward estimate assumes, the
-forward pilot with LR's and UR's combiners, and the per-direction errors
-(with their means) of every estimate whose errors do not depend on the draw.
-Every round of those inputs shares these arrays, so they are read-only; so
-is every transcript's ``per_direction_error_var``, and its pilot signals
-``x_l`` / ``x_l2`` are the shared arrays.  :func:`check_inputs` and
-:func:`run_rounds` both go through that memo, so a passing check leaves the
-constants the rounds read; invalid inputs are checked, and raise, on every
-call.
+forward pilot with LR's and UR's combiners, and the per-direction errors of
+every estimate whose errors do not depend on the draw.  Every round of those
+inputs shares these arrays, so they are read-only; so is every transcript's
+``per_direction_error_var``, and its pilot signals ``x_l`` / ``x_l2`` are
+the shared arrays.  Invalid inputs store nothing, so they are checked, and
+raise, on every call.
 
 Every per-trial array of a chunk lives in stack-last memory (the trial axis
 has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
@@ -76,6 +77,7 @@ from .model import (
     SystemConfig,
     TrainingPlan,
     allocation_violations,
+    channel_table,
     optimal_pilot_gram,
     validate,
 )
@@ -97,7 +99,6 @@ from .numerics import (
 __all__ = [
     "EstimateWithError",
     "TrainingTranscript",
-    "check_inputs",
     "dft_semiunitary",
     "forward_pilot",
     "run_nonreciprocal",
@@ -115,13 +116,17 @@ class EstimateWithError:
     """An estimate bundled with its exact per-direction error statistics.
 
     ``per_direction_error_var`` holds the per-entry error variance along each
-    eigendirection of the pilot Gram; ``nmse`` is their mean, i.e. the
-    per-entry mean-square error, which always lies in ``[0, prior_var]``.
+    eigendirection of the pilot Gram.
     """
 
     estimate: np.ndarray
     per_direction_error_var: np.ndarray
-    nmse: float
+
+    @property
+    def nmse(self) -> float:
+        """Mean of ``per_direction_error_var``, i.e. the per-entry mean-square
+        error, which always lies in ``[0, prior_var]``."""
+        return float(self.per_direction_error_var.mean())
 
 
 @dataclass(frozen=True)
@@ -181,19 +186,6 @@ def squared_error(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
 _MEMO_SIZE = 16
 
 
-def check_inputs(
-    config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation, scheme: str
-) -> None:
-    """Raise unless ``config``, ``plan`` and ``alloc`` admit a ``scheme`` round:
-    ``ValueError`` for a mismatched plan or an invalid configuration,
-    :class:`AllocationError` for a malformed allocation.  The rest of the
-    check is :func:`_round_constants`, so valid inputs leave their round's
-    constants in its memo."""
-    if plan.scheme != scheme:
-        raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
-    _round_constants(config, plan, alloc)
-
-
 @dataclass(frozen=True)
 class _RoundConstants:
     """What every round of one (config, plan, alloc) shares; arrays read-only."""
@@ -207,18 +199,18 @@ class _RoundConstants:
     k_l: np.ndarray  # LR's forward combiner
     k_u: np.ndarray  # UR's forward combiner
     noise_l: float  # per-entry noise level LR's forward estimate assumes
-    # Per-direction error variances and their mean, for "lr", "ur" and, when
-    # they do not depend on the draw (reciprocal), "tx".
-    errors: Mapping[str, tuple[np.ndarray, float]]
+    # Per-direction error variances for "lr", "ur" and, when they do not
+    # depend on the draw (reciprocal), "tx".
+    errors: Mapping[str, np.ndarray]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _round_constants(
     config: SystemConfig, plan: TrainingPlan, alloc: PowerAllocation
 ) -> _RoundConstants:
-    """Check the inputs, raising as :func:`check_inputs` says, then build the
-    draw-independent part of their rounds.  A raising call stores nothing,
-    so invalid inputs are checked, and raise, on every call."""
+    """Check the inputs (``ValueError`` for an invalid configuration or plan,
+    :class:`AllocationError` for a malformed allocation), then build the
+    draw-independent part of their rounds.  A raising call stores nothing."""
     problems = validate(config, plan)
     if problems:
         raise ValueError(f"invalid configuration: {problems[0]}")
@@ -253,7 +245,7 @@ def _round_constants(
     dirs["ur"] = analytics.forward_direction_errors(config, config.var_g, e_fwd, r_u, d)
     for arr in (x_rev, k_rev, x_bar, k_l, k_u, *dirs.values()):
         arr.setflags(write=False)
-    errors = MappingProxyType({k: (v, float(v.mean())) for k, v in dirs.items()})
+    errors = MappingProxyType(dirs)
     return _RoundConstants(x_rev, k_rev, alpha, b, scale, x_bar, k_l, k_u, noise_l, errors)
 
 
@@ -279,10 +271,11 @@ def run_rounds(
     channels: tuple[np.ndarray, ...] | None = None,
     keep_signals: bool = False,
 ) -> dict:
-    """Run ``batch`` independent rounds of ``plan.scheme``, raising on invalid
-    inputs as :func:`check_inputs` does.  ``channels`` holds batched ``(h,
-    g)`` or ``(h_d, h_u, g)``, used as given; without it they are drawn from
-    ``gen`` (stack-last).
+    """Run ``batch`` independent rounds of ``plan.scheme``; ``ValueError`` for
+    an invalid configuration or plan, :class:`AllocationError` for a
+    malformed allocation.  ``channels`` holds batched ``(h, g)`` or ``(h_d,
+    h_u, g)``, used as given; without it they are drawn from ``gen``
+    (stack-last) in :func:`dcekit.model.channel_table` order.
 
     Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
@@ -300,14 +293,14 @@ def run_rounds(
     return rounds(config, alloc, const, gen, batch, channels, keep_signals)
 
 
-def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
-    n_t, n_l = config.n_t, config.n_l
-    if channels is None:
-        h = stacked_complex_normal(gen, (batch, n_t, n_l), config.var_h)
-        g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
-    else:
-        h, g = channels
+def _draw_channels(config, scheme, gen, batch) -> tuple[np.ndarray, ...]:
+    """A batch of ``scheme``'s channels, stack-last, in :func:`channel_table` order."""
+    table = channel_table(config, scheme)
+    return tuple(stacked_complex_normal(gen, (batch, *shape), var) for _, shape, var in table)
 
+
+def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
+    h, g = _draw_channels(config, RECIPROCAL, gen, batch) if channels is None else channels
     with scratch():
         y_t = add_complex_normal(matmul(const.x_rev, np.swapaxes(h, -1, -2)), gen, config.var_wt)
         with keep():
@@ -324,12 +317,7 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signa
 
     # Haar-random square unitary pilot, redrawn every round.
     c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
-    if channels is None:
-        h_d = stacked_complex_normal(gen, (batch, n_t, n_l), config.var_hd)
-        h_u = stacked_complex_normal(gen, (batch, n_l, n_t), config.var_hu)
-        g = stacked_complex_normal(gen, (batch, n_t, config.n_u), config.var_g)
-    else:
-        h_d, h_u, g = channels
+    h_d, h_u, g = _draw_channels(config, NONRECIPROCAL, gen, batch) if channels is None else channels
 
     x_t0 = np.multiply(np.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
     with scratch():
@@ -391,39 +379,43 @@ def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
         )
 
 
-def _transcript(plan, out, errors) -> TrainingTranscript:
-    """Unbatch one engine round and attach ``errors``: for ``"tx"``, ``"lr"``
-    and ``"ur"``, the per-direction error variances and their mean."""
-    null_basis = out["k_null"][0]
-    _guard_null_residual(null_basis, out["h_hat"][0])
-    keys = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
-    return TrainingTranscript(
-        scheme=plan.scheme,
-        signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
-        an_matrix=out["an"][0],
-        null_basis=null_basis,
-        estimates={k: EstimateWithError(out[est][0], *errors[k]) for k, (_, est) in keys.items()},
-        squared_errors={
-            k: float(squared_error(out[truth], out[est])[0]) for k, (truth, est) in keys.items()
-        },
-    )
-
-
-def _batch_of_one(config, channels, names) -> tuple[np.ndarray, ...]:
-    """The ``names`` fields of ``channels`` as ``complex128`` batches of one,
-    each checked against its shape under ``config``."""
-    n_t, n_l = config.n_t, config.n_l
-    shapes = {"h": (n_t, n_l), "h_d": (n_t, n_l), "h_u": (n_l, n_t), "g": (n_t, config.n_u)}
-    out = []
-    for name in names:
+def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscript:
+    """One ``scheme`` round on a given channel draw: the engine at batch one,
+    unbatched into a transcript with its error statistics."""
+    if plan.scheme != scheme:
+        raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
+    const = _round_constants(config, plan, alloc)
+    batched = []
+    for name, shape, _ in channel_table(config, scheme):
         x = getattr(channels, name)
         if x is None:
             raise ValueError(f"this scheme's run needs channels.{name}")
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape != shapes[name]:
-            raise ValueError(f"channels.{name} must have shape {shapes[name]}, got {x.shape}")
-        out.append(x[None])
-    return tuple(out)
+        if x.shape != shape:
+            raise ValueError(f"channels.{name} must have shape {shape}, got {x.shape}")
+        batched.append(x[None])
+    out = run_rounds(config, plan, alloc, rng.generator, 1, tuple(batched), keep_signals=True)
+
+    errors = const.errors
+    if scheme == NONRECIPROCAL:  # the echo estimate's errors depend on the draw
+        hu_hat = out["hu_hat"][0]
+        lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
+        tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, const.beta, lam)
+        tx_dirs.setflags(write=False)
+        errors = {**errors, "tx": tx_dirs}
+    null_basis = out["k_null"][0]
+    _guard_null_residual(null_basis, out["h_hat"][0])
+    keys = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
+    return TrainingTranscript(
+        scheme=scheme,
+        signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
+        an_matrix=out["an"][0],
+        null_basis=null_basis,
+        estimates={k: EstimateWithError(out[est][0], errors[k]) for k, (_, est) in keys.items()},
+        squared_errors={
+            k: float(squared_error(out[truth], out[est])[0]) for k, (truth, est) in keys.items()
+        },
+    )
 
 
 def run_reciprocal(
@@ -433,12 +425,10 @@ def run_reciprocal(
     channels: ChannelRealization,
     rng: RngStream,
 ) -> TrainingTranscript:
-    """Execute one reciprocal training round for a given channel draw;
-    ``ValueError`` for a missing or misshapen channel."""
-    check_inputs(config, plan, alloc, RECIPROCAL)
-    batched = _batch_of_one(config, channels, ("h", "g"))
-    out = run_rounds(config, plan, alloc, rng.generator, 1, batched, keep_signals=True)
-    return _transcript(plan, out, _round_constants(config, plan, alloc).errors)
+    """Execute one reciprocal training round for a given channel draw.  Raises
+    as :func:`run_rounds` does, and ``ValueError`` for a non-reciprocal plan or
+    a missing or misshapen channel."""
+    return _single_round(config, plan, alloc, channels, rng, RECIPROCAL)
 
 
 def run_nonreciprocal(
@@ -448,14 +438,7 @@ def run_nonreciprocal(
     channels: ChannelRealization,
     rng: RngStream,
 ) -> TrainingTranscript:
-    """Execute one non-reciprocal training round for a given channel draw;
-    ``ValueError`` for a missing or misshapen channel."""
-    check_inputs(config, plan, alloc, NONRECIPROCAL)
-    batched = _batch_of_one(config, channels, ("h_d", "h_u", "g"))
-    out = run_rounds(config, plan, alloc, rng.generator, 1, batched, keep_signals=True)
-    const = _round_constants(config, plan, alloc)
-    hu_hat = out["hu_hat"][0]
-    lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
-    tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, const.beta, lam)
-    tx_dirs.setflags(write=False)
-    return _transcript(plan, out, {**const.errors, "tx": (tx_dirs, float(tx_dirs.mean()))})
+    """Execute one non-reciprocal training round for a given channel draw.  Raises
+    as :func:`run_rounds` does, and ``ValueError`` for a reciprocal plan or
+    a missing or misshapen channel."""
+    return _single_round(config, plan, alloc, channels, rng, NONRECIPROCAL)

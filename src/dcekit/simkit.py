@@ -56,7 +56,7 @@ from .numerics import (
     matmul,
     scratch,
 )
-from .protocol import check_inputs, run_rounds, squared_error
+from .protocol import run_rounds, squared_error
 
 __all__ = [
     "CHUNK",
@@ -167,7 +167,16 @@ def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
     ``i`` of at most :data:`CHUNK` trials and add the returned tuples
     elementwise, from 0 and in chunk order, on any number of ``workers``.
     Each chunk runs under an arena from the pool, so ``chunk`` must return
-    Python scalars, never an array."""
+    Python scalars, never an array.  ``trials`` and ``seed`` must be integers
+    (``TypeError`` otherwise), ``workers`` at least 1 and ``seed`` at least 0
+    (``ValueError`` otherwise); ``chunk`` checks the rest."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     full, rem = divmod(trials, CHUNK)
@@ -197,7 +206,6 @@ def mc_nmse(
     """Estimate LR/UR training NMSE empirically and pair it with closed forms."""
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
-    check_inputs(config, plan, alloc, plan.scheme)
     norm_l = config.n_t * config.n_l
     norm_u = config.n_t * config.n_u
 
@@ -435,7 +443,6 @@ def mc_ser(
         raise ValueError(f"the data phase uses a 4-antenna block code, got n_t={config.n_t}")
     if not 0.0 < data_power < math.inf:
         raise ValueError(f"data_power must be positive and finite, got {data_power}")
-    check_inputs(config, plan, alloc, plan.scheme)
     # Unit-energy symbols, 12 units per 4-use codeword: scale^2 * 12 = 4 * P.
     amp = math.sqrt(data_power / 3.0)
 

@@ -981,3 +981,52 @@ class TestShareSearch:
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
         rep, calls = self._counted_solve(budget, monkeypatch)
         assert rep.converged and calls <= most
+
+
+class TestVarASinglePeak:
+    """The ``var_a`` search zooms in on the best point of a grid, which finds
+    the optimum only if ``e_t3 / D_bar`` along the floor has one peak in
+    ``var_a``.  On random feasible budgets (four configurations, every rank,
+    ``tau_t3`` of ``n_t`` or ``2 n_t``, half of them with a total cap) a
+    dense scan never beats the solver, and the scanned ratio rises, then
+    falls, changing direction at most once."""
+
+    CONFIGS = (CFG, CFG_SKEW, SystemConfig(6, 2, 3), SystemConfig(5, 3, 2))
+
+    def _budgets(self, count):
+        rng = np.random.default_rng(22)
+        found = 0
+        while found < count:
+            cfg = self.CONFIGS[found % len(self.CONFIGS)]
+            rank = int(rng.integers(1, cfg.n_t + 1))
+            plan = nonreciprocal_plan(cfg, pilot_rank=rank, tau_t3=int(rng.choice([1, 2])) * cfg.n_t)
+            e_t, e_l = 10.0 ** rng.uniform(1.0, 4.5), 10.0 ** rng.uniform(0.5, 4.0)
+            e_ave = 10.0 ** rng.uniform(1.0, 4.5) if found < count // 2 else math.inf
+            # gamma uniform over the window rank K can meet (as in the oracle test).
+            cap = min(e_t, e_ave)
+            gamma_k_min = 1.0 / (cap / (rank * cfg.var_v) + 1.0 / cfg.var_g)
+            lo = ((cfg.n_t - rank) * cfg.var_g + rank * gamma_k_min) / cfg.n_t
+            budget = EnergyBudget(e_t, e_l, rng.uniform(lo, cfg.var_g), e_ave_max=e_ave)
+            try:
+                gt = allocator._floor_energy(cfg, plan, budget)
+            except InfeasibleGamma:
+                continue
+            if gt is not None:  # None: no floor to search along
+                found += 1
+                yield cfg, plan, budget, gt
+
+    def test_dense_scan(self):
+        for cfg, plan, budget, gt in self._budgets(60):
+            rep = solve_nonreciprocal(cfg, plan, budget)
+            best = rep.allocation.e_t3 / analytics.nonreciprocal_effective_noise(cfg, rep.allocation)
+            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
+            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
+            grid = var_a_max * np.unique(np.concatenate(
+                [[0.0], np.geomspace(1e-9, 1.0, 2000), np.linspace(0.0, 1.0, 2001)]
+            ))
+            ratio, _ = allocator._reduced_points(cfg, plan, budget, gt, grid)
+            # Rounding only: the solver's own point evaluates within 1e-12.
+            assert np.max(ratio) <= best * (1.0 + 1e-12), (cfg, plan, budget)
+            steps = np.diff(ratio)
+            signs = np.sign(steps[np.abs(steps) > 1e-12 * np.max(np.abs(ratio))])
+            assert np.all(np.diff(signs) <= 0), (cfg, plan, budget)  # up, then down

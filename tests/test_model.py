@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from dcekit.model import (
@@ -14,6 +15,7 @@ from dcekit.model import (
     SystemConfig,
     allocation_violations,
     db_to_energy,
+    channel_table,
     draw_channels,
     load_config,
     nonreciprocal_plan,
@@ -24,7 +26,7 @@ from dcekit.model import (
     training_spend,
     validate,
 )
-from dcekit.numerics import RngStream
+from dcekit.numerics import RngStream, random_gaussian
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
 
@@ -349,3 +351,14 @@ class TestDrawChannels:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             draw_channels(CFG, "carrier-pigeon", RngStream(0))
+        with pytest.raises(ValueError, match="carrier-pigeon"):
+            channel_table(CFG, "carrier-pigeon")
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_draws_follow_the_channel_table(self, scheme):
+        """Each field is drawn in table order, at its shape and variance."""
+        cfg = SystemConfig(5, 2, 3, var_h=0.5, var_hu=2.0, var_hd=0.25, var_g=4.0)
+        ch = draw_channels(cfg, scheme, RngStream(1))
+        ref = RngStream(1)
+        for name, shape, var in channel_table(cfg, scheme):
+            np.testing.assert_array_equal(getattr(ch, name), random_gaussian(*shape, var, ref))

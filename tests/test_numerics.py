@@ -158,7 +158,8 @@ class TestRandomSemiunitary:
 
 class TestHouseholderQr:
     """The vectorized QR that stacks of HOUSEHOLDER_MIN_BATCH or more
-    matrices take reproduces numpy's LAPACK QR (zgeqrf/zungqr conventions)."""
+    matrices take gives the complement columns of numpy's complete LAPACK QR
+    (zgeqrf/zungqr conventions)."""
 
     @staticmethod
     def _tolerance(a: np.ndarray) -> np.ndarray:
@@ -169,38 +170,22 @@ class TestHouseholderQr:
 
     @pytest.mark.parametrize("shape", [(4, 2), (6, 3), (5, 1)])
     def test_complete_q_matches_lapack(self, shape):
-        n = shape[0]
+        m = shape[1]
         a = complex_normal(RngStream(40).generator, (4096,) + shape, 1.0)
-        q, diag = _householder_qr(a, slice(0, n))
-        q_ref, r_ref = np.linalg.qr(a, mode="complete")
+        q = _householder_qr(a)
+        q_ref = np.linalg.qr(a, mode="complete")[0][..., m:]
+        assert q.shape == q_ref.shape and q.strides[0] == q.itemsize
         err = np.max(np.abs(q - q_ref), axis=(-2, -1))
         assert np.all(err <= self._tolerance(a))
-        np.testing.assert_allclose(diag, np.diagonal(r_ref, axis1=-2, axis2=-1).real, rtol=1e-13)
         # The complement is the public null_complement on the same stack.
-        np.testing.assert_array_equal(null_complement(a), q[..., shape[1]:])
-
-    @pytest.mark.parametrize("shape", [(4, 4), (6, 4)])
-    def test_haar_q_matches_lapack(self, shape):
-        """The QR the Haar law rests on: the Q factor of a Gaussian stack with
-        its R diagonal made positive is LAPACK's, phase-normalized."""
-        a = complex_normal(RngStream(41).generator, (4096,) + shape, 1.0)
-        q, diag = _householder_qr(a, slice(0, shape[1]))
-        got = q * np.sign(diag)[..., None, :]
-        q_ref, r = np.linalg.qr(a)
-        r_diag = np.diagonal(r, axis1=-2, axis2=-1)
-        ref = q_ref * (r_diag / np.abs(r_diag)).conj()[..., None, :]
-        err = np.max(np.abs(got - ref), axis=(-2, -1))
-        assert np.all(err <= self._tolerance(a))
-        eye = np.eye(shape[1])
-        assert np.max(np.abs(np.swapaxes(got.conj(), -1, -2) @ got - eye)) <= 1e-12
+        np.testing.assert_array_equal(null_complement(a), q)
 
     def test_reduced_columns_are_left_alone(self):
         """Real pivots with nothing below them take tau = 0, as in LAPACK:
-        Q is the identity and R's diagonal is the input's."""
+        the complement is the trailing columns of the identity."""
         a = np.triu(complex_normal(RngStream(42).generator, (4096, 4, 2), 1.0).real).astype(complex)
-        q, diag = _householder_qr(a, slice(0, 4))
-        np.testing.assert_array_equal(q, np.broadcast_to(np.eye(4), q.shape))
-        np.testing.assert_array_equal(diag, np.diagonal(a, axis1=-2, axis2=-1).real)
+        q = _householder_qr(a)
+        np.testing.assert_array_equal(q, np.broadcast_to(np.eye(4)[:, 2:], q.shape))
 
 
 class TestHaarReflectors:
@@ -328,8 +313,8 @@ class TestStackKernels:
             b = complex_normal(gen, (batch, q, r), 1.0)
             if layout == "stack_last":
                 a, b = stack_last(a), stack_last(b)
-            # Two stacks, and a matrix shared by the stack on either side.
-            for x, y in ((a, b), (a[0], b), (a, b[0])):
+            # Two stacks, and a left factor shared by the stack.
+            for x, y in ((a, b), (a[0], b)):
                 self._check(matmul(x, y), np.matmul(x, y), batch)
 
     @pytest.mark.parametrize("batch", BATCHES)

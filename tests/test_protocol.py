@@ -38,7 +38,6 @@ from dcekit.numerics import HOUSEHOLDER_MIN_BATCH, Arena, RngStream, complex_nor
 from dcekit.protocol import (
     _guard_null_residual,
     _round_constants,
-    check_inputs,
     dft_semiunitary,
     forward_pilot,
     run_nonreciprocal,
@@ -536,7 +535,7 @@ class TestRoundConstants:
             _, t = _nonrec_round()
             const, pilot = _round_constants(CFG, N_PLAN, N_ALLOC), "x_l2"
         arrays = [const.x_rev, const.k_rev, const.x_bar, const.k_l, const.k_u]
-        arrays += [dirs for dirs, _ in const.errors.values()]
+        arrays += list(const.errors.values())
         arrays += [e.per_direction_error_var for e in t.estimates.values()]
         arrays.append(t.signals[pilot])
         for arr in arrays:
@@ -545,7 +544,7 @@ class TestRoundConstants:
                 arr[...] = 0.0
         assert t.signals[pilot] is const.x_rev
         for key in ("lr", "ur"):
-            assert t.estimates[key].per_direction_error_var is const.errors[key][0]
+            assert t.estimates[key].per_direction_error_var is const.errors[key]
 
     def test_cache_is_bounded(self):
         _round_constants.cache_clear()
@@ -559,10 +558,12 @@ class TestRoundConstants:
 
     @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
     def test_check_fills_the_one_memo(self, scheme):
-        """A passing check leaves one memo entry, which the rounds then hit."""
+        """A single round's input check leaves one memo entry, which the engine
+        then hits."""
         plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        run = run_reciprocal if scheme == RECIPROCAL else run_nonreciprocal
         _round_constants.cache_clear()
-        check_inputs(CFG, plan, alloc, scheme)
+        run(CFG, plan, alloc, draw_channels(CFG, scheme, RngStream(1)), RngStream(3))
         assert _round_constants.cache_info().currsize == 1
         hits = _round_constants.cache_info().hits
         run_rounds(CFG, plan, alloc, RngStream(4).generator, batch=2)
@@ -572,14 +573,14 @@ class TestRoundConstants:
     def test_infeasible_allocation_raises_every_call(self):
         alloc = dataclasses.replace(R_ALLOC, e_f=-1.0)
         channels = draw_channels(CFG, RECIPROCAL, RngStream(1))
+        _round_constants.cache_clear()
         for _ in range(3):
-            with pytest.raises(AllocationError, match="e_f"):
+            with pytest.raises(AllocationError, match="e_f") as single:
                 run_reciprocal(CFG, R_PLAN, alloc, channels, RngStream(3))
-            with pytest.raises(AllocationError, match="e_f") as checked:
-                check_inputs(CFG, R_PLAN, alloc, RECIPROCAL)
             with pytest.raises(AllocationError) as engine:
                 run_rounds(CFG, R_PLAN, alloc, RngStream(4).generator, batch=2)
-            assert str(engine.value) == str(checked.value)
+            assert str(engine.value) == str(single.value)
+        assert _round_constants.cache_info().currsize == 0  # a raising call stores nothing
 
 
 class TestTrainingSpend:

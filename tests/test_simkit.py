@@ -374,6 +374,27 @@ class TestMcNmse:
         with pytest.raises(ValueError):
             mc_nmse(CFG, R_PLAN, N_ALLOC, trials=500, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            mc_nmse(CFG, R_PLAN, R_ALLOC, trials=500, seed=1, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=500, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    def test_non_integer_count_rejected(self, name):
+        """A float trial count or seed is a TypeError that names it."""
+        args = {"trials": 200, "seed": 1}
+        args[name] = float(args[name])
+        with pytest.raises(TypeError, match=name):
+            mc_nmse(CFG, R_PLAN, R_ALLOC, **args)
+        with pytest.raises(TypeError, match=name):
+            mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, **args)
+
+    def test_numpy_integers_accepted(self):
+        ref = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=500, seed=1)
+        assert mc_nmse(CFG, R_PLAN, R_ALLOC, trials=np.int64(500), seed=np.int32(1)) == ref
+
     @pytest.mark.parametrize("field", ["var_h", "var_hu"])
     def test_zero_prior_channel(self, field):
         """A zero-variance channel has nothing to estimate: zero error, no crash."""
