@@ -20,19 +20,23 @@ one; ``strides[0] == itemsize``).  On that layout :func:`matmul` computes a
 product of two stacks as ``q`` multiply-adds of contiguous vectors along the
 stack per row of the result, and a shared left factor times a stack as one
 GEMM per column of the stack; :func:`hermitian_solve` is a Cholesky
-factorization and two triangular solves with one vector operation per step;
-:func:`_householder_qr`, behind the null complements, runs each Householder
-step as one vectorized pass with LAPACK's conventions and returns the
-complement columns stack-last without a copy; :func:`haar_semiunitary`
-builds the Haar pilots from the same reflector step without a full Gaussian
-matrix or its QR; and the draws (:func:`stacked_complex_normal`,
-:func:`add_complex_normal`) write their normals straight into stack-last
-memory in its own order.  Each of these pays a fixed interpreter cost per
-step, so all of them share one crossover, :data:`HOUSEHOLDER_MIN_BATCH`:
-smaller stacks (the batch-of-one rounds among them) keep numpy's own calls
-and draws and their exact bits.  Larger stacks differ from numpy by rounding
-(elementwise sums in place of ``zgemm``) and in which draw lands in which
-entry.
+factorization and two triangular solves with one vector operation per step,
+on ``(batch, n, n)`` stacks only; :func:`_householder_qr`, behind the null
+complements, runs each Householder step as one vectorized pass with
+LAPACK's conventions and returns the complement columns stack-last without
+a copy; and :func:`haar_semiunitary` builds the Haar pilots from the same
+reflector step without a full Gaussian matrix or its QR.  Each of these pays
+a fixed interpreter cost per step, so all of them share one crossover,
+:data:`HOUSEHOLDER_MIN_BATCH`: smaller stacks (the batch-of-one rounds among
+them) keep numpy's own calls and their exact bits.  Larger stacks differ
+from numpy by rounding (elementwise sums in place of ``zgemm``).  Every
+Gaussian draw goes through one routine, :func:`_fill_normal`, which writes
+the normals straight into its destination in that array's memory order; the
+draw functions differ only in the destination (:func:`empty`,
+:func:`empty_stack`, or :func:`empty_like` of the target of
+:func:`add_complex_normal`).  So :func:`empty_stack`'s test is the one
+crossover a draw depends on, and stack-last draws differ from numpy's in
+which draw lands in which entry.
 
 Measured on a shared 2-vCPU Xeon VM (numpy 2.4, OpenBLAS on one thread), at
 a 4096-matrix stack: the stack products take 0.10-0.7 ms against
@@ -240,7 +244,7 @@ def empty_stack(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
     outermost, the layout :func:`matmul` gives a product of two stacks) from
     :data:`HOUSEHOLDER_MIN_BATCH` matrices on, C order otherwise; from the
     active arena if there is one."""
-    if len(shape) != 3 or shape[0] < HOUSEHOLDER_MIN_BATCH:
+    if shape[0] < HOUSEHOLDER_MIN_BATCH:
         return empty(shape, dtype)
     return empty(shape[1:] + shape[:1], dtype).transpose(2, 0, 1)
 
@@ -270,41 +274,39 @@ class RngStream:
         return self._gen
 
 
+def _fill_normal(gen: np.random.Generator, out: np.ndarray, var: float) -> np.ndarray:
+    """Fill the dense ``out`` with iid CN(0, ``var``) draws and return it: bit
+    for bit ``m[...] = (p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)``, ``p =
+    gen.standard_normal(m.shape + (2,))``, for ``m`` the view of ``out`` in
+    its memory order (axes from the largest stride to the smallest)."""
+    # Every draw of a batch-of-one round is C-contiguous: it skips the stride sort.
+    flat = (out if out.flags.c_contiguous else out.transpose(_memory_order(out))).reshape(-1)
+    gen.standard_normal(out=flat.view(np.float64))
+    flat *= np.sqrt(var / 2.0)
+    return out
+
+
 def complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
-    """Array of iid CN(0, ``var``) draws: the normals go straight into the
-    interleaved real/imaginary parts, bit for bit the values of
-    ``(p[..., 0] + 1j * p[..., 1]) * sqrt(var / 2)``, ``p = gen.standard_normal(shape + (2,))``.
-    """
-    z = empty(shape)
-    gen.standard_normal(out=z.reshape(-1).view(np.float64))
-    z *= np.sqrt(var / 2.0)
-    return z
+    """Array of iid CN(0, ``var``) draws in :func:`empty` (C-order) memory."""
+    return _fill_normal(gen, empty(shape), var)
 
 
 def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var: float) -> np.ndarray:
     """iid CN(0, ``var``) draws in :func:`empty_stack` memory for a ``(batch,
-    rows, cols)`` shape: below :data:`HOUSEHOLDER_MIN_BATCH` matrices
-    ``complex_normal(gen, shape, var)`` itself, from there on the normals go
-    straight into the stack-last buffer in its memory order, so entry ``(b, i,
-    j)`` takes draw ``(i * cols + j) * batch + b``."""
-    if len(shape) != 3 or shape[0] < HOUSEHOLDER_MIN_BATCH:
-        return complex_normal(gen, shape, var)
-    return complex_normal(gen, shape[1:] + shape[:1], var).transpose(2, 0, 1)
+    rows, cols)`` shape, in that memory's order: below
+    :data:`HOUSEHOLDER_MIN_BATCH` matrices the values of ``complex_normal(gen,
+    shape, var)``, from there on entry ``(b, i, j)`` takes draw ``(i * cols +
+    j) * batch + b``."""
+    return _fill_normal(gen, empty_stack(shape), var)
 
 
 def add_complex_normal(x: np.ndarray, gen: np.random.Generator, var: float) -> np.ndarray:
-    """``x += z`` for iid CN(0, ``var``) draws ``z``, made in scratch memory;
-    returns ``x``.  Below :data:`HOUSEHOLDER_MIN_BATCH` matrices ``z`` is
-    ``complex_normal(gen, x.shape, var)``.  A larger stack draws ``z`` in
-    ``x``'s own memory order, so the add runs over two arrays of the same
-    strides, which numpy does in one pass with no buffer of its own."""
+    """``x += z`` for iid CN(0, ``var``) draws ``z``, made in scratch
+    :func:`empty_like` memory and drawn in ``x``'s own memory order; returns
+    ``x``.  The add runs over two arrays of the same strides, which numpy
+    does in one pass with no buffer of its own."""
     with scratch():
-        if x.ndim != 3 or x.shape[0] < HOUSEHOLDER_MIN_BATCH:
-            x += complex_normal(gen, x.shape, var)
-        else:
-            order = _memory_order(x)
-            z = complex_normal(gen, tuple(x.shape[i] for i in order), var)
-            x += z.transpose(np.argsort(order))
+        x += _fill_normal(gen, empty_like(x), var)
     return x
 
 
@@ -366,9 +368,9 @@ def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     From :data:`HOUSEHOLDER_MIN_BATCH` matrices on: a Cholesky factorization
     ``s = L L^H`` and two triangular solves, each step one vector operation
     along the stack, result stack-last.  Only the lower triangle of ``s`` is
-    read.  Smaller stacks, and inputs that are not 3-D, take ``np.linalg.solve``.
+    read.  Smaller stacks take ``np.linalg.solve``.
     """
-    if s.shape[0] < HOUSEHOLDER_MIN_BATCH or s.ndim != 3:
+    if s.shape[0] < HOUSEHOLDER_MIN_BATCH:
         return np.linalg.solve(s, rhs)
     sm = s.transpose(1, 2, 0)
     n, size = sm.shape[0], sm.shape[-1]
@@ -427,10 +429,9 @@ def _householder_qr(a: np.ndarray) -> np.ndarray:
         # reflector vectors v overwrite the columns below the diagonal.
         w = empty((m, n, size))
         np.copyto(w, stack.transpose(2, 1, 0))
-        taus, beta = empty((steps, size)), empty((size,), np.float64)
-        work, tau_h = _reflector_work(n, size), empty((size,))
+        taus, beta, tau_h = empty((steps, size)), empty((size,), np.float64), empty((size,))
         for k in range(steps):
-            _reflector(w[k, k:], beta, taus[k], work)
+            _reflector(w[k, k:], beta, taus[k])
             # Apply H^H = I - conj(tau) v v^H to the trailing columns.
             _reflect(w[k + 1:, k:], w[k, k + 1:], np.conjugate(taus[k], out=tau_h))
 
@@ -443,50 +444,44 @@ def _householder_qr(a: np.ndarray) -> np.ndarray:
     return q.reshape(lead + q.shape[1:])
 
 
-def _reflector_work(n: int, size: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for :func:`_reflector` on columns of up to ``n`` entries."""
-    real = np.float64
-    return (empty((n, size), real), empty((n, size), real), empty((size,), real),
-            empty((size,), real), empty((size,), real), empty((size,), np.bool_),
-            empty((size,), np.bool_), empty((size,)))
-
-
-def _reflector(
-    x: np.ndarray, beta: np.ndarray, tau: np.ndarray, work: tuple[np.ndarray, ...]
-) -> None:
+def _reflector(x: np.ndarray, beta: np.ndarray, tau: np.ndarray) -> None:
     """Householder reflector ``H = I - tau v v^H``, ``v = (1, x[1:] / (x[0] -
     beta))``, with ``H^H x = beta e_0``, of every column of the ``(rows,
     stack)`` block ``x`` (the stack last), in the LAPACK conventions that
     :func:`_householder_qr` states.  Writes ``beta`` (real) and ``tau``, and
-    overwrites ``x[1:]`` with ``v[1:]``; ``work`` is :func:`_reflector_work`'s."""
-    mags, ratios, s, tail, den, alone, real_pivot, inv = work
-    n = x.shape[0]
-    mag = np.abs(x, out=mags[:n])
-    np.max(mag, axis=0, out=s)
-    np.copyto(s, 1.0, where=np.equal(s, 0.0, out=alone))
+    overwrites ``x[1:]`` with ``v[1:]``."""
+    n, size = x.shape
+    real = np.float64
     alpha = x[0]
-    ratio = np.divide(mag[1:], s, out=ratios[:n - 1])
-    np.sum(np.square(ratio, out=ratio), axis=0, out=tail)
-    np.equal(tail, 0.0, out=alone)
-    alone &= np.equal(alpha.imag, 0.0, out=real_pivot)
-    # beta = -copysign(sqrt((|alpha| / s)^2 + tail) * s, Re alpha)
-    np.divide(mag[0], s, out=beta)
-    np.square(beta, out=beta)
-    beta += tail
-    np.sqrt(beta, out=beta)
-    beta *= s
-    np.negative(np.copysign(beta, alpha.real, out=beta), out=beta)
-    np.copyto(beta, alpha.real, where=alone)
-    # tau = (beta - alpha) / where(alone, 1, beta)
-    np.subtract(beta, alpha, out=tau)
-    np.copyto(den, beta)
-    np.copyto(den, 1.0, where=alone)
-    np.divide(tau, den, out=tau)
-    # v = x[1:] / where(alone, 1, alpha - beta)
-    np.subtract(alpha, beta, out=inv)
-    np.copyto(inv, 1.0, where=alone)
-    np.divide(1.0, inv, out=inv)
-    np.multiply(x[1:], inv, out=x[1:])
+    with scratch():
+        mag, ratio = empty((n, size), real), empty((n - 1, size), real)
+        s, tail, den = empty((size,), real), empty((size,), real), empty((size,), real)
+        alone, real_pivot, inv = empty((size,), np.bool_), empty((size,), np.bool_), empty((size,))
+        np.abs(x, out=mag)
+        np.max(mag, axis=0, out=s)
+        np.copyto(s, 1.0, where=np.equal(s, 0.0, out=alone))
+        np.divide(mag[1:], s, out=ratio)
+        np.sum(np.square(ratio, out=ratio), axis=0, out=tail)
+        np.equal(tail, 0.0, out=alone)
+        alone &= np.equal(alpha.imag, 0.0, out=real_pivot)
+        # beta = -copysign(sqrt((|alpha| / s)^2 + tail) * s, Re alpha)
+        np.divide(mag[0], s, out=beta)
+        np.square(beta, out=beta)
+        beta += tail
+        np.sqrt(beta, out=beta)
+        beta *= s
+        np.negative(np.copysign(beta, alpha.real, out=beta), out=beta)
+        np.copyto(beta, alpha.real, where=alone)
+        # tau = (beta - alpha) / where(alone, 1, beta)
+        np.subtract(beta, alpha, out=tau)
+        np.copyto(den, beta)
+        np.copyto(den, 1.0, where=alone)
+        np.divide(tau, den, out=tau)
+        # v = x[1:] / where(alone, 1, alpha - beta)
+        np.subtract(alpha, beta, out=inv)
+        np.copyto(inv, 1.0, where=alone)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(x[1:], inv, out=x[1:])
 
 
 def _reflect(block: np.ndarray, v: np.ndarray, tau: np.ndarray) -> None:
@@ -549,9 +544,8 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
         block = empty((starts[n], size))
         gen.standard_normal(out=block.reshape(-1).view(np.float64))
         taus, beta = empty((n, size)), empty((size,), np.float64)
-        work = _reflector_work(tau, size)
         for k in range(n):
-            _reflector(block[starts[k]:starts[k + 1]], beta, taus[k], work)
+            _reflector(block[starts[k]:starts[k + 1]], beta, taus[k])
             np.copysign(1.0, beta, out=q[k, k].real)
         # Q = H_0 ... H_{n-1} diag(sign beta)[:, :n], accumulated from the right.
         for k in range(n - 1, -1, -1):

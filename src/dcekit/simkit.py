@@ -23,10 +23,12 @@ estimate reduces to linear combining into six real coordinates; for a
 product constellation such as square QAM each coordinate is then sliced
 against its own axis levels, which is what :func:`ostbc_detect` implements
 (other constellations are rejected).  Feeding it the true channel gives the
-perfect-CSI baseline.  The detector reads the stack-last blocks of a chunk
-as they are: each of the 12 entries of ``y h_hat^H`` the codeword uses is a
-few vector operations along the 4096 trials, and each coordinate's level is
-a count of the thresholds at or above it, all in arena memory.  A detected
+perfect-CSI baseline.  One table, ``_OSTBC_ENTRIES``, states the codeword:
+:func:`ostbc_encode` builds blocks from it, and the detector sums its soft
+symbols from it.  The detector reads the stack-last blocks of a chunk as
+they are: each of the 12 entries of ``y h_hat^H`` the codeword uses is a few
+vector operations along the 4096 trials, and each coordinate's level is a
+count of the thresholds at or above it, all in arena memory.  A detected
 symbol is a copy of a constellation value, so :func:`mc_ser` counts errors
 by exact comparison with the sent one.
 """
@@ -165,18 +167,24 @@ _ARENAS = _ArenaPool(os.cpu_count() or 1)
 def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
     """Run ``chunk(gen, size)`` on ``RngStream(seed, i)`` for every chunk
     ``i`` of at most :data:`CHUNK` trials and add the returned tuples
-    elementwise, from 0 and in chunk order, on any number of ``workers``.
-    Each chunk runs under an arena from the pool, so ``chunk`` must return
-    Python scalars, never an array.  ``trials`` and ``seed`` must be integers
-    (``TypeError`` otherwise), ``workers`` at least 1 and ``seed`` at least 0
-    (``ValueError`` otherwise); ``chunk`` checks the rest."""
+    elementwise, from 0 and in chunk order, on any number of ``workers``;
+    returns ``trials`` as a Python ``int``, then the sums.  Each chunk runs
+    under an arena from the pool, so ``chunk`` must return Python scalars,
+    never an array.  ``trials`` and ``seed`` must be integers (``TypeError``
+    otherwise), ``workers`` at least 1, ``trials`` at least
+    :data:`dcekit.model.MIN_TRIALS` and ``seed`` at least 0 (``ValueError``
+    otherwise); ``chunk`` checks the rest."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    ints = []
     for name, value in (("trials", trials), ("seed", seed)):
         try:
-            operator.index(value)
+            ints.append(operator.index(value))
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    trials, seed = ints
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     full, rem = divmod(trials, CHUNK)
@@ -192,7 +200,7 @@ def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(sizes))))
     # Explicit left-to-right +: sum() adds floats differently from 3.12 on.
-    return tuple(functools.reduce(operator.add, column, 0) for column in zip(*parts))
+    return (trials, *(functools.reduce(operator.add, column, 0) for column in zip(*parts)))
 
 
 def mc_nmse(
@@ -204,8 +212,6 @@ def mc_nmse(
     workers: int = 1,
 ) -> NmseReport:
     """Estimate LR/UR training NMSE empirically and pair it with closed forms."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     norm_l = config.n_t * config.n_l
     norm_u = config.n_t * config.n_u
 
@@ -221,8 +227,7 @@ def mc_nmse(
             float(xu.sum()), float(np.multiply(xu, xu, out=sq).sum()),
         )
 
-    sum_l, sumsq_l, sum_u, sumsq_u = _reduce_chunks(one_chunk, trials, seed, workers)
-    n = trials
+    n, sum_l, sumsq_l, sum_u, sumsq_u = _reduce_chunks(one_chunk, trials, seed, workers)
     mean_l, mean_u = sum_l / n, sum_u / n
     se_l = math.sqrt(max(sumsq_l - n * mean_l**2, 0.0) / (n - 1) / n)
     se_u = math.sqrt(max(sumsq_u - n * mean_u**2, 0.0) / (n - 1) / n)
@@ -330,9 +335,12 @@ def ostbc_detect(
     detected symbols ``(..., 3)`` as constellation values (default 64-QAM).
 
     Orthogonality of the design makes exact ML decouple into six real
-    coordinates ``Re tr(B_k^H y h_hat^H) / (scale ||h_hat||^2)``, which come
-    from the 12 entries of ``y h_hat^H`` the codeword uses, each a sum of
-    ``n_r`` elementwise products along the leading axes.  For a constellation
+    coordinates ``Re tr(B_k^H y h_hat^H) / (scale ||h_hat||^2)``.  The soft
+    symbols are summed from the codeword table: each of the 12 entries of
+    ``y h_hat^H`` the codeword uses, a sum of ``n_r`` elementwise products
+    along the leading axes, is added to or subtracted from its symbol's
+    plain or conjugated part, and a soft symbol is its plain part plus the
+    conjugate of its conjugated part.  For a constellation
     that is the Cartesian product of its real and imaginary levels (every
     square QAM, including :data:`QAM4` and :data:`QAM64`) each coordinate is
     then sliced on its own axis; any other constellation raises
@@ -364,34 +372,23 @@ def ostbc_detect(
             np.sum(energy, axis=(-2, -1), out=denom)
         np.multiply(scale, np.maximum(denom, 1e-300, out=denom), out=denom)
 
-        # Row i of the codeword carries symbol k in column i ^ k, so with
-        # M = y h_hat^H the soft symbols are
-        #     s1 = M00 + M33 + conj(M11 + M22)
-        #     s2 = M01 - M23 + conj(M32 - M10)
-        #     s3 = M02 + M13 - conj(M20 + M31).
-        # terms[r, k, i] = y[..., i, r] conj(h_hat[..., i ^ k, r]), one
-        # vector over the leading axes at a time: numpy copies through a
-        # fresh buffer any product whose operands' strides differ on more
-        # than one axis, and a stack-last y or h_hat may have its rows or
-        # its columns outermost in memory.
-        soft, tail = empty((3,) + lead), empty((3,) + lead)
+        # Each M[i, j] of M = y h_hat^H is summed over r one vector over the
+        # leading axes at a time: numpy copies through a fresh buffer any
+        # product whose operands' strides differ on more than one axis, and
+        # a stack-last y or h_hat may have its rows or its columns outermost.
+        parts = empty((2, 3) + lead)  # plain, then conjugated
+        parts.fill(0.0)
         with scratch():
             h_conj = np.conjugate(h_hat, out=empty_like(h_hat))
-            terms = empty((n_r, 3, 4) + lead)
-            for r, k, i in np.ndindex(n_r, 3, 4):
-                np.multiply(y[..., i, r], h_conj[..., i ^ k, r], out=terms[r, k, i, ...])
-            m = terms[0]  # m[k, i] = M[i, i ^ k]
-            for r in range(1, n_r):
-                m += terms[r]
-            np.add(m[0, 0], m[0, 3], out=soft[0, ...])
-            np.add(m[0, 1], m[0, 2], out=tail[0, ...])
-            np.subtract(m[1, 0], m[1, 2], out=soft[1, ...])
-            np.subtract(m[1, 3], m[1, 1], out=tail[1, ...])
-            np.add(m[2, 0], m[2, 1], out=soft[2, ...])
-            np.add(m[2, 2], m[2, 3], out=tail[2, ...])
-        np.conjugate(tail, out=tail)
-        np.add(soft[:2], tail[:2], out=soft[:2])
-        np.subtract(soft[2], tail[2], out=soft[2, ...])
+            m, term = empty(lead), empty(lead)
+            for (i, j), (k, conj, neg) in _OSTBC_ENTRIES.items():
+                np.multiply(y[..., i, 0], h_conj[..., j, 0], out=m)
+                for r in range(1, n_r):
+                    m += np.multiply(y[..., i, r], h_conj[..., j, r], out=term)
+                part = parts[int(conj), k, ...]
+                (np.subtract if neg else np.add)(part, m, out=part)
+        plain, conjugated = parts
+        soft = np.add(plain, np.conjugate(conjugated, out=conjugated), out=plain)
 
         coords = empty((2, 3) + lead, np.float64)  # real parts, then imaginary parts
         for k in range(3):
@@ -437,8 +434,6 @@ def mc_ser(
     detects with its own estimate.  Requires ``n_t == 4`` (the code is a
     four-antenna design).
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     if config.n_t != 4:
         raise ValueError(f"the data phase uses a 4-antenna block code, got n_t={config.n_t}")
     if not 0.0 < data_power < math.inf:
@@ -470,11 +465,11 @@ def mc_ser(
             count_errors(y_u, out["g_ur"], s),
         )
 
-    err_l, err_lp, err_u = _reduce_chunks(one_chunk, trials, seed, workers)
+    trials, err_l, err_lp, err_u = _reduce_chunks(one_chunk, trials, seed, workers)
     n_sym = 3 * trials
     return SerReport(
         trials=trials,
-        data_power=data_power,
+        data_power=float(data_power),
         ser_l=err_l / n_sym,
         ser_l_ci=_wilson_halfwidth(err_l, n_sym),
         ser_u=err_u / n_sym,

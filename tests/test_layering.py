@@ -4,6 +4,8 @@ and the package runs on the standard library and numpy alone.
 Parses every module under ``src/dcekit`` and fails on any import of a
 ``_private`` name from a sibling module (``from .protocol import _core``,
 ``from dcekit.numerics import _helper``); dunder names are not private.  It
+fails on dead code: an import the module never reads and ``__all__`` does
+not list, or a private module-level name the module never reads.  It
 also fails on any import, at module level or inside a function, of a
 third-party package other than numpy.  A CLI run in a fresh interpreter
 checks the same at run time: scipy (a test-only dependency) never loads.
@@ -60,6 +62,65 @@ def test_detects_private_import(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("from .protocol import _core, run_rounds\nfrom . import __version__\n")
     assert _private_imports(src) == ["mod.py:1 imports _core from protocol"]
+
+
+def _dead_names(path: Path) -> list[str]:
+    """Imports the module never reads and ``__all__`` does not list, and
+    private module-level names the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read | exported:
+                    found.append(f"{path.name}:{node.lineno} imports {name}, never read")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and name not in read:
+                found.append(f"{path.name}:{node.lineno} defines {name}, never read")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_dead_imports_or_private_names(path):
+    assert _dead_names(path) == []
+
+
+def test_detects_dead_names(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(textwrap.dedent("""\
+        from __future__ import annotations
+        import math, os.path
+        from .numerics import empty, matmul as mm
+        __all__ = ["mm", "run"]
+        _USED: float = 2.0
+        _WORK, _SCALE = 1, 3
+        def _helper():
+            return _USED * math.pi + _SCALE
+        def _reflector_work():
+            return empty((2,))
+        def run():
+            return _helper()
+    """))
+    assert _dead_names(src) == [
+        "mod.py:2 imports os, never read",
+        "mod.py:6 defines _WORK, never read",
+        "mod.py:9 defines _reflector_work, never read",
+    ]
 
 
 def _third_party_imports(path: Path) -> list[str]:

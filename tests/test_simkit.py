@@ -9,6 +9,7 @@ comparisons in the acceptance suite lean on that equivalence.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -106,17 +107,27 @@ def _reference_detect(y, h_hat, scale, constellation):
     return constellation[idx]
 
 
+def _detector_cases() -> list:
+    """(constellation, est_var, data_power, n_r) cases; an n_r = 2 id has no n_r suffix."""
+    cases = []
+    for n_r in (1, 2, 3):
+        for constellation, c_id in ((QAM64, "qam64"), (QAM4, "qam4")):
+            for est_var, v_id in ((0.0, "true"), (0.1, "mismatched")):
+                for data_power in (3.0, 30.0, 300.0):
+                    case_id = f"{data_power}-{v_id}-{c_id}" + ("" if n_r == 2 else f"-n_r{n_r}")
+                    cases.append(pytest.param(constellation, est_var, data_power, n_r, id=case_id))
+    return cases
+
+
 class TestOstbcDetect:
-    @pytest.mark.parametrize("constellation", [QAM64, QAM4], ids=["qam64", "qam4"])
-    @pytest.mark.parametrize("est_var", [0.0, 0.1], ids=["true", "mismatched"])
-    @pytest.mark.parametrize("data_power", [3.0, 30.0, 300.0])
-    def test_matches_reference_detector_on_chunks(self, constellation, est_var, data_power):
+    @pytest.mark.parametrize("constellation, est_var, data_power, n_r", _detector_cases())
+    def test_matches_reference_detector_on_chunks(self, constellation, est_var, data_power, n_r):
         gen = RngStream(74, int(data_power)).generator
         m, amp = 4096, np.sqrt(data_power / 3.0)
         sent = constellation[gen.integers(0, constellation.size, size=(m, 3))]
-        h = complex_normal(gen, (m, 4, 2), 1.0)
-        h_hat = h + complex_normal(gen, (m, 4, 2), est_var)
-        y = amp * ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h + complex_normal(gen, (m, 4, 2), 1.0)
+        h = complex_normal(gen, (m, 4, n_r), 1.0)
+        h_hat = h + complex_normal(gen, (m, 4, n_r), est_var)
+        y = amp * ostbc_encode(sent[:, 0], sent[:, 1], sent[:, 2]) @ h + complex_normal(gen, (m, 4, n_r), 1.0)
         fast = ostbc_detect(y, h_hat, amp, constellation)
         np.testing.assert_array_equal(fast, _reference_detect(y, h_hat, amp, constellation))
 
@@ -395,6 +406,12 @@ class TestMcNmse:
         ref = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=500, seed=1)
         assert mc_nmse(CFG, R_PLAN, R_ALLOC, trials=np.int64(500), seed=np.int32(1)) == ref
 
+    def test_report_from_numpy_trials_is_json(self):
+        rep = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=np.int64(500), seed=1)
+        fields = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(fields)) == fields
+        assert {type(v) for v in fields.values()} <= {int, float}
+
     @pytest.mark.parametrize("field", ["var_h", "var_hu"])
     def test_zero_prior_channel(self, field):
         """A zero-variance channel has nothing to estimate: zero error, no crash."""
@@ -454,6 +471,12 @@ class TestMcSer:
         a = mc_ser(CFG, plan, alloc, data_power=30.0, trials=9000, seed=8, workers=1)
         b = mc_ser(CFG, plan, alloc, data_power=30.0, trials=9000, seed=8, workers=3)
         assert a == b
+
+    def test_report_from_numpy_trials_is_json(self):
+        rep = mc_ser(CFG, R_PLAN, R_ALLOC, data_power=30.0, trials=np.int64(500), seed=1)
+        fields = dataclasses.asdict(rep)
+        assert json.loads(json.dumps(fields)) == fields
+        assert {type(v) for v in fields.values()} <= {int, float}
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="trials"):
@@ -518,24 +541,66 @@ class TestPerSeedPins:
         ),
     }
 
-    @pytest.mark.parametrize("dims, scheme, seed", list(NMSE), ids=str)
-    def test_mc_nmse(self, dims, scheme, seed):
+    # The same runs over CHUNK + 150 trials, whose last chunk lies below
+    # HOUSEHOLDER_MIN_BATCH: numpy's kernels, C-order draws.
+    PARTIAL_TRIALS = CHUNK + 150
+    PARTIAL_NMSE = {
+        ((4, 2, 2), RECIPROCAL, 3): (
+            0.6624752721922387, 0.004065757614916357, 0.7538480685749835, 0.004966077799749338),
+        ((4, 2, 2), RECIPROCAL, 8): (
+            0.6701208334381703, 0.004095491065459184, 0.7496947526812238, 0.004934324480551601),
+        ((4, 2, 2), NONRECIPROCAL, 3): (
+            0.5602078091083681, 0.0038225378632791964, 0.5998854372763938, 0.004176906302775189),
+        ((4, 2, 2), NONRECIPROCAL, 8): (
+            0.5612138872813859, 0.003711830466325061, 0.5950784865836032, 0.004092135253438584),
+        ((6, 3, 2), RECIPROCAL, 3): (
+            0.8140181370432327, 0.003301079422093966, 0.8556573628587627, 0.0043056338281787145),
+        ((6, 3, 2), RECIPROCAL, 8): (
+            0.8096770668855358, 0.0032517478764608238, 0.8540017833606788, 0.004306595806775359),
+        ((6, 3, 2), NONRECIPROCAL, 3): (
+            0.724406362859098, 0.003211190772405684, 0.7526838592645229, 0.004070883501375047),
+        ((6, 3, 2), NONRECIPROCAL, 8): (
+            0.7238934490622959, 0.0031552279519429754, 0.7443084124914244, 0.004001264756700734),
+    }
+    PARTIAL_SER = {
+        (RECIPROCAL, 3): (751, 0, 3598),
+        (RECIPROCAL, 8): (729, 0, 3646),
+        (NONRECIPROCAL, 3): (996, 0, 3590),
+        (NONRECIPROCAL, 8): (1144, 0, 3548),
+    }
+
+    def _check_nmse(self, dims, scheme, seed, trials, pins):
         cfg = SystemConfig(*dims)
         if scheme == RECIPROCAL:
             plan, alloc = reciprocal_plan(cfg), R_ALLOC
         else:
             plan, alloc = nonreciprocal_plan(cfg), N_ALLOC
-        rep = mc_nmse(cfg, plan, alloc, self.TRIALS, seed)
+        rep = mc_nmse(cfg, plan, alloc, trials, seed)
         got = (rep.nmse_l, rep.nmse_l_se, rep.nmse_u, rep.nmse_u_se)
-        assert got == pytest.approx(self.NMSE[dims, scheme, seed], rel=1e-12, abs=0)
+        assert got == pytest.approx(pins[dims, scheme, seed], rel=1e-12, abs=0)
+
+    def _check_ser(self, scheme, seed, trials, pins):
+        plan = R_PLAN if scheme == RECIPROCAL else N_PLAN
+        rep = mc_ser(CFG, plan, self.SER_ALLOC[scheme], 1000.0, trials, seed)
+        n_sym = 3 * trials
+        counts = (rep.ser_l * n_sym, rep.ser_l_perfect * n_sym, rep.ser_u * n_sym)
+        assert tuple(round(c) for c in counts) == pins[scheme, seed]
+
+    @pytest.mark.parametrize("dims, scheme, seed", list(NMSE), ids=str)
+    def test_mc_nmse(self, dims, scheme, seed):
+        self._check_nmse(dims, scheme, seed, self.TRIALS, self.NMSE)
 
     @pytest.mark.parametrize("scheme, seed", list(SER), ids=str)
     def test_mc_ser(self, scheme, seed):
-        plan = R_PLAN if scheme == RECIPROCAL else N_PLAN
-        rep = mc_ser(CFG, plan, self.SER_ALLOC[scheme], 1000.0, self.TRIALS, seed)
-        n_sym = 3 * self.TRIALS
-        counts = (rep.ser_l * n_sym, rep.ser_l_perfect * n_sym, rep.ser_u * n_sym)
-        assert tuple(round(c) for c in counts) == self.SER[scheme, seed]
+        self._check_ser(scheme, seed, self.TRIALS, self.SER)
+
+    @pytest.mark.parametrize("dims, scheme, seed", list(PARTIAL_NMSE), ids=str)
+    def test_mc_nmse_small_last_chunk(self, dims, scheme, seed):
+        self._check_nmse(dims, scheme, seed, self.PARTIAL_TRIALS, self.PARTIAL_NMSE)
+
+    @pytest.mark.parametrize("scheme, seed", list(PARTIAL_SER), ids=str)
+    def test_mc_ser_small_last_chunk(self, scheme, seed):
+        self._check_ser(scheme, seed, self.PARTIAL_TRIALS, self.PARTIAL_SER)
 
 
 class TestArenas:
