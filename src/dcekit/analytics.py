@@ -51,13 +51,16 @@ __all__ = [
     "beta",
     "closed_forms",
     "downlink_direction_error",
+    "downlink_error",
     "downlink_error_floor",
     "echo_coefficients",
     "echo_power",
     "echo_quality",
     "forward_direction_errors",
+    "forward_nmse",
     "gamma_range",
     "gamma_tilde",
+    "leak_noise",
     "mu",
     "nmse_l_nonreciprocal_approx",
     "nmse_l_reciprocal",
@@ -126,6 +129,13 @@ def forward_direction_errors(config: SystemConfig, prior: float, e_fwd: float, n
     return posterior_var(prior, (e_fwd / config.n_t) * np.asarray(d, dtype=float) / noise)
 
 
+def forward_nmse(config: SystemConfig, prior: float, e_fwd: float, noise: float, d) -> float:
+    """NMSE of a forward LMMSE estimate: the mean of
+    :func:`forward_direction_errors` over the pilot directions."""
+    errors = forward_direction_errors(config, prior, e_fwd, noise, d)
+    return float(np.add.reduce(errors) / errors.size)  # np.mean's sum and division
+
+
 def nmse_l_reciprocal(
     config: SystemConfig,
     e_r: float,
@@ -148,7 +158,7 @@ def nmse_l_reciprocal(
     plus LR thermal noise.
     """
     r_bar = reciprocal_effective_noise(config, e_r, var_a)
-    return float(np.mean(forward_direction_errors(config, config.var_h, e_f, r_bar, d)))
+    return forward_nmse(config, config.var_h, e_f, r_bar, d)
 
 
 def nmse_u(
@@ -163,7 +173,7 @@ def nmse_u(
     :func:`ur_disturbance`.
     """
     r_u = ur_disturbance(config, var_a)
-    return float(np.mean(forward_direction_errors(config, config.var_g, e_f, r_u, d)))
+    return forward_nmse(config, config.var_g, e_f, r_u, d)
 
 
 def mu(config: SystemConfig) -> float:
@@ -268,18 +278,33 @@ def downlink_error_floor(config: SystemConfig, e_t0, e_l1, e_l2):
     e_t0, e_l1, e_l2 = (np.asarray(x, dtype=float) for x in (e_t0, e_l1, e_l2))
     with np.errstate(divide="ignore"):  # a zero energy makes Q infinite
         q = echo_quality(echo_coefficients(config), e_l1, e_l2)
+    return downlink_error(config, e_t0, q)
+
+
+def downlink_error(config: SystemConfig, e_t0, q):
+    """The Jensen downlink error ``var_hd (1 - rho0 / Q)`` of
+    :func:`downlink_error_floor` at echo quality ``q``, elementwise in plain
+    arithmetic on what the caller passes (no conversion, no error state)."""
     return config.var_hd * (1.0 - _rho0(config, e_t0) / q)
+
+
+def leak_noise(config: SystemConfig, var_a, err):
+    r"""Per-entry forward noise at LR when AN of variance ``var_a`` leaks
+    through a per-entry downlink error ``err``, elementwise:
+    :math:`(N_t - N_L)\,\sigma_a^2\,\mathrm{err} + \sigma_w^2`."""
+    return (config.n_t - config.n_l) * var_a * err + config.var_w
 
 
 def nonreciprocal_effective_noise(config: SystemConfig, alloc: PowerAllocation):
     r"""Effective per-entry forward noise LR faces in the non-reciprocal scheme,
     elementwise over array-valued allocation fields:
-    :math:`\bar{D} = (N_t - N_L)\,\sigma_a^2\,\mathrm{err} + \sigma_w^2`, the
-    artificial noise leaking through the downlink error ``err`` of
-    :func:`downlink_error_floor` before adding to LR thermal noise.
+    :math:`\bar{D} = (N_t - N_L)\,\sigma_a^2\,\mathrm{err} + \sigma_w^2`
+    (:func:`leak_noise`), the artificial noise leaking through the downlink
+    error ``err`` of :func:`downlink_error_floor` before adding to LR thermal
+    noise.
     """
     err = downlink_error_floor(config, alloc.e_t0, alloc.e_l1, alloc.e_l2)
-    return (config.n_t - config.n_l) * alloc.var_a * err + config.var_w
+    return leak_noise(config, alloc.var_a, err)
 
 
 def nmse_l_nonreciprocal_approx(
@@ -296,7 +321,7 @@ def nmse_l_nonreciprocal_approx(
         raise ValueError(f"allocation scheme must be {NONRECIPROCAL!r}, got {alloc.scheme!r}")
     d_bar = nonreciprocal_effective_noise(config, alloc)
     d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
-    return float(np.mean(forward_direction_errors(config, config.var_hd, alloc.e_t3, d_bar, d)))
+    return forward_nmse(config, config.var_hd, alloc.e_t3, d_bar, d)
 
 
 def closed_forms(

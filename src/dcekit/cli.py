@@ -257,7 +257,6 @@ def _cmd_sweep(args) -> int:
         if report is None:
             return [""] * 11 + [_fmt(lb), ""]
         alloc = report.allocation
-        _, nmse_u = analytics.closed_forms(settings.config, settings.plan, alloc)
         mc_cols = ["", "", "", ""]
         if settings.trials > 0:
             mc = simkit.mc_nmse(
@@ -271,7 +270,7 @@ def _cmd_sweep(args) -> int:
             energies = [_fmt(alloc.e_t0), _fmt(alloc.e_l1), _fmt(alloc.e_l2), _fmt(alloc.e_t3)]
         return (
             energies
-            + [_fmt(alloc.var_a), _fmt(report.objective), _fmt(nmse_u)]
+            + [_fmt(alloc.var_a), _fmt(report.objective), _fmt(report.nmse_u)]
             + mc_cols
             + [_fmt(lb), report.scenario]
         )

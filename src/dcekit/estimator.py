@@ -110,7 +110,8 @@ def echo_downlink_estimate(
         return est
     with scratch():
         s_mat = matmul(hu_hat, herm(hu_hat))
-        s_mat += beta * np.eye(n_l)
+        for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
+            s_mat[..., k, k] += beta
         # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
         right = herm(hermitian_solve(s_mat, hu_hat))
         m = matmul(y_t1, right)

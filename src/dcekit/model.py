@@ -43,6 +43,7 @@ __all__ = [
     "SystemConfig",
     "TrainingPlan",
     "allocation_violations",
+    "an_spend",
     "channel_table",
     "db_to_energy",
     "draw_channels",
@@ -307,16 +308,23 @@ def training_spend(
 ) -> tuple:
     """(transmitter, LR) training energy an allocation spends in one round.
 
-    The artificial noise is drawn on every use of the guarded forward pilot,
-    so it is billed as ``(n_t - n_l) * var_a`` per use over ``tau_f``
-    (reciprocal) or ``tau_t3`` (non-reciprocal) uses.  Plain arithmetic on
-    the fields, so array-valued fields give array-valued spends.
+    The artificial noise is drawn on every use of the guarded forward pilot
+    and billed by :func:`an_spend`.  Plain arithmetic on the fields, so
+    array-valued fields give array-valued spends.
     """
-    an_dims = config.n_t - config.n_l
     if alloc.scheme == RECIPROCAL:
-        return alloc.e_f + an_dims * alloc.var_a * plan.tau_f, alloc.e_r
-    tx = alloc.e_t0 + alloc.e_t3 + an_dims * alloc.var_a * plan.tau_t3
+        return alloc.e_f + an_spend(config, plan, alloc.scheme, alloc.var_a), alloc.e_r
+    tx = alloc.e_t0 + alloc.e_t3 + an_spend(config, plan, alloc.scheme, alloc.var_a)
     return tx, alloc.e_l1 + alloc.e_l2
+
+
+def an_spend(config: SystemConfig, plan: TrainingPlan, scheme: str, var_a):
+    """Transmitter energy the AN of variance ``var_a`` costs in one round of
+    ``scheme``: ``(n_t - n_l) * var_a`` per use of the guarded forward pilot,
+    over ``tau_f`` (reciprocal) or ``tau_t3`` (non-reciprocal) uses.
+    Elementwise in plain arithmetic."""
+    uses = plan.tau_f if scheme == RECIPROCAL else plan.tau_t3
+    return (config.n_t - config.n_l) * var_a * uses
 
 
 def allocation_violations(

@@ -87,6 +87,7 @@ from .numerics import (
     add_complex_normal,
     empty,
     empty_like,
+    empty_stack,
     haar_semiunitary,
     herm,
     keep,
@@ -350,8 +351,15 @@ def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
     k_null = null_complement(out["h_hat"])
     a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
     with scratch():
-        x_t = matmul(a, herm(k_null))
-        x_t += const.x_bar
+        # The pilot copied into every matrix, then the AN added over equal
+        # strides: numpy runs a broadcast add through an iterator buffer of
+        # up to 8192 entries, and a copy takes none.  The AN product is
+        # free again before the received signals are taken.
+        x_t = empty_stack((batch, tau, n_t))
+        x_t[...] = const.x_bar
+        with scratch():
+            x_an = matmul(a, herm(k_null))
+            x_t += x_an
         y_l = add_complex_normal(matmul(x_t, h), gen, config.var_w)
         y_u = add_complex_normal(matmul(x_t, g), gen, config.var_v)
         with keep():

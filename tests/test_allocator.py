@@ -853,6 +853,13 @@ class TestNonreciprocalContract:
 # reference below is the search that bisected every grid point for 52 steps.
 
 
+def _floor_round(cfg, plan, budget, gt, var_a):
+    """The solver's ``var_a`` round at ``var_a``, under the error state the
+    solver runs it in."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return allocator._floor_round(cfg, plan, budget, gt)(var_a)
+
+
 def _bisected_points(cfg, plan, budget, gt, var_a):
     """``(e_t3 / D_bar, e_t0, lo, hi, slope)`` at each ``var_a``, every share
     bisected for 52 steps on the derivative of ``log rho0 - log Q``;
@@ -863,9 +870,10 @@ def _bisected_points(cfg, plan, budget, gt, var_a):
     hi0 = np.maximum(min(budget.e_t_max, budget.e_ave_max) - tx_spend, 0.0)
     lo0 = np.minimum(np.maximum(room - budget.e_l_max, 0.0), hi0)
     coefficients = analytics.echo_coefficients(cfg)
+    a, _, c = coefficients
 
     def ratio(e_t0):
-        e_l1, e_l2, _, _ = allocator._echo_quality(
+        e_l1, e_l2, _ = allocator._echo_quality(
             coefficients, np.minimum(budget.e_l_max, room - e_t0)
         )
         alloc = model.PowerAllocation(
@@ -877,7 +885,8 @@ def _bisected_points(cfg, plan, budget, gt, var_a):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(52):
             mid = 0.5 * (lo + hi)
-            _, _, q, dq = allocator._echo_quality(coefficients, room - mid)
+            e_l1, e_l2, q = allocator._echo_quality(coefficients, room - mid)
+            dq = -(a + c / e_l1) / e_l2**2  # dQ/de_l2 at the best split
             dlog_rho0 = cfg.n_t * cfg.var_w / (mid * analytics.echo_power(cfg, mid))
             grow = dlog_rho0 + dq / q > 0.0
             lo, hi = np.where(grow, mid, lo), np.where(grow, hi, mid)
@@ -926,12 +935,12 @@ class TestShareSearch:
             grid = var_a_max * np.concatenate(
                 [[0.0], np.geomspace(1e-9, 1.0, 63), np.linspace(0.0, 1.0, 24)]
             )
-            ratio, points = allocator._reduced_points(cfg, plan, budget, gt, grid)
+            ratio, e_t0, *_ = _floor_round(cfg, plan, budget, gt, grid)
             ref_ratio, ref_e_t0, lo, hi, slope = _bisected_points(cfg, plan, budget, gt, grid)
             # The bisection's resolution, or one float step where the
             # bracket stops shrinking before its 52 steps are done.
             tol = 2.0**-50 * (hi - lo) + np.spacing(hi)
-            assert np.all(np.abs(points.e_t0 - ref_e_t0) <= tol), budget
+            assert np.all(np.abs(e_t0 - ref_e_t0) <= tol), budget
             # Within that tolerance the ratio moves by up to |slope| tol; the
             # rest is rounding, held to 1e-13 relative.  Where the move is
             # smaller than that, the 1e-13 bound alone must hold.
@@ -941,7 +950,7 @@ class TestShareSearch:
             assert np.all((err <= rounding) | (moved >= rounding)), budget
             kinds.update(np.where(
                 lo == hi, "no-share",
-                np.where(points.e_t0 == lo, "lo", np.where(points.e_t0 == hi, "hi", "open")),
+                np.where(e_t0 == lo, "lo", np.where(e_t0 == hi, "hi", "open")),
             ))
         # Every branch of the end test is exercised.
         assert kinds == ({"lo", "hi", "open", "no-share"} if total_cap else {"no-share"})
@@ -1024,9 +1033,73 @@ class TestVarASinglePeak:
             grid = var_a_max * np.unique(np.concatenate(
                 [[0.0], np.geomspace(1e-9, 1.0, 2000), np.linspace(0.0, 1.0, 2001)]
             ))
-            ratio, _ = allocator._reduced_points(cfg, plan, budget, gt, grid)
+            ratio, *_ = _floor_round(cfg, plan, budget, gt, grid)
             # Rounding only: the solver's own point evaluates within 1e-12.
             assert np.max(ratio) <= best * (1.0 + 1e-12), (cfg, plan, budget)
             steps = np.diff(ratio)
             signs = np.sign(steps[np.abs(steps) > 1e-12 * np.max(np.abs(ratio))])
             assert np.all(np.diff(signs) <= 0), (cfg, plan, budget)  # up, then down
+
+
+class TestFloorRound:
+    """The round evaluates the closed forms of the allocation it returns, to
+    the bit: its ratio is ``e_t3 / D_bar`` with ``D_bar`` from
+    :func:`dcekit.analytics.nonreciprocal_effective_noise`, and its spend is
+    :func:`dcekit.model.training_spend`'s."""
+
+    def test_ratio_is_exact(self):
+        rng = np.random.default_rng(24)
+        caps = set()
+        for cfg, plan, budget, gt in TestVarASinglePeak()._budgets(40):
+            caps.add(math.isfinite(budget.e_ave_max))
+            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
+            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
+            grid = var_a_max * np.append(0.0, np.sort(rng.uniform(0.0, 1.0, 127)))
+            ratio, e_t0, e_l1, e_l2, e_t3, d_bar = _floor_round(cfg, plan, budget, gt, grid)
+            alloc = model.PowerAllocation(
+                scheme="nonreciprocal", e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=grid
+            )
+            noise = analytics.nonreciprocal_effective_noise(cfg, alloc)
+            assert np.array_equal(d_bar, noise), (cfg, plan, budget)
+            assert np.array_equal(ratio, e_t3 / noise), (cfg, plan, budget)
+        assert caps == {False, True}  # with and without a total cap
+
+    def test_spend_is_training_spend(self):
+        """The floor's spend is the transmitter's bill, to the bit, for both
+        schemes and AN dimensions that are no power of two."""
+        rng = np.random.default_rng(25)
+        for n_t, n_l in ((4, 3), (5, 2), (6, 1), (6, 2)):
+            cfg = SystemConfig(n_t, n_l, 2, var_g=0.7, var_v=1.3)
+            var_a = 10.0 ** rng.uniform(-6.0, 4.0, 64)
+            gt = float(10.0 ** rng.uniform(-1.0, 4.0))
+            for tau in (n_t, 7):
+                plans = (reciprocal_plan(cfg, tau_f=tau), nonreciprocal_plan(cfg, tau_t3=tau))
+                for plan in plans:
+                    e_pilot, spend = allocator._floor_spend(cfg, plan, gt, var_a)
+                    zero = 0.0 * var_a
+                    if plan.scheme == "reciprocal":
+                        fields = {"e_r": zero, "e_f": e_pilot}
+                    else:
+                        fields = {"e_t0": zero, "e_l1": zero, "e_l2": zero, "e_t3": e_pilot}
+                    alloc = model.PowerAllocation(scheme=plan.scheme, var_a=var_a, **fields)
+                    assert np.array_equal(spend, model.training_spend(alloc, cfg, plan)[0])
+
+    def test_reports_are_closed_forms(self):
+        """Each report's ``objective`` and ``nmse_u`` are
+        :func:`dcekit.analytics.closed_forms` of its allocation, to the bit,
+        for both solvers and every scenario."""
+        scenarios = set()
+        cases = [(cfg, plan, budget) for cfg, plan, budget, _ in TestVarASinglePeak()._budgets(20)]
+        cases += [(CFG, N_PLAN, EnergyBudget(8000.0, _L[p], g, e_ave_max=_A[p]))
+                  for g, p, _, _ in GP_PINS]
+        cases += [(CFG, N_PLAN, EnergyBudget(120.0, 200.0, 1.0)),  # the floor at the prior
+                  (CFG, nonreciprocal_plan(CFG, pilot_rank=2), EnergyBudget(120.0, 200.0, 0.4))]
+        cases += [(CFG, R_PLAN, EnergyBudget(e_t, 100.0, 0.1, e_ave_max=e_ave))
+                  for e_t, e_ave in ((2000.0, math.inf), (2000.0, 800.0), (100.0, 150.0))]
+        for cfg, plan, budget in cases:
+            rep = solve(cfg, plan, budget)
+            scenarios.add(rep.scenario)
+            objective, nmse_u = analytics.closed_forms(cfg, plan, rep.allocation)
+            assert (rep.objective, rep.nmse_u) == (objective, nmse_u), (cfg, plan, budget)
+            assert rep.constraint_slack == nmse_u - budget.gamma
+        assert {"interior", "an-free", "rank-k-vacuous"} <= scenarios
