@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import empty_stack, herm, hermitian_solve, matmul, scratch
+from .numerics import empty_stack, herm, hermitian_solve, keep, matmul, scratch
 
 __all__ = [
     "echo_downlink_estimate",
@@ -104,8 +104,8 @@ def echo_downlink_estimate(
     product is formed.
     """
     n_t, n_l = hu_hat.shape[-1], hu_hat.shape[-2]
-    est = empty_stack(y_t1.shape[:-2] + (n_t, n_l))
     if scale == 0.0:
+        est = empty_stack(y_t1.shape[:-2] + (n_t, n_l))
         est.fill(0.0)
         return est
     with scratch():
@@ -117,6 +117,8 @@ def echo_downlink_estimate(
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.
         np.conjugate(m, out=m)
-        np.conjugate(matmul(np.swapaxes(x_t0, -1, -2), m), out=est)
-        est *= scale
+        with keep():
+            est = matmul(x_t0.swapaxes(-1, -2), m)
+    np.conjugate(est, out=est)
+    est *= scale
     return est

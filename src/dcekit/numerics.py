@@ -280,9 +280,9 @@ def _fill_normal(gen: np.random.Generator, out: np.ndarray, var: float) -> np.nd
     gen.standard_normal(m.shape + (2,))``, for ``m`` the view of ``out`` in
     its memory order (axes from the largest stride to the smallest)."""
     # Every draw of a batch-of-one round is C-contiguous: it skips the stride sort.
-    flat = (out if out.flags.c_contiguous else out.transpose(_memory_order(out))).reshape(-1)
-    gen.standard_normal(out=flat.view(np.float64))
-    flat *= np.sqrt(var / 2.0)
+    dense = out if out.flags.c_contiguous else out.transpose(_memory_order(out))
+    gen.standard_normal(out=dense.view(np.float64))
+    dense *= math.sqrt(var / 2.0)
     return out
 
 
@@ -328,7 +328,7 @@ def random_gaussian(rows: int, cols: int, variance: float, rng: RngStream) -> np
 
 def herm(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
-    return np.swapaxes(np.conjugate(x, out=empty_like(x)), -1, -2)
+    return np.conjugate(x, out=empty_like(x)).swapaxes(-1, -2)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -528,14 +528,10 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     if size < HOUSEHOLDER_MIN_BATCH:
         with scratch():
             q, r = np.linalg.qr(complex_normal(gen, shape, 1.0))
-            diag = np.diagonal(r, axis1=-2, axis2=-1)
-            ratio = np.divide(diag, np.abs(diag, out=empty_like(diag)), out=empty_like(diag))
-            phase = empty_like(diag, np.complex128)
-            np.copyto(phase, ratio)
-            np.copyto(phase, 1.0 + 0j, where=np.equal(diag, 0, out=empty_like(diag, np.bool_)))
-            with keep():
-                out = empty_like(q)
-            return np.multiply(q, np.conjugate(phase, out=phase)[..., None, :], out=out)
+        diag = r.diagonal(0, -2, -1)
+        phase = np.ones_like(diag)
+        np.divide(diag, abs(diag), out=phase, where=diag != 0)
+        return np.multiply(q, np.conjugate(phase, out=phase)[..., None, :])
     q = empty((n, tau, size))  # q[j, i] holds entry (i, j) of every matrix
     q.fill(0.0)
     with scratch():

@@ -24,38 +24,37 @@ is therefore Haar-random per round.
 rounds of either scheme, and the one input check: ``ValueError`` for an
 invalid configuration or plan, :class:`AllocationError` for a malformed
 allocation.  :func:`run_reciprocal` / :func:`run_nonreciprocal` are its
-batch-of-one views (bit for bit ``run_rounds(..., batch=1, channels=...)``
-on the same stream), one body for both schemes, that also check the plan's
-scheme and each channel's shape (:func:`dcekit.model.channel_table`) and add
-the error statistics of :mod:`dcekit.analytics`.
+batch-of-one views, one body for both schemes: they check the plan's scheme
+and each channel's shape (:func:`dcekit.model.channel_table`), run the
+engine's stages on the constants of one memo lookup (bit for bit
+``run_rounds(..., batch=1, channels=...)`` on the same stream), and add the
+error statistics of :mod:`dcekit.analytics` and the three squared errors,
+taken together in one buffer.
 
-What a round needs that no draw changes is checked and built once per
-(config, plan, allocation), in one memo that keeps the :data:`_MEMO_SIZE`
-latest distinct valid inputs: the reverse or uplink pilot and its LMMSE
-combiner, the echo gain ``alpha`` with the echo estimator's regularizer
-``beta`` and prefactor, the noise level LR's forward estimate assumes, the
-forward pilot with LR's and UR's combiners, and the per-direction errors of
-every estimate whose errors do not depend on the draw.  Every round of those
-inputs shares these arrays, so they are read-only; so is every transcript's
-``per_direction_error_var``, and its pilot signals ``x_l`` / ``x_l2`` are
-the shared arrays.  Invalid inputs store nothing, so they are checked, and
-raise, on every call.
+What a round needs that no draw changes (:class:`_RoundConstants`) is
+checked and built once per (config, plan, allocation), in one memo that
+keeps the :data:`_MEMO_SIZE` latest distinct valid inputs.  Every round of
+those inputs shares these arrays, so they are read-only; so is every
+transcript's ``per_direction_error_var``, and its pilot signals ``x_l`` /
+``x_l2`` are the shared arrays.  Invalid inputs store nothing, so they are
+checked, and raise, on every call.
 
-Every per-trial array of a chunk lives in stack-last memory (the trial axis
-has unit stride; see :mod:`dcekit.numerics`) while keeping its ``(batch,
-rows, cols)`` shape: the channels and AN are drawn straight into it, every
-product goes through :func:`dcekit.numerics.matmul`, and each noise draw is
-made in its product's own memory order and added in place.  So a stacked
-product is a few vector operations along the chunk instead of 4096 BLAS
-calls, and no draw is copied or buffered on its way.  Below
-:data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds the arrays stay
-batch-first and numpy's own draws, products, solves and QRs run, which keeps
-the batch-of-one bits.
+Every per-trial array of a chunk lives in stack-last memory (see
+:mod:`dcekit.numerics`): the channels and AN are drawn straight into it,
+every product goes through :func:`dcekit.numerics.matmul`, and each noise
+draw is made in its product's own memory order and added in place.  Below
+:data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds numpy's own draws,
+products, solves and QRs run, which keeps the batch-of-one bits, so a
+single round is numpy's per-call cost: its QR, solve and eigenvalue calls
+alone take about 100 us of the 355 us of one reciprocal and one
+non-reciprocal round (README, "Single rounds").
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -178,7 +177,7 @@ def squared_error(truth: np.ndarray, est: np.ndarray) -> np.ndarray:
         diff = np.subtract(truth, est, out=empty_like(truth))
         re, im = np.square(diff.real, out=diff.real), np.square(diff.imag, out=diff.imag)
         re += im
-        return np.sum(re, axis=(-2, -1), out=out)
+        return np.add.reduce(re, axis=(-2, -1), out=out)
 
 
 # Distinct (config, plan, alloc) inputs the memo below keeps: more than the
@@ -254,12 +253,9 @@ def _round_constants(
 # Batched engine.  Draw order is part of the contract (reproducibility and
 # the batch-of-one runs below): the non-reciprocal Haar pilot c_t0 first,
 # then the channels (when not supplied), then stage noises in protocol
-# order, then the AN matrix, then receiver noises.
-# Channels and AN, which enter products, are drawn into stack-last memory;
-# each noise is drawn in its stack-last product's memory order and added in
-# place.
-# Under an arena (dcekit.numerics) the returned arrays last the chunk and
-# the intermediate signals live in scratch frames.
+# order, then the AN matrix, then receiver noises.  Under an arena
+# (dcekit.numerics) the returned arrays last the chunk and the intermediate
+# signals live in scratch frames.
 # ---------------------------------------------------------------------------
 
 
@@ -287,11 +283,16 @@ def run_rounds(
     inputs fix (LR's noise level, the echo gain) is in
     :func:`_round_constants`.
     """
+    const = _round_constants(config, plan, alloc)
+    return _rounds(config, alloc, const, plan.scheme, gen, batch, channels, keep_signals)
+
+
+def _rounds(config, alloc, const, scheme, gen, batch, channels, keep_signals) -> dict:
+    """:func:`run_rounds` on the constants of its inputs."""
     if keep_signals and active_arena() is not None:
         raise ValueError("keep_signals needs numpy's own memory, but an arena is active")
-    const = _round_constants(config, plan, alloc)
-    rounds = _reciprocal_rounds if plan.scheme == RECIPROCAL else _nonreciprocal_rounds
-    return rounds(config, alloc, const, gen, batch, channels, keep_signals)
+    stages = _reciprocal_rounds if scheme == RECIPROCAL else _nonreciprocal_rounds
+    return stages(config, alloc, const, gen, batch, channels, keep_signals)
 
 
 def _draw_channels(config, scheme, gen, batch) -> tuple[np.ndarray, ...]:
@@ -303,9 +304,9 @@ def _draw_channels(config, scheme, gen, batch) -> tuple[np.ndarray, ...]:
 def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
     h, g = _draw_channels(config, RECIPROCAL, gen, batch) if channels is None else channels
     with scratch():
-        y_t = add_complex_normal(matmul(const.x_rev, np.swapaxes(h, -1, -2)), gen, config.var_wt)
+        y_t = add_complex_normal(matmul(const.x_rev, h.swapaxes(-1, -2)), gen, config.var_wt)
         with keep():
-            h_hat = np.swapaxes(matmul(const.k_rev, y_t), -1, -2)  # plain transpose: unknown was H^T
+            h_hat = matmul(const.k_rev, y_t).swapaxes(-1, -2)  # plain transpose: unknown was H^T
 
     out = {"h": h, "g": g, "h_hat": h_hat}
     if keep_signals:
@@ -320,7 +321,7 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signa
     c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
     h_d, h_u, g = _draw_channels(config, NONRECIPROCAL, gen, batch) if channels is None else channels
 
-    x_t0 = np.multiply(np.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
+    x_t0 = np.multiply(math.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
     with scratch():
         y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
         y_t1 = matmul(y_l0, h_u)
@@ -378,18 +379,33 @@ def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
 
 
 def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
-    residual = np.max(np.abs(herm(null_basis) @ estimate)) if estimate.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(estimate))) if estimate.size else 1.0)
-    if residual > _NULL_RESIDUAL_TOL * scale:
+    # The bound is tol * max(1, max |estimate|): the estimate is read only past tol.
+    residual = abs(null_basis.conj().T @ estimate).max()
+    if residual > _NULL_RESIDUAL_TOL and residual > _NULL_RESIDUAL_TOL * abs(estimate).max():
         raise RuntimeError(
             f"artificial-noise basis leaked into the estimated channel "
             f"(residual {residual:.3e})"
         )
 
 
+def _transcript_errors(pairs) -> list[float]:
+    """``float(squared_error(truth, est)[0])`` of each batch-of-one pair, bit
+    for bit, in one buffer: each matrix's entries are summed as one contiguous
+    run, which numpy sums as it sums the matrix's two axes."""
+    ends = list(itertools.accumulate(truth.size for truth, _ in pairs))
+    diff = np.empty(ends[-1], np.complex128)
+    for (truth, est), lo, hi in zip(pairs, [0, *ends], ends):
+        np.subtract(truth, est, out=diff[lo:hi].reshape(truth.shape))
+    parts = diff.view(np.float64)
+    np.square(parts, out=parts)
+    entries = np.add(parts[0::2], parts[1::2])
+    return [float(np.add.reduce(entries[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+
+
 def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscript:
-    """One ``scheme`` round on a given channel draw: the engine at batch one,
-    unbatched into a transcript with its error statistics."""
+    """One ``scheme`` round on a given channel draw: the engine's stages at
+    batch one on the constants checked here, unbatched into a transcript with
+    its error statistics."""
     if plan.scheme != scheme:
         raise ValueError(f"plan scheme {plan.scheme!r} does not match {scheme!r}")
     const = _round_constants(config, plan, alloc)
@@ -402,7 +418,7 @@ def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscr
         if x.shape != shape:
             raise ValueError(f"channels.{name} must have shape {shape}, got {x.shape}")
         batched.append(x[None])
-    out = run_rounds(config, plan, alloc, rng.generator, 1, tuple(batched), keep_signals=True)
+    out = _rounds(config, alloc, const, scheme, rng.generator, 1, tuple(batched), True)
 
     errors = const.errors
     if scheme == NONRECIPROCAL:  # the echo estimate's errors depend on the draw
@@ -414,15 +430,14 @@ def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscr
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
     keys = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
+    squared = _transcript_errors([(out[truth], out[est]) for truth, est in keys.values()])
     return TrainingTranscript(
         scheme=scheme,
         signals={k: x[0] if x.ndim == 3 else x for k, x in out["signals"].items()},
         an_matrix=out["an"][0],
         null_basis=null_basis,
         estimates={k: EstimateWithError(out[est][0], errors[k]) for k, (_, est) in keys.items()},
-        squared_errors={
-            k: float(squared_error(out[truth], out[est])[0]) for k, (truth, est) in keys.items()
-        },
+        squared_errors=dict(zip(keys, squared)),
     )
 
 

@@ -167,6 +167,15 @@ class TestGuard:
         with pytest.raises(RuntimeError, match="leaked"):
             _guard_null_residual(basis, estimate)
 
+    def test_bound_scales_with_large_estimates(self):
+        """The bound is 1e-10 times the larger of 1 and the estimate's largest
+        modulus."""
+        basis = np.array([[0.0], [1.0]], dtype=complex)  # residual 2e-9 below
+        _guard_null_residual(basis, np.array([[50.0], [2e-9]], dtype=complex))
+        for scale in (0.5, 5.0):
+            with pytest.raises(RuntimeError, match="leaked"):
+                _guard_null_residual(basis, np.array([[scale], [2e-9]], dtype=complex))
+
 
 class TestBatchedKernels:
     @pytest.mark.parametrize("shape", [(1, 4, 2), (1, 4, 4), (7, 3, 2), (4096, 4, 2), (2, 5)])
@@ -538,6 +547,21 @@ class TestBatchOfOne:
             else:
                 assert "signals" not in out
 
+    @pytest.mark.parametrize("n,m,u", [(2, 1, 1), (4, 2, 2), (6, 3, 2), (16, 9, 3), (40, 7, 1)])
+    def test_transcript_errors_are_squared_error(self, n, m, u):
+        """The transcript's one-buffer errors equal :func:`squared_error` bit
+        for bit, sums of more than 8 and 128 entries and transposed estimates
+        included."""
+        gen = RngStream(n).generator
+        h, g = complex_normal(gen, (1, n, m), 1.0), complex_normal(gen, (1, n, u), 1.0)
+        pairs = [
+            (h, complex_normal(gen, (1, m, n), 1.0).swapaxes(-1, -2)),
+            (h, complex_normal(gen, (1, n, m), 1e-3)),
+            (g, complex_normal(gen, (1, n, u), 1e3)),
+        ]
+        expected = [float(squared_error(truth, est)[0]) for truth, est in pairs]
+        assert protocol._transcript_errors(pairs) == expected
+
     @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
     def test_transcript_reads_engine_noise_level(self, scheme):
         """LR's statistics use the noise level the engine estimated with."""
@@ -563,6 +587,72 @@ class TestBatchOfOne:
         assert out["h_hat"].shape == (3, CFG.n_t, CFG.n_l)
         assert squared_error(out["h"], out["h_lr"]).shape == (3,)
         assert not np.array_equal(out["h_lr"][0], out["h_lr"][1])
+
+
+class TestSingleRoundPins:
+    """Exact values of single rounds, so that a bit change the view and the
+    engine share shows (``TestBatchOfOne`` only compares the two).  Channels
+    and round share the stream, as in ``model.draw_channels`` then
+    ``run_*``.  Each entry: the ``tx``, ``lr``, ``ur`` squared errors, then
+    the sums of the null basis, the AN matrix and the three estimates."""
+
+    PINS = {
+        ((4, 2, 2), RECIPROCAL, 2): (
+            (6.3170587729449155, 5.883273647441968, 8.761622477149652),
+            (0.865898008587328+1.0078310050179011j, 3.5944436598856084+1.0114637490246605j,
+             0.21829060998674177-2.0241708699909218j, 0.5834522399201821-1.6646839927166068j,
+             -1.9580592744136154-2.0029539435571033j)),
+        ((4, 2, 2), RECIPROCAL, 5): (
+            (3.1091663850045537, 6.329304001501274, 5.687388385673692),
+            (0.5759002980673447+0.25578893883392007j, -1.555352576235641+2.7518667573956277j,
+             2.439690358207711-1.109562516697268j, 0.8831404296776448-0.8480650954925468j,
+             -0.4228017599173862-0.9539825702358005j)),
+        ((4, 2, 2), NONRECIPROCAL, 2): (
+            (5.46414540030792, 4.373516352929044, 9.863376182311164),
+            (0.3827251272503399-0.5315227315788612j, 2.0690198329711103-3.6598810041430934j,
+             1.2910484399564306-1.2307221580033474j, -0.03139251940997606-1.902874972636167j,
+             -1.8830152623335736+2.9278221831295514j)),
+        ((4, 2, 2), NONRECIPROCAL, 5): (
+            (4.868765705452763, 2.3972010032426665, 3.962481370331713),
+            (0.7639808538426278+0.2703056672081926j, -0.8759706636483144+2.868976306969194j,
+             -0.8251272778257545-0.8519798507089467j, 0.22938470399636046-1.951496202306009j,
+             1.0270707504712815+0.49705845995293857j)),
+        ((6, 3, 2), RECIPROCAL, 2): (
+            (12.197268857413931, 15.738248337413449, 10.84109916502029),
+            (-0.1439502011342439+0.5917123661394853j, 1.9931406668758838-1.573067739027515j,
+             -1.3442523889194389-0.9020174065144921j, -0.6657658205768255-2.3142838965587904j,
+             -0.25762979918380896-0.527910372336023j)),
+        ((6, 3, 2), RECIPROCAL, 5): (
+            (10.971442581835145, 11.489095844774058, 9.537766134689734),
+            (1.14570538374016-0.4593885070610252j, -3.3924284557517845-1.483422348196548j,
+             2.0636590943902027-0.23236945613569j, -1.385602096853341-1.7371015104725398j,
+             0.8338318994203344+0.870091309836373j)),
+        ((6, 3, 2), NONRECIPROCAL, 2): (
+            (21.33031693849012, 18.30100761083597, 13.278832963232158),
+            (-0.22734504951315593-1.1444704192701307j, -2.671547516488493+0.18125048684130407j,
+             -1.742628772738799-2.133814370586383j, -2.5724372489736433-2.2667510498433203j,
+             -2.113696180529092-1.1109781970328263j)),
+        ((6, 3, 2), NONRECIPROCAL, 5): (
+            (13.310913820858307, 11.509072945235413, 11.614763490965048),
+            (1.4708768804293353+1.1447145225356954j, 0.9210655550804059-0.45805025000483757j,
+             -0.7267213645185815-0.7279365632092819j, -0.3156067503801799-1.7817910952815563j,
+             -0.10005622235297468+0.17915658595687944j)),
+    }
+
+    @pytest.mark.parametrize("key", list(PINS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+    def test_round_is_pinned(self, key):
+        dims, scheme, seed = key
+        cfg = SystemConfig(*dims)
+        if scheme == RECIPROCAL:
+            plan, alloc, run = reciprocal_plan(cfg), R_ALLOC, run_reciprocal
+        else:
+            plan, alloc, run = nonreciprocal_plan(cfg), N_ALLOC, run_nonreciprocal
+        rng = RngStream(seed)
+        t = run(cfg, plan, alloc, draw_channels(cfg, scheme, rng), rng)
+        arrays = (t.null_basis, t.an_matrix, *(t.estimates[k].estimate for k in ("tx", "lr", "ur")))
+        errors, sums = self.PINS[key]
+        assert tuple(t.squared_errors[k] for k in ("tx", "lr", "ur")) == errors
+        assert tuple(complex(np.sum(x)) for x in arrays) == sums
 
 
 class TestRoundConstants:
@@ -640,6 +730,39 @@ class TestRoundConstants:
         run_rounds(CFG, plan, alloc, RngStream(4).generator, batch=2)
         info = _round_constants.cache_info()
         assert (info.currsize, info.hits) == (1, hits + 1)
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_one_lookup_per_round(self, scheme):
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        run = run_reciprocal if scheme == RECIPROCAL else run_nonreciprocal
+        rng = RngStream(1)
+        channels = draw_channels(CFG, scheme, rng)
+        run(CFG, plan, alloc, channels, rng)
+        for _ in range(3):
+            hits = _round_constants.cache_info().hits
+            run(CFG, plan, alloc, channels, rng)
+            assert _round_constants.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_view_checks_raise_every_call(self, scheme):
+        """On warm inputs the view's own checks (plan scheme, channels, no
+        active arena) still raise on every call."""
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        other = N_PLAN if scheme == RECIPROCAL else R_PLAN
+        run = run_reciprocal if scheme == RECIPROCAL else run_nonreciprocal
+        channels = draw_channels(CFG, scheme, RngStream(1))
+        run(CFG, plan, alloc, channels, RngStream(2))
+        cases = [
+            (other, channels, "does not match"),
+            (plan, dataclasses.replace(channels, g=None), r"needs channels\.g"),
+            (plan, dataclasses.replace(channels, g=channels.g[:, :1]), r"channels\.g must have shape"),
+        ]
+        for _ in range(3):
+            for p, ch, match in cases:
+                with pytest.raises(ValueError, match=match):
+                    run(CFG, p, alloc, ch, RngStream(2))
+            with Arena().activate(), pytest.raises(ValueError, match="arena is active"):
+                run(CFG, plan, alloc, channels, RngStream(2))
 
     def test_infeasible_allocation_raises_every_call(self):
         alloc = dataclasses.replace(R_ALLOC, e_f=-1.0)
