@@ -61,18 +61,17 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   the root of a decreasing first-order condition.  That condition is tested
   at both ends of the share's interval first: where it already has the
   sign of an end, the share sits at that cap (which is what most
-  cap-bound points do).  The points left open get a safeguarded Newton
+  cap-bound points do).  A share left open gets a safeguarded Newton
   iteration, finished by a short bisection on a bracket checked around its
-  result.  The outer search over ``var_a`` evaluates whole grids of
-  candidates at once (a log grid, then 128-point uniform zoom rounds around
-  the best point, about six rounds in all) and ends by comparing with the
-  AN-free corner ``var_a = 0``.  A pilot of rank ``K``
-  enters only through ``gt_K`` and the pilot profile.  What a round reads
-  that ``var_a`` does not change is bound once per solve
-  (:func:`_floor_round`), and a round is plain array arithmetic on it.
-  At ``SystemConfig(4, 2, 2)`` on a 2-vCPU Xeon VM a 128-point round takes
-  about 30 us where no TX/LR share is open, about 60 us with the end test
-  and about 0.45 ms with a root search.
+  result.  The outer search over ``var_a`` runs Brent's method around the
+  best of 0 and a 31-point log grid (about 50 rounds in all) and compares
+  with the AN-free corner ``var_a = 0``; like the grid zoom before it, it
+  needs ``e_t3 / D_bar`` to have one peak in ``var_a`` along the floor,
+  which ``TestVarASinglePeak`` scans for but nothing proves.  A pilot of
+  rank ``K`` enters only through ``gt_K`` and the pilot profile.  A round
+  (:func:`_floor_round`) is arithmetic on Python floats: at
+  ``SystemConfig(4, 2, 2)`` on a 2-vCPU Xeon VM, 2.4 us without an open
+  TX/LR share, 3 us with the end test and 27 us with a root search.
 
 Rank-deficient forward pilots are handled in closed form, once for both
 schemes: with ``K`` active pilot directions the UR floor binds only inside
@@ -86,10 +85,9 @@ reach.  :func:`optimize_rank` sweeps ``K`` and keeps the best.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import analytics
 from .model import (
@@ -125,10 +123,10 @@ class SolveReport:
 
     ``constraint_slack`` is ``NMSE_U - gamma`` at the solution; ``scenario``
     names the solution path taken; ``iterations`` counts the non-reciprocal
-    solver's ``var_a`` search rounds (0 for the reciprocal solver, which has
-    no search).  ``converged`` is false only when the non-reciprocal
-    ``var_a`` bracket did not shrink to its tolerance within the round cap;
-    the best point found is still returned, with ``message`` explaining.
+    solver's Brent steps over ``var_a`` (0 for the reciprocal solver, which
+    has no search).  ``converged`` is false only when Brent's ``var_a``
+    bracket did not shrink to its tolerance within the step cap; the best
+    point found is still returned, with ``message`` explaining.
     ``nmse_u`` is UR's closed-form NMSE at the allocation, the second value
     of :func:`dcekit.analytics.closed_forms` (``objective`` is the first).
     """
@@ -278,139 +276,149 @@ def solve_general(
 # Non-reciprocal solver: exact search over (var_a, TX/LR share).
 # ---------------------------------------------------------------------------
 
-_GRID_POINTS = 64  # first var_a round: 0 and a log grid over var_a_max * [1e-9, 1]
-_ZOOM_POINTS = 128  # every later round: a uniform grid over the bracket
-_ZOOM_RTOL = 1e-9  # done once the bracket is this narrow relative to its best
-_ZOOM_ROUNDS = 60  # round cap; only a bracket that will not shrink reaches it
+_GRID_POINTS = 32  # first evaluations: 0 and var_a_max * 2^-k, k = 0..30
+_SEARCH_RTOL = 1e-9  # done once Brent's bracket is this narrow relative to its best
+_SEARCH_STEPS = 100  # cap on Brent's steps; 4,000 random wide-domain solves took at most 42
 _SHARE_STEPS = 52  # cap on Newton steps, and on bisection steps (a full bisection)
 
-# The first round's grid in units of var_a_max, and the zoom grid's steps,
-# the same for every solve.
-_UNIT_GRID = np.append(0.0, np.geomspace(1e-9, 1.0, _GRID_POINTS - 1))
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
-_UNIT_GRID.setflags(write=False)
-_ZOOM_STEPS.setflags(write=False)
 
-
-def _echo_quality(coefficients, l):
-    """The LR split of total energy ``l`` that minimises
-    :func:`dcekit.analytics.echo_quality`, elementwise, for the coefficients
-    ``(a, b, c)`` of :func:`dcekit.analytics.echo_coefficients`.
-
-    ``e_l1`` is the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 -
-    (b l^2 + c l)``, i.e. ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns
-    ``(e_l1, e_l2, Q)``.
-    """
+def _echo_split(coefficients, l, sqrt=math.sqrt):
+    """The LR split of total energy ``l`` minimising :func:`dcekit.analytics.echo_quality`
+    (coefficients ``(a, b, c)``; :func:`cmath.sqrt` for a complex ``l``): ``e_l1`` is
+    the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 - (b l^2 + c l)``,
+    ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns ``(e_l1, e_l2, Q)``; a
+    zero energy (or product) makes ``Q`` infinite, as array arithmetic would."""
     a, b, c = coefficients
-    e_l1 = l / (1.0 + np.sqrt((a * l + c) / (b * l + c)))
+    e_l1 = l / (1.0 + sqrt((a * l + c) / (b * l + c)))
     e_l2 = l - e_l1
-    return e_l1, e_l2, analytics.echo_quality(coefficients, e_l1, e_l2)
+    q = analytics.echo_quality(coefficients, e_l1, e_l2) if e_l1 * e_l2 else math.inf
+    return e_l1, e_l2, q
 
 
-def _share_condition(config: SystemConfig, coefficients, room, e_t0):
-    """Derivative of ``log rho0(e_t0) - log Q(room - e_t0)`` in ``e_t0``,
-    elementwise, with ``Q`` at its best LR split; it decreases in ``e_t0``.
-    ``dQ/dl`` there is ``dQ/de_l2`` (envelope theorem)."""
+def _share_condition(config: SystemConfig, coefficients, room, e_t0, sqrt=math.sqrt):
+    """Derivative of ``log rho0(e_t0) - log Q(room - e_t0)`` in ``e_t0``, with
+    ``Q`` at its best LR split; it decreases in ``e_t0``.  ``dQ/dl`` there is
+    ``dQ/de_l2`` (envelope theorem).  As in array arithmetic, a zero LR
+    energy makes it NaN (``dQ / Q`` is ``inf / inf``), else a zero ``e_t0``
+    makes it ``inf``."""
     a, _, c = coefficients
-    e_l1, e_l2, q = _echo_quality(coefficients, room - e_t0)
-    dq = -(a + c / e_l1) / e_l2**2
+    e_l1, e_l2, q = _echo_split(coefficients, room - e_t0, sqrt)
+    if q == math.inf:
+        return math.nan
+    if not e_t0:
+        return math.inf
+    dq = -(a + c / e_l1) / (e_l2 * e_l2)
     return config.n_t * config.var_w / (e_t0 * analytics.echo_power(config, e_t0)) + dq / q
 
 
 def _share_root(config: SystemConfig, coefficients, room, lo, hi):
-    """Root of the share condition in each bracket ``[lo, hi]`` that the end
-    test left open, elementwise, to the resolution of a 52-step bisection,
-    ``2^-52 (hi - lo)``.
-
-    A safeguarded Newton iteration finds it: the condition times ``e_t0 (room
-    - e_t0)`` (positive, so the same sign) is nearly linear where the
-    condition has a pole at either end, and its derivative is a complex step
-    through :func:`_share_condition`.  Each iterate shrinks a bracket by its
-    sign, and a step leaving it bisects instead.  Newton stalls at the
-    condition's rounding noise, so the root is then bracketed by the
-    condition's sign a little beyond the last step on both sides and bisected
-    down to the resolution; where that check fails the whole ``[lo, hi]`` is
-    bisected."""
-    width = hi - lo
-    a, b = lo, hi
+    """Root of the share condition in a bracket ``[lo, hi]`` the end test left
+    open, to a 52-step bisection's resolution ``2^-52 (hi - lo)``.  Newton
+    steps run on the condition times ``e_t0 (room - e_t0)`` (same sign, nearly
+    linear where the condition has a pole at an end) with a complex-step
+    derivative; each shrinks the bracket by its sign, and one leaving it
+    bisects.  Once they stall at rounding noise, the root is bracketed by the
+    condition's sign a little beyond the last step on both sides (else by
+    ``[lo, hi]``) and bisected down to the resolution."""
+    a, b, width = lo, hi, hi - lo
     x = 0.5 * (a + b)
     for _ in range(_SHARE_STEPS):
-        h = 2.0**-60 * x
-        z = np.empty(x.shape, complex)  # x + 1j h, without a complex product
-        z.real, z.imag = x, h
-        g = z * (room - z) * _share_condition(config, coefficients, room, z)
-        grow = g.real > 0.0
-        a, b = np.where(grow, x, a), np.where(grow, b, x)
-        step = g.real / g.imag * h
+        z = complex(x, 2.0**-60 * x)
+        g = z * (room - z) * _share_condition(config, coefficients, room, z, cmath.sqrt)
+        a, b = (x, b) if g.real > 0.0 else (a, x)
+        step = g.real / g.imag * z.imag if g.imag else math.inf  # no slope: bisect
         new = x - step
         # A converged iterate is an end of its bracket, hence the <=.
-        x = np.where((a <= new) & (new <= b), new, 0.5 * (a + b))
-        # Near the root a step is rounding noise, measured up to about 40 ulps
-        # of e_t0 (the iterate itself within a few): 64 ulps ends the search,
-        # and the check below brackets 16 ulps beyond the last step.
-        if (np.abs(step) <= 64.0 * np.spacing(x)).all():
+        x = new if a <= new <= b else 0.5 * (a + b)
+        # Near the root a step is rounding noise, up to about 40 ulps of e_t0:
+        # 64 ulps ends the search; the check below brackets 16 ulps beyond.
+        if abs(step) <= 64.0 * math.ulp(x):
             break
-    d = np.abs(step) + 16.0 * np.spacing(x)
-    xl, xh = np.maximum(x - d, lo), np.minimum(x + d, hi)
-    ends = _share_condition(
-        config, coefficients, np.concatenate([room, room]), np.concatenate([xl, xh])
-    )
-    a = np.where(ends[: x.size] > 0.0, xl, lo)
-    b = np.where(ends[x.size :] <= 0.0, xh, hi)
+    d = abs(step) + 16.0 * math.ulp(x)
+    xl, xh = max(x - d, lo), min(x + d, hi)
+    a = xl if _share_condition(config, coefficients, room, xl) > 0.0 else lo
+    b = xh if _share_condition(config, coefficients, room, xh) <= 0.0 else hi
     for _ in range(_SHARE_STEPS):
         mid = 0.5 * (a + b)
-        open_ = (b - a > 2.0**-52 * width) & (a < mid) & (mid < b)
-        if not open_.any():
+        if not (b - a > 2.0**-52 * width and a < mid < b):
             break
         grow = _share_condition(config, coefficients, room, mid) > 0.0
-        a, b = np.where(open_ & grow, mid, a), np.where(open_ & ~grow, mid, b)
+        a, b = (mid, b) if grow else (a, mid)
     return 0.5 * (a + b)
 
 
 def _floor_round(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget, gt: float):
-    """The ``var_a`` round of one solve, with everything it reads that
-    ``var_a`` does not change bound once: ``gt``, the caps and the echo
-    coefficients.
-
-    The round maps an array of AN variances to ``(e_t3 / D_bar, e_t0, e_l1,
-    e_l2, e_t3, D_bar)``, the best allocation at each: ``e_t3`` on the floor,
-    the rest of the caps to ``e_t0`` and LR.  Where a total cap binds,
-    ``e_t0`` lies in ``[lo, hi]`` (LR's cap below, the transmitter's above)
-    and the share condition (:func:`_share_condition`) settles it: the
-    condition is tested at both ends first, and ``e_t0`` is ``lo`` where it
-    is already ``<= 0`` there and ``hi`` where it is still ``> 0`` there;
-    only the points left open get a root search (:func:`_share_root`).
-    ``D_bar`` is :func:`dcekit.analytics.nonreciprocal_effective_noise` of
-    that allocation, from the same formulas in the same order.  A round is
-    plain array arithmetic: call it under ``np.errstate(divide="ignore",
-    invalid="ignore")``, since zero energies give infinite ``Q``."""
-    e_l_max, e_ave_max = budget.e_l_max, budget.e_ave_max
-    e_cap = min(budget.e_t_max, e_ave_max)
+    """The ``var_a`` round of one solve, on ``gt``, the caps (as Python
+    floats) and the echo coefficients bound once.  It maps an AN variance to
+    ``(e_t3 / D_bar, e_t0, e_l1, e_l2, e_t3, D_bar)``, the best allocation
+    there: ``e_t3`` on the floor, the rest of the caps to ``e_t0`` and LR.
+    Under a binding total cap ``e_t0`` is ``lo`` (LR's cap) where the share
+    condition is already ``<= 0`` there, else ``hi`` (the transmitter's)
+    where it is still ``> 0`` there, else (a NaN end included) its root.
+    ``D_bar`` is :func:`dcekit.analytics.nonreciprocal_effective_noise`'s,
+    from the same formulas in the same order."""
+    e_l_max, e_ave_max = float(budget.e_l_max), float(budget.e_ave_max)
+    e_cap, gt = min(float(budget.e_t_max), e_ave_max), float(gt)
     coefficients = analytics.echo_coefficients(config)
 
     def round_(var_a):
         e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
-        room = np.maximum(e_ave_max - tx_spend, 0.0)  # inf without a total cap
-        hi = np.maximum(e_cap - tx_spend, 0.0)
-        lo = np.minimum(np.maximum(room - e_l_max, 0.0), hi)
+        room = max(e_ave_max - tx_spend, 0.0)  # inf without a total cap
+        hi = max(e_cap - tx_spend, 0.0)
+        lo = min(max(room - e_l_max, 0.0), hi)
         e_t0 = lo
-        share = lo < hi
-        if share.any():
-            ends = _share_condition(
-                config, coefficients, np.concatenate([room, room]), np.concatenate([lo, hi])
-            )
-            at_lo = ends[: lo.size] <= 0.0
-            at_hi = (ends[lo.size :] > 0.0) & ~at_lo
-            e_t0 = np.where(at_hi, hi, lo)
-            # NaN at an end (a zero energy there) leaves the point open too.
-            idx = (share & ~at_lo & ~at_hi).nonzero()[0]
-            if idx.size:
-                e_t0[idx] = _share_root(config, coefficients, room[idx], lo[idx], hi[idx])
-        e_l1, e_l2, q = _echo_quality(coefficients, np.minimum(e_l_max, room - e_t0))
+        if lo < hi and not _share_condition(config, coefficients, room, lo) <= 0.0:
+            if _share_condition(config, coefficients, room, hi) > 0.0:
+                e_t0 = hi
+            else:
+                e_t0 = _share_root(config, coefficients, room, lo, hi)
+        e_l1, e_l2, q = _echo_split(coefficients, min(e_l_max, room - e_t0))
         d_bar = analytics.leak_noise(config, var_a, analytics.downlink_error(config, e_t0, q))
         return e_t3 / d_bar, e_t0, e_l1, e_l2, e_t3, d_bar
 
     return round_
+
+
+def _brent_peak(round_, lo, hi, x, point):
+    """Brent's bounded search (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) for the peak of the round's ratio in ``[lo,
+    hi]``, from ``x`` and its round ``point``, down to a bracket ``_SEARCH_RTOL``
+    of its best point wide.  Returns ``(var_a, point, search)``, ``search``
+    the report's ``iterations``, ``converged`` and ``message``."""
+    v = w = x
+    fv = fw = fx = point[0]
+    d = e = 0.0
+    for steps in range(_SEARCH_STEPS + 1):
+        m = 0.5 * (lo + hi)
+        tol = 0.25 * _SEARCH_RTOL * x  # the bracket is at most 4 tol wide when done
+        done = abs(x - m) <= 2.0 * tol - 0.5 * (hi - lo)
+        if done or steps == _SEARCH_STEPS:
+            message = "" if done else f"var_a bracket still {hi - lo:.3g} wide after {steps} steps"
+            return x, point, {"iterations": steps, "converged": done, "message": message}
+        p = q = 0.0
+        if abs(e) > tol:  # the parabola through x, w and v peaks at x + p / q
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+            e, d = d, p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (lo if x >= m else hi) - x
+            d = 0.3819660112501051 * e  # golden section: (3 - sqrt(5)) / 2
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        trial = round_(u)
+        fu = trial[0]
+        if fu >= fx:
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, fv, w, fw, x, fx, point = w, fw, x, fx, u, fu, trial
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
 
 
 def solve_nonreciprocal(
@@ -423,16 +431,14 @@ def solve_nonreciprocal(
     README's "Non-reciprocal allocation" table measures).
 
     For each AN variance the rest of the allocation is exact (see the module
-    docstring).  ``var_a`` itself is searched by a 64-point grid over its
-    feasible range (0 and a log grid), then by rounds of 128-point uniform
-    grids over the bracket around each round's best point, every round
-    evaluated at once.  The best
-    point (scenario ``"interior"``) is compared with the AN-free corner
-    (``"an-free"``).  ``iterations`` counts the rounds.
+    docstring).  ``var_a`` itself is searched by a 32-point grid over its
+    feasible range, then by Brent's method (:func:`_brent_peak`) around the
+    grid's best point (scenario ``"interior"``), which is compared with the
+    AN-free corner (``"an-free"``).  ``iterations`` counts Brent's steps.
     """
     _check_inputs(config, plan, budget, NONRECIPROCAL)
     e_cap = min(budget.e_t_max, budget.e_ave_max)
-    d = np.array(optimal_pilot_gram(config.n_t, plan.pilot_rank))
+    d = optimal_pilot_gram(config.n_t, plan.pilot_rank)
 
     def report(alloc, d_bar, scenario, **search):
         # analytics.closed_forms, with LR's effective noise d_bar given.
@@ -454,28 +460,21 @@ def solve_nonreciprocal(
 
     # The transmitter's spend along the floor is affine in var_a; at
     # var_a_max nothing is left for e_t0.
-    _, (spend0, spend1) = _floor_spend(config, plan, gt, np.array([0.0, 1.0]))
+    spend0, spend1 = (_floor_spend(config, plan, gt, v)[1] for v in (0.0, 1.0))
     var_a_max = (e_cap - spend0) / (spend1 - spend0)
-    grid = var_a_max * _UNIT_GRID
     round_ = _floor_round(config, plan, budget, gt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rounds in range(1, _ZOOM_ROUNDS + 1):
-            points = round_(grid)
-            i = int(points[0].argmax())
-            var_a = float(grid[i])
-            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-            converged = bool(hi - lo <= _ZOOM_RTOL * var_a) or var_a == 0.0  # zero: the corner wins
-            if converged:
-                break
-            # np.linspace(lo, hi, _ZOOM_POINTS) by its own arithmetic.
-            grid = lo + _ZOOM_STEPS * ((hi - lo) / (_ZOOM_POINTS - 1))
-            grid[-1] = hi
-    message = "" if converged else f"var_a bracket still {hi - lo:.3g} wide after {rounds} rounds"
-    search = {"iterations": rounds, "converged": converged, "message": message}
+    grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - _GRID_POINTS, 1)]
+    points = [round_(v) for v in grid]
+    i = max(range(_GRID_POINTS), key=lambda k: points[k][0])  # the first of ties
+    var_a, point = grid[i], points[i]
+    search = {"iterations": 0}
+    if i:  # at zero the corner wins
+        lo, hi = grid[i - 1], grid[min(i + 1, _GRID_POINTS - 1)]
+        var_a, point, search = _brent_peak(round_, lo, hi, var_a, point)
 
-    _, e_t0, e_l1, e_l2, e_t3, d_bar = (float(x[i]) for x in points)
+    _, e_t0, e_l1, e_l2, e_t3, d_bar = map(float, point)
     best = PowerAllocation(
-        scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=var_a
+        scheme=NONRECIPROCAL, e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=float(var_a)
     )
     interior = report(best, d_bar, "interior", **search)
     corner = an_free(gt, "an-free", **search)

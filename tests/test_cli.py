@@ -341,8 +341,9 @@ class TestSweep:
 # Closed-form sweep rows, recorded before the grid loop was shared between
 # sweep and ser (--gamma 0.1,0.03 --pave-db 10:30:10 --trials 0).  The
 # non-reciprocal allocation cells were re-recorded when the var_a search took
-# a finer zoom grid: on a flat optimum the maximiser is fixed only to about
-# sqrt(eps), and they moved by up to 1.9e-7 relative; the NMSE cells did not.
+# a finer zoom grid, and again when Brent's method replaced the zoom: on a
+# flat optimum the maximiser is fixed only to about sqrt(eps), and they moved
+# by up to 1.9e-7 and 7.5e-8 relative; the NMSE cells did not.
 PINNED_SWEEP = {
     "reciprocal": """\
 10,0.1,reciprocal,6.23305621136,,,51.9902494098,0.222086797358,0.0785440434207,0.1,,,,,0.0625,scenario3,ok
@@ -353,12 +354,12 @@ PINNED_SWEEP = {
 30,0.03,reciprocal,200,,,3883.88,14.515,0.00132416138822,0.03,,,,,0.000999000999001,scenario1,ok
 """,
     "nonreciprocal": """\
-10,0.1,nonreciprocal,21.0953192195,15.858375393,11.5881208224,85.9123661086,0.693227307064,0.0629195580556,0.1,,,,,0.0277777777778,interior,ok
-10,0.03,nonreciprocal,2.53819114411,2.25992750959,1.84138895498,133.23967762,0.0151018464675,0.0299022684638,0.03,,,,,0.0277777777778,interior,ok
-20,0.1,nonreciprocal,256.11157048,182.20133951,129.246177443,752.79682131,9.95551140709,0.00879315921632,0.1,,,,,0.002849002849,interior,ok
-20,0.03,nonreciprocal,165.562008277,118.163501211,83.9625418149,1005.22259024,3.38616980761,0.00533384373839,0.03,,,,,0.002849002849,interior,ok
-30,0.1,nonreciprocal,1916.65375004,351.230394538,248.769605462,5478.61162496,75.5918281245,0.00202056850926,0.1,,,,,0.000499750124938,interior,ok
-30,0.03,nonreciprocal,1170.06932051,351.230394538,248.769605462,6628.91275911,25.1272400481,0.000997836429162,0.03,,,,,0.000499750124938,interior,ok
+10,0.1,nonreciprocal,21.0953192107,15.8583753868,11.588120818,85.912366126,0.693227307306,0.0629195580556,0.1,,,,,0.0277777777778,interior,ok
+10,0.03,nonreciprocal,2.53819104379,2.25992742833,1.84138889407,133.239677855,0.0151018473768,0.0299022684638,0.03,,,,,0.0277777777778,interior,ok
+20,0.1,nonreciprocal,256.111562848,182.201334113,129.246173627,752.79683647,9.95551161764,0.00879315921632,0.1,,,,,0.002849002849,interior,ok
+20,0.03,nonreciprocal,165.562005726,118.163499407,83.9625405391,1005.2225957,3.38616982873,0.00533384373839,0.03,,,,,0.002849002849,interior,ok
+30,0.1,nonreciprocal,1916.65389321,351.230394538,248.769605462,5478.61149611,75.5918263349,0.00202056850926,0.1,,,,,0.000499750124938,interior,ok
+30,0.03,nonreciprocal,1170.06933641,351.230394538,248.769605462,6628.91274368,25.1272399885,0.000997836429162,0.03,,,,,0.000499750124938,interior,ok
 """,
 }
 
