@@ -64,14 +64,18 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   cap-bound points do).  A share left open gets a safeguarded Newton
   iteration, finished by a short bisection on a bracket checked around its
   result.  The outer search over ``var_a`` runs Brent's method around the
-  best of 0 and a 31-point log grid (about 50 rounds in all) and compares
-  with the AN-free corner ``var_a = 0``; like the grid zoom before it, it
-  needs ``e_t3 / D_bar`` to have one peak in ``var_a`` along the floor,
-  which ``TestVarASinglePeak`` scans for but nothing proves.  A pilot of
-  rank ``K`` enters only through ``gt_K`` and the pilot profile.  A round
-  (:func:`_floor_round`) is arithmetic on Python floats: at
-  ``SystemConfig(4, 2, 2)`` on a 2-vCPU Xeon VM, 2.4 us without an open
-  TX/LR share, 3 us with the end test and 27 us with a root search.
+  best of 0 and a 31-point log grid down to a bracket ``sqrt(eps)`` of its
+  best point wide (about 45 rounds in all, 13-23 of them Brent steps at
+  perfbench's ``gp_sweep`` points) and compares with the AN-free corner
+  ``var_a = 0``; like the grid zoom before it, it needs ``e_t3 / D_bar`` to
+  have one peak in ``var_a`` along the floor, which ``TestVarASinglePeak``
+  scans for but nothing proves.  A pilot of rank ``K`` enters only through
+  ``gt_K`` and the pilot profile.  A round (:func:`_floor_round`) is
+  arithmetic on Python floats and makes LR's split at most once: at
+  ``SystemConfig(4, 2, 2)`` on a 2-vCPU Xeon VM, 0.9 us without an open
+  TX/LR share, 1.8 us with the end test and 23 us with a root search.  The
+  report's closed forms run on Python floats too
+  (:func:`dcekit.analytics.forward_nmse`).
 
 Rank-deficient forward pilots are handled in closed form, once for both
 schemes: with ``K`` active pilot directions the UR floor binds only inside
@@ -123,10 +127,12 @@ class SolveReport:
 
     ``constraint_slack`` is ``NMSE_U - gamma`` at the solution; ``scenario``
     names the solution path taken; ``iterations`` counts the non-reciprocal
-    solver's Brent steps over ``var_a`` (0 for the reciprocal solver, which
-    has no search).  ``converged`` is false only when Brent's ``var_a``
-    bracket did not shrink to its tolerance within the step cap; the best
-    point found is still returned, with ``message`` explaining.
+    solver's Brent steps over ``var_a`` (13-23 at the feasible points of
+    perfbench's ``gp_sweep``, at most 37 on random wide-domain budgets; 0
+    for the reciprocal solver, which has no search).  ``converged`` is false
+    only when Brent's ``var_a`` bracket did not shrink to ``sqrt(eps)`` of
+    its best point within the cap of 100 steps; the best point found is
+    still returned, with ``message`` explaining.
     ``nmse_u`` is UR's closed-form NMSE at the allocation, the second value
     of :func:`dcekit.analytics.closed_forms` (``objective`` is the first).
     """
@@ -277,8 +283,8 @@ def solve_general(
 # ---------------------------------------------------------------------------
 
 _GRID_POINTS = 32  # first evaluations: 0 and var_a_max * 2^-k, k = 0..30
-_SEARCH_RTOL = 1e-9  # done once Brent's bracket is this narrow relative to its best
-_SEARCH_STEPS = 100  # cap on Brent's steps; 4,000 random wide-domain solves took at most 42
+_SEARCH_RTOL = 2.0**-26  # sqrt(eps): done once Brent's bracket is this narrow relative to its best
+_SEARCH_STEPS = 100  # cap on Brent's steps; 6,000 random wide-domain budgets took at most 37
 _SHARE_STEPS = 52  # cap on Newton steps, and on bisection steps (a full bisection)
 
 
@@ -298,17 +304,18 @@ def _echo_split(coefficients, l, sqrt=math.sqrt):
 def _share_condition(config: SystemConfig, coefficients, room, e_t0, sqrt=math.sqrt):
     """Derivative of ``log rho0(e_t0) - log Q(room - e_t0)`` in ``e_t0``, with
     ``Q`` at its best LR split; it decreases in ``e_t0``.  ``dQ/dl`` there is
-    ``dQ/de_l2`` (envelope theorem).  As in array arithmetic, a zero LR
-    energy makes it NaN (``dQ / Q`` is ``inf / inf``), else a zero ``e_t0``
-    makes it ``inf``."""
+    ``dQ/de_l2`` (envelope theorem).  Returns it with that split, ``(e_l1,
+    e_l2, Q)`` at LR total ``room - e_t0``.  As in array arithmetic, a zero
+    LR energy makes it NaN (``dQ / Q`` is ``inf / inf``), else a zero
+    ``e_t0`` makes it ``inf``."""
     a, _, c = coefficients
-    e_l1, e_l2, q = _echo_split(coefficients, room - e_t0, sqrt)
+    split = e_l1, e_l2, q = _echo_split(coefficients, room - e_t0, sqrt)
     if q == math.inf:
-        return math.nan
+        return math.nan, split
     if not e_t0:
-        return math.inf
+        return math.inf, split
     dq = -(a + c / e_l1) / (e_l2 * e_l2)
-    return config.n_t * config.var_w / (e_t0 * analytics.echo_power(config, e_t0)) + dq / q
+    return config.n_t * config.var_w / (e_t0 * analytics.echo_power(config, e_t0)) + dq / q, split
 
 
 def _share_root(config: SystemConfig, coefficients, room, lo, hi):
@@ -324,7 +331,7 @@ def _share_root(config: SystemConfig, coefficients, room, lo, hi):
     x = 0.5 * (a + b)
     for _ in range(_SHARE_STEPS):
         z = complex(x, 2.0**-60 * x)
-        g = z * (room - z) * _share_condition(config, coefficients, room, z, cmath.sqrt)
+        g = z * (room - z) * _share_condition(config, coefficients, room, z, cmath.sqrt)[0]
         a, b = (x, b) if g.real > 0.0 else (a, x)
         step = g.real / g.imag * z.imag if g.imag else math.inf  # no slope: bisect
         new = x - step
@@ -336,13 +343,13 @@ def _share_root(config: SystemConfig, coefficients, room, lo, hi):
             break
     d = abs(step) + 16.0 * math.ulp(x)
     xl, xh = max(x - d, lo), min(x + d, hi)
-    a = xl if _share_condition(config, coefficients, room, xl) > 0.0 else lo
-    b = xh if _share_condition(config, coefficients, room, xh) <= 0.0 else hi
+    a = xl if _share_condition(config, coefficients, room, xl)[0] > 0.0 else lo
+    b = xh if _share_condition(config, coefficients, room, xh)[0] <= 0.0 else hi
     for _ in range(_SHARE_STEPS):
         mid = 0.5 * (a + b)
         if not (b - a > 2.0**-52 * width and a < mid < b):
             break
-        grow = _share_condition(config, coefficients, room, mid) > 0.0
+        grow = _share_condition(config, coefficients, room, mid)[0] > 0.0
         a, b = (mid, b) if grow else (a, mid)
     return 0.5 * (a + b)
 
@@ -355,24 +362,39 @@ def _floor_round(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget,
     Under a binding total cap ``e_t0`` is ``lo`` (LR's cap) where the share
     condition is already ``<= 0`` there, else ``hi`` (the transmitter's)
     where it is still ``> 0`` there, else (a NaN end included) its root.
-    ``D_bar`` is :func:`dcekit.analytics.nonreciprocal_effective_noise`'s,
-    from the same formulas in the same order."""
+    LR's split at its cap ``e_l_max`` is computed once per solve, and an end
+    test's split is kept where ``e_t0`` lands at that end, so only a round
+    whose LR total is neither computes its own.  ``D_bar`` is
+    :func:`dcekit.analytics.nonreciprocal_effective_noise`'s, from the same
+    formulas in the same order."""
     e_l_max, e_ave_max = float(budget.e_l_max), float(budget.e_ave_max)
     e_cap, gt = min(float(budget.e_t_max), e_ave_max), float(gt)
     coefficients = analytics.echo_coefficients(config)
+    capped = _echo_split(coefficients, e_l_max)
 
     def round_(var_a):
         e_t3, tx_spend = _floor_spend(config, plan, gt, var_a)
-        room = max(e_ave_max - tx_spend, 0.0)  # inf without a total cap
-        hi = max(e_cap - tx_spend, 0.0)
-        lo = min(max(room - e_l_max, 0.0), hi)
-        e_t0 = lo
-        if lo < hi and not _share_condition(config, coefficients, room, lo) <= 0.0:
-            if _share_condition(config, coefficients, room, hi) > 0.0:
+        # room = max(e_ave_max - tx_spend, 0), hi = max(e_cap - tx_spend, 0)
+        # and lo = min(max(room - e_l_max, 0), hi), as comparisons: the
+        # builtins' calls took about a third of a round.
+        room, hi = e_ave_max - tx_spend, e_cap - tx_spend  # room: inf without a total cap
+        room, hi = (0.0 if room < 0.0 else room), (0.0 if hi < 0.0 else hi)
+        lo = room - e_l_max
+        lo = 0.0 if lo < 0.0 else lo
+        lo = hi if hi < lo else lo
+        e_t0, split = lo, None
+        if lo < hi:
+            condition, split = _share_condition(config, coefficients, room, lo)
+            if not condition <= 0.0:
+                condition, split = _share_condition(config, coefficients, room, hi)
                 e_t0 = hi
-            else:
-                e_t0 = _share_root(config, coefficients, room, lo, hi)
-        e_l1, e_l2, q = _echo_split(coefficients, min(e_l_max, room - e_t0))
+                if not condition > 0.0:
+                    e_t0, split = _share_root(config, coefficients, room, lo, hi), None
+        if not room - e_t0 < e_l_max:  # LR's total is min(e_l_max, room - e_t0)
+            split = capped
+        elif split is None:
+            split = _echo_split(coefficients, room - e_t0)
+        e_l1, e_l2, q = split
         d_bar = analytics.leak_noise(config, var_a, analytics.downlink_error(config, e_t0, q))
         return e_t3 / d_bar, e_t0, e_l1, e_l2, e_t3, d_bar
 
@@ -382,9 +404,12 @@ def _floor_round(config: SystemConfig, plan: TrainingPlan, budget: EnergyBudget,
 def _brent_peak(round_, lo, hi, x, point):
     """Brent's bounded search (*Algorithms for Minimization without
     Derivatives*, 1973, ch. 5) for the peak of the round's ratio in ``[lo,
-    hi]``, from ``x`` and its round ``point``, down to a bracket ``_SEARCH_RTOL``
-    of its best point wide.  Returns ``(var_a, point, search)``, ``search``
-    the report's ``iterations``, ``converged`` and ``message``."""
+    hi]``, from ``x`` and its round ``point``, down to a bracket ``sqrt(eps)``
+    of its best point wide (``_SEARCH_RTOL``).  That is Brent's rounding
+    floor: within it a smooth peak is flat to rounding, so a narrower
+    bracket would move the optimum by rounding alone.  Returns ``(var_a,
+    point, search)``, ``search`` the report's ``iterations``, ``converged``
+    and ``message``."""
     v = w = x
     fv = fw = fx = point[0]
     d = e = 0.0

@@ -123,17 +123,31 @@ def ur_disturbance(config: SystemConfig, var_a: float) -> float:
     return (config.n_t - config.n_l) * var_a * config.var_g + config.var_v
 
 
+def _direction_errors(config: SystemConfig, prior: float, e_fwd: float, noise: float, d):
+    """:func:`forward_direction_errors` as a list of Python floats, each
+    rounded as numpy's elementwise arithmetic rounds it."""
+    scale, noise = e_fwd / config.n_t, float(noise)
+    return [posterior_var(prior, scale * d_i / noise) for d_i in d]
+
+
 def forward_direction_errors(config: SystemConfig, prior: float, e_fwd: float, noise: float, d):
-    """Per-direction errors of a forward LMMSE estimate: pilot energy ``e_fwd``
-    with Gram profile ``d`` against per-entry noise ``noise``."""
-    return posterior_var(prior, (e_fwd / config.n_t) * np.asarray(d, dtype=float) / noise)
+    """Per-direction errors of a forward LMMSE estimate, an array: pilot
+    energy ``e_fwd`` with Gram profile ``d`` against per-entry noise
+    ``noise``."""
+    return np.array(_direction_errors(config, prior, e_fwd, noise, d), dtype=float)
 
 
 def forward_nmse(config: SystemConfig, prior: float, e_fwd: float, noise: float, d) -> float:
     """NMSE of a forward LMMSE estimate: the mean of
-    :func:`forward_direction_errors` over the pilot directions."""
-    errors = forward_direction_errors(config, prior, e_fwd, noise, d)
-    return float(np.add.reduce(errors) / errors.size)  # np.mean's sum and division
+    :func:`forward_direction_errors` over the pilot directions, to the bit
+    ``np.mean``'s."""
+    errors = _direction_errors(config, prior, e_fwd, noise, d)
+    if len(errors) >= 8:  # numpy sums 8 or more terms in interleaved partial sums
+        return float(np.add.reduce(np.array(errors, dtype=float)) / len(errors))
+    total = 0.0
+    for error in errors:  # and fewer left to right
+        total += error
+    return float(total / len(errors))
 
 
 def nmse_l_reciprocal(

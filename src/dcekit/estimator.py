@@ -76,6 +76,7 @@ def echo_downlink_estimate(
     y_t1: np.ndarray,
     x_t0: np.ndarray,
     hu_hat: np.ndarray,
+    gram: np.ndarray,
     scale: float,
     beta: float,
 ) -> np.ndarray:
@@ -93,10 +94,11 @@ def echo_downlink_estimate(
 
     with ``q`` from :func:`dcekit.analytics.echo_power`; ``scale`` is
     :math:`s` and ``beta`` is :func:`dcekit.analytics.beta`.  ``x_t0`` is
-    the energy-scaled square unitary initial pilot and ``hu_hat`` the
-    ``n_l x n_t`` uplink estimate; all arrays may carry the same leading
-    batch axes.  Its exact conditional (on :math:`\hat{H}_u`) error along
-    each eigenvalue of :math:`\hat{H}_u \hat{H}_u^H` is
+    the energy-scaled square unitary initial pilot, ``hu_hat`` the ``n_l x
+    n_t`` uplink estimate and ``gram`` its Gram :math:`\hat{H}_u
+    \hat{H}_u^H`, formed by the caller and overwritten here with ``gram +
+    beta I``; all arrays may carry the same leading batch axes.  Its exact conditional (on
+    :math:`\hat{H}_u`) error along each eigenvalue of ``gram`` is
     :func:`dcekit.analytics.downlink_direction_error`.  With ``scale == 0``
     (``alpha == 0``: the echo carries no signal) the estimate is the prior
     mean (zero).  The products go from the narrow side: ``Y_t1 R`` and then
@@ -109,11 +111,10 @@ def echo_downlink_estimate(
         est.fill(0.0)
         return est
     with scratch():
-        s_mat = matmul(hu_hat, herm(hu_hat))
         for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
-            s_mat[..., k, k] += beta
+            gram[..., k, k] += beta
         # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
-        right = herm(hermitian_solve(s_mat, hu_hat))
+        right = herm(hermitian_solve(gram, hu_hat))
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.
         np.conjugate(m, out=m)

@@ -278,8 +278,10 @@ def run_rounds(
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
     ``"k_null"`` and AN ``"an"``; a caller that wants an estimate's error
     takes :func:`squared_error` of it.  Non-reciprocal adds ``"hu_hat"``, and
-    ``keep_signals`` every stage signal under ``"signals"``; the signals are
-    scratch under an arena, so ``keep_signals`` needs none active.  What the
+    ``keep_signals`` every stage signal under ``"signals"`` (and, for
+    non-reciprocal rounds, the echo estimator's ``"hu_gram"``, ``hu_hat
+    hu_hat^H``); these are scratch under an arena, so ``keep_signals`` needs
+    none active.  What the
     inputs fix (LR's noise level, the echo gain) is in
     :func:`_round_constants`.
     """
@@ -330,10 +332,14 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signa
         y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
         with keep():
             hu_hat = matmul(const.k_rev, y_t2)
-            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, const.echo_scale, const.beta)
+        gram = matmul(hu_hat, herm(hu_hat))
+        hu_gram = gram.copy(order="K") if keep_signals else None  # the estimate adds beta I to gram
+        with keep():
+            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
 
     out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat}
     if keep_signals:
+        out["hu_gram"] = hu_gram
         out["signals"] = {
             "x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": const.x_rev, "y_t2": y_t2,
         }
@@ -422,8 +428,7 @@ def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscr
 
     errors = const.errors
     if scheme == NONRECIPROCAL:  # the echo estimate's errors depend on the draw
-        hu_hat = out["hu_hat"][0]
-        lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
+        lam = np.linalg.eigvalsh(out["hu_gram"][0])
         tx_dirs = analytics.downlink_direction_error(config, alloc.e_t0, const.beta, lam)
         tx_dirs.setflags(write=False)
         errors = {**errors, "tx": tx_dirs}

@@ -1005,27 +1005,49 @@ class TestShareSearch:
 
     @staticmethod
     def _counted_solve(budget, monkeypatch):
-        """The solve at ``budget``, its number of scalar rounds and its number
-        of share-condition evaluations (end tests, Newton steps and
-        bisection steps alike)."""
-        rounds, conditions = [], []
-        floor_round, share_condition = allocator._floor_round, allocator._share_condition
+        """The solve at ``budget``, and for each of its scalar rounds the
+        share-condition evaluations (end tests, Newton steps and bisection
+        steps alike) and the LR splits it made; then the splits made outside
+        every round."""
+        rounds, counts = [], {"conditions": 0, "splits": 0}
+        floor_round = allocator._floor_round
+        share_condition, echo_split = allocator._share_condition, allocator._echo_split
 
         def counted_floor_round(*args):
             round_ = floor_round(*args)
-            return lambda var_a: rounds.append(1) or round_(var_a)
+
+            def counted(var_a):
+                before = dict(counts)
+                point = round_(var_a)
+                rounds.append(tuple(counts[k] - before[k] for k in ("conditions", "splits")))
+                return point
+
+            return counted
+
+        def counter(key, function):
+            return lambda *args: counts.update({key: counts[key] + 1}) or function(*args)
 
         monkeypatch.setattr(allocator, "_floor_round", counted_floor_round)
-        monkeypatch.setattr(
-            allocator, "_share_condition",
-            lambda *args: conditions.append(1) or share_condition(*args),
-        )
+        monkeypatch.setattr(allocator, "_share_condition", counter("conditions", share_condition))
+        monkeypatch.setattr(allocator, "_echo_split", counter("splits", echo_split))
         rep = solve_nonreciprocal(CFG, N_PLAN, budget)
         # One round per grid point and one per Brent step.
         assert len(rounds) == allocator._GRID_POINTS + rep.iterations
-        return rep, len(rounds), len(conditions)
+        return rep, rounds, counts["splits"] - sum(splits for _, splits in rounds)
 
-    # Rounds per solve, grid included: 48-59 on every budget below.
+    @staticmethod
+    def _assert_splits_reused(rounds):
+        """Each share condition makes the split at its own point.  A round
+        whose ``e_t0`` lands at an end (at most the two end tests) keeps the
+        split of its end test there, and any other round makes at most one
+        split of its own: after a root search, or where no share is open."""
+        for conditions, splits in rounds:
+            if 0 < conditions <= 2:
+                assert splits == conditions
+            else:
+                assert conditions <= splits <= conditions + 1
+
+    # Rounds per solve, grid included: 45-55 on every budget below.
     MOST_ROUNDS = 80
 
     # GP pins without a binding total cap (33-39 dB) and those whose shares
@@ -1036,25 +1058,31 @@ class TestShareSearch:
     def test_share_work_per_round(self, gamma, pave, monkeypatch):
         """Share-condition evaluations per solve: none without a binding
         total cap, at most one end test per round where every share sits at
-        LR's cap (measured: 48-49 in 49-50 rounds)."""
+        LR's cap (measured: 44 in 45 rounds).  Without a binding total
+        cap LR's split is made once, at its cap, outside every round."""
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
-        rep, rounds, conditions = self._counted_solve(budget, monkeypatch)
-        assert rep.converged and rounds <= self.MOST_ROUNDS
+        rep, rounds, solve_splits = self._counted_solve(budget, monkeypatch)
+        assert rep.converged and len(rounds) <= self.MOST_ROUNDS
+        assert solve_splits == 1
+        conditions = sum(c for c, _ in rounds)
         if budget.e_ave_max >= budget.e_t_max + budget.e_l_max:
-            assert conditions == 0
+            assert conditions == 0 and not any(splits for _, splits in rounds)
         else:
-            assert conditions <= rounds
+            assert conditions <= len(rounds)
+        self._assert_splits_reused(rounds)
 
     # GP pins with interior shares on some rounds.  Measured share-condition
-    # evaluations per solve: 234 in 50 rounds at gamma = 0.002 and 54-63 in
-    # 52-55 rounds at gamma = 0.1.
+    # evaluations per solve: 162 in 45 rounds at gamma = 0.002 and 45-56 in
+    # 46-47 rounds at gamma = 0.1.
     @pytest.mark.parametrize("gamma,pave,most", [
         (0.002, 27.0, 350), (0.1, 15.0, 90), (0.1, 21.0, 90), (0.1, 27.0, 90),
     ])
     def test_interior_share_work(self, gamma, pave, most, monkeypatch):
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
-        rep, rounds, conditions = self._counted_solve(budget, monkeypatch)
-        assert rep.converged and rounds <= self.MOST_ROUNDS and conditions <= most
+        rep, rounds, solve_splits = self._counted_solve(budget, monkeypatch)
+        assert rep.converged and len(rounds) <= self.MOST_ROUNDS
+        assert sum(c for c, _ in rounds) <= most and solve_splits == 1
+        self._assert_splits_reused(rounds)
 
 
 class TestVarASinglePeak:
@@ -1161,6 +1189,13 @@ class TestFloorRound:
                   (CFG, nonreciprocal_plan(CFG, pilot_rank=2), EnergyBudget(120.0, 200.0, 0.4))]
         cases += [(CFG, R_PLAN, EnergyBudget(e_t, 100.0, 0.1, e_ave_max=e_ave))
                   for e_t, e_ave in ((2000.0, math.inf), (2000.0, 800.0), (100.0, 150.0))]
+        # Eight or more pilot directions: numpy's mean changes how it sums.
+        for cfg in (SystemConfig(8, 2, 2), SystemConfig(11, 3, 2, var_g=0.7, var_v=1.3)):
+            for rank in (cfg.n_t - 1, cfg.n_t):
+                for plan in (reciprocal_plan(cfg, pilot_rank=rank),
+                             nonreciprocal_plan(cfg, pilot_rank=rank)):
+                    cases += [(cfg, plan, EnergyBudget(8000.0, 600.0, 0.1, e_ave_max=e_ave))
+                              for e_ave in (math.inf, 1400.0)]
         for cfg, plan, budget in cases:
             rep = solve(cfg, plan, budget)
             scenarios.add(rep.scenario)

@@ -257,6 +257,24 @@ class TestClosedForms:
             analytics.closed_forms(CFG, plan, alloc)
 
 
+class TestForwardForms:
+    @pytest.mark.parametrize("n_t", [2, 4, 7, 8, 9, 16, 23])
+    def test_numpy_bits(self, n_t):
+        """On Python floats, the forward forms keep the bits of the numpy
+        arithmetic they replaced: elementwise errors, and ``np.mean``'s sum,
+        which adds fewer than 8 terms left to right and more in interleaved
+        partial sums."""
+        rng = np.random.default_rng(n_t)
+        cfg = SystemConfig(n_t=n_t, n_l=1, n_u=1)
+        for _ in range(20):
+            prior, e_fwd, noise = 10.0 ** rng.uniform(-6.0, 6.0, 3)
+            d = tuple(n_t * rng.dirichlet(np.ones(n_t)))
+            want = 1.0 / (1.0 / prior + (e_fwd / n_t) * np.asarray(d) / noise)
+            got = analytics.forward_direction_errors(cfg, prior, e_fwd, noise, d)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert analytics.forward_nmse(cfg, prior, e_fwd, noise, d) == float(np.mean(want))
+
+
 class TestLowerBound:
     def test_worked_value(self):
         assert analytics.nmse_lower_bound(CFG, 120.0) == pytest.approx(1.0 / 31.0)

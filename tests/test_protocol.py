@@ -289,7 +289,7 @@ class TestHouseholderPath:
         sites = [(protocol._forward_stage, "x_t[...] = const.x_bar"),
                  (protocol._forward_stage, "x_t += x_an")]
         if scheme == NONRECIPROCAL:
-            sites.append((estimator.echo_downlink_estimate, "s_mat[..., k, k] += beta"))
+            sites.append((estimator.echo_downlink_estimate, "gram[..., k, k] += beta"))
         lines = {}
         for fn, text in sites:
             source, start = inspect.getsourcelines(fn)
@@ -579,6 +579,19 @@ class TestBatchOfOne:
         d = optimal_pilot_gram(CFG.n_t, plan.pilot_rank)
         expected = analytics.forward_direction_errors(CFG, prior, e_fwd, noise, d)
         self._assert_same_bits(t.estimates["lr"].per_direction_error_var, expected)
+
+    @pytest.mark.parametrize("seed", [2, 5, 11])
+    def test_echo_errors_read_uplink_gram(self, seed):
+        """The transcript's echo-estimate errors are the conditional ones at
+        the eigenvalues of the uplink estimate's Gram, not of the Gram plus
+        ``beta I`` the estimator solves with."""
+        _, t = _nonrec_round(seed_noise=seed)
+        const = _round_constants(CFG, N_PLAN, N_ALLOC)
+        hu_hat = const.k_rev @ t.signals["y_t2"]
+        lam = np.linalg.eigvalsh(hu_hat @ hu_hat.conj().T)
+        expected = analytics.downlink_direction_error(CFG, N_ALLOC.e_t0, const.beta, lam)
+        got = t.estimates["tx"].per_direction_error_var
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_batch_rows_are_independent_rounds(self):
         """Row i of a batch depends on the channels of row i only."""
