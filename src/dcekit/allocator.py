@@ -63,13 +63,18 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   sign of an end, the share sits at that cap (which is what most
   cap-bound points do).  A share left open gets a safeguarded Newton
   iteration, finished by a short bisection on a bracket checked around its
-  result.  The outer search over ``var_a`` runs Brent's method around the
-  best of 0 and a 31-point log grid down to a bracket ``sqrt(eps)`` of its
-  best point wide (about 45 rounds in all, 13-23 of them Brent steps at
-  perfbench's ``gp_sweep`` points) and compares with the AN-free corner
-  ``var_a = 0``; like the grid zoom before it, it needs ``e_t3 / D_bar`` to
-  have one peak in ``var_a`` along the floor, which ``TestVarASinglePeak``
-  scans for but nothing proves.  A pilot of rank ``K`` enters only through
+  result.  The outer search over ``var_a`` scans a grid of 0 and the 31
+  points ``var_a_max 2^-k`` from ``var_a_max`` down, stopping at the first
+  point whose ratio falls below the best so far; Brent's method then
+  searches that best point's bracket down to ``sqrt(eps)`` of its best
+  point, and the result is compared with the AN-free corner ``var_a = 0``.
+  Scan and bracket rest on one assumption, that ``e_t3 / D_bar`` has one
+  peak in ``var_a`` along the floor, which ``TestVarASinglePeak`` scans for
+  but nothing proves.  Under it the scan stops on the full grid's argmax
+  (the first of ties), so it returns what all 32 points would.  At
+  perfbench's ``gp_sweep`` points the grid peaks at ``var_a_max / 2``: 3
+  grid rounds and 13-23 Brent steps, 16-26 rounds a solve; a peak at 0
+  still takes all 32 grid rounds.  A pilot of rank ``K`` enters only through
   ``gt_K`` and the pilot profile.  A round (:func:`_floor_round`) is
   arithmetic on Python floats and makes LR's split at most once: at
   ``SystemConfig(4, 2, 2)`` on a 2-vCPU Xeon VM, 0.9 us without an open
@@ -282,7 +287,7 @@ def solve_general(
 # Non-reciprocal solver: exact search over (var_a, TX/LR share).
 # ---------------------------------------------------------------------------
 
-_GRID_POINTS = 32  # first evaluations: 0 and var_a_max * 2^-k, k = 0..30
+_GRID_POINTS = 32  # the grid: 0 and var_a_max * 2^-k, k = 0..30, scanned from var_a_max down
 _SEARCH_RTOL = 2.0**-26  # sqrt(eps): done once Brent's bracket is this narrow relative to its best
 _SEARCH_STEPS = 100  # cap on Brent's steps; 6,000 random wide-domain budgets took at most 37
 _SHARE_STEPS = 52  # cap on Newton steps, and on bisection steps (a full bisection)
@@ -456,10 +461,15 @@ def solve_nonreciprocal(
     README's "Non-reciprocal allocation" table measures).
 
     For each AN variance the rest of the allocation is exact (see the module
-    docstring).  ``var_a`` itself is searched by a 32-point grid over its
-    feasible range, then by Brent's method (:func:`_brent_peak`) around the
-    grid's best point (scenario ``"interior"``), which is compared with the
-    AN-free corner (``"an-free"``).  ``iterations`` counts Brent's steps.
+    docstring).  ``var_a`` itself is searched on a 32-point grid over its
+    feasible range, scanned from ``var_a_max`` down to the first point whose
+    ratio falls below the best so far: with one peak along the floor, which
+    Brent's bracket needs as well, that best point is the full grid's
+    argmax, the first of ties.  Brent's method (:func:`_brent_peak`) then
+    searches around it (scenario ``"interior"``), and the result is compared
+    with the AN-free corner (``"an-free"``).  ``iterations`` counts Brent's
+    steps; the rounds are those plus the grid points scanned, 3 where the
+    grid peaks at ``var_a_max / 2`` and all 32 where it peaks at 0.
     """
     _check_inputs(config, plan, budget, NONRECIPROCAL)
     e_cap = min(budget.e_t_max, budget.e_ave_max)
@@ -489,8 +499,22 @@ def solve_nonreciprocal(
     var_a_max = (e_cap - spend0) / (spend1 - spend0)
     round_ = _floor_round(config, plan, budget, gt)
     grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - _GRID_POINTS, 1)]
-    points = [round_(v) for v in grid]
-    i = max(range(_GRID_POINTS), key=lambda k: points[k][0])  # the first of ties
+    # Scan from var_a_max down, ties going to the lower index, and stop at
+    # the first fall: with one peak, that is max()'s pick over the whole
+    # grid.  A NaN ratio (overflow at extreme inputs) makes < and max()
+    # disagree, so there the whole grid goes through max().
+    points = [None] * _GRID_POINTS
+    i = _GRID_POINTS - 1
+    for k in range(i, -1, -1):
+        points[k] = round_(grid[k])
+        if points[k][0] < points[i][0]:
+            break
+        if points[k][0] >= points[i][0]:
+            i = k
+        else:
+            points = [p or round_(v) for p, v in zip(points, grid)]
+            i = max(range(_GRID_POINTS), key=lambda j: points[j][0])
+            break
     var_a, point = grid[i], points[i]
     search = {"iterations": 0}
     if i:  # at zero the corner wins

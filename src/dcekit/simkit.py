@@ -169,19 +169,19 @@ def _reduce_chunks(chunk, trials: int, seed: int, workers: int) -> tuple:
     elementwise, from 0 and in chunk order, on any number of ``workers``;
     returns ``trials`` as a Python ``int``, then the sums.  Each chunk runs
     under an arena from the pool, so ``chunk`` must return Python scalars,
-    never an array.  ``trials`` and ``seed`` must be integers (``TypeError``
-    otherwise), ``workers`` at least 1, ``trials`` at least
-    :data:`dcekit.model.MIN_TRIALS` and ``seed`` at least 0 (``ValueError``
-    otherwise); ``chunk`` checks the rest."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    never an array.  ``trials``, ``seed`` and ``workers`` must be integers
+    (``TypeError`` otherwise, before any thread starts), ``workers`` at least
+    1, ``trials`` at least :data:`dcekit.model.MIN_TRIALS` and ``seed`` at
+    least 0 (``ValueError`` otherwise); ``chunk`` checks the rest."""
     ints = []
-    for name, value in (("trials", trials), ("seed", seed)):
+    for name, value in (("trials", trials), ("seed", seed), ("workers", workers)):
         try:
             ints.append(operator.index(value))
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    trials, seed = ints
+    trials, seed, workers = ints
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful run, got {trials}")
     if seed < 0:

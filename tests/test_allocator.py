@@ -906,6 +906,25 @@ def _floor_round(cfg, plan, budget, gt, var_a):
     return tuple(np.array(column) for column in zip(*(round_(float(v)) for v in var_a)))
 
 
+def _full_grid(cfg, plan, budget):
+    """The solver's 32-point ``var_a`` grid from 0 up to ``var_a_max``, every
+    point's round, and the index ``max()`` picks over all of them (the first
+    of ties): the point the solver's top-down scan must stop on."""
+    gt = allocator._floor_energy(cfg, plan, budget)
+    s0, s1 = (allocator._floor_spend(cfg, plan, gt, v)[1] for v in (0.0, 1.0))
+    var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
+    grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - allocator._GRID_POINTS, 1)]
+    round_ = allocator._floor_round(cfg, plan, budget, gt)
+    points = [round_(v) for v in grid]
+    return grid, points, max(range(len(grid)), key=lambda k: points[k][0])
+
+
+def _scanned(peak):
+    """Grid rounds of a scan from ``var_a_max`` down that stops on ``peak``:
+    down to the point below it, or every point where the peak is at 0."""
+    return allocator._GRID_POINTS - peak + (peak > 0)
+
+
 def _bisected_points(cfg, plan, budget, gt, var_a):
     """``(e_t3 / D_bar, e_t0, lo, hi, slope)`` at each ``var_a``, every share
     bisected for 52 steps on the derivative of ``log rho0 - log Q``;
@@ -1008,7 +1027,8 @@ class TestShareSearch:
         """The solve at ``budget``, and for each of its scalar rounds the
         share-condition evaluations (end tests, Newton steps and bisection
         steps alike) and the LR splits it made; then the splits made outside
-        every round."""
+        every round, and the grid points scanned."""
+        _, _, peak = _full_grid(CFG, N_PLAN, budget)
         rounds, counts = [], {"conditions": 0, "splits": 0}
         floor_round = allocator._floor_round
         share_condition, echo_split = allocator._share_condition, allocator._echo_split
@@ -1031,9 +1051,10 @@ class TestShareSearch:
         monkeypatch.setattr(allocator, "_share_condition", counter("conditions", share_condition))
         monkeypatch.setattr(allocator, "_echo_split", counter("splits", echo_split))
         rep = solve_nonreciprocal(CFG, N_PLAN, budget)
-        # One round per grid point and one per Brent step.
-        assert len(rounds) == allocator._GRID_POINTS + rep.iterations
-        return rep, rounds, counts["splits"] - sum(splits for _, splits in rounds)
+        # One round per grid point scanned and one per Brent step.
+        scanned = len(rounds) - rep.iterations
+        assert scanned == _scanned(peak)
+        return rep, rounds, counts["splits"] - sum(splits for _, splits in rounds), scanned
 
     @staticmethod
     def _assert_splits_reused(rounds):
@@ -1047,8 +1068,10 @@ class TestShareSearch:
             else:
                 assert conditions <= splits <= conditions + 1
 
-    # Rounds per solve, grid included: 45-55 on every budget below.
-    MOST_ROUNDS = 80
+    # Rounds per solve, grid points scanned included: 16-26 on every budget
+    # below, each of which scans 3 grid points (its grid peaks at
+    # var_a_max / 2).
+    MOST_ROUNDS = 30
 
     # GP pins without a binding total cap (33-39 dB) and those whose shares
     # sit at LR's cap on every round (gamma = 0.3, 15-27 dB).
@@ -1058,11 +1081,11 @@ class TestShareSearch:
     def test_share_work_per_round(self, gamma, pave, monkeypatch):
         """Share-condition evaluations per solve: none without a binding
         total cap, at most one end test per round where every share sits at
-        LR's cap (measured: 44 in 45 rounds).  Without a binding total
+        LR's cap (measured: 15 in 16 rounds).  Without a binding total
         cap LR's split is made once, at its cap, outside every round."""
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
-        rep, rounds, solve_splits = self._counted_solve(budget, monkeypatch)
-        assert rep.converged and len(rounds) <= self.MOST_ROUNDS
+        rep, rounds, solve_splits, scanned = self._counted_solve(budget, monkeypatch)
+        assert rep.converged and len(rounds) <= self.MOST_ROUNDS and scanned == 3
         assert solve_splits == 1
         conditions = sum(c for c, _ in rounds)
         if budget.e_ave_max >= budget.e_t_max + budget.e_l_max:
@@ -1072,15 +1095,15 @@ class TestShareSearch:
         self._assert_splits_reused(rounds)
 
     # GP pins with interior shares on some rounds.  Measured share-condition
-    # evaluations per solve: 162 in 45 rounds at gamma = 0.002 and 45-56 in
-    # 46-47 rounds at gamma = 0.1.
+    # evaluations per solve: 133 in 16 rounds at gamma = 0.002 and 16-27 in
+    # 17-18 rounds at gamma = 0.1.
     @pytest.mark.parametrize("gamma,pave,most", [
         (0.002, 27.0, 350), (0.1, 15.0, 90), (0.1, 21.0, 90), (0.1, 27.0, 90),
     ])
     def test_interior_share_work(self, gamma, pave, most, monkeypatch):
         budget = EnergyBudget(8000.0, _L[pave], gamma, e_ave_max=_A[pave])
-        rep, rounds, solve_splits = self._counted_solve(budget, monkeypatch)
-        assert rep.converged and len(rounds) <= self.MOST_ROUNDS
+        rep, rounds, solve_splits, scanned = self._counted_solve(budget, monkeypatch)
+        assert rep.converged and len(rounds) <= self.MOST_ROUNDS and scanned == 3
         assert sum(c for c, _ in rounds) <= most and solve_splits == 1
         self._assert_splits_reused(rounds)
 
@@ -1132,6 +1155,79 @@ class TestVarASinglePeak:
             steps = np.diff(ratio)
             signs = np.sign(steps[np.abs(steps) > 1e-12 * np.max(np.abs(ratio))])
             assert np.all(np.diff(signs) <= 0), (cfg, plan, budget)  # up, then down
+
+
+class TestGridScan:
+    """The solver scans its ``var_a`` grid from ``var_a_max`` down and stops
+    at the first fall.  Where the grid's ratios have one peak (which Brent's
+    bracket needs too) that is the full grid's argmax, the first of ties, so
+    Brent's method starts from the same bracket and point and the report is
+    the full grid's, field for field."""
+
+    @staticmethod
+    def _solve(cfg, plan, budget, monkeypatch):
+        """The solve, its rounds, and Brent's ``(lo, hi, x, point)`` (``None``
+        where the grid's best point is 0 and Brent does not run)."""
+        rounds, starts = [], []
+        floor_round, brent_peak = allocator._floor_round, allocator._brent_peak
+
+        def counted_floor_round(*args):
+            round_ = floor_round(*args)
+            return lambda var_a: rounds.append(var_a) or round_(var_a)
+
+        def recorded_brent_peak(round_, *start):
+            starts.append(start)
+            return brent_peak(round_, *start)
+
+        monkeypatch.setattr(allocator, "_floor_round", counted_floor_round)
+        monkeypatch.setattr(allocator, "_brent_peak", recorded_brent_peak)
+        rep = solve_nonreciprocal(cfg, plan, budget)
+        monkeypatch.undo()
+        assert len(starts) <= 1
+        return rep, len(rounds), starts[0] if starts else None
+
+    # A near-silent uplink (var_hu 1e-12): the grid's ratios rise to 4 +
+    # 2.5e-9 and fall to 4 again, and the peak ties var_a_max / 4 with
+    # var_a_max / 2.
+    CFG_TIED = SystemConfig(4, 2, 2, var_hu=1e-12, var_wt=1e-6)
+
+    def test_stops_on_full_argmax(self, monkeypatch):
+        cases = [(cfg, nonreciprocal_plan(cfg), budget) for cfg, budget, _ in ZOOM_PINS]
+        cases += [(cfg, plan, budget) for cfg, plan, budget, _ in TestVarASinglePeak()._budgets(300)]
+        cases += [(self.CFG_TIED, nonreciprocal_plan(self.CFG_TIED), EnergyBudget(1e8, 100.0, 0.5))]
+        peaks, ties = set(), 0
+        for cfg, plan, budget in cases:
+            grid, points, i = _full_grid(cfg, plan, budget)
+            ties += i + 1 < len(grid) and points[i + 1][0] == points[i][0]
+            rep, rounds, start = self._solve(cfg, plan, budget, monkeypatch)
+            assert rounds == _scanned(i) + rep.iterations, (cfg, plan, budget)
+            if i:
+                bracket = (grid[i - 1], grid[min(i + 1, allocator._GRID_POINTS - 1)])
+                assert start == (*bracket, grid[i], points[i]), (cfg, plan, budget)
+            else:
+                assert start is None and rep.iterations == 0, (cfg, plan, budget)
+            peaks.add(i)
+        # The scan's shortest path (a peak at var_a_max / 2: 3 points), its
+        # longest (a peak at 0, the AN-free corner: all 32), a peak further
+        # down the grid and a peak tied with the point above it all occur.
+        assert {0, 30} <= peaks and min(peaks - {0}) <= 28 and ties
+
+    def test_nan_ratio_takes_max(self, monkeypatch):
+        """Overflow can make the ratio NaN, where ``<`` and ``max()``
+        disagree: the scan then picks what ``max()`` over the whole grid
+        picks.  Here the top three grid points overflow to NaN."""
+        cfg = SystemConfig(
+            3, 2, 2, var_hu=5.765007709598589e53, var_hd=6.648235453527686e112,
+            var_g=4.577935584567719e123, var_wt=2.242180782703692e137,
+            var_w=2.7703231427801414e-117, var_v=1.1899716483729441e22,
+        )
+        plan = nonreciprocal_plan(cfg, pilot_rank=3)
+        budget = EnergyBudget(1.186340709888127e186, 4.4864503692971125e176, 2.5080767571415258e123)
+        grid, points, i = _full_grid(cfg, plan, budget)
+        assert [k for k, p in enumerate(points) if math.isnan(p[0])] == [29, 30, 31] and i == 28
+        rep, rounds, start = self._solve(cfg, plan, budget, monkeypatch)
+        assert start == (grid[27], grid[29], grid[28], points[28])
+        assert rounds == allocator._GRID_POINTS + rep.iterations and rep.converged
 
 
 class TestFloorRound:

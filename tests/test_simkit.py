@@ -392,6 +392,15 @@ class TestMcNmse:
         with pytest.raises(ValueError, match="workers"):
             mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=500, seed=1, workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, float("nan"), "2"], ids=["1.5", "nan", "str"])
+    def test_non_integer_workers_rejected(self, workers):
+        """A worker count that is no integer is a TypeError before any pool
+        is built: a pool of NaN workers would never run a chunk."""
+        with pytest.raises(TypeError, match="workers"):
+            mc_nmse(CFG, R_PLAN, R_ALLOC, trials=500, seed=1, workers=workers)
+        with pytest.raises(TypeError, match="workers"):
+            mc_ser(CFG, R_PLAN, R_ALLOC, data_power=1.0, trials=500, seed=1, workers=workers)
+
     @pytest.mark.parametrize("name", ["trials", "seed"])
     def test_non_integer_count_rejected(self, name):
         """A float trial count or seed is a TypeError that names it."""
