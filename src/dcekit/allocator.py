@@ -9,8 +9,16 @@ whose allocation is feasible to ``1e-9`` and whose ``constraint_slack``
 :func:`dcekit.model.validate` on its inputs and raises a plain ``ValueError``
 naming every violated field (a NaN ``gamma`` or cap, say);
 :class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
-cannot meet.  Energy is billed by :func:`dcekit.model.training_spend`, and
-the reported NMSEs (``objective`` and ``nmse_u``) are those of
+cannot meet.  The non-reciprocal solver also raises a plain ``ValueError``
+naming the degenerate scale for valid inputs that floating point cannot
+resolve: where one unit of AN does not change the floor's spend (all
+variances 1e-80 against caps of 1e100, say), or where the echo coefficients
+times LR's energy underflow to zero (``var_wt / var_hu`` of 1e-300 with an
+LR cap of 1e-30, say).  The slack floor is absolute, so it cannot hold once
+``gamma`` reaches ``2^23``, where one ulp of ``nmse_u`` is already
+``1.9e-9``: there a report may read a slack a few ulps below ``-1e-9``.
+Energy is billed by :func:`dcekit.model.training_spend`, and the reported
+NMSEs (``objective`` and ``nmse_u``) are those of
 :func:`dcekit.analytics.closed_forms`, to the bit.
 :func:`solve` runs the solver of the plan's scheme.
 
@@ -71,7 +79,12 @@ transmitter's spend on that pilot and its AN is then affine in ``var_a``.
   Scan and bracket rest on one assumption, that ``e_t3 / D_bar`` has one
   peak in ``var_a`` along the floor, which ``TestVarASinglePeak`` scans for
   but nothing proves.  Under it the scan stops on the full grid's argmax
-  (the first of ties), so it returns what all 32 points would.  At
+  (the first of ties), so it returns what all 32 points would.  The
+  report's ``converged`` certifies Brent's bracket only, not that
+  assumption: at variances near 10^+-150 rounding makes the ratio jump
+  between neighbouring grid points, and 3 of 12,872 such solves returned
+  objectives 20-329% worse than the full grid's while reporting
+  ``converged: True``.  At
   perfbench's ``gp_sweep`` points the grid peaks at ``var_a_max / 2``: 3
   grid rounds and 13-23 Brent steps, 16-26 rounds a solve; a peak at 0
   still takes all 32 grid rounds.  A pilot of rank ``K`` enters only through
@@ -137,7 +150,9 @@ class SolveReport:
     for the reciprocal solver, which has no search).  ``converged`` is false
     only when Brent's ``var_a`` bracket did not shrink to ``sqrt(eps)`` of
     its best point within the cap of 100 steps; the best point found is
-    still returned, with ``message`` explaining.
+    still returned, with ``message`` explaining.  It certifies that bracket
+    only, not that the ``var_a`` ratio had the one peak the search assumes
+    (see the module docstring for where it does not).
     ``nmse_u`` is UR's closed-form NMSE at the allocation, the second value
     of :func:`dcekit.analytics.closed_forms` (``objective`` is the first).
     """
@@ -298,9 +313,16 @@ def _echo_split(coefficients, l, sqrt=math.sqrt):
     (coefficients ``(a, b, c)``; :func:`cmath.sqrt` for a complex ``l``): ``e_l1`` is
     the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 - (b l^2 + c l)``,
     ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns ``(e_l1, e_l2, Q)``; a
-    zero energy (or product) makes ``Q`` infinite, as array arithmetic would."""
+    zero energy (or product) makes ``Q`` infinite, as array arithmetic would.
+    A ``b l + c`` that underflows to zero is a degenerate scale (``ValueError``)."""
     a, b, c = coefficients
-    e_l1 = l / (1.0 + sqrt((a * l + c) / (b * l + c)))
+    den = b * l + c
+    if not den:
+        raise ValueError(
+            f"degenerate scale: the echo coefficients b = {b:.3g}, c = {c:.3g} "
+            f"vanish against LR energy {l:.3g} in floating point"
+        )
+    e_l1 = l / (1.0 + sqrt((a * l + c) / den))
     e_l2 = l - e_l1
     q = analytics.echo_quality(coefficients, e_l1, e_l2) if e_l1 * e_l2 else math.inf
     return e_l1, e_l2, q
@@ -496,6 +518,11 @@ def solve_nonreciprocal(
     # The transmitter's spend along the floor is affine in var_a; at
     # var_a_max nothing is left for e_t0.
     spend0, spend1 = (_floor_spend(config, plan, gt, v)[1] for v in (0.0, 1.0))
+    if not spend1 > spend0:
+        raise ValueError(
+            f"degenerate scale: one unit of AN variance does not change the "
+            f"transmitter's floor spend {spend0:.6g} in floating point"
+        )
     var_a_max = (e_cap - spend0) / (spend1 - spend0)
     round_ = _floor_round(config, plan, budget, gt)
     grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - _GRID_POINTS, 1)]

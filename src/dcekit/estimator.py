@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import empty_stack, herm, hermitian_solve, keep, matmul, scratch
+from .numerics import empty_stack, hermitian_solve, keep, matmul, scratch
 
 __all__ = [
     "echo_downlink_estimate",
@@ -113,8 +113,10 @@ def echo_downlink_estimate(
     with scratch():
         for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
             gram[..., k, k] += beta
-        # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side.
-        right = herm(hermitian_solve(gram, hu_hat))
+        # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side,
+        # conjugated in place: its only use is R.
+        solved = hermitian_solve(gram, hu_hat)
+        right = np.conjugate(solved, out=solved).swapaxes(-1, -2)
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.
         np.conjugate(m, out=m)

@@ -63,14 +63,17 @@ temporary here and in the engine comes from it through ``out=``:
 :func:`scratch` opens a frame whose arrays are free again when it closes,
 and :func:`keep` marks results that must outlive the caller's frame.  The
 footprint rule is that whatever is dead by the next step shares memory: each
-kernel's temporaries go when it returns, and each noise draw once it is
-added in place.  So a 4x2x2 chunk's arena is 6.1 MiB reciprocal and 8.4
-MiB non-reciprocal for ``mc_nmse`` (7.3 and 9.3 MiB for ``mc_ser``), against
-a peak of 9.6 and 16.1 MiB of live numpy memory without arenas, and a
-steady-state chunk takes no page fault.  That cut a ``mc_nmse`` chunk from
-20.4-21.0 ms to 14.7-15.6 ms reciprocal and from 35-44 ms to 28-32 ms
-non-reciprocal (one BLAS thread, fresh processes, alternating), a share that
-depends on how the allocator last trimmed its heap.  With no arena active (a
+kernel's temporaries go when it returns, each noise draw once it is added in
+place, and a product that must outlive its operands is written
+(:func:`matmul`'s ``out``) into a buffer taken before their frame opened.
+So a fresh 4x2x2 chunk leaves an arena of 5.50 MiB reciprocal and 5.56 MiB
+non-reciprocal for ``mc_nmse`` (5.81 MiB for either scheme's ``mc_ser``),
+against a peak of 7.0 and 10.8 MiB of live numpy memory without arenas
+(tracemalloc), and a steady-state chunk takes no page fault.  Arenas cut a
+``mc_nmse`` chunk from 20.4-21.0 ms to 14.7-15.6 ms reciprocal and from
+35-44 ms to 28-32 ms non-reciprocal (one BLAS thread, fresh processes,
+alternating), a share that depends on how the allocator last trimmed its
+heap.  With no arena active (a
 direct :func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
 allocates as it always did, and below :data:`HOUSEHOLDER_MIN_BATCH` matrices
 the products, solves and QRs take numpy's calls before any arena lookup.
@@ -331,7 +334,7 @@ def herm(x: np.ndarray) -> np.ndarray:
     return np.conjugate(x, out=empty_like(x)).swapaxes(-1, -2)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for a ``(batch, p, q)`` stack times a ``(batch, q, r)`` stack
     ``b``, where ``a`` may instead be one ``(p, q)`` matrix shared by the stack.
 
@@ -339,26 +342,32 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a shared ``a`` makes one ``(p, q) @ (q, batch)`` GEMM per column of ``b``,
     and two stacks make, per row of the result, ``q`` multiply-adds of ``r``
     vectors along the stack (fast when the inputs are stack-last, correct for
-    any strides).  Smaller stacks take numpy's ``@``.
+    any strides).  Smaller stacks take numpy's ``@``.  A given ``out``, a
+    complex ``(batch, p, r)`` :func:`empty_stack` array taken earlier,
+    receives the same bits and is returned, so a product can outlive the
+    frame its operands live in.
     """
     # Every product of a batch-of-one round passes here: one test sends it to numpy.
     batch = b.shape[0]
     if batch < HOUSEHOLDER_MIN_BATCH:
-        return a @ b
+        return a @ b if out is None else np.matmul(a, b, out=out)
     dtype = np.result_type(a, b)
     if a.ndim == 2:  # one (p, q) @ (q, batch) GEMM per column of b
         bm = b.transpose(2, 1, 0)
-        out = empty((bm.shape[0], a.shape[0], batch), dtype)
-        return np.matmul(a, bm, out=out).transpose(2, 1, 0)
+        if out is None:
+            out = empty((bm.shape[0], a.shape[0], batch), dtype).transpose(2, 1, 0)
+        np.matmul(a, bm, out=out.transpose(2, 1, 0))
+        return out
     am, bm = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
-    out = empty((am.shape[0], bm.shape[1], batch), dtype)
+    if out is None:
+        out = empty_stack((batch, am.shape[0], bm.shape[1]), dtype)
     with scratch():
-        term = empty(out.shape[1:], dtype)
-        for i, row in enumerate(out):  # row i of every product, (r, batch)
+        term = empty((bm.shape[1], batch), dtype)
+        for i, row in enumerate(out.transpose(1, 2, 0)):  # row i of every product, (r, batch)
             np.multiply(am[i, 0], bm[0], out=row)
             for k in range(1, am.shape[1]):
                 row += np.multiply(am[i, k], bm[k], out=term)
-    return out.transpose(2, 0, 1)
+    return out
 
 
 def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ non-reciprocal round (README, "Single rounds").
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -277,13 +278,12 @@ def run_rounds(
     Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
     estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
     ``"k_null"`` and AN ``"an"``; a caller that wants an estimate's error
-    takes :func:`squared_error` of it.  Non-reciprocal adds ``"hu_hat"``, and
-    ``keep_signals`` every stage signal under ``"signals"`` (and, for
-    non-reciprocal rounds, the echo estimator's ``"hu_gram"``, ``hu_hat
-    hu_hat^H``); these are scratch under an arena, so ``keep_signals`` needs
-    none active.  What the
-    inputs fix (LR's noise level, the echo gain) is in
-    :func:`_round_constants`.
+    takes :func:`squared_error` of it.  ``keep_signals`` adds every stage
+    signal under ``"signals"`` (and, for non-reciprocal rounds, the echo
+    estimator's ``"hu_gram"``, ``hu_hat hu_hat^H`` for the uplink estimate
+    ``hu_hat``); these are scratch under an arena, so ``keep_signals`` needs
+    none active.  What the inputs fix (LR's noise level, the echo gain) is
+    in :func:`_round_constants`.
     """
     const = _round_constants(config, plan, alloc)
     return _rounds(config, alloc, const, plan.scheme, gen, batch, channels, keep_signals)
@@ -297,10 +297,15 @@ def _rounds(config, alloc, const, scheme, gen, batch, channels, keep_signals) ->
     return stages(config, alloc, const, gen, batch, channels, keep_signals)
 
 
-def _draw_channels(config, scheme, gen, batch) -> tuple[np.ndarray, ...]:
-    """A batch of ``scheme``'s channels, stack-last, in :func:`channel_table` order."""
-    table = channel_table(config, scheme)
-    return tuple(stacked_complex_normal(gen, (batch, *shape), var) for _, shape, var in table)
+def _draw_channels(config, scheme, gen, batch, local=()) -> tuple[np.ndarray, ...]:
+    """A batch of ``scheme``'s channels, stack-last, in :func:`channel_table`
+    order; each lasts the chunk (:func:`dcekit.numerics.keep`) except those
+    named in ``local``, which live in the caller's frame."""
+    drawn = []
+    for name, shape, var in channel_table(config, scheme):
+        with contextlib.nullcontext() if name in local else keep():
+            drawn.append(stacked_complex_normal(gen, (batch, *shape), var))
+    return tuple(drawn)
 
 
 def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
@@ -319,25 +324,36 @@ def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals)
 def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
 
-    # Haar-random square unitary pilot, redrawn every round.
-    c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
-    h_d, h_u, g = _draw_channels(config, NONRECIPROCAL, gen, batch) if channels is None else channels
-
-    x_t0 = np.multiply(math.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
+    # Under an arena each array lives no longer than its last use.  The echo
+    # frame holds the pilot, the echo y_t1 and the uplink estimate hu_hat
+    # until the echo estimate; the uplink channel, y_l0 and y_t2 live in a
+    # frame that closes before it (the products that outlive them are
+    # written into buffers taken first), and the Gram's conjugate copy in
+    # one of its own.  Only the destination memory differs, never a draw or
+    # its order.
     with scratch():
-        y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
-        y_t1 = matmul(y_l0, h_u)
-        y_t1 *= const.alpha
-        add_complex_normal(y_t1, gen, config.var_wt)
-        y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
-        with keep():
-            hu_hat = matmul(const.k_rev, y_t2)
-        gram = matmul(hu_hat, herm(hu_hat))
+        # Haar-random square unitary pilot, redrawn every round.
+        c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
+        y_t1, hu_hat = empty_stack((batch, n_t, n_t)), empty_stack((batch, n_l, n_t))
+        with scratch():
+            if channels is None:
+                channels = _draw_channels(config, NONRECIPROCAL, gen, batch, local=("h_u",))
+            h_d, h_u, g = channels
+            x_t0 = np.multiply(math.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
+            y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
+            matmul(y_l0, h_u, out=y_t1)
+            y_t1 *= const.alpha
+            add_complex_normal(y_t1, gen, config.var_wt)
+            y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
+            matmul(const.k_rev, y_t2, out=hu_hat)
+        gram = empty_stack((batch, n_l, n_l))
+        with scratch():
+            matmul(hu_hat, herm(hu_hat), out=gram)
         hu_gram = gram.copy(order="K") if keep_signals else None  # the estimate adds beta I to gram
         with keep():
             hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
 
-    out = {"h": h_d, "g": g, "h_hat": hd_hat, "hu_hat": hu_hat}
+    out = {"h": h_d, "g": g, "h_hat": hd_hat}
     if keep_signals:
         out["hu_gram"] = hu_gram
         out["signals"] = {

@@ -892,6 +892,22 @@ class TestNonreciprocalContract:
                 continue
             _assert_contract(rep, cfg, plan, budget)
 
+    @pytest.mark.parametrize("cfg, budget", [
+        # One unit of AN does not change a floor spend of about 4e80.
+        (SystemConfig(4, 2, 2, var_hu=1e-80, var_hd=1e-80, var_g=1e-80, var_wt=1e-80, var_w=1e-80),
+         EnergyBudget(1e100, 100.0, 5e-81)),
+        # The echo coefficients b = 2e-300 and c = b^2 vanish against LR's 1e-30.
+        (SystemConfig(4, 2, 2, var_hu=1e150, var_wt=1e-150), EnergyBudget(8000.0, 1e-30, 0.1)),
+    ], ids=["floor-spend", "echo-split"])
+    def test_degenerate_scale_is_a_value_error(self, cfg, budget):
+        """Valid inputs that floating point cannot resolve raise the
+        contract's plain ValueError, not a ZeroDivisionError."""
+        plan = nonreciprocal_plan(cfg)
+        assert model.validate(cfg, plan, budget) == []
+        with pytest.raises(ValueError, match="degenerate scale") as info:
+            solve_nonreciprocal(cfg, plan, budget)
+        assert type(info.value) is ValueError
+
 
 # --- TX/LR share search --------------------------------------------------------
 # The share condition is tested at both ends of [lo, hi] before any point is

@@ -317,6 +317,19 @@ class TestStackKernels:
             for x, y in ((a, b), (a[0], b)):
                 self._check(matmul(x, y), np.matmul(x, y), batch)
 
+    @pytest.mark.parametrize("batch", [1, *BATCHES, 4096])
+    def test_matmul_into_given_buffer(self, batch):
+        """A buffer taken earlier (the engine's way to let a product outlive
+        its operands' frame) is returned, holding the allocating call's bits,
+        for two stacks and for a shared left factor."""
+        gen = RngStream(52).generator
+        a = stacked_complex_normal(gen, (batch, 4, 2), 1.0)
+        b = stacked_complex_normal(gen, (batch, 2, 3), 1.0)
+        for x, y in ((a, b), (a[0], b)):
+            out = empty_stack((batch, 4, 3))
+            assert matmul(x, y, out=out) is out
+            np.testing.assert_array_equal(out, matmul(x, y))
+
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("layout", ["stack_last", "batch_first"])
     def test_hermitian_solve_matches_numpy(self, batch, layout):

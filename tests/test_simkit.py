@@ -619,22 +619,41 @@ class TestArenas:
     ALLOC = TestPerSeedPins.SER_ALLOC
     SCHEMES = [(R_PLAN, ALLOC[RECIPROCAL]), (N_PLAN, ALLOC[NONRECIPROCAL])]
 
+    # MiB a fresh arena holds after one 4096-trial chunk: each array lives
+    # no longer than its last use (7.88 and 7.91 MiB non-reciprocal when the
+    # Haar pilot, uplink channel and estimate lived the whole chunk).
+    FRESH_MIB = {
+        (RECIPROCAL, "mc_nmse"): 5.5, (RECIPROCAL, "mc_ser"): 5.8125,
+        (NONRECIPROCAL, "mc_nmse"): 5.5625, (NONRECIPROCAL, "mc_ser"): 5.8125,
+    }
+
+    @staticmethod
+    def _call(run, plan, alloc, trials):
+        if run == "mc_nmse":
+            return mc_nmse(CFG, plan, alloc, trials=trials, seed=5)
+        return mc_ser(CFG, plan, alloc, data_power=1000.0, trials=trials, seed=5)
+
+    @pytest.mark.parametrize("run", ["mc_nmse", "mc_ser"])
+    @pytest.mark.parametrize("plan, alloc", SCHEMES, ids=[RECIPROCAL, NONRECIPROCAL])
+    def test_fresh_chunk_arena_size(self, plan, alloc, run, monkeypatch):
+        """The arena is the chunk's high-water mark of live arrays, so an
+        array kept past its last use grows it."""
+        pool = simkit._ArenaPool(1)
+        monkeypatch.setattr(simkit, "_ARENAS", pool)
+        self._call(run, plan, alloc, CHUNK)
+        assert pool.arenas[0].nbytes == self.FRESH_MIB[plan.scheme, run] * 2**20
+
     @pytest.mark.parametrize("run", ["mc_nmse", "mc_ser"])
     @pytest.mark.parametrize("plan, alloc", SCHEMES, ids=[RECIPROCAL, NONRECIPROCAL])
     def test_steady_state_chunks_allocate_nothing(self, plan, alloc, run):
         """After one warm-up call the arena covers every chunk array: a
-        2-chunk call peaks under 1 MB of traced memory (9.6 MiB reciprocal,
-        16.1 MiB non-reciprocal without arenas)."""
-        def call():
-            if run == "mc_nmse":
-                return mc_nmse(CFG, plan, alloc, trials=2 * CHUNK, seed=5)
-            return mc_ser(CFG, plan, alloc, data_power=1000.0, trials=2 * CHUNK, seed=5)
-
-        warm = call()
+        2-chunk call peaks under 1 MB of traced memory (a chunk without
+        arenas peaks at 7.0 MiB reciprocal, 10.8 MiB non-reciprocal)."""
+        warm = self._call(run, plan, alloc, 2 * CHUNK)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            again = call()
+            again = self._call(run, plan, alloc, 2 * CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
