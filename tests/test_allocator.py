@@ -44,6 +44,7 @@ from dcekit.model import (
     nonreciprocal_plan,
     reciprocal_plan,
 )
+from dcekit.simkit import mc_nmse
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
 R_PLAN = reciprocal_plan(CFG)
@@ -350,6 +351,34 @@ def _wide_draw(rng, variances):
     return cfg, k, budget
 
 
+def _contract_draw(rng, scheme):
+    """A random configuration, plan and budget of the contract fuzzes: n_t
+    3-6, any n_l < n_t, every rank, ``tau_f`` (or ``tau_l2`` and ``tau_t3``)
+    up to 3 above its minimum, variances 10^-1..10^1, caps 10^0..10^4 and a
+    total cap up to 10^4.3 on most draws."""
+    n_t = int(rng.integers(3, 7))
+    n_l, k = int(rng.integers(1, n_t)), int(rng.integers(1, n_t + 1))
+    names = ("var_h",) if scheme == "reciprocal" else ("var_hu", "var_hd")
+    var = {name: float(10.0 ** rng.uniform(-1, 1))
+           for name in names + ("var_g", "var_wt", "var_w", "var_v")}
+    cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
+    if scheme == "reciprocal":
+        plan = dataclasses.replace(
+            reciprocal_plan(cfg), tau_f=n_t + int(rng.integers(0, 4)), pilot_rank=k,
+        )
+    else:
+        plan = nonreciprocal_plan(
+            cfg, tau_l2=n_l + int(rng.integers(0, 4)),
+            tau_t3=n_t + int(rng.integers(0, 4)), pilot_rank=k,
+        )
+    e_ave = 10.0 ** rng.uniform(0, 4.3) if rng.random() < 0.75 else math.inf
+    budget = EnergyBudget(
+        10.0 ** rng.uniform(0, 4), 10.0 ** rng.uniform(0, 4),
+        cfg.var_g * rng.uniform(0.01, 1.0), e_ave_max=e_ave,
+    )
+    return cfg, plan, budget
+
+
 def _assert_contract(rep, cfg, plan, budget):
     assert allocation_violations(rep.allocation, cfg, plan, budget=budget) == [], (cfg, plan, budget)
     assert rep.constraint_slack >= -1e-9, (cfg, plan, budget)
@@ -367,20 +396,7 @@ class TestReciprocalContract:
     def test_feasible_and_never_beaten(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(250):
-            n_t = int(rng.integers(3, 7))
-            n_l, k = int(rng.integers(1, n_t)), int(rng.integers(1, n_t + 1))
-            var = {name: float(10.0 ** rng.uniform(-1, 1))
-                   for name in ("var_h", "var_g", "var_wt", "var_w", "var_v")}
-            cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
-            plan = dataclasses.replace(
-                reciprocal_plan(cfg), tau_f=n_t + int(rng.integers(0, 4)),
-                pilot_rank=k,
-            )
-            e_ave = 10.0 ** rng.uniform(0, 4.3) if rng.random() < 0.75 else math.inf
-            budget = EnergyBudget(
-                10.0 ** rng.uniform(0, 4), 10.0 ** rng.uniform(0, 4),
-                cfg.var_g * rng.uniform(0.01, 1.0), e_ave_max=e_ave,
-            )
+            cfg, plan, budget = _contract_draw(rng, "reciprocal")
             best = _reciprocal_scan(cfg, plan, budget)
             try:
                 rep = solve_reciprocal(cfg, plan, budget)
@@ -854,20 +870,7 @@ class TestNonreciprocalContract:
     def test_feasible_or_infeasible_gamma(self):
         rng = np.random.default_rng(0)
         for _ in range(400):
-            n_t = int(rng.integers(3, 7))
-            n_l, k = int(rng.integers(1, n_t)), int(rng.integers(1, n_t + 1))
-            var = {name: float(10.0 ** rng.uniform(-1, 1))
-                   for name in ("var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v")}
-            cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
-            plan = nonreciprocal_plan(
-                cfg, tau_l2=n_l + int(rng.integers(0, 4)),
-                tau_t3=n_t + int(rng.integers(0, 4)), pilot_rank=k,
-            )
-            e_ave = 10.0 ** rng.uniform(0, 4.3) if rng.random() < 0.75 else math.inf
-            budget = EnergyBudget(
-                10.0 ** rng.uniform(0, 4), 10.0 ** rng.uniform(0, 4),
-                cfg.var_g * rng.uniform(0.01, 1.0), e_ave_max=e_ave,
-            )
+            cfg, plan, budget = _contract_draw(rng, "nonreciprocal")
             try:
                 rep = solve_nonreciprocal(cfg, plan, budget)
             except InfeasibleGamma:
@@ -893,12 +896,11 @@ class TestNonreciprocalContract:
             _assert_contract(rep, cfg, plan, budget)
 
     @pytest.mark.parametrize("cfg, budget", [
-        # One unit of AN does not change a floor spend of about 4e80.
-        (SystemConfig(4, 2, 2, var_hu=1e-80, var_hd=1e-80, var_g=1e-80, var_wt=1e-80, var_w=1e-80),
-         EnergyBudget(1e100, 100.0, 5e-81)),
+        # The echo coefficient c = b^2 overflows at b = 2e160.
+        (SystemConfig(4, 2, 2, var_hu=1e-160), EnergyBudget(8000.0, 600.0, 0.1)),
         # The echo coefficients b = 2e-300 and c = b^2 vanish against LR's 1e-30.
         (SystemConfig(4, 2, 2, var_hu=1e150, var_wt=1e-150), EnergyBudget(8000.0, 1e-30, 0.1)),
-    ], ids=["floor-spend", "echo-split"])
+    ], ids=["echo-overflow", "echo-split"])
     def test_degenerate_scale_is_a_value_error(self, cfg, budget):
         """Valid inputs that floating point cannot resolve raise the
         contract's plain ValueError, not a ZeroDivisionError."""
@@ -907,6 +909,103 @@ class TestNonreciprocalContract:
         with pytest.raises(ValueError, match="degenerate scale") as info:
             solve_nonreciprocal(cfg, plan, budget)
         assert type(info.value) is ValueError
+
+
+# --- Units ---------------------------------------------------------------------
+# The problem depends on SNRs only, so it has two exact scale symmetries.
+# Scaling the noise variances and every cap by c leaves the objective and
+# scales the allocation by c; scaling every variance and gamma by c scales
+# the objective by c and leaves the allocation.
+
+
+def _in_units(cfg, budget, c, symmetry):
+    """The problem in other units: symmetry 1 scales the noise variances and
+    every cap by ``c``, symmetry 2 every variance and ``gamma``.  Returns
+    the scaled ``(cfg, budget)`` and the factors that scale the allocation
+    and the objective."""
+    noises, channels = ("var_wt", "var_w", "var_v"), ("var_h", "var_hu", "var_hd", "var_g")
+    if symmetry == 1:
+        cfg = dataclasses.replace(cfg, **{n: getattr(cfg, n) * c for n in noises})
+        budget = dataclasses.replace(
+            budget, e_t_max=budget.e_t_max * c, e_l_max=budget.e_l_max * c,
+            e_ave_max=budget.e_ave_max * c,
+        )
+        return cfg, budget, c, 1.0
+    cfg = dataclasses.replace(cfg, **{n: getattr(cfg, n) * c for n in noises + channels})
+    return cfg, dataclasses.replace(budget, gamma=budget.gamma * c), 1.0, c
+
+
+_FIELDS = {"reciprocal": ("e_r", "e_f", "var_a"),
+           "nonreciprocal": ("e_t0", "e_l1", "e_l2", "e_t3", "var_a")}
+
+
+class TestUnitSymmetry:
+    """Each solver, on the contract fuzz's draws in units scaled by ``c`` over
+    10^+-150, under both symmetries: the same verdict on ``gamma``, the
+    objective to ``OBJECTIVE_RTOL``, and the allocation to
+    ``ALLOCATION_RTOL`` where the scenario is the same.  Where the
+    non-reciprocal ``interior`` and ``an-free`` tie, rounding can pick
+    either.  Measured over 30,000 scaled solves of such draws: objectives
+    within 2.7e-13 relative, allocations within 5.4e-13 (reciprocal) and
+    9.9e-7 (non-reciprocal, whose ``var_a`` Brent's method fixes only to
+    about ``sqrt(eps)`` on a flat optimum)."""
+
+    OBJECTIVE_RTOL = 1e-12
+    ALLOCATION_RTOL = {"reciprocal": 1e-11, "nonreciprocal": 1e-5}
+
+    @pytest.mark.parametrize("scheme", sorted(_FIELDS))
+    def test_solvers(self, scheme):
+        rng = np.random.default_rng(31)
+        rtol, solved = self.ALLOCATION_RTOL[scheme], 0
+        for _ in range(300):
+            cfg, plan, budget = _contract_draw(rng, scheme)
+            try:
+                base = solve(cfg, plan, budget)
+            except InfeasibleGamma:
+                base = None
+            for symmetry in (1, 2):
+                for c in 10.0 ** rng.uniform(-150.0, 150.0, 3):
+                    cfg_c, budget_c, unit, scale = _in_units(cfg, budget, float(c), symmetry)
+                    case = (cfg, plan, budget, float(c), symmetry)
+                    if base is None:
+                        with pytest.raises(InfeasibleGamma):
+                            solve(cfg_c, plan, budget_c)
+                        continue
+                    rep = solve(cfg_c, plan, budget_c)
+                    solved += 1
+                    assert rep.objective == pytest.approx(
+                        base.objective * scale, rel=self.OBJECTIVE_RTOL), case
+                    if rep.scenario != base.scenario:
+                        assert {rep.scenario, base.scenario} == {"interior", "an-free"}, case
+                        continue
+                    # The caps are spent, so an ulp or so of the cap may be
+                    # left over in e_t0 and LR's energies; e_t0 is the cap
+                    # less the floor's spend, which moves with var_a.
+                    cap = min(budget_c.e_t_max, budget_c.e_ave_max)
+                    for name in _FIELDS[scheme]:
+                        got, want = getattr(rep.allocation, name), getattr(base.allocation, name) * unit
+                        residue = 4.0 * math.ulp(cap) + (rtol * cap if name == "e_t0" else 0.0)
+                        assert abs(got - want) <= rtol * abs(want) + residue, (name, case)
+        assert solved > 1000
+
+    @pytest.mark.parametrize("scheme", sorted(_FIELDS))
+    def test_monte_carlo(self, scheme):
+        """``mc_nmse`` at one seed, under symmetry 1: the Monte Carlo NMSEs
+        and their closed forms are unchanged but for rounding (measured
+        within 9.3e-15 relative)."""
+        cfg = SystemConfig(4, 2, 2, var_h=0.7, var_hu=1.3, var_hd=0.6, var_g=0.8,
+                           var_wt=1.7, var_w=0.9, var_v=1.2)
+        plan = reciprocal_plan(cfg) if scheme == "reciprocal" else nonreciprocal_plan(cfg)
+        budget = EnergyBudget(8000.0, 600.0, 0.1)
+        alloc = solve(cfg, plan, budget).allocation
+        base = mc_nmse(cfg, plan, alloc, trials=4096, seed=3)
+        for c in 10.0 ** np.random.default_rng(32).uniform(-150.0, 150.0, 4):
+            cfg_c, _, unit, _ = _in_units(cfg, budget, float(c), 1)
+            alloc_c = dataclasses.replace(
+                alloc, **{name: getattr(alloc, name) * unit for name in _FIELDS[scheme]})
+            rep = mc_nmse(cfg_c, plan, alloc_c, trials=4096, seed=3)
+            for name in ("nmse_l", "nmse_u", "nmse_l_closed", "nmse_u_closed"):
+                assert getattr(rep, name) == pytest.approx(getattr(base, name), rel=1e-13), (name, c)
 
 
 # --- TX/LR share search --------------------------------------------------------
@@ -922,13 +1021,19 @@ def _floor_round(cfg, plan, budget, gt, var_a):
     return tuple(np.array(column) for column in zip(*(round_(float(v)) for v in var_a)))
 
 
+def _var_a_max(cfg, plan, budget, gt):
+    """The top of the solver's ``var_a`` grid, by the solver's formula: where
+    the floor's spend line meets the transmitter's cap."""
+    _, slope = allocator._floor_slopes(cfg, plan, gt)
+    return (min(budget.e_t_max, budget.e_ave_max) - gt) / slope
+
+
 def _full_grid(cfg, plan, budget):
     """The solver's 32-point ``var_a`` grid from 0 up to ``var_a_max``, every
     point's round, and the index ``max()`` picks over all of them (the first
     of ties): the point the solver's top-down scan must stop on."""
     gt = allocator._floor_energy(cfg, plan, budget)
-    s0, s1 = (allocator._floor_spend(cfg, plan, gt, v)[1] for v in (0.0, 1.0))
-    var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
+    var_a_max = _var_a_max(cfg, plan, budget, gt)
     grid = [0.0] + [math.ldexp(var_a_max, k) for k in range(2 - allocator._GRID_POINTS, 1)]
     round_ = allocator._floor_round(cfg, plan, budget, gt)
     points = [round_(v) for v in grid]
@@ -1013,9 +1118,7 @@ class TestShareSearch:
                 gt = allocator._floor_energy(cfg, plan, budget)
             except InfeasibleGamma:
                 continue
-            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
-            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
-            grid = var_a_max * np.concatenate(
+            grid = _var_a_max(cfg, plan, budget, gt) * np.concatenate(
                 [[0.0], np.geomspace(1e-9, 1.0, 63), np.linspace(0.0, 1.0, 24)]
             )
             ratio, e_t0, *_ = _floor_round(cfg, plan, budget, gt, grid)
@@ -1160,9 +1263,7 @@ class TestVarASinglePeak:
         for cfg, plan, budget, gt in self._budgets(60):
             rep = solve_nonreciprocal(cfg, plan, budget)
             best = rep.allocation.e_t3 / analytics.nonreciprocal_effective_noise(cfg, rep.allocation)
-            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
-            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
-            grid = var_a_max * np.unique(np.concatenate(
+            grid = _var_a_max(cfg, plan, budget, gt) * np.unique(np.concatenate(
                 [[0.0], np.geomspace(1e-9, 1.0, 2000), np.linspace(0.0, 1.0, 2001)]
             ))
             ratio, *_ = _floor_round(cfg, plan, budget, gt, grid)
@@ -1257,9 +1358,8 @@ class TestFloorRound:
         caps = set()
         for cfg, plan, budget, gt in TestVarASinglePeak()._budgets(40):
             caps.add(math.isfinite(budget.e_ave_max))
-            _, (s0, s1) = allocator._floor_spend(cfg, plan, gt, np.array([0.0, 1.0]))
-            var_a_max = (min(budget.e_t_max, budget.e_ave_max) - s0) / (s1 - s0)
-            grid = var_a_max * np.append(0.0, np.sort(rng.uniform(0.0, 1.0, 127)))
+            grid = _var_a_max(cfg, plan, budget, gt) * np.append(
+                0.0, np.sort(rng.uniform(0.0, 1.0, 127)))
             ratio, e_t0, e_l1, e_l2, e_t3, d_bar = _floor_round(cfg, plan, budget, gt, grid)
             alloc = model.PowerAllocation(
                 scheme="nonreciprocal", e_t0=e_t0, e_l1=e_l1, e_l2=e_l2, e_t3=e_t3, var_a=grid
@@ -1268,6 +1368,33 @@ class TestFloorRound:
             assert np.array_equal(d_bar, noise), (cfg, plan, budget)
             assert np.array_equal(ratio, e_t3 / noise), (cfg, plan, budget)
         assert caps == {False, True}  # with and without a total cap
+
+    def test_slopes_are_the_floor_line(self):
+        """The floor's closed-form slopes are those of its spend line: at
+        moderate scales they match :func:`_floor_spend`'s difference quotient
+        over one unit of AN, and in units scaled by 10^+-150, where that
+        quotient keeps few digits or none, the spend's stays positive."""
+        rng = np.random.default_rng(26)
+        checked = 0
+        for scheme in sorted(_FIELDS):
+            for _ in range(150):
+                cfg, plan, budget = _contract_draw(rng, scheme)
+                try:
+                    gt = allocator._floor_energy(cfg, plan, budget)
+                except InfeasibleGamma:
+                    continue
+                if gt is None:
+                    continue
+                (e0, s0), (e1, s1) = (allocator._floor_spend(cfg, plan, gt, v) for v in (0.0, 1.0))
+                slopes = allocator._floor_slopes(cfg, plan, gt)
+                assert slopes == pytest.approx((e1 - e0, s1 - s0), rel=1e-12), (cfg, plan, budget)
+                for symmetry, c in itertools.product((1, 2), (1e-150, 1e150)):
+                    cfg_c, budget_c, _, _ = _in_units(cfg, budget, c, symmetry)
+                    gt_c = allocator._floor_energy(cfg_c, plan, budget_c)
+                    _, slope = allocator._floor_slopes(cfg_c, plan, gt_c)
+                    assert 0.0 < slope < math.inf, (cfg, plan, budget, c, symmetry)
+                checked += 1
+        assert checked > 100
 
     def test_spend_is_training_spend(self):
         """The floor's spend is the transmitter's bill, to the bit, for both

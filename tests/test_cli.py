@@ -341,10 +341,12 @@ class TestSweep:
 # Closed-form sweep rows, recorded before the grid loop was shared between
 # sweep and ser (--gamma 0.1,0.03 --pave-db 10:30:10 --trials 0).  The
 # non-reciprocal allocation cells were re-recorded when the var_a search took
-# a finer zoom grid, when Brent's method replaced the zoom, and when Brent's
-# stop moved to its rounding floor sqrt(eps): on a flat optimum the maximiser
-# is fixed only to about sqrt(eps), and they moved by up to 1.9e-7, 7.5e-8
-# and 1.6e-7 relative; the NMSE cells did not.
+# a finer zoom grid, when Brent's method replaced the zoom, when Brent's stop
+# moved to its rounding floor sqrt(eps), and when var_a_max took the floor's
+# spend slope in closed form in place of a difference of two spends (1 ulp
+# away): on a flat optimum the maximiser is fixed only to about sqrt(eps), and
+# they moved by up to 1.9e-7, 7.5e-8, 1.6e-7 and 9.2e-8 relative; the NMSE
+# cells did not.
 PINNED_SWEEP = {
     "reciprocal": """\
 10,0.1,reciprocal,6.23305621136,,,51.9902494098,0.222086797358,0.0785440434207,0.1,,,,,0.0625,scenario3,ok
@@ -356,9 +358,9 @@ PINNED_SWEEP = {
 """,
     "nonreciprocal": """\
 10,0.1,nonreciprocal,21.0953193301,15.858375472,11.5881208784,85.9123658875,0.693227303993,0.0629195580556,0.1,,,,,0.0277777777778,interior,ok
-10,0.03,nonreciprocal,2.53819077792,2.25992721298,1.84138873263,133.239678478,0.0151018497868,0.0299022684638,0.03,,,,,0.0277777777778,interior,ok
+10,0.03,nonreciprocal,2.53819093099,2.25992733697,1.84138882558,133.239678119,0.0151018483992,0.0299022684638,0.03,,,,,0.0277777777778,interior,ok
 20,0.1,nonreciprocal,256.111569692,182.201338952,129.246177049,752.796822876,9.95551142883,0.00879315921632,0.1,,,,,0.002849002849,interior,ok
-20,0.03,nonreciprocal,165.562001496,118.163496415,83.9625384232,1005.22260476,3.38616986375,0.00533384373839,0.03,,,,,0.002849002849,interior,ok
+20,0.03,nonreciprocal,165.562008868,118.163501629,83.9625421105,1005.22258897,3.38616980272,0.00533384373839,0.03,,,,,0.002849002849,interior,ok
 30,0.1,nonreciprocal,1916.65389321,351.230394538,248.769605462,5478.61149611,75.5918263349,0.00202056850926,0.1,,,,,0.000499750124938,interior,ok
 30,0.03,nonreciprocal,1170.06935969,351.230394538,248.769605462,6628.9127211,25.1272399011,0.000997836429162,0.03,,,,,0.000499750124938,interior,ok
 """,
