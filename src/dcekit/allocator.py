@@ -146,9 +146,12 @@ class SolveReport:
 
     ``constraint_slack`` is ``NMSE_U - gamma`` at the solution; ``scenario``
     names the solution path taken; ``iterations`` counts the non-reciprocal
-    solver's Brent steps over ``var_a`` (13-23 at the feasible points of
-    perfbench's ``gp_sweep``, at most 37 on random wide-domain budgets; 0
-    for the reciprocal solver, which has no search).  ``converged`` is false
+    solver's Brent steps over ``var_a``; 0 for the reciprocal solver, which
+    has no search.  Measured: 13-23 at the feasible points of perfbench's
+    ``gp_sweep``; over 6,000 random draws of each domain, at most 28 on the
+    contract fuzz's (variances 10^-1..10^1, caps up to 10^4), 39 on the wide
+    domain (variances 10^-6..10^6, caps 10^-2..10^8) and 50 with variances
+    and caps across 10^-150..10^150.  ``converged`` is false
     only when Brent's ``var_a`` bracket did not shrink to ``sqrt(eps)`` of
     its best point within the cap of 100 steps; the best point found is
     still returned, with ``message`` explaining.  It certifies that bracket
@@ -312,7 +315,7 @@ def solve_general(
 
 _GRID_POINTS = 32  # the grid: 0 and var_a_max * 2^-k, k = 0..30, scanned from var_a_max down
 _SEARCH_RTOL = 2.0**-26  # sqrt(eps): done once Brent's bracket is this narrow relative to its best
-_SEARCH_STEPS = 100  # cap on Brent's steps; 6,000 random wide-domain budgets took at most 37
+_SEARCH_STEPS = 100  # cap on Brent's steps; SolveReport states the most each domain took (50)
 _SHARE_STEPS = 52  # cap on Newton steps, and on bisection steps (a full bisection)
 
 

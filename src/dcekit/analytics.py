@@ -200,10 +200,12 @@ def mu(config: SystemConfig) -> float:
 
     When the LR energy cap cannot reach ``mu``, spending anything on the
     reverse pilot is wasteful and the optimal reciprocal allocation degrades
-    gracefully to forward-only training without artificial noise.
+    gracefully to forward-only training without artificial noise.  Each
+    ratio is taken before the product, which stays in range wherever ``mu``
+    does (the product of two noise variances overflows past about 1e154).
     """
     return config.n_l * (
-        config.var_v * config.var_wt / (config.var_g * config.var_w)
+        (config.var_v / config.var_g) * (config.var_wt / config.var_w)
         - config.var_wt / config.var_h
     )
 

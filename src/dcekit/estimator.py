@@ -95,9 +95,10 @@ def echo_downlink_estimate(
     with ``q`` from :func:`dcekit.analytics.echo_power`; ``scale`` is
     :math:`s` and ``beta`` is :func:`dcekit.analytics.beta`.  ``x_t0`` is
     the energy-scaled square unitary initial pilot, ``hu_hat`` the ``n_l x
-    n_t`` uplink estimate and ``gram`` its Gram :math:`\hat{H}_u
-    \hat{H}_u^H`, formed by the caller and overwritten here with ``gram +
-    beta I``; all arrays may carry the same leading batch axes.  Its exact conditional (on
+    n_t`` uplink estimate, which the solve may overwrite, and ``gram`` its
+    Gram :math:`\hat{H}_u \hat{H}_u^H`, formed by the caller and overwritten
+    here with ``gram + beta I``; all arrays may carry the same leading batch
+    axes.  Its exact conditional (on
     :math:`\hat{H}_u`) error along each eigenvalue of ``gram`` is
     :func:`dcekit.analytics.downlink_direction_error`.  With ``scale == 0``
     (``alpha == 0``: the echo carries no signal) the estimate is the prior
@@ -113,9 +114,10 @@ def echo_downlink_estimate(
     with scratch():
         for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
             gram[..., k, k] += beta
-        # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side,
-        # conjugated in place: its only use is R.
-        solved = hermitian_solve(gram, hu_hat)
+        # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side
+        # that may take hu_hat's memory, conjugated in place: hu_hat's only
+        # use is R.
+        solved = hermitian_solve(gram, hu_hat, overwrite_rhs=True)
         right = np.conjugate(solved, out=solved).swapaxes(-1, -2)
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.

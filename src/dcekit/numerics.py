@@ -64,12 +64,33 @@ temporary here and in the engine comes from it through ``out=``:
 and :func:`keep` marks results that must outlive the caller's frame.  The
 footprint rule is that whatever is dead by the next step shares memory: each
 kernel's temporaries go when it returns, each noise draw once it is added in
-place, and a product that must outlive its operands is written
-(:func:`matmul`'s ``out``) into a buffer taken before their frame opened.
-So a fresh 4x2x2 chunk leaves an arena of 5.50 MiB reciprocal and 5.56 MiB
-non-reciprocal for ``mc_nmse`` (5.81 MiB for either scheme's ``mc_ser``),
-against a peak of 7.0 and 10.8 MiB of live numpy memory without arenas
-(tracemalloc), and a steady-state chunk takes no page fault.  Arenas cut a
+place (a large one a slab at a time), and a buffer that outlives its
+operands is taken before their frame opened: a product through
+:func:`matmul`'s ``out``, a null basis through :func:`null_complement`'s (a
+solve may take its right-hand side's memory instead, through
+:func:`hermitian_solve`'s ``overwrite_rhs``).
+The engine also drops its last reference to each array where the array's
+frame closes, so a chunk that runs without an arena holds about as much.
+The footprint of one fresh 4096-trial chunk at ``SystemConfig(4, 2, 2)``
+with default plans, in MiB: the arena it leaves (:attr:`Arena.nbytes`) and
+the most live numpy memory it holds with no arena (tracemalloc peak):
+
+    ==========================  =====  ========
+    chunk                       arena  no arena
+    ==========================  =====  ========
+    reciprocal ``mc_nmse``      4.41   4.38
+    reciprocal ``mc_ser``       4.41   4.55
+    non-reciprocal ``mc_nmse``  4.88   5.01
+    non-reciprocal ``mc_ser``   4.88   5.01
+    ==========================  =====  ========
+
+The reciprocal arena peaks in the null complement's QR, with the forward
+signal and the null basis taken before the reverse estimate; without an
+arena, at the AN product (``mc_nmse``) or in the detector (``mc_ser``).
+Both non-reciprocal peaks are the echo estimate's last product, with the
+pilot, the echo and the uplink solve still live.  This table is the one
+place these figures are stated; ``TestArenas`` in ``tests/test_simkit.py``
+pins them.  A steady-state chunk takes no page fault.  Arenas cut a
 ``mc_nmse`` chunk from 20.4-21.0 ms to 14.7-15.6 ms reciprocal and from
 35-44 ms to 28-32 ms non-reciprocal (one BLAS thread, fresh processes,
 alternating), a share that depends on how the allocator last trimmed its
@@ -116,6 +137,11 @@ __all__ = [
 HOUSEHOLDER_MIN_BATCH = 192
 
 _ALIGN = 64  # bytes; every arena array starts on a cache line
+
+# Entries of the scratch slab a large noise draw is made in (256 KiB): a
+# 4096-trial chunk draws a 4x4 stack's noise in four slabs, a 4x2 stack's in
+# two, and nothing smaller is split.
+_NOISE_SLAB = 1 << 14
 
 
 class Arena:
@@ -242,13 +268,17 @@ def _memory_order(x: np.ndarray) -> list[int]:
     return sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
 
 
-def empty_stack(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-    """Uninitialised ``(batch, rows, cols)`` array in stack-last memory (rows
-    outermost, the layout :func:`matmul` gives a product of two stacks) from
+def empty_stack(shape: tuple[int, ...], dtype=np.complex128, columns_first: bool = False) -> np.ndarray:
+    """Uninitialised ``(batch, rows, cols)`` array in stack-last memory from
     :data:`HOUSEHOLDER_MIN_BATCH` matrices on, C order otherwise; from the
-    active arena if there is one."""
+    active arena if there is one.  Rows are outermost (the layout
+    :func:`matmul` gives a product of two stacks), or with ``columns_first``
+    the columns (the layout of a shared factor's product and of
+    :func:`null_complement`)."""
     if shape[0] < HOUSEHOLDER_MIN_BATCH:
         return empty(shape, dtype)
+    if columns_first:
+        return empty(shape[:0:-1] + shape[:1], dtype).transpose(2, 1, 0)
     return empty(shape[1:] + shape[:1], dtype).transpose(2, 0, 1)
 
 
@@ -304,11 +334,23 @@ def stacked_complex_normal(gen: np.random.Generator, shape: tuple[int, ...], var
 
 
 def add_complex_normal(x: np.ndarray, gen: np.random.Generator, var: float) -> np.ndarray:
-    """``x += z`` for iid CN(0, ``var``) draws ``z``, made in scratch
-    :func:`empty_like` memory and drawn in ``x``'s own memory order; returns
-    ``x``.  The add runs over two arrays of the same strides, which numpy
-    does in one pass with no buffer of its own."""
+    """``x += z`` for iid CN(0, ``var``) draws ``z``, drawn in ``x``'s own
+    memory order; returns ``x``.  A dense ``x`` of more than 2^14 entries
+    (``_NOISE_SLAB``) takes its draws one 256 KiB scratch slab at a time, in
+    order along its memory (one fill split over consecutive slabs draws the
+    same values), so a large draw's scratch stays a slab.
+    Any other ``x`` draws into scratch :func:`empty_like` memory.  Each add
+    runs over two arrays of the same strides, which numpy does in one pass
+    with no buffer of its own."""
     with scratch():
+        if x.size > _NOISE_SLAB:
+            flat = x.transpose(_memory_order(x))
+            if flat.flags.c_contiguous:
+                flat, slab = flat.reshape(-1), empty((_NOISE_SLAB,))
+                for lo in range(0, flat.size, _NOISE_SLAB):
+                    part = flat[lo:lo + _NOISE_SLAB]
+                    part += _fill_normal(gen, slab[:part.size], var)
+                return x
         x += _fill_normal(gen, empty_like(x), var)
     return x
 
@@ -343,9 +385,9 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     and two stacks make, per row of the result, ``q`` multiply-adds of ``r``
     vectors along the stack (fast when the inputs are stack-last, correct for
     any strides).  Smaller stacks take numpy's ``@``.  A given ``out``, a
-    complex ``(batch, p, r)`` :func:`empty_stack` array taken earlier,
-    receives the same bits and is returned, so a product can outlive the
-    frame its operands live in.
+    complex ``(batch, p, r)`` :func:`empty_stack` array taken earlier (rows
+    or columns outermost), receives the same bits and is returned, so a
+    product can outlive the frame its operands live in.
     """
     # Every product of a batch-of-one round passes here: one test sends it to numpy.
     batch = b.shape[0]
@@ -353,10 +395,9 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
         return a @ b if out is None else np.matmul(a, b, out=out)
     dtype = np.result_type(a, b)
     if a.ndim == 2:  # one (p, q) @ (q, batch) GEMM per column of b
-        bm = b.transpose(2, 1, 0)
         if out is None:
-            out = empty((bm.shape[0], a.shape[0], batch), dtype).transpose(2, 1, 0)
-        np.matmul(a, bm, out=out.transpose(2, 1, 0))
+            out = empty_stack((batch, a.shape[0], b.shape[2]), dtype, columns_first=True)
+        np.matmul(a, b.transpose(2, 1, 0), out=out.transpose(2, 1, 0))
         return out
     am, bm = a.transpose(1, 2, 0), b.transpose(1, 2, 0)
     if out is None:
@@ -370,51 +411,70 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def hermitian_solve(s: np.ndarray, rhs: np.ndarray, overwrite_rhs: bool = False) -> np.ndarray:
     """``np.linalg.solve(s, rhs)`` for a ``(batch, n, n)`` stack of Hermitian
     positive-definite ``s`` and a ``(batch, n, m)`` stack ``rhs``.
 
     From :data:`HOUSEHOLDER_MIN_BATCH` matrices on: a Cholesky factorization
     ``s = L L^H`` and two triangular solves, each step one vector operation
     along the stack, result stack-last.  Only the lower triangle of ``s`` is
-    read.  Smaller stacks take ``np.linalg.solve``.
+    read.  Smaller stacks take ``np.linalg.solve``.  ``overwrite_rhs``
+    lets the solve take ``rhs``'s memory for its result, which it does for a
+    stack-last ``rhs`` (:func:`empty_stack` memory) from
+    :data:`HOUSEHOLDER_MIN_BATCH` matrices on, so no second stack is taken.
     """
     if s.shape[0] < HOUSEHOLDER_MIN_BATCH:
         return np.linalg.solve(s, rhs)
     sm = s.transpose(1, 2, 0)
     n, size = sm.shape[0], sm.shape[-1]
-    x = empty(rhs.shape[1:] + rhs.shape[:1])
-    np.copyto(x, rhs.transpose(1, 2, 0))
+    x = rhs.transpose(1, 2, 0)
+    if not (overwrite_rhs and x.flags.c_contiguous):
+        x = empty(x.shape)
+        np.copyto(x, rhs.transpose(1, 2, 0))
     m = x.shape[1]
     with scratch():
         low = empty(sm.shape)
         low.fill(0.0)
         diag = empty((n, size), np.float64)
         conj, col, sums = empty((n, size)), empty((n, size)), empty((m, size))
-        prod = empty((n * max(n, m), size))  # each step's terms, before their sum
+        # Each sum below has at most n - 1 terms; past one, every later term
+        # is formed in a spare block before it is added.
+        spare = empty((max(n, m), size)) if n > 2 else None
+
+        def dot(acc, a, b):
+            """``acc = sum_k a[k] * b[k]``, left to right, as ``np.sum`` adds
+            along an outer axis."""
+            np.multiply(a[0], b[0], out=acc)
+            for k in range(1, len(a)):
+                acc += np.multiply(a[k], b[k], out=spare[:len(acc)])
+            return acc
+
         for j in range(n):
             # col = sm[j:, j] - (low[j:, :j] * low[j, :j].conj()).sum(axis=1)
-            terms = np.multiply(low[j:, :j], np.conjugate(low[j, :j], out=conj[:j]),
-                                out=prod[:(n - j) * j].reshape(n - j, j, size))
-            np.subtract(sm[j:, j], np.sum(terms, axis=1, out=col[j:]), out=col[j:])
+            if j:
+                lc = np.conjugate(low[j, :j, None], out=conj[:j, None])
+                np.subtract(sm[j:, j], dot(col[j:], low[j:, :j].swapaxes(0, 1), lc), out=col[j:])
+            else:
+                np.copyto(col, sm[:, 0])
             np.sqrt(col[j].real, out=diag[j])
             np.divide(col[j:], diag[j], out=low[j:, j])
         for i in range(n):  # L y = rhs
-            terms = np.multiply(low[i, :i, None], x[:i], out=prod[:i * m].reshape(i, m, size))
-            x[i] -= np.sum(terms, axis=0, out=sums)
+            if i:
+                x[i] -= dot(sums, low[i, :i, None], x[:i])
             x[i] /= diag[i]
         for i in range(n - 1, -1, -1):  # L^H x = y
-            lc = np.conjugate(low[i + 1:, i, None], out=conj[:n - i - 1, None])
-            terms = np.multiply(lc, x[i + 1:], out=prod[:(n - i - 1) * m].reshape(n - i - 1, m, size))
-            x[i] -= np.sum(terms, axis=0, out=sums)
+            if i < n - 1:
+                lc = np.conjugate(low[i + 1:, i, None], out=conj[:n - i - 1, None])
+                x[i] -= dot(sums, lc, x[i + 1:])
             x[i] /= diag[i]
     return x.transpose(2, 0, 1)
 
 
-def _householder_qr(a: np.ndarray) -> np.ndarray:
+def _householder_qr(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The last ``n - m`` columns of the complete Q factor of a stack of
     ``(..., n, m)`` matrices, by Householder reflections, each step one pass
-    over the stack; stack-last, with its columns outermost.
+    over the stack; stack-last, with its columns outermost (written into a
+    given ``out`` of that layout).
 
     LAPACK's ``zgeqrf`` / ``zungqr`` conventions: reflector ``k`` is ``I - tau
     v v^H`` with ``v[0] = 1``; the R diagonal ``beta`` is real, of the sign
@@ -430,7 +490,7 @@ def _householder_qr(a: np.ndarray) -> np.ndarray:
     stack = a.reshape((math.prod(lead), n, m))
     size = stack.shape[0]
     steps = min(n, m)
-    q = empty((max(n - m, 0), n, size))
+    q = empty((max(n - m, 0), n, size)) if out is None else out.transpose(2, 1, 0)
     with scratch():
         # w[j, i] holds entry (i, j) of every matrix: the stack is the last
         # axis, and each column of the matrices is one contiguous block.  From
@@ -449,6 +509,8 @@ def _householder_qr(a: np.ndarray) -> np.ndarray:
         q[np.arange(n - m), np.arange(m, n)] = 1.0
         for k in range(steps - 1, -1, -1):
             _reflect(q[:, k:], w[k, k + 1:], taus[k])
+    if out is not None:
+        return out
     q = q.transpose(2, 1, 0)  # stack-last: no copy back
     return q.reshape(lead + q.shape[1:])
 
@@ -559,15 +621,21 @@ def haar_semiunitary(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return q.reshape(lead + q.shape[1:])
 
 
-def null_complement(mat: np.ndarray) -> np.ndarray:
+def null_complement(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal left-null-space completion of ``(..., n, m)`` matrices.
 
     Never raises: the last ``n - m`` columns of the unitary complete-QR factor
     complement the span of ``mat`` at any rank, zero included, which the
     protocol needs on edges like an unpowered reverse stage.  Numpy's LAPACK
     QR below :data:`HOUSEHOLDER_MIN_BATCH` matrices, :func:`_householder_qr`
-    from there on.
+    from there on.  A given ``out``, a ``(batch, n, n - m)`` array taken
+    earlier with ``empty_stack(..., columns_first=True)``, receives the
+    complement and is returned, so it can outlive the frame ``mat`` lives in.
     """
     if math.prod(mat.shape[:-2]) < HOUSEHOLDER_MIN_BATCH:
-        return np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
-    return _householder_qr(mat)
+        q = np.linalg.qr(mat, mode="complete")[0][..., mat.shape[-1]:]
+        if out is None:
+            return q
+        np.copyto(out, q)
+        return out
+    return _householder_qr(mat, out)

@@ -275,15 +275,16 @@ def run_rounds(
     h_u, g)``, used as given; without it they are drawn from ``gen``
     (stack-last) in :func:`dcekit.model.channel_table` order.
 
-    Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"``,
-    estimates ``"h_hat"`` (transmitter's), ``"h_lr"``, ``"g_ur"``, null basis
-    ``"k_null"`` and AN ``"an"``; a caller that wants an estimate's error
-    takes :func:`squared_error` of it.  ``keep_signals`` adds every stage
-    signal under ``"signals"`` (and, for non-reciprocal rounds, the echo
-    estimator's ``"hu_gram"``, ``hu_hat hu_hat^H`` for the uplink estimate
-    ``hu_hat``); these are scratch under an arena, so ``keep_signals`` needs
-    none active.  What the inputs fix (LR's noise level, the echo gain) is
-    in :func:`_round_constants`.
+    Returns ``(batch, ...)`` arrays: channels ``"h"`` (LR's) and ``"g"`` and
+    the receivers' estimates ``"h_lr"`` and ``"g_ur"``; a caller that wants
+    an estimate's error takes :func:`squared_error` of it.  ``keep_signals``
+    adds the transmitter's estimate ``"h_hat"``, the null basis ``"k_null"``,
+    the AN ``"an"``, every stage signal under ``"signals"`` and, for
+    non-reciprocal rounds, the echo estimator's ``"hu_gram"`` (``hu_hat
+    hu_hat^H`` for the uplink estimate ``hu_hat``).  Without it each of those
+    is dropped at its last use, so under an arena they are scratch, and
+    ``keep_signals`` needs none active.  What the inputs fix (LR's noise
+    level, the echo gain) is in :func:`_round_constants`.
     """
     const = _round_constants(config, plan, alloc)
     return _rounds(config, alloc, const, plan.scheme, gen, batch, channels, keep_signals)
@@ -294,7 +295,7 @@ def _rounds(config, alloc, const, scheme, gen, batch, channels, keep_signals) ->
     if keep_signals and active_arena() is not None:
         raise ValueError("keep_signals needs numpy's own memory, but an arena is active")
     stages = _reciprocal_rounds if scheme == RECIPROCAL else _nonreciprocal_rounds
-    return stages(config, alloc, const, gen, batch, channels, keep_signals)
+    return stages(config, alloc, const, gen, batch, channels, {} if keep_signals else None)
 
 
 def _draw_channels(config, scheme, gen, batch, local=()) -> tuple[np.ndarray, ...]:
@@ -308,90 +309,115 @@ def _draw_channels(config, scheme, gen, batch, local=()) -> tuple[np.ndarray, ..
     return tuple(drawn)
 
 
-def _reciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
+# Every array below lives no longer than its last use: each stage drops its
+# last reference to an array where that array's arena frame closes, and a
+# buffer that outlives its operands is taken before them (a product is then
+# written into it through matmul's out=).  Only the destination memory
+# differs, never a draw or its order.
+
+
+def _reciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -> dict:
     h, g = _draw_channels(config, RECIPROCAL, gen, batch) if channels is None else channels
-    with scratch():
-        y_t = add_complex_normal(matmul(const.x_rev, h.swapaxes(-1, -2)), gen, config.var_wt)
-        with keep():
-            h_hat = matmul(const.k_rev, y_t).swapaxes(-1, -2)  # plain transpose: unknown was H^T
-
-    out = {"h": h, "g": g, "h_hat": h_hat}
-    if keep_signals:
-        out["signals"] = {"x_l": const.x_rev, "y_t": y_t}
-    return _forward_stage(config, alloc, gen, out, const, "")
-
-
-def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, keep_signals) -> dict:
     n_t, n_l = config.n_t, config.n_l
 
-    # Under an arena each array lives no longer than its last use.  The echo
-    # frame holds the pilot, the echo y_t1 and the uplink estimate hu_hat
-    # until the echo estimate; the uplink channel, y_l0 and y_t2 live in a
-    # frame that closes before it (the products that outlive them are
-    # written into buffers taken first), and the Gram's conjugate copy in
-    # one of its own.  Only the destination memory differs, never a draw or
-    # its order.
+    def reverse_estimate():
+        h_hat_t = empty_stack((batch, n_l, n_t), columns_first=True)
+        with scratch():
+            y_t = add_complex_normal(matmul(const.x_rev, h.swapaxes(-1, -2)), gen, config.var_wt)
+            matmul(const.k_rev, y_t, out=h_hat_t)
+            if signals is not None:
+                signals.update(x_l=const.x_rev, y_t=y_t)
+        return h_hat_t.swapaxes(-1, -2)  # plain transpose: the unknown was H^T
+
+    return _forward_stage(config, alloc, gen, const, {"h": h, "g": g}, reverse_estimate, signals, "")
+
+
+def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -> dict:
+    n_t, n_l = config.n_t, config.n_l
+    # The echo frame holds the pilot, the echo y_t1 and the uplink estimate
+    # hu_hat until the echo estimate; the uplink channel and y_t2 live in a
+    # frame that closes before it, y_l0 in one that closes at y_t1's product.
     with scratch():
         # Haar-random square unitary pilot, redrawn every round.
         c_t0 = haar_semiunitary(gen, (batch, n_t, n_t))
         y_t1, hu_hat = empty_stack((batch, n_t, n_t)), empty_stack((batch, n_l, n_t))
         with scratch():
             if channels is None:
-                channels = _draw_channels(config, NONRECIPROCAL, gen, batch, local=("h_u",))
-            h_d, h_u, g = channels
+                h_d, h_u, g = _draw_channels(config, NONRECIPROCAL, gen, batch, local=("h_u",))
+            else:
+                h_d, h_u, g = channels
             x_t0 = np.multiply(math.sqrt(alloc.e_t0 / n_t), c_t0, out=c_t0)
-            y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
-            matmul(y_l0, h_u, out=y_t1)
+            with scratch():
+                y_l0 = add_complex_normal(matmul(x_t0, h_d), gen, config.var_w)
+                matmul(y_l0, h_u, out=y_t1)
+                if signals is not None:
+                    signals.update(x_t0=x_t0, y_l0=y_l0)
+                del y_l0
             y_t1 *= const.alpha
             add_complex_normal(y_t1, gen, config.var_wt)
             y_t2 = add_complex_normal(matmul(const.x_rev, h_u), gen, config.var_wt)
             matmul(const.k_rev, y_t2, out=hu_hat)
+            if signals is not None:
+                signals.update(y_t1=y_t1, x_l2=const.x_rev, y_t2=y_t2)
+            del h_u, y_t2
         gram = empty_stack((batch, n_l, n_l))
         with scratch():
             matmul(hu_hat, herm(hu_hat), out=gram)
-        hu_gram = gram.copy(order="K") if keep_signals else None  # the estimate adds beta I to gram
+        out = {"h": h_d, "g": g}
+        if signals is not None:
+            out["hu_gram"] = gram.copy(order="K")  # the estimate adds beta I to gram
+        # The estimate outlives this frame, so it is kept for the chunk: a
+        # buffer taken before the frame opened would add to the echo's peak.
         with keep():
-            hd_hat = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
+            out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
+        del c_t0, x_t0, y_t1, hu_hat, gram
 
-    out = {"h": h_d, "g": g, "h_hat": hd_hat}
-    if keep_signals:
-        out["hu_gram"] = hu_gram
-        out["signals"] = {
-            "x_t0": x_t0, "y_l0": y_l0, "y_t1": y_t1, "x_l2": const.x_rev, "y_t2": y_t2,
-        }
-    return _forward_stage(config, alloc, gen, out, const, "3")
+    return _forward_stage(config, alloc, gen, const, out, functools.partial(out.pop, "h_hat"), signals, "3")
 
 
-def _forward_stage(config, alloc, gen, out, const, stage) -> dict:
+def _forward_stage(config, alloc, gen, const, out, estimate, signals, stage) -> dict:
     """The guarded forward stage both schemes end with, added to ``out``: the
-    pilot ``const.x_bar`` plus AN in the null complement of ``out["h_hat"]``,
-    estimated by LR and UR through ``const``'s combiners.  ``stage``
-    suffixes the signal names (``"3"`` gives ``x_t3``)."""
+    pilot ``const.x_bar`` plus AN in the null complement of the transmitter's
+    estimate ``estimate()``, estimated by LR and UR through ``const``'s
+    combiners.  ``estimate`` runs in a frame that closes once the null
+    complement is taken; the forward signal and the null basis outlive it,
+    so they are taken first.  ``stage`` suffixes the signal names (``"3"``
+    gives ``x_t3``)."""
     n_t, n_l = config.n_t, config.n_l
     h, g = out["h"], out["g"]
     batch, tau = h.shape[0], const.x_bar.shape[0]
 
-    k_null = null_complement(out["h_hat"])
-    a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
     with scratch():
-        # The pilot copied into every matrix, then the AN added over equal
-        # strides: numpy runs a broadcast add through an iterator buffer of
-        # up to 8192 entries, and a copy takes none.  The AN product is
-        # free again before the received signals are taken.
         x_t = empty_stack((batch, tau, n_t))
-        x_t[...] = const.x_bar
         with scratch():
-            x_an = matmul(a, herm(k_null))
+            # Kept signals take numpy's memory, and the null basis numpy's QR
+            # layout, as the transcripts always have.
+            k_null = None if signals is not None else empty_stack((batch, n_t, n_t - n_l), columns_first=True)
+            with scratch():
+                h_hat = estimate()
+                k_null = null_complement(h_hat, out=k_null)
+            a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
+            if signals is None:  # the basis's last use: conjugated in place
+                k_h = np.conjugate(k_null, out=k_null).swapaxes(-1, -2)
+            else:
+                out.update(h_hat=h_hat, k_null=k_null, an=a)
+                k_h = herm(k_null)
+            del h_hat
+            # The pilot copied into every matrix, then the AN added over equal
+            # strides: numpy runs a broadcast add through an iterator buffer
+            # of up to 8192 entries, and a copy takes none.
+            x_t[...] = const.x_bar
+            x_an = matmul(a, k_h)
             x_t += x_an
+            del k_null, k_h, a, x_an
         y_l = add_complex_normal(matmul(x_t, h), gen, config.var_w)
         y_u = add_complex_normal(matmul(x_t, g), gen, config.var_v)
         with keep():
-            h_lr = matmul(const.k_l, y_l)
-            g_ur = matmul(const.k_u, y_u)
-
-    out.update({"h_lr": h_lr, "g_ur": g_ur, "k_null": k_null, "an": a})
-    if "signals" in out:
-        out["signals"].update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
+            out["h_lr"] = matmul(const.k_l, y_l)
+            out["g_ur"] = matmul(const.k_u, y_u)
+        if signals is not None:
+            signals.update({f"x_t{stage}": x_t, f"y_l{stage}": y_l, f"y_u{stage}": y_u})
+            out["signals"] = signals
     return out
 
 

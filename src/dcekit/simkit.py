@@ -12,9 +12,10 @@ arrays reuse the memory of the chunks before it, in this call and in
 earlier ones, instead of faulting fresh pages in.  The pool makes at most
 ``os.cpu_count()`` arenas (a chunk that finds none free and the pool full
 allocates from numpy), and keeps them for the life of the process: the
-memory retained is at most that many times the largest chunk's working set,
-5.5-5.8 MiB for a 4x2x2 chunk.  Nothing allocated in an arena leaves its
-chunk: the chunk functions return Python numbers.
+memory retained is at most that many times the largest chunk's working set
+(the footprint table in :mod:`dcekit.numerics` has the 4x2x2 sizes).
+Nothing allocated in an arena leaves its chunk: the chunk functions return
+Python numbers.
 
 The data phase uses a rate-3/4 orthogonal space-time block code over four
 transmit antennas carrying three unit-energy 64-QAM symbols per block.  For
@@ -24,8 +25,10 @@ product constellation such as square QAM each coordinate is then sliced
 against its own axis levels, which is what :func:`ostbc_detect` implements
 (other constellations are rejected).  Feeding it the true channel gives the
 perfect-CSI baseline.  One table, ``_OSTBC_ENTRIES``, states the codeword:
-:func:`ostbc_encode` builds blocks from it, and the detector sums its soft
-symbols from it.  The detector reads the stack-last blocks of a chunk as
+:func:`ostbc_encode` builds blocks from it, :func:`mc_ser` sends blocks
+straight from it (each row of ``y`` sums the row's three nonzero entries
+times their channel rows, with no codeword array), and the detector sums
+its soft symbols from it.  The detector reads the stack-last blocks of a chunk as
 they are: each of the 12 entries of ``y h_hat^H`` the codeword uses is a few
 vector operations along the 4096 trials, and each coordinate's level is a
 count of the thresholds at or above it, all in arena memory.  A detected
@@ -53,8 +56,7 @@ from .numerics import (
     add_complex_normal,
     empty,
     empty_like,
-    keep,
-    matmul,
+    empty_stack,
     scratch,
 )
 from .protocol import run_rounds, squared_error
@@ -259,6 +261,19 @@ _OSTBC_ENTRIES = {
 }
 
 
+# Each codeword row's nonzero entries as (column, symbol index, conjugated,
+# negated), in the order mc_ser sums them: column order, except that a row
+# whose first entry is negated starts from its second (-a + b is b - a, and
+# no row has its first two negated).
+_OSTBC_SEND = tuple(
+    (row[1], row[0], *row[2:]) if row[0][3] else row
+    for row in (
+        tuple((j, *_OSTBC_ENTRIES[i, j]) for j in range(4) if (i, j) in _OSTBC_ENTRIES)
+        for i in range(4)
+    )
+)
+
+
 def ostbc_encode(s1, s2, s3) -> np.ndarray:
     """Map three symbols to the 4x4 rate-3/4 orthogonal codeword.
 
@@ -285,6 +300,28 @@ def ostbc_encode(s1, s2, s3) -> np.ndarray:
         if neg:
             np.negative(entry, out=entry)
     return x.transpose(*range(2, x.ndim), 0, 1)
+
+
+def _ostbc_send(sym: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``ostbc_encode(*s) @ h`` for an ``(m, 4, n_r)`` channel stack, from
+    ``sym``: the ``(2, 3, m)`` symbols ``s`` and their conjugates.  Each row
+    of the result sums the codeword row's nonzero entries times their
+    channel rows (``_OSTBC_SEND``), with no codeword array.  From
+    :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` trials on these are the
+    bits of :func:`dcekit.numerics.matmul` of the codeword, whose zero
+    entries add nothing; below, numpy's ``@`` of it can differ in the last
+    bit."""
+    m, n_r = h.shape[0], h.shape[-1]
+    y = empty_stack((m, 4, n_r))
+    rows = h.transpose(1, 2, 0)  # row j of every channel, (n_r, m)
+    with scratch():
+        term = empty((n_r, m))
+        for y_row, ((j, k, conj, _), *rest) in zip(y.transpose(1, 2, 0), _OSTBC_SEND):
+            np.multiply(sym[int(conj), k], rows[j], out=y_row)
+            for j, k, conj, neg in rest:
+                np.multiply(sym[int(conj), k], rows[j], out=term)
+                (np.subtract if neg else np.add)(y_row, term, out=y_row)
+    return y
 
 
 def _axis_slicer(constellation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,7 +408,16 @@ def ostbc_detect(
         with scratch():
             energy = np.square(h_hat.real, out=empty_like(h_hat, np.float64))
             energy += np.square(h_hat.imag, out=empty_like(h_hat, np.float64))
-            np.sum(energy, axis=(-2, -1), out=denom)
+            if energy.ndim == 3 and energy.strides[0] == energy.itemsize:
+                # A stack-last stack: one C-contiguous (entries, trials) block
+                # in memory order, summed down its entries as np.sum adds the
+                # two outer axes.  A batch-first matrix's contiguous entries
+                # are added pairwise instead, so that keeps np.sum.
+                order = (1, 2) if energy.strides[1] >= energy.strides[2] else (2, 1)
+                block = energy.transpose(*order, 0).reshape(-1, energy.shape[0])
+                np.add.reduce(block, axis=0, out=denom)
+            else:
+                np.sum(energy, axis=(-2, -1), out=denom)
         np.multiply(scale, np.maximum(denom, 1e-300, out=denom), out=denom)
 
         # Each M[i, j] of M = y h_hat^H is summed over r one vector over the
@@ -461,19 +507,24 @@ def mc_ser(
     def one_chunk(gen, m: int):
         out = run_rounds(config, plan, alloc, gen, batch=m)
         s = np.take(QAM64, gen.integers(0, QAM64.size, size=(m, 3)), out=empty((m, 3)), mode="clip")
+        counts = []
         with scratch():
-            x = ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
-            np.multiply(amp, x, out=x)
-            with keep():
-                y_l = matmul(x, out["h"])
-                y_u = matmul(x, out["g"])
-        add_complex_normal(y_l, gen, config.var_w)
-        add_complex_normal(y_u, gen, config.var_v)
-        return (
-            count_errors(y_l, out["h_lr"], s),
-            count_errors(y_l, out["h"], s),
-            count_errors(y_u, out["g_ur"], s),
-        )
+            # The block goes out as amp * s and its conjugate, straight from
+            # the codeword table.  Each receiver's block lives until its
+            # detections end; detection draws nothing, so the noise order
+            # stays LR's, then UR's.
+            sym = empty((2, 3, m))
+            np.multiply(amp, s.T, out=sym[0])
+            np.conjugate(sym[0], out=sym[1])
+            for h, var, estimates in (
+                (out["h"], config.var_w, (out["h_lr"], out["h"])),
+                (out["g"], config.var_v, (out["g_ur"],)),
+            ):
+                with scratch():
+                    y = add_complex_normal(_ostbc_send(sym, h), gen, var)
+                    counts += [count_errors(y, est, s) for est in estimates]
+                    del y
+        return tuple(counts)
 
     trials, err_l, err_lp, err_u = _reduce_chunks(one_chunk, trials, seed, workers)
     n_sym = 3 * trials

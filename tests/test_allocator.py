@@ -988,6 +988,21 @@ class TestUnitSymmetry:
                         assert abs(got - want) <= rtol * abs(want) + residue, (name, case)
         assert solved > 1000
 
+    @pytest.mark.parametrize("symmetry", [1, 2])
+    @pytest.mark.parametrize("c", [1e155, 1e200])
+    def test_reciprocal_past_noise_products(self, c, symmetry):
+        """Noise variances past 1e154, whose products overflow: the reverse
+        threshold ``mu`` takes its ratios first, so the default problem keeps
+        its scenario and objective (``mu`` was inf at 1e155, and the solve
+        fell to prop1-branch1 with objective gamma)."""
+        cfg, budget = SystemConfig(4, 2, 2), EnergyBudget(8000.0, 600.0, 0.1)
+        plan = reciprocal_plan(cfg)
+        base = solve_reciprocal(cfg, plan, budget)
+        cfg_c, budget_c, _, scale = _in_units(cfg, budget, c, symmetry)
+        rep = solve_reciprocal(cfg_c, plan, budget_c)
+        assert rep.scenario == base.scenario == "prop1-branch2"
+        assert rep.objective == pytest.approx(base.objective * scale, rel=self.OBJECTIVE_RTOL)
+
     @pytest.mark.parametrize("scheme", sorted(_FIELDS))
     def test_monte_carlo(self, scheme):
         """``mc_nmse`` at one seed, under symmetry 1: the Monte Carlo NMSEs

@@ -190,7 +190,7 @@ def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):
     scale, b = _echo_constants(alpha, e_t0, e_l2)
     gram = h_u_hat @ h_u_hat.conj().T
     lam = np.linalg.eigvalsh(gram)  # before the estimate adds beta I to gram
-    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat, gram, scale, b)
+    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat.copy(), gram, scale, b)  # may be overwritten
     per_dir = analytics.downlink_direction_error(CFG, e_t0, b, lam)
     return estimate, per_dir
 
@@ -310,8 +310,8 @@ class TestTxDownlinkEstimate:
         def gram(hu):
             return hu @ hu.conj().swapaxes(-1, -2)
 
-        batched = echo_downlink_estimate(ys, x_t0, hus, gram(hus), *constants)
+        batched = echo_downlink_estimate(ys, x_t0, hus.copy(), gram(hus), *constants)
         assert batched.shape == (3, CFG.n_t, CFG.n_l)
         for i in range(3):
-            single = echo_downlink_estimate(ys[i], x_t0[i], hus[i], gram(hus[i]), *constants)
+            single = echo_downlink_estimate(ys[i], x_t0[i], hus[i].copy(), gram(hus[i]), *constants)
             np.testing.assert_allclose(batched[i], single, rtol=1e-13, atol=1e-15)

@@ -180,6 +180,17 @@ class TestHouseholderQr:
         # The complement is the public null_complement on the same stack.
         np.testing.assert_array_equal(null_complement(a), q)
 
+    @pytest.mark.parametrize("batch", [1, HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH])
+    def test_complement_into_given_buffer(self, batch):
+        """A buffer taken earlier in the complement's own layout receives the
+        allocating call's bits and is returned."""
+        a = complex_normal(RngStream(41).generator, (batch, 4, 2), 1.0)
+        out = empty_stack((batch, 4, 2), columns_first=True)
+        assert null_complement(a, out=out) is out
+        ref = null_complement(a)
+        np.testing.assert_array_equal(out, ref)
+        assert sorted(out.strides) == sorted(np.empty_like(ref).strides)
+
     def test_reduced_columns_are_left_alone(self):
         """Real pivots with nothing below them take tau = 0, as in LAPACK:
         the complement is the trailing columns of the identity."""
@@ -267,6 +278,20 @@ class TestDrawLayout:
             ref = complex_normal(RngStream(73).generator, memory, 0.5)
             np.testing.assert_array_equal(x, ref.transpose(axes))
 
+    @pytest.mark.parametrize("shape", [(4096, 4, 4), (4096, 2, 4), (3000, 4, 3)])
+    def test_large_draws_fill_in_slabs(self, shape):
+        """A draw of more than one slab fills it slab by slab, in memory
+        order: the values of one fill, with a slab of scratch."""
+        for columns_first in (False, True):
+            x = empty_stack(shape, columns_first=columns_first)
+            x.fill(1.0)
+            ref = x + _one_fill(RngStream(75).generator, x, 0.5)
+            arena = Arena()
+            with arena.activate():
+                assert add_complex_normal(x, RngStream(75).generator, 0.5) is x
+            np.testing.assert_array_equal(x, ref)
+            assert arena.nbytes == 1 << 18  # one 256 KiB slab
+
     def test_warm_add_takes_no_buffer(self):
         """Noise and target share strides, so numpy adds them without an
         iterator buffer (a batch-first draw took 258 KiB here)."""
@@ -285,6 +310,13 @@ class TestDrawLayout:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024
+
+
+def _one_fill(gen, x, var):
+    """CN(0, ``var``) draws laid out as ``x``, made in one fill along its memory."""
+    order = sorted(range(x.ndim), key=lambda i: -x.strides[i])
+    z = complex_normal(gen, tuple(x.shape[i] for i in order), var)
+    return z.transpose(np.argsort(order))
 
 
 class TestStackKernels:
@@ -342,6 +374,25 @@ class TestStackKernels:
             if layout == "stack_last":
                 s, rhs = stack_last(s), stack_last(rhs)
             self._check(hermitian_solve(s, rhs), ref, batch)
+
+    @pytest.mark.parametrize("batch", [1, *BATCHES, 4096])
+    def test_hermitian_solve_over_rhs(self, batch):
+        """With ``overwrite_rhs`` the solve gives the same bits, and from the
+        crossover on a stack-last right-hand side holds them; a batch-first
+        one is left as it was."""
+        gen = RngStream(53).generator
+        for n, m in ((2, 4), (3, 2)):
+            h = stacked_complex_normal(gen, (batch, n, 5), 1.0)
+            s = stack_last(h @ np.swapaxes(h.conj(), -1, -2) + 0.3 * np.eye(n))
+            rhs = stacked_complex_normal(gen, (batch, n, m), 1.0)
+            ref = hermitian_solve(s, rhs)
+            batch_first = np.ascontiguousarray(rhs)
+            np.testing.assert_array_equal(hermitian_solve(s, batch_first, overwrite_rhs=True), ref)
+            np.testing.assert_array_equal(batch_first, rhs)
+            got = hermitian_solve(s, rhs, overwrite_rhs=True)
+            np.testing.assert_array_equal(got, ref)
+            if batch >= HOUSEHOLDER_MIN_BATCH:
+                assert np.shares_memory(got, rhs)
 
 
 class TestArena:

@@ -239,7 +239,7 @@ class TestHouseholderPath:
     @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
     def test_null_basis_invariants(self, scheme):
         plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
-        out = run_rounds(CFG, plan, alloc, RngStream(12).generator, batch=4096)
+        out = run_rounds(CFG, plan, alloc, RngStream(12).generator, batch=4096, keep_signals=True)
         k, h_hat = out["k_null"], out["h_hat"]
         k_h = np.swapaxes(k.conj(), -1, -2)
         scale = np.maximum(1.0, np.max(np.abs(h_hat), axis=(-2, -1)))
@@ -258,6 +258,19 @@ class TestHouseholderPath:
         assert len(arrays) > 10  # the stage signals too
         for name, x in arrays.items():
             assert x.shape[0] == 4096 and x.strides[0] == x.itemsize, name
+
+    @pytest.mark.parametrize("batch", [3, 4096])
+    @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
+    def test_returns_only_what_callers_read(self, scheme, batch):
+        """Without ``keep_signals`` a round returns the channels and the
+        receivers' estimates, nothing else: every other array is dropped at
+        its last use.  The estimates are those of a kept-signals run."""
+        plan, alloc = (R_PLAN, R_ALLOC) if scheme == RECIPROCAL else (N_PLAN, N_ALLOC)
+        out = run_rounds(CFG, plan, alloc, RngStream(14).generator, batch=batch)
+        assert set(out) == {"h", "g", "h_lr", "g_ur"}
+        kept = run_rounds(CFG, plan, alloc, RngStream(14).generator, batch=batch, keep_signals=True)
+        for name, value in out.items():
+            np.testing.assert_array_equal(value, kept[name], err_msg=name)
 
 
     @pytest.mark.parametrize("scheme", [RECIPROCAL, NONRECIPROCAL])
@@ -529,23 +542,23 @@ class TestBatchOfOne:
             channels, t = _nonrec_round(seed_noise=seed)
             plan, alloc = N_PLAN, N_ALLOC
             batched = (channels.h_d[None], channels.h_u[None], channels.g[None])
-        for keep in (True, False):
-            out = run_rounds(
-                CFG, plan, alloc, RngStream(seed).generator, batch=1,
-                channels=batched, keep_signals=keep,
-            )
-            for key, name in (("tx", "h_hat"), ("lr", "h_lr"), ("ur", "g_ur")):
-                self._assert_same_bits(out[name][0], t.estimates[key].estimate)
-                truth = out["g" if key == "ur" else "h"]
-                assert squared_error(truth, out[name])[0] == t.squared_errors[key]
-            self._assert_same_bits(out["an"][0], t.an_matrix)
-            self._assert_same_bits(out["k_null"][0], t.null_basis)
-            if keep:
-                assert out["signals"].keys() == t.signals.keys()
-                for name, sig in out["signals"].items():
-                    self._assert_same_bits(sig[0] if sig.ndim == 3 else sig, t.signals[name])
-            else:
-                assert "signals" not in out
+        out = run_rounds(
+            CFG, plan, alloc, RngStream(seed).generator, batch=1,
+            channels=batched, keep_signals=True,
+        )
+        for key, name in (("tx", "h_hat"), ("lr", "h_lr"), ("ur", "g_ur")):
+            self._assert_same_bits(out[name][0], t.estimates[key].estimate)
+            truth = out["g" if key == "ur" else "h"]
+            assert squared_error(truth, out[name])[0] == t.squared_errors[key]
+        self._assert_same_bits(out["an"][0], t.an_matrix)
+        self._assert_same_bits(out["k_null"][0], t.null_basis)
+        assert out["signals"].keys() == t.signals.keys()
+        for name, sig in out["signals"].items():
+            self._assert_same_bits(sig[0] if sig.ndim == 3 else sig, t.signals[name])
+        # Without signals the receivers' estimates are the same bits.
+        out = run_rounds(CFG, plan, alloc, RngStream(seed).generator, batch=1, channels=batched)
+        for key, name in (("lr", "h_lr"), ("ur", "g_ur")):
+            self._assert_same_bits(out[name][0], t.estimates[key].estimate)
 
     @pytest.mark.parametrize("n,m,u", [(2, 1, 1), (4, 2, 2), (6, 3, 2), (16, 9, 3), (40, 7, 1)])
     def test_transcript_errors_are_squared_error(self, n, m, u):
@@ -596,7 +609,7 @@ class TestBatchOfOne:
     def test_batch_rows_are_independent_rounds(self):
         """Row i of a batch depends on the channels of row i only."""
         gen = RngStream(6).generator
-        out = run_rounds(CFG, R_PLAN, R_ALLOC, gen, batch=3)
+        out = run_rounds(CFG, R_PLAN, R_ALLOC, gen, batch=3, keep_signals=True)
         assert out["h_hat"].shape == (3, CFG.n_t, CFG.n_l)
         assert squared_error(out["h"], out["h_lr"]).shape == (3,)
         assert not np.array_equal(out["h_lr"][0], out["h_lr"][1])

@@ -32,6 +32,7 @@ from dcekit.numerics import (
     Arena,
     RngStream,
     complex_normal,
+    matmul,
     random_gaussian,
     stacked_complex_normal,
 )
@@ -83,6 +84,26 @@ class TestOstbcEncode:
         energy = np.sum(np.abs(s) ** 2, axis=0)
         target = energy[:, None, None] * np.eye(4)
         assert np.max(np.abs(gram - target)) < 1e-12
+
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 100, HOUSEHOLDER_MIN_BATCH - 1, HOUSEHOLDER_MIN_BATCH, CHUNK])
+    def test_table_send_is_the_codeword_product(self, m, n_r):
+        """mc_ser sends a block straight from the codeword table: from the
+        stack kernels' crossover on, the bits of the scaled codeword's
+        product; below it, numpy's ``@`` rounds differently in the last bit."""
+        gen = RngStream(71).generator
+        amp = math.sqrt(1000.0 / 3.0)
+        s = QAM64[gen.integers(0, QAM64.size, size=(m, 3))]
+        h = stacked_complex_normal(gen, (m, 4, n_r), 1.0)
+        x = ostbc_encode(s[:, 0], s[:, 1], s[:, 2])
+        ref = matmul(amp * x, h)  # numpy's @ below the crossover
+        sym = np.stack([amp * s.T, np.conjugate(amp * s.T)])
+        y = simkit._ostbc_send(sym, h)
+        if m < HOUSEHOLDER_MIN_BATCH:
+            err = np.linalg.norm(y - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+            assert np.max(err) <= 1e-15
+        else:
+            assert y.strides == ref.strides and y.tobytes() == ref.tobytes()
 
 
 def _reference_detect(y, h_hat, scale, constellation):
@@ -619,13 +640,14 @@ class TestArenas:
     ALLOC = TestPerSeedPins.SER_ALLOC
     SCHEMES = [(R_PLAN, ALLOC[RECIPROCAL]), (N_PLAN, ALLOC[NONRECIPROCAL])]
 
-    # MiB a fresh arena holds after one 4096-trial chunk: each array lives
-    # no longer than its last use (7.88 and 7.91 MiB non-reciprocal when the
-    # Haar pilot, uplink channel and estimate lived the whole chunk).
+    # MiB a fresh arena holds after one 4096-trial chunk, and the most
+    # tracemalloc sees one such chunk hold without an arena: the footprint
+    # table in dcekit.numerics' docstring.
     FRESH_MIB = {
-        (RECIPROCAL, "mc_nmse"): 5.5, (RECIPROCAL, "mc_ser"): 5.8125,
-        (NONRECIPROCAL, "mc_nmse"): 5.5625, (NONRECIPROCAL, "mc_ser"): 5.8125,
+        (RECIPROCAL, "mc_nmse"): 4.40625, (RECIPROCAL, "mc_ser"): 4.40625,
+        (NONRECIPROCAL, "mc_nmse"): 4.875, (NONRECIPROCAL, "mc_ser"): 4.875,
     }
+    NO_ARENA_MIB = {RECIPROCAL: 5.0, NONRECIPROCAL: 6.0}
 
     @staticmethod
     def _call(run, plan, alloc, trials):
@@ -642,13 +664,31 @@ class TestArenas:
         monkeypatch.setattr(simkit, "_ARENAS", pool)
         self._call(run, plan, alloc, CHUNK)
         assert pool.arenas[0].nbytes == self.FRESH_MIB[plan.scheme, run] * 2**20
+        assert pool.arenas[0].nbytes <= (4.5 if plan.scheme == RECIPROCAL else 5.0) * 2**20
+
+    @pytest.mark.parametrize("run", ["mc_nmse", "mc_ser"])
+    @pytest.mark.parametrize("plan, alloc", SCHEMES, ids=[RECIPROCAL, NONRECIPROCAL])
+    def test_chunk_without_arena_peak(self, plan, alloc, run, monkeypatch):
+        """A chunk that finds no arena (a worker's first, or a full pool)
+        holds each array only until its last use, so its live numpy memory
+        peaks about where a fresh arena ends up."""
+        monkeypatch.setattr(simkit, "_ARENAS", simkit._ArenaPool(0))
+        self._call(run, plan, alloc, CHUNK)  # lazily built tables and caches
+        tracemalloc.start()
+        try:
+            self._call(run, plan, alloc, CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert simkit._ARENAS.arenas == []
+        assert peak <= self.NO_ARENA_MIB[plan.scheme] * 2**20
 
     @pytest.mark.parametrize("run", ["mc_nmse", "mc_ser"])
     @pytest.mark.parametrize("plan, alloc", SCHEMES, ids=[RECIPROCAL, NONRECIPROCAL])
     def test_steady_state_chunks_allocate_nothing(self, plan, alloc, run):
         """After one warm-up call the arena covers every chunk array: a
-        2-chunk call peaks under 1 MB of traced memory (a chunk without
-        arenas peaks at 7.0 MiB reciprocal, 10.8 MiB non-reciprocal)."""
+        2-chunk call peaks under 1 MB of traced memory (against the no-arena
+        peaks of the footprint table in dcekit.numerics)."""
         warm = self._call(run, plan, alloc, 2 * CHUNK)
         tracemalloc.start()
         try:
