@@ -117,7 +117,7 @@ def echo_downlink_estimate(
         # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side
         # that may take hu_hat's memory, conjugated in place: hu_hat's only
         # use is R.
-        solved = hermitian_solve(gram, hu_hat, overwrite_rhs=True)
+        solved = hermitian_solve(gram, hu_hat)
         right = np.conjugate(solved, out=solved).swapaxes(-1, -2)
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.

@@ -67,8 +67,8 @@ kernel's temporaries go when it returns, each noise draw once it is added in
 place (a large one a slab at a time), and a buffer that outlives its
 operands is taken before their frame opened: a product through
 :func:`matmul`'s ``out``, a null basis through :func:`null_complement`'s (a
-solve may take its right-hand side's memory instead, through
-:func:`hermitian_solve`'s ``overwrite_rhs``).
+stack solve, :func:`hermitian_solve`, takes its stack-last right-hand side's
+memory instead).
 The engine also drops its last reference to each array where the array's
 frame closes, so a chunk that runs without an arena holds about as much.
 The footprint of one fresh 4096-trial chunk at ``SystemConfig(4, 2, 2)``
@@ -411,24 +411,24 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def hermitian_solve(s: np.ndarray, rhs: np.ndarray, overwrite_rhs: bool = False) -> np.ndarray:
+def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(s, rhs)`` for a ``(batch, n, n)`` stack of Hermitian
     positive-definite ``s`` and a ``(batch, n, m)`` stack ``rhs``.
 
     From :data:`HOUSEHOLDER_MIN_BATCH` matrices on: a Cholesky factorization
     ``s = L L^H`` and two triangular solves, each step one vector operation
     along the stack, result stack-last.  Only the lower triangle of ``s`` is
-    read.  Smaller stacks take ``np.linalg.solve``.  ``overwrite_rhs``
-    lets the solve take ``rhs``'s memory for its result, which it does for a
-    stack-last ``rhs`` (:func:`empty_stack` memory) from
-    :data:`HOUSEHOLDER_MIN_BATCH` matrices on, so no second stack is taken.
+    read.  Smaller stacks take ``np.linalg.solve``.  From the crossover on, a
+    stack-last ``rhs`` (:func:`empty_stack` memory) is overwritten with the
+    result, which is returned in its memory, so no second stack is taken;
+    any other ``rhs`` is left as it was.
     """
     if s.shape[0] < HOUSEHOLDER_MIN_BATCH:
         return np.linalg.solve(s, rhs)
     sm = s.transpose(1, 2, 0)
     n, size = sm.shape[0], sm.shape[-1]
     x = rhs.transpose(1, 2, 0)
-    if not (overwrite_rhs and x.flags.c_contiguous):
+    if not x.flags.c_contiguous:
         x = empty(x.shape)
         np.copyto(x, rhs.transpose(1, 2, 0))
     m = x.shape[1]

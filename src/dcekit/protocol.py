@@ -318,18 +318,18 @@ def _draw_channels(config, scheme, gen, batch, local=()) -> tuple[np.ndarray, ..
 
 def _reciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -> dict:
     h, g = _draw_channels(config, RECIPROCAL, gen, batch) if channels is None else channels
-    n_t, n_l = config.n_t, config.n_l
+    return _forward_stage(config, alloc, gen, const, {"h": h, "g": g}, signals, "")
 
-    def reverse_estimate():
-        h_hat_t = empty_stack((batch, n_l, n_t), columns_first=True)
-        with scratch():
-            y_t = add_complex_normal(matmul(const.x_rev, h.swapaxes(-1, -2)), gen, config.var_wt)
-            matmul(const.k_rev, y_t, out=h_hat_t)
-            if signals is not None:
-                signals.update(x_l=const.x_rev, y_t=y_t)
-        return h_hat_t.swapaxes(-1, -2)  # plain transpose: the unknown was H^T
 
-    return _forward_stage(config, alloc, gen, const, {"h": h, "g": g}, reverse_estimate, signals, "")
+def _reverse_estimate(config, const, gen, h, signals) -> np.ndarray:
+    """The transmitter's reciprocal estimate of ``h`` from the reverse pilot."""
+    h_hat_t = empty_stack((h.shape[0], config.n_l, config.n_t), columns_first=True)
+    with scratch():
+        y_t = add_complex_normal(matmul(const.x_rev, h.swapaxes(-1, -2)), gen, config.var_wt)
+        matmul(const.k_rev, y_t, out=h_hat_t)
+        if signals is not None:
+            signals.update(x_l=const.x_rev, y_t=y_t)
+    return h_hat_t.swapaxes(-1, -2)  # plain transpose: the unknown was H^T
 
 
 def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -> dict:
@@ -372,17 +372,19 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -
             out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
         del c_t0, x_t0, y_t1, hu_hat, gram
 
-    return _forward_stage(config, alloc, gen, const, out, functools.partial(out.pop, "h_hat"), signals, "3")
+    return _forward_stage(config, alloc, gen, const, out, signals, "3")
 
 
-def _forward_stage(config, alloc, gen, const, out, estimate, signals, stage) -> dict:
+def _forward_stage(config, alloc, gen, const, out, signals, stage) -> dict:
     """The guarded forward stage both schemes end with, added to ``out``: the
     pilot ``const.x_bar`` plus AN in the null complement of the transmitter's
-    estimate ``estimate()``, estimated by LR and UR through ``const``'s
-    combiners.  ``estimate`` runs in a frame that closes once the null
-    complement is taken; the forward signal and the null basis outlive it,
-    so they are taken first.  ``stage`` suffixes the signal names (``"3"``
-    gives ``x_t3``)."""
+    estimate, estimated by LR and UR through ``const``'s combiners.  The
+    estimate is taken out of ``out["h_hat"]`` (non-reciprocal), so that it
+    dies with its null complement (it is put back if signals are kept), or
+    else (reciprocal) made here by :func:`_reverse_estimate`, in a frame
+    that closes once the null complement is taken; the forward signal and
+    the null basis outlive it, so they are taken first.  ``stage`` suffixes
+    the signal names (``"3"`` gives ``x_t3``)."""
     n_t, n_l = config.n_t, config.n_l
     h, g = out["h"], out["g"]
     batch, tau = h.shape[0], const.x_bar.shape[0]
@@ -390,12 +392,12 @@ def _forward_stage(config, alloc, gen, const, out, estimate, signals, stage) -> 
     with scratch():
         x_t = empty_stack((batch, tau, n_t))
         with scratch():
-            # Kept signals take numpy's memory, and the null basis numpy's QR
-            # layout, as the transcripts always have.
-            k_null = None if signals is not None else empty_stack((batch, n_t, n_t - n_l), columns_first=True)
+            k_null = empty_stack((batch, n_t, n_t - n_l), columns_first=True)
             with scratch():
-                h_hat = estimate()
-                k_null = null_complement(h_hat, out=k_null)
+                h_hat = out.pop("h_hat", None)
+                if h_hat is None:
+                    h_hat = _reverse_estimate(config, const, gen, h, signals)
+                null_complement(h_hat, out=k_null)
             a = stacked_complex_normal(gen, (batch, tau, n_t - n_l), alloc.var_a)
             if signals is None:  # the basis's last use: conjugated in place
                 k_h = np.conjugate(k_null, out=k_null).swapaxes(-1, -2)
