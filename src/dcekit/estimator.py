@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytics
 from .model import SystemConfig
-from .numerics import empty_stack, hermitian_solve, keep, matmul, scratch
+from .numerics import empty_stack, herm, hermitian_solve, keep, matmul, scratch
 
 __all__ = [
     "echo_downlink_estimate",
@@ -76,7 +76,6 @@ def echo_downlink_estimate(
     y_t1: np.ndarray,
     x_t0: np.ndarray,
     hu_hat: np.ndarray,
-    gram: np.ndarray,
     scale: float,
     beta: float,
 ) -> np.ndarray:
@@ -94,17 +93,17 @@ def echo_downlink_estimate(
 
     with ``q`` from :func:`dcekit.analytics.echo_power`; ``scale`` is
     :math:`s` and ``beta`` is :func:`dcekit.analytics.beta`.  ``x_t0`` is
-    the energy-scaled square unitary initial pilot, ``hu_hat`` the ``n_l x
-    n_t`` uplink estimate, which the solve may overwrite, and ``gram`` its
-    Gram :math:`\hat{H}_u \hat{H}_u^H`, formed by the caller and overwritten
-    here with ``gram + beta I``; all arrays may carry the same leading batch
-    axes.  Its exact conditional (on
-    :math:`\hat{H}_u`) error along each eigenvalue of ``gram`` is
-    :func:`dcekit.analytics.downlink_direction_error`.  With ``scale == 0``
-    (``alpha == 0``: the echo carries no signal) the estimate is the prior
-    mean (zero).  The products go from the narrow side: ``Y_t1 R`` and then
-    ``X_t0^H`` times that are both ``n_t x n_l``, so no ``n_t x n_t``
-    product is formed.
+    the energy-scaled square unitary initial pilot and ``hu_hat`` the
+    ``n_l x n_t`` uplink estimate, which the solve may overwrite; all arrays
+    may carry the same leading batch axes.  Its exact conditional (on
+    :math:`\hat{H}_u`) error along each eigenvalue of the Gram
+    :math:`\hat{H}_u \hat{H}_u^H` is
+    :func:`dcekit.analytics.downlink_direction_error`; the Gram is formed
+    here and dies with the solve, before the two products.  With ``scale ==
+    0`` (``alpha == 0``: the echo carries no signal) the estimate is the
+    prior mean (zero).  The products go from the narrow side: ``Y_t1 R``
+    and then ``X_t0^H`` times that are both ``n_t x n_l``, so no ``n_t x
+    n_t`` product is formed.
     """
     n_t, n_l = hu_hat.shape[-1], hu_hat.shape[-2]
     if scale == 0.0:
@@ -112,12 +111,17 @@ def echo_downlink_estimate(
         est.fill(0.0)
         return est
     with scratch():
-        for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
-            gram[..., k, k] += beta
         # R = Hu^H (Hu Hu^H + beta I)^{-1}, through one solve on the n_l side
-        # that may take hu_hat's memory, conjugated in place: hu_hat's only
-        # use is R.
-        solved = hermitian_solve(gram, hu_hat)
+        # whose result outlives the Gram's frame (in hu_hat's memory, or kept),
+        # conjugated in place: hu_hat's only use is R.
+        with scratch():
+            gram = empty_stack(hu_hat.shape[:-1] + (n_l,))
+            with scratch():
+                matmul(hu_hat, herm(hu_hat), out=gram)
+            for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
+                gram[..., k, k] += beta
+            solved = hermitian_solve(gram, hu_hat)
+            del gram
         right = np.conjugate(solved, out=solved).swapaxes(-1, -2)
         m = matmul(y_t1, right)
         # X^H M = conj(X^T conj(M)) term by term, without a copy of X^H.

@@ -80,26 +80,39 @@ the most live numpy memory it holds with no arena (tracemalloc peak):
     ==========================  =====  ========
     reciprocal ``mc_nmse``      4.41   4.38
     reciprocal ``mc_ser``       4.41   4.55
-    non-reciprocal ``mc_nmse``  4.88   5.01
-    non-reciprocal ``mc_ser``   4.88   5.01
+    non-reciprocal ``mc_nmse``  4.75   4.88
+    non-reciprocal ``mc_ser``   4.75   4.88
     ==========================  =====  ========
 
 The reciprocal arena peaks in the null complement's QR, with the forward
 signal and the null basis taken before the reverse estimate; without an
 arena, at the AN product (``mc_nmse``) or in the detector (``mc_ser``).
-Both non-reciprocal peaks are the echo estimate's last product, with the
-pilot, the echo and the uplink solve still live.  This table is the one
+Both non-reciprocal peaks are the echo's first noise draw, with the pilot,
+the channels and the buffers of the echo and the uplink estimate live (the
+uplink Gram dies with the echo estimate's solve).  This table is the one
 place these figures are stated; ``TestArenas`` in ``tests/test_simkit.py``
-pins them.  A steady-state chunk takes no page fault.  Arenas cut a
-``mc_nmse`` chunk from 20.4-21.0 ms to 14.7-15.6 ms reciprocal and from
-35-44 ms to 28-32 ms non-reciprocal (one BLAS thread, fresh processes,
-alternating), a share that depends on how the allocator last trimmed its
-heap.  With no arena active (a
-direct :func:`dcekit.protocol.run_rounds` call, the batch-of-one rounds) numpy
-allocates as it always did, and below :data:`HOUSEHOLDER_MIN_BATCH` matrices
-the products, solves and QRs take numpy's calls before any arena lookup.
-Only the destination memory changes, never an operation or its order, so the
-bits are the same either way.
+pins them.
+
+A request that does not fit the block (in a worker's first chunk, or the
+first chunk of a larger shape) gets an anonymous memory mapping of its
+own, which goes back to the system at the array's last use, so nothing of
+an overflow stays resident after its chunk.  From numpy, arrays of that
+size would come from the C heap, which keeps much of them: once glibc has
+freed a large mapping, it serves blocks up to that size from its heap.
+The cost is page faults, once per arena: a fresh arena's first 4096-trial
+``mc_nmse`` chunk takes about 5-9 ms longer than the next one reciprocal
+and 10-19 ms non-reciprocal (1-4 ms with heap memory), and a scheme switch
+that outgrows an arena pays it for the larger stages alone.  A
+steady-state chunk takes no page fault.  Arenas cut a ``mc_nmse`` chunk
+from 20.4-21.0 ms to 14.7-15.6 ms reciprocal and from 35-44 ms to
+28-32 ms non-reciprocal (one BLAS thread, fresh processes, alternating),
+a share that depends on how the allocator last trimmed its heap.  With no
+arena active (a direct :func:`dcekit.protocol.run_rounds` call, the
+batch-of-one rounds) numpy allocates as it always did, and below
+:data:`HOUSEHOLDER_MIN_BATCH` matrices the products, solves and QRs take
+numpy's calls before any arena lookup.  Only the destination memory
+changes, never an operation or its order, so the bits are the same either
+way.
 """
 
 from __future__ import annotations
@@ -107,6 +120,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +152,11 @@ HOUSEHOLDER_MIN_BATCH = 192
 
 _ALIGN = 64  # bytes; every arena array starts on a cache line
 
+# An arena's overflow pages are private where the OS has the flag: mmap's
+# default for an anonymous map is shared memory, whose pages fault in more
+# slowly (BENCH_arena_pages.json has the first-chunk times of both).
+_OVERFLOW_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
 # Entries of the scratch slab a large noise draw is made in (256 KiB): a
 # 4096-trial chunk draws a 4x4 stack's noise in four slabs, a 4x2 stack's in
 # two, and nothing smaller is split.
@@ -150,9 +169,10 @@ class Arena:
     One block, used as a stack from each end.  Arrays that last the chunk
     (taken outside any frame, or inside :func:`keep`) grow from the bottom;
     the temporaries of a :func:`scratch` frame grow from the top and are
-    given back when the frame closes.  A request that does not fit gets
-    fresh numpy memory, and when :meth:`activate` ends, the block grows to
-    the largest size the chunk used, so from the next chunk with the same
+    given back when the frame closes.  A request that does not fit gets an
+    anonymous memory mapping of its own, unmapped when the array and its
+    views are gone, and when :meth:`activate` ends, the block grows to the
+    largest size the chunk used, so from the next chunk with the same
     shapes on nothing is allocated.  An arena serves one thread at a time.
     """
 
@@ -196,8 +216,9 @@ class Arena:
         used = self._low + self._top
         if used > self._used:
             self._used = used
-        if used > self._block.size:
-            return np.empty(shape, dtype)
+        if used > self._block.size:  # its own pages, unmapped at the array's last use
+            pages = mmap.mmap(-1, max(nbytes, 1), **_OVERFLOW_MAP)  # mmap takes no empty length
+            return np.frombuffer(pages, dtype, math.prod(shape)).reshape(shape)
         return np.ndarray(shape, dtype, self._block, start)
 
 
@@ -421,7 +442,9 @@ def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     read.  Smaller stacks take ``np.linalg.solve``.  From the crossover on, a
     stack-last ``rhs`` (:func:`empty_stack` memory) is overwritten with the
     result, which is returned in its memory, so no second stack is taken;
-    any other ``rhs`` is left as it was.
+    any other ``rhs`` is left as it was, and the result is a stack-last
+    array that lasts the chunk (:func:`keep`).  Either way the result
+    outlives every frame opened after ``rhs`` was taken.
     """
     if s.shape[0] < HOUSEHOLDER_MIN_BATCH:
         return np.linalg.solve(s, rhs)
@@ -429,7 +452,8 @@ def hermitian_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n, size = sm.shape[0], sm.shape[-1]
     x = rhs.transpose(1, 2, 0)
     if not x.flags.c_contiguous:
-        x = empty(x.shape)
+        with keep():
+            x = empty(x.shape)
         np.copyto(x, rhs.transpose(1, 2, 0))
     m = x.shape[1]
     with scratch():

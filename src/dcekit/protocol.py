@@ -280,11 +280,13 @@ def run_rounds(
     an estimate's error takes :func:`squared_error` of it.  ``keep_signals``
     adds the transmitter's estimate ``"h_hat"``, the null basis ``"k_null"``,
     the AN ``"an"``, every stage signal under ``"signals"`` and, for
-    non-reciprocal rounds, the echo estimator's ``"hu_gram"`` (``hu_hat
-    hu_hat^H`` for the uplink estimate ``hu_hat``).  Without it each of those
-    is dropped at its last use, so under an arena they are scratch, and
-    ``keep_signals`` needs none active.  What the inputs fix (LR's noise
-    level, the echo gain) is in :func:`_round_constants`.
+    non-reciprocal rounds, the Gram ``"hu_gram"`` (``hu_hat hu_hat^H`` for
+    the uplink estimate ``hu_hat``), whose eigenvalues set the echo
+    estimate's errors.  Without it each of those is dropped at its last use
+    (the Gram is formed only inside the echo estimate's solve), so under an
+    arena they are scratch, and ``keep_signals`` needs none active.  What
+    the inputs fix (LR's noise level, the echo gain) is in
+    :func:`_round_constants`.
     """
     const = _round_constants(config, plan, alloc)
     return _rounds(config, alloc, const, plan.scheme, gen, batch, channels, keep_signals)
@@ -360,17 +362,14 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -
             if signals is not None:
                 signals.update(y_t1=y_t1, x_l2=const.x_rev, y_t2=y_t2)
             del h_u, y_t2
-        gram = empty_stack((batch, n_l, n_l))
-        with scratch():
-            matmul(hu_hat, herm(hu_hat), out=gram)
         out = {"h": h_d, "g": g}
-        if signals is not None:
-            out["hu_gram"] = gram.copy(order="K")  # the estimate adds beta I to gram
+        if signals is not None:  # the estimate's own Gram dies with its solve
+            out["hu_gram"] = matmul(hu_hat, herm(hu_hat))
         # The estimate outlives this frame, so it is kept for the chunk: a
         # buffer taken before the frame opened would add to the echo's peak.
         with keep():
-            out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
-        del c_t0, x_t0, y_t1, hu_hat, gram
+            out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, const.echo_scale, const.beta)
+        del c_t0, x_t0, y_t1, hu_hat
 
     return _forward_stage(config, alloc, gen, const, out, signals, "3")
 

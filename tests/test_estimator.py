@@ -188,9 +188,8 @@ def _echo_estimate(y_t1, h_u_hat, alpha, e_t0, e_l2, c_t0=None):
     n_t = CFG.n_t
     x_t0 = np.sqrt(e_t0 / n_t) * (np.eye(n_t) if c_t0 is None else c_t0)
     scale, b = _echo_constants(alpha, e_t0, e_l2)
-    gram = h_u_hat @ h_u_hat.conj().T
-    lam = np.linalg.eigvalsh(gram)  # before the estimate adds beta I to gram
-    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat.copy(), gram, scale, b)  # may be overwritten
+    lam = np.linalg.eigvalsh(h_u_hat @ h_u_hat.conj().T)
+    estimate = echo_downlink_estimate(y_t1, x_t0, h_u_hat.copy(), scale, b)  # may be overwritten
     per_dir = analytics.downlink_direction_error(CFG, e_t0, b, lam)
     return estimate, per_dir
 
@@ -307,11 +306,8 @@ class TestTxDownlinkEstimate:
         hus = np.stack([random_gaussian(2, 4, 1.0, RngStream(43 + i)) for i in range(3)])
         x_t0 = np.sqrt(self.E_T0 / CFG.n_t) * haar_semiunitary(gen, (3, 4, 4))
         constants = _echo_constants(self.ALPHA, self.E_T0, self.E_L2)
-        def gram(hu):
-            return hu @ hu.conj().swapaxes(-1, -2)
-
-        batched = echo_downlink_estimate(ys, x_t0, hus.copy(), gram(hus), *constants)
+        batched = echo_downlink_estimate(ys, x_t0, hus.copy(), *constants)
         assert batched.shape == (3, CFG.n_t, CFG.n_l)
         for i in range(3):
-            single = echo_downlink_estimate(ys[i], x_t0[i], hus[i].copy(), gram(hus[i]), *constants)
+            single = echo_downlink_estimate(ys[i], x_t0[i], hus[i].copy(), *constants)
             np.testing.assert_allclose(batched[i], single, rtol=1e-13, atol=1e-15)

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,15 @@ from dcekit.numerics import (
     scratch,
     stacked_complex_normal,
 )
+
+
+def _mapping(x: np.ndarray):
+    """The object at the bottom of ``x``'s chain of bases: the buffer an
+    array from ``np.frombuffer`` reads, through numpy's memoryview of it."""
+    base = x
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
 
 
 def stack_last(x: np.ndarray) -> np.ndarray:
@@ -378,7 +389,8 @@ class TestStackKernels:
     @pytest.mark.parametrize("batch", [1, *BATCHES, 4096])
     def test_hermitian_solve_over_rhs(self, batch):
         """From the crossover on, a stack-last right-hand side holds the
-        solve's bits afterwards; a batch-first one is left as it was."""
+        solve's bits afterwards; a batch-first one is left as it was, and
+        under an arena its solution outlives the frame the solve ran in."""
         gen = RngStream(53).generator
         for n, m in ((2, 4), (3, 2)):
             h = stacked_complex_normal(gen, (batch, n, 5), 1.0)
@@ -387,6 +399,14 @@ class TestStackKernels:
             batch_first = np.ascontiguousarray(rhs)
             ref = hermitian_solve(s, batch_first)
             np.testing.assert_array_equal(batch_first, rhs)
+            arena = Arena()
+            for _ in range(2):  # the second activation runs in the grown block
+                with arena.activate():
+                    with scratch():
+                        kept = hermitian_solve(s, batch_first)
+                    with scratch():
+                        empty((4 * batch * n * m,)).fill(np.nan)
+                    np.testing.assert_array_equal(kept, ref)
             got = hermitian_solve(s, rhs)
             np.testing.assert_array_equal(got, ref)
             if batch >= HOUSEHOLDER_MIN_BATCH:
@@ -422,13 +442,26 @@ class TestArena:
         assert y.flags.owndata
 
     def test_request_past_the_block_grows_it(self):
+        """A request past the block gets an anonymous mapping of its own,
+        unmapped once the array and every view of it are dropped; the block
+        then grows to the chunk's high-water mark, where the request fits."""
         arena = Arena()
         with arena.activate():
             empty((10,))
         small = arena.nbytes
         with arena.activate():
-            big = empty((10_000,))
-            assert big.flags.owndata  # past the block: numpy memory this time
-        assert arena.nbytes >= big.nbytes > small
+            big, other = empty((100, 100)), empty((10_000,), np.float64)
+            view = big[::2].T
+            pages = _mapping(big)
+            assert isinstance(pages, mmap.mmap) and pages is _mapping(view)
+            assert pages is not _mapping(other)
+            assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(
+                (arena._block, big, other), 2))
+            unmapped = weakref.ref(pages)
+            del pages, big, other
+            assert unmapped() is not None  # the view still reads it
+            del view
+            assert unmapped() is None
+        assert arena.nbytes >= 100 * 100 * 16 + 10_000 * 8 > small
         with arena.activate():
-            assert not empty((10_000,)).flags.owndata
+            assert np.shares_memory(empty((100, 100)), arena._block)
