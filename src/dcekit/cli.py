@@ -339,7 +339,7 @@ def _add_common(sub: argparse.ArgumentParser, grid: bool) -> None:
         help=f"Monte-Carlo trials, at least {MIN_TRIALS} (sweep: 0 disables MC columns)",
     )
     sub.add_argument("--seed", type=int, help="Monte-Carlo seed override")
-    sub.add_argument("--workers", type=int, default=1, help="worker threads for MC chunks")
+    sub.add_argument("--workers", type=int, default=1, help="MC chunks run at once (this thread and helper threads)")
     if grid:
         sub.add_argument("--gamma", help="leakage floor(s): one value or comma list")
         sub.add_argument(

@@ -197,6 +197,30 @@ def test_cli_never_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_threaded_monte_carlo_never_loads_concurrent_futures():
+    """A call on two workers runs its chunks on simkit's own threads:
+    ``concurrent.futures`` (and the logging it loads) stays out of the
+    interpreter."""
+    script = textwrap.dedent("""\
+        import sys
+        import dcekit
+        from dcekit import simkit
+        from dcekit.model import SystemConfig, reciprocal_plan, PowerAllocation
+        cfg = SystemConfig(n_t=4, n_l=2, n_u=2)
+        alloc = PowerAllocation(scheme="reciprocal", e_r=2.0, e_f=4.0, var_a=1.0)
+        simkit.mc_nmse(cfg, reciprocal_plan(cfg), alloc, trials=simkit.CHUNK + 100, seed=1, workers=2)
+        if not simkit._HELPERS.idle:
+            sys.exit("no helper thread ran")
+        if "concurrent.futures" in sys.modules:
+            sys.exit("a threaded mc_nmse call loaded concurrent.futures")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _benchmark_modules() -> list[str]:
     """The dcekit modules ``perfbench/run.py`` imports (``from dcekit import ...``)."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())

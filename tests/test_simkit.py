@@ -13,9 +13,13 @@ import json
 import math
 import mmap
 import os
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -771,3 +775,137 @@ class TestArenas:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert 1 <= len(simkit._ARENAS.arenas) <= (os.cpu_count() or 1)
+
+
+class TestHelpers:
+    """A call on ``workers`` runs chunks on the calling thread and on
+    ``workers - 1`` helper threads that simkit keeps for the process."""
+
+    TRIALS = 2 * CHUNK + 300  # three chunks, the last one partial
+
+    @staticmethod
+    def _helper_threads() -> int:
+        return sum(t.name == "dcekit-chunks" for t in threading.enumerate())
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_caller_runs_chunks_beside_its_helpers(self, workers):
+        """Each chunk waits until ``workers`` chunks are running (10 s at
+        most, then it raises), so the call runs that many at once: on the
+        calling thread and ``workers - 1`` others."""
+        at_once, threads = threading.Barrier(workers, timeout=10), set()
+
+        def chunk(gen, m):
+            threads.add(threading.get_ident())
+            at_once.wait()
+            return (m,)
+
+        trials = 3 * workers * CHUNK
+        assert simkit._reduce_chunks(chunk, trials, 1, workers) == (trials, trials)
+        assert threading.get_ident() in threads
+        assert len(threads) == workers
+
+    def test_helpers_are_kept_across_calls(self):
+        serial = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=6, workers=1)
+        assert mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=6, workers=3) == serial
+        idle, threads = len(simkit._HELPERS.idle), self._helper_threads()
+        assert idle >= 2
+        for _ in range(20):
+            assert mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=6, workers=3) == serial
+        assert len(simkit._HELPERS.idle) == idle
+        assert self._helper_threads() == threads
+
+    @pytest.mark.parametrize("plan, alloc", [(R_PLAN, R_ALLOC), (N_PLAN, N_ALLOC)],
+                             ids=[RECIPROCAL, NONRECIPROCAL])
+    def test_more_workers_than_chunks(self, plan, alloc):
+        assert (mc_nmse(CFG, plan, alloc, trials=self.TRIALS, seed=3, workers=5)
+                == mc_nmse(CFG, plan, alloc, trials=self.TRIALS, seed=3, workers=1))
+        assert (mc_ser(CFG, plan, alloc, 1000.0, trials=self.TRIALS, seed=3, workers=5)
+                == mc_ser(CFG, plan, alloc, 1000.0, trials=self.TRIALS, seed=3, workers=1))
+
+    def test_single_chunk_or_worker_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_HELPERS", simkit._Helpers())
+        mc_nmse(CFG, R_PLAN, R_ALLOC, trials=CHUNK, seed=6, workers=4)
+        mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=6, workers=1)
+        assert simkit._HELPERS.idle == []
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_raising_chunk_propagates_and_helpers_stay_usable(self, index, monkeypatch):
+        serial = mc_nmse(CFG, N_PLAN, N_ALLOC, trials=self.TRIALS, seed=9, workers=1)
+        mc_nmse(CFG, N_PLAN, N_ALLOC, trials=self.TRIALS, seed=9, workers=3)
+        idle = len(simkit._HELPERS.idle)
+
+        def failing(seed, stream_id=0):
+            if stream_id == index:
+                raise RuntimeError(f"chunk {stream_id}")
+            return RngStream(seed, stream_id)
+
+        monkeypatch.setattr(simkit, "RngStream", failing)
+        with pytest.raises(RuntimeError, match=f"chunk {index}"):
+            mc_nmse(CFG, N_PLAN, N_ALLOC, trials=self.TRIALS, seed=9, workers=3)
+        assert len(simkit._HELPERS.idle) == idle
+        monkeypatch.undo()
+        assert mc_nmse(CFG, N_PLAN, N_ALLOC, trials=self.TRIALS, seed=9, workers=3) == serial
+        assert len(simkit._HELPERS.idle) == idle
+
+    def test_raising_chunk_stops_the_others(self, monkeypatch):
+        """Chunks after the raising one are not started: at most the ones
+        already running when it raised end."""
+        taken = []
+
+        def recording(seed, stream_id=0):
+            taken.append(stream_id)
+            if stream_id == 0:
+                raise RuntimeError("chunk 0")
+            time.sleep(0.01)
+            return RngStream(seed, stream_id)
+
+        monkeypatch.setattr(simkit, "RngStream", recording)
+        with pytest.raises(RuntimeError, match="chunk 0"):
+            simkit._reduce_chunks(lambda gen, m: (m,), 30 * CHUNK, 1, 3)
+        assert len(taken) < 15
+
+    def test_concurrent_callers(self):
+        """Two user threads calling at once each get the serial report."""
+        calls = [(R_PLAN, R_ALLOC, 4), (N_PLAN, N_ALLOC, 5)]
+        serial = [mc_nmse(CFG, plan, alloc, trials=self.TRIALS, seed=seed) for plan, alloc, seed in calls]
+        together, reports = threading.Barrier(len(calls), timeout=10), [None] * len(calls)
+
+        def call(k, plan, alloc, seed):
+            together.wait()
+            reports[k] = mc_nmse(CFG, plan, alloc, trials=self.TRIALS, seed=seed, workers=2)
+
+        users = [threading.Thread(target=call, args=(k, *c)) for k, c in enumerate(calls)]
+        for user in users:
+            user.start()
+        for user in users:
+            user.join(timeout=60)
+            assert not user.is_alive()
+        assert reports == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_helpers(self):
+        """A child forked after the parent's helpers exist starts helpers of
+        its own; one that waited on the parent's would hang, hence the
+        timeout."""
+        serial = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=2, workers=1)
+        assert mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=2, workers=2) == serial
+        assert simkit._HELPERS.idle
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that a process with threads forks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                report = mc_nmse(CFG, R_PLAN, R_ALLOC, trials=self.TRIALS, seed=2, workers=2)
+                code = 0 if report == serial else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if ended[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's call did not return within 60 s")
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
