@@ -23,7 +23,9 @@ The non-reciprocal transmitter's downlink estimate from the amplified echo is
 :func:`echo_downlink_estimate`.  Its prefactor and regularizer depend only on
 the training energies, so the training engine builds them once per
 allocation and passes them in; its conditional error statistics are
-:func:`dcekit.analytics.downlink_direction_error`.
+:func:`dcekit.analytics.downlink_direction_error` at the eigenvalues of the
+uplink Gram.  A caller that forms that Gram itself, for those eigenvalues,
+hands it to :func:`echo_downlink_estimate_from_gram` instead.
 
 Matrix inverses are never formed; everything goes through linear solves.
 """
@@ -38,6 +40,7 @@ from .numerics import empty_stack, herm, hermitian_solve, keep, matmul, scratch
 
 __all__ = [
     "echo_downlink_estimate",
+    "echo_downlink_estimate_from_gram",
     "effective_forward_noise_var",
     "lmmse_combiner",
 ]
@@ -105,6 +108,27 @@ def echo_downlink_estimate(
     and then ``X_t0^H`` times that are both ``n_t x n_l``, so no ``n_t x
     n_t`` product is formed.
     """
+    return _echo_estimate(y_t1, x_t0, hu_hat, None, scale, beta)
+
+
+def echo_downlink_estimate_from_gram(
+    y_t1: np.ndarray,
+    x_t0: np.ndarray,
+    hu_hat: np.ndarray,
+    gram: np.ndarray,
+    scale: float,
+    beta: float,
+) -> np.ndarray:
+    """:func:`echo_downlink_estimate`, bit for bit, on the uplink Gram ``gram
+    = hu_hat hu_hat^H`` its caller has formed and keeps (``beta I`` is added
+    to a copy).  The batch-of-one rounds take this route, since their
+    transcripts read the same Gram's eigenvalues."""
+    return _echo_estimate(y_t1, x_t0, hu_hat, gram.copy(), scale, beta)
+
+
+def _echo_estimate(y_t1, x_t0, hu_hat, gram, scale, beta) -> np.ndarray:
+    """The echo estimate, on ``gram`` (overwritten) or, for ``None``, on a
+    Gram formed in the frame that closes after the solve."""
     n_t, n_l = hu_hat.shape[-1], hu_hat.shape[-2]
     if scale == 0.0:
         est = empty_stack(y_t1.shape[:-2] + (n_t, n_l))
@@ -115,9 +139,10 @@ def echo_downlink_estimate(
         # whose result outlives the Gram's frame (in hu_hat's memory, or kept),
         # conjugated in place: hu_hat's only use is R.
         with scratch():
-            gram = empty_stack(hu_hat.shape[:-1] + (n_l,))
-            with scratch():
-                matmul(hu_hat, herm(hu_hat), out=gram)
+            if gram is None:
+                gram = empty_stack(hu_hat.shape[:-1] + (n_l,))
+                with scratch():
+                    matmul(hu_hat, herm(hu_hat), out=gram)
             for k in range(n_l):  # + beta I per diagonal stack vector: no iterator buffer
                 gram[..., k, k] += beta
             solved = hermitian_solve(gram, hu_hat)

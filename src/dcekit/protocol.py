@@ -28,8 +28,9 @@ batch-of-one views, one body for both schemes: they check the plan's scheme
 and each channel's shape (:func:`dcekit.model.channel_table`), run the
 engine's stages on the constants of one memo lookup (bit for bit
 ``run_rounds(..., batch=1, channels=...)`` on the same stream), and add the
-error statistics of :mod:`dcekit.analytics` and the three squared errors,
-taken together in one buffer.
+error statistics of :mod:`dcekit.analytics` and the three squared errors.
+A non-reciprocal round forms the uplink Gram once: the echo estimate solves
+with it and the transcript takes its eigenvalues.
 
 What a round needs that no draw changes (:class:`_RoundConstants`) is
 checked and built once per (config, plan, allocation), in one memo that
@@ -45,16 +46,14 @@ every product goes through :func:`dcekit.numerics.matmul`, and each noise
 draw is made in its product's own memory order and added in place.  Below
 :data:`dcekit.numerics.HOUSEHOLDER_MIN_BATCH` rounds numpy's own draws,
 products, solves and QRs run, which keeps the batch-of-one bits, so a
-single round is numpy's per-call cost: its QR, solve and eigenvalue calls
-alone take about 100 us of the 355 us of one reciprocal and one
-non-reciprocal round (README, "Single rounds").
+single round is mostly numpy's per-call cost (README, "Single rounds", has
+the figures).
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -65,6 +64,7 @@ import numpy as np
 from . import analytics
 from .estimator import (
     echo_downlink_estimate,
+    echo_downlink_estimate_from_gram,
     effective_forward_noise_var,
     lmmse_combiner,
 )
@@ -281,8 +281,8 @@ def run_rounds(
     adds the transmitter's estimate ``"h_hat"``, the null basis ``"k_null"``,
     the AN ``"an"``, every stage signal under ``"signals"`` and, for
     non-reciprocal rounds, the Gram ``"hu_gram"`` (``hu_hat hu_hat^H`` for
-    the uplink estimate ``hu_hat``), whose eigenvalues set the echo
-    estimate's errors.  Without it each of those is dropped at its last use
+    the uplink estimate ``hu_hat``), which the echo estimate then solves with
+    and whose eigenvalues set its errors.  Without it each of those is dropped at its last use
     (the Gram is formed only inside the echo estimate's solve), so under an
     arena they are scratch, and ``keep_signals`` needs none active.  What
     the inputs fix (LR's noise level, the echo gain) is in
@@ -363,12 +363,15 @@ def _nonreciprocal_rounds(config, alloc, const, gen, batch, channels, signals) -
                 signals.update(y_t1=y_t1, x_l2=const.x_rev, y_t2=y_t2)
             del h_u, y_t2
         out = {"h": h_d, "g": g}
-        if signals is not None:  # the estimate's own Gram dies with its solve
-            out["hu_gram"] = matmul(hu_hat, herm(hu_hat))
         # The estimate outlives this frame, so it is kept for the chunk: a
         # buffer taken before the frame opened would add to the echo's peak.
         with keep():
-            out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, const.echo_scale, const.beta)
+            if signals is None:  # the estimate's own Gram dies with its solve
+                out["h_hat"] = echo_downlink_estimate(y_t1, x_t0, hu_hat, const.echo_scale, const.beta)
+            else:  # one Gram, kept for the transcript's eigenvalues
+                out["hu_gram"] = gram = matmul(hu_hat, herm(hu_hat))
+                out["h_hat"] = echo_downlink_estimate_from_gram(
+                    y_t1, x_t0, hu_hat, gram, const.echo_scale, const.beta)
         del c_t0, x_t0, y_t1, hu_hat
 
     return _forward_stage(config, alloc, gen, const, out, signals, "3")
@@ -439,16 +442,18 @@ def _guard_null_residual(null_basis: np.ndarray, estimate: np.ndarray) -> None:
 
 def _transcript_errors(pairs) -> list[float]:
     """``float(squared_error(truth, est)[0])`` of each batch-of-one pair, bit
-    for bit, in one buffer: each matrix's entries are summed as one contiguous
-    run, which numpy sums as it sums the matrix's two axes."""
-    ends = list(itertools.accumulate(truth.size for truth, _ in pairs))
-    diff = np.empty(ends[-1], np.complex128)
-    for (truth, est), lo, hi in zip(pairs, [0, *ends], ends):
-        np.subtract(truth, est, out=diff[lo:hi].reshape(truth.shape))
-    parts = diff.view(np.float64)
-    np.square(parts, out=parts)
-    entries = np.add(parts[0::2], parts[1::2])
-    return [float(np.add.reduce(entries[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    for bit: the difference's entries, in C order, are summed as one run,
+    which numpy sums as it sums the matrix's two axes."""
+    out = []
+    for truth, est in pairs:
+        diff = np.subtract(truth, est).ravel()
+        re, im = diff.real, diff.imag
+        out.append(float(np.add.reduce(re * re + im * im)))
+    return out
+
+
+# Each transcript estimate's engine keys: (truth, estimate).
+_TRANSCRIPT_KEYS = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
 
 
 def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscript:
@@ -477,7 +482,7 @@ def _single_round(config, plan, alloc, channels, rng, scheme) -> TrainingTranscr
         errors = {**errors, "tx": tx_dirs}
     null_basis = out["k_null"][0]
     _guard_null_residual(null_basis, out["h_hat"][0])
-    keys = {"tx": ("h", "h_hat"), "lr": ("h", "h_lr"), "ur": ("g", "g_ur")}
+    keys = _TRANSCRIPT_KEYS
     squared = _transcript_errors([(out[truth], out[est]) for truth, est in keys.values()])
     return TrainingTranscript(
         scheme=scheme,

@@ -335,13 +335,13 @@ def _reciprocal_scan(cfg, plan, budget, points=4001) -> float:
     return float(min(with_an.min(), nmse_l(0.0, gt, 0.0)))
 
 
-def _wide_draw(rng, variances):
+def _wide_draw(rng, variances, span=6):
     """A random configuration, pilot rank and budget far outside the
-    operating range: variances 10^-6..10^6, caps 10^-2..10^8 (a total cap on
-    most draws)."""
+    operating range: variances 10^-span..10^span, caps 10^-2..10^8 (a total
+    cap on most draws)."""
     n_t = int(rng.integers(3, 7))
     n_l, k = int(rng.integers(1, n_t)), int(rng.integers(1, n_t + 1))
-    var = {name: float(10.0 ** rng.uniform(-6, 6)) for name in variances}
+    var = {name: float(10.0 ** rng.uniform(-span, span)) for name in variances}
     cfg = SystemConfig(n_t=n_t, n_l=n_l, n_u=2, **var)
     e_t, e_l, e_ave = 10.0 ** rng.uniform(-2, 8, size=3)
     budget = EnergyBudget(
@@ -386,11 +386,27 @@ def _assert_contract(rep, cfg, plan, budget):
     assert rep.converged, (cfg, plan, budget)
 
 
+def _wide_domain_contract(solve, make_plan, variances, span):
+    """1,500 solves on :func:`_wide_draw` (seed 10): each raises
+    InfeasibleGamma or meets the contract."""
+    rng = np.random.default_rng(10)
+    for _ in range(1500):
+        cfg, k, budget = _wide_draw(rng, variances, span)
+        plan = make_plan(cfg, pilot_rank=k)
+        try:
+            rep = solve(cfg, plan, budget)
+        except InfeasibleGamma:
+            continue
+        _assert_contract(rep, cfg, plan, budget)
+
+
 class TestReciprocalContract:
     """Random configurations (n_t 3-6, any n_l < n_t, every rank, tau_f
     n_t..n_t+3, non-unit variances, a total cap on most draws): each solve
     raises InfeasibleGamma exactly when the scan finds the floor out of
     reach, or meets the contract and matches or beats the scan."""
+
+    VARIANCES = ("var_h", "var_g", "var_wt", "var_w", "var_v")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_feasible_and_never_beaten(self, seed):
@@ -410,15 +426,12 @@ class TestReciprocalContract:
 
 
     def test_wide_domain(self):
-        rng = np.random.default_rng(10)
-        for _ in range(1500):
-            cfg, k, budget = _wide_draw(rng, ("var_h", "var_g", "var_wt", "var_w", "var_v"))
-            plan = reciprocal_plan(cfg, pilot_rank=k)
-            try:
-                rep = solve_reciprocal(cfg, plan, budget)
-            except InfeasibleGamma:
-                continue
-            _assert_contract(rep, cfg, plan, budget)
+        _wide_domain_contract(solve_reciprocal, reciprocal_plan, self.VARIANCES, 6)
+
+    def test_wide_domain_large_gamma(self):
+        """Variances to 10^8 put gamma past 2^23, where one ulp of NMSE_U is
+        more than the slack contract's 1e-9."""
+        _wide_domain_contract(solve_reciprocal, reciprocal_plan, self.VARIANCES, 8)
 
 
 class TestNonreciprocalSolver:
@@ -867,6 +880,8 @@ class TestNonreciprocalContract:
     most draws): each solve raises InfeasibleGamma or meets the contract,
     and its objective is the oracle's LR NMSE at the returned point."""
 
+    VARIANCES = ("var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v")
+
     def test_feasible_or_infeasible_gamma(self):
         rng = np.random.default_rng(0)
         for _ in range(400):
@@ -884,16 +899,11 @@ class TestNonreciprocalContract:
 
 
     def test_wide_domain(self):
-        rng = np.random.default_rng(10)
-        variances = ("var_hu", "var_hd", "var_g", "var_wt", "var_w", "var_v")
-        for _ in range(1500):
-            cfg, k, budget = _wide_draw(rng, variances)
-            plan = nonreciprocal_plan(cfg, pilot_rank=k)
-            try:
-                rep = solve_nonreciprocal(cfg, plan, budget)
-            except InfeasibleGamma:
-                continue
-            _assert_contract(rep, cfg, plan, budget)
+        _wide_domain_contract(solve_nonreciprocal, nonreciprocal_plan, self.VARIANCES, 6)
+
+    def test_wide_domain_large_gamma(self):
+        """As ``TestReciprocalContract.test_wide_domain_large_gamma``."""
+        _wide_domain_contract(solve_nonreciprocal, nonreciprocal_plan, self.VARIANCES, 8)
 
     @pytest.mark.parametrize("cfg, budget", [
         # The echo coefficient c = b^2 overflows at b = 2e160.

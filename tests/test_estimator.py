@@ -17,6 +17,7 @@ import pytest
 from dcekit import analytics
 from dcekit.estimator import (
     echo_downlink_estimate,
+    echo_downlink_estimate_from_gram,
     effective_forward_noise_var,
     lmmse_combiner,
 )
@@ -30,7 +31,7 @@ from dcekit.model import (
     optimal_pilot_gram,
     reciprocal_plan,
 )
-from dcekit.numerics import RngStream, haar_semiunitary, random_gaussian
+from dcekit.numerics import RngStream, complex_normal, haar_semiunitary, random_gaussian
 from dcekit.protocol import forward_pilot, run_nonreciprocal, run_reciprocal
 
 CFG = SystemConfig(n_t=4, n_l=2, n_u=2)
@@ -297,6 +298,22 @@ class TestTxDownlinkEstimate:
         )
         np.testing.assert_allclose(with_pilot, derotated, rtol=1e-10)
         assert dirs_a.mean() == pytest.approx(dirs_b.mean())
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_from_gram_is_the_same_estimate(self, batch):
+        """Given the uplink Gram, the estimate has the same bits and the
+        Gram is left as it was."""
+        gen = RngStream(44).generator
+        n_t, n_l = CFG.n_t, CFG.n_l
+        y, hu = complex_normal(gen, (*batch, n_t, n_t), 1.0), complex_normal(gen, (*batch, n_l, n_t), 1.0)
+        x_t0 = np.sqrt(self.E_T0 / n_t) * haar_semiunitary(gen, (*batch, n_t, n_t))
+        constants = _echo_constants(self.ALPHA, self.E_T0, self.E_L2)
+        gram = hu @ hu.conj().swapaxes(-1, -2)
+        kept = gram.copy()
+        expected = echo_downlink_estimate(y, x_t0, hu.copy(), *constants)
+        got = echo_downlink_estimate_from_gram(y, x_t0, hu.copy(), gram, *constants)
+        assert got.tobytes() == expected.tobytes()
+        assert gram.tobytes() == kept.tobytes()
 
     def test_batch_matches_single_rounds(self):
         """A batch of echoes gives the per-round estimates, stacked."""

@@ -302,7 +302,7 @@ class TestHouseholderPath:
         sites = [(protocol._forward_stage, "x_t[...] = const.x_bar"),
                  (protocol._forward_stage, "x_t += x_an")]
         if scheme == NONRECIPROCAL:
-            sites.append((estimator.echo_downlink_estimate, "gram[..., k, k] += beta"))
+            sites.append((estimator._echo_estimate, "gram[..., k, k] += beta"))
         lines = {}
         for fn, text in sites:
             source, start = inspect.getsourcelines(fn)
@@ -620,7 +620,9 @@ class TestSingleRoundPins:
     engine share shows (``TestBatchOfOne`` only compares the two).  Channels
     and round share the stream, as in ``model.draw_channels`` then
     ``run_*``.  Each entry: the ``tx``, ``lr``, ``ur`` squared errors, then
-    the sums of the null basis, the AN matrix and the three estimates."""
+    the sums of the null basis, the AN matrix and the three estimates.
+    ``TX_DIRS`` pins each non-reciprocal round's ``tx`` per-direction
+    errors, which the uplink Gram's eigenvalues set."""
 
     PINS = {
         ((4, 2, 2), RECIPROCAL, 2): (
@@ -664,6 +666,12 @@ class TestSingleRoundPins:
              -0.7267213645185815-0.7279365632092819j, -0.3156067503801799-1.7817910952815563j,
              -0.10005622235297468+0.17915658595687944j)),
     }
+    TX_DIRS = {
+        ((4, 2, 2), NONRECIPROCAL, 2): (0.9144619243883317, 0.7192236356164512),
+        ((4, 2, 2), NONRECIPROCAL, 5): (0.9231638557674829, 0.7853960636862957),
+        ((6, 3, 2), NONRECIPROCAL, 2): (0.9802924783910513, 0.9201155426992967, 0.8676552255076228),
+        ((6, 3, 2), NONRECIPROCAL, 5): (0.9492877462930293, 0.9302861959212136, 0.8478641655148671),
+    }
 
     @pytest.mark.parametrize("key", list(PINS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
     def test_round_is_pinned(self, key):
@@ -679,6 +687,8 @@ class TestSingleRoundPins:
         errors, sums = self.PINS[key]
         assert tuple(t.squared_errors[k] for k in ("tx", "lr", "ur")) == errors
         assert tuple(complex(np.sum(x)) for x in arrays) == sums
+        if scheme == NONRECIPROCAL:
+            assert tuple(t.estimates["tx"].per_direction_error_var.tolist()) == self.TX_DIRS[key]
 
 
 class TestRoundConstants:
